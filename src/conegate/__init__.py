@@ -75,6 +75,8 @@ from .gates import (
     conditional_phase_diag,
     conditional_recipe,
     conjugated_loop_gate,
+    hadamard_recipe,
+    not_recipe,
     phase_gate,
     phase_gate_recipe,
     solve_hadamard,

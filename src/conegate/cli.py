@@ -22,10 +22,10 @@ from .gates import (
     cnot_recipe,
     conditional_recipe,
     format_matrix,
+    hadamard_recipe,
+    not_recipe,
     phase_gate,
     phase_gate_recipe,
-    solve_hadamard,
-    solve_not,
     verify_gate,
 )
 from .hamiltonians import FieldParams
@@ -236,14 +236,25 @@ def _trajectory_columns(traj, dim: int, mask=slice(None)) -> dict:
     return cols
 
 
+def _option(v: dict, key: str, default):
+    """The configured value of key, or default when it was not given; a
+    given falsy value (0, 0.0) is kept and validated by the caller."""
+    value = v.get(key)
+    return default if value is None else value
+
+
 def cmd_gate(config: RunConfig) -> int:
     v = config.values
     name = v["name"]
     steps = int(v["steps"])
-    theta = float(v.get("theta") or np.pi / 3)
-    loops = int(v.get("loops") or 1)
 
     if name == "phase":
+        theta = float(_option(v, "theta", np.pi / 3))
+        loops = int(_option(v, "loops", 1))
+        if not 0.0 < theta < np.pi:
+            raise ConfigError(f"--theta must lie strictly inside (0, pi), got {theta!r}")
+        if loops < 1:
+            raise ConfigError(f"--loops must be a positive integer, got {loops!r}")
         if abs(np.cos(theta)) < 1e-12:
             target = phase_gate(theta, loops)
             _print_gate_report(config, target, {"theta0": theta, "loops": loops,
@@ -252,16 +263,20 @@ def cmd_gate(config: RunConfig) -> int:
             return 0
         recipe = phase_gate_recipe(theta, loops)
     elif name == "hadamard":
-        recipe = solve_hadamard(steps_per_loop=steps)
+        recipe = hadamard_recipe()
     elif name == "not":
-        recipe = solve_not(steps_per_loop=steps)
+        recipe = not_recipe()
     elif name == "cphase":
-        recipe = conditional_recipe(float(v.get("delta_over_j") or 1.058))
+        delta = float(_option(v, "delta_over_j", 1.058))
+        if not delta > 1.0:
+            raise ConfigError(f"--delta-over-j must exceed 1 (delta > j), got {delta!r}")
+        recipe = conditional_recipe(delta)
     elif name == "cnot":
         recipe = cnot_recipe()
     else:
         raise ConfigError(f"unknown gate {name!r}")
 
+    # every recipe arrives unverified, so the program is simulated once
     fidelity_value = verify_gate(recipe, steps_per_loop=steps)
     _print_gate_report(config, recipe.target, recipe.parameters, fidelity_value,
                        out=v.get("out"))
@@ -292,7 +307,7 @@ def _print_gate_report(config: RunConfig, target, parameters: dict, fid: float,
 
 def cmd_compare_adiabatic(config: RunConfig) -> int:
     v = config.values
-    theta = float(v.get("theta") or np.pi / 4)
+    theta = float(_option(v, "theta", np.pi / 4))
     if not 0 < theta < np.pi / 2:
         raise ConfigError("theta must lie in (0, pi/2) so the field has a vertical part")
     gammas = _parse_range(v["gamma_range"])

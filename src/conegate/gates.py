@@ -170,13 +170,12 @@ def _hadamard_root() -> float:
     return _bisect(lambda th: f(th) - np.sqrt(2) / 2, peak, np.pi / 2 - 1e-9)
 
 
-def solve_hadamard(steps_per_loop: int = 10_000) -> GateRecipe:
+def hadamard_recipe() -> GateRecipe:
     """Hadamard from one tilted compensated loop sandwiched between two
-    diagonal phase corrections.
+    diagonal phase corrections, not yet verified.
 
     Bisects for the tilt that equalizes the composite's entry moduli at
-    1/sqrt2, then solves the sandwich phases entrywise against the target;
-    the recipe is accepted only above fidelity 1 - 1e-6.
+    1/sqrt2, then solves the sandwich phases entrywise against the target.
     """
     theta0 = _hadamard_root()
     gamma_phase = geometric_phase_cone(theta0)
@@ -193,7 +192,7 @@ def solve_hadamard(steps_per_loop: int = 10_000) -> GateRecipe:
         (RotZ(-beta), _tilted_loop(theta0), RotZ(-alpha)),
         frame=SINGLE_QUBIT,
     )
-    recipe = GateRecipe(
+    return GateRecipe(
         name="hadamard",
         target=HADAMARD.copy(),
         sequence=seq,
@@ -204,16 +203,22 @@ def solve_hadamard(steps_per_loop: int = 10_000) -> GateRecipe:
             "post_phase": float(alpha),
         },
     )
+
+
+def _certified(recipe: GateRecipe, steps_per_loop: int) -> GateRecipe:
     verify_gate(recipe, steps_per_loop=steps_per_loop)
     if recipe.fidelity < FIDELITY_ACCEPT:
-        raise ValueError("hadamard recipe failed verification")
+        raise ValueError(f"{recipe.name} recipe failed verification")
     return recipe
 
 
-def solve_not(
-    loops: int = 1, relative_winding: int = 1, steps_per_loop: int = 10_000
-) -> GateRecipe:
-    """NOT gate as a phase gate conjugated by two Hadamards.
+def solve_hadamard(steps_per_loop: int = 10_000) -> GateRecipe:
+    """hadamard_recipe(), accepted only above simulated fidelity 1 - 1e-6."""
+    return _certified(hadamard_recipe(), steps_per_loop)
+
+
+def not_recipe(loops: int = 1, relative_winding: int = 1) -> GateRecipe:
+    """NOT gate as a phase gate conjugated by two Hadamards, not yet verified.
 
     Solves n pi cos(theta0) = pi/2 for the tilt (n = relative_winding *
     loops), so the conjugated gate is sigma_x up to global phase. The
@@ -222,14 +227,14 @@ def solve_not(
     """
     n = relative_winding * loops
     theta0 = _bisect(lambda th: n * np.pi * np.cos(th) - np.pi / 2, 1e-9, np.pi / 2)
-    hadamard = solve_hadamard(steps_per_loop=steps_per_loop)
+    hadamard = hadamard_recipe()
     # the realized program always uses single-winding loops
     phase = phase_gate_recipe(theta0, loops=loops * relative_winding)
     seq = PulseSequence(
         hadamard.sequence.steps + phase.sequence.steps + hadamard.sequence.steps,
         frame=SINGLE_QUBIT,
     )
-    recipe = GateRecipe(
+    return GateRecipe(
         name="not",
         target=NOT_TARGET.copy(),
         sequence=seq,
@@ -240,10 +245,13 @@ def solve_not(
             "hadamard_theta0": hadamard.parameters["theta0"],
         },
     )
-    verify_gate(recipe, steps_per_loop=steps_per_loop)
-    if recipe.fidelity < FIDELITY_ACCEPT:
-        raise ValueError("not-gate recipe failed verification")
-    return recipe
+
+
+def solve_not(
+    loops: int = 1, relative_winding: int = 1, steps_per_loop: int = 10_000
+) -> GateRecipe:
+    """not_recipe(), accepted only above simulated fidelity 1 - 1e-6."""
+    return _certified(not_recipe(loops, relative_winding), steps_per_loop)
 
 
 def conditional_phase_diag(delta: float, j: float) -> np.ndarray:
@@ -311,7 +319,7 @@ def cnot_recipe(j: float = 1.0) -> GateRecipe:
     delta = CNOT_DELTA_FACTOR * j
     setting = two_qubit_loop_params(delta, j)
     g_minus = geometric_phase_cone(setting.theta_minus)
-    hadamard = solve_hadamard()
+    hadamard = hadamard_recipe()
     correction = RotZ(2.0 * g_minus)  # = I_b (x) diag(e^{-i G-}, e^{i G-}) up to phase
     conditional = build_conditional_loop(delta, j)
     steps = (

@@ -100,7 +100,7 @@ def _field_hamiltonian(omega_vert, omega1, phase) -> np.ndarray:
     h[..., 0, 0] = 0.5 * omega_vert
     h[..., 1, 1] = -0.5 * omega_vert
     h[..., 0, 1] = 0.5 * omega1 * np.exp(-1j * phase)
-    h[..., 1, 0] = 0.5 * omega1 * np.exp(1j * phase)
+    h[..., 1, 0] = np.conj(h[..., 0, 1])
     return h
 
 
@@ -155,6 +155,10 @@ def h_two_qubit_rotating(
 
     Block-diagonal in the spin-b sectors; sector b-up (b-down) sees the
     single-spin Hamiltonian with vertical offset delta + j (delta - j).
+    simulate_sequence and sequence_trajectory use that split: they
+    integrate each sector as a 2x2 h_compensated / h_rotating field and
+    assemble the block diagonal, so this 4x4 form serves as the frame
+    oracle the sector split is tested against.
     """
     t = np.asarray(t, dtype=float)
     phase = gamma * t + phase0

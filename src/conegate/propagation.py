@@ -16,6 +16,18 @@ The integrator multiplies per-step exact exponentials of the Hamiltonian
 sampled at step midpoints (second-order Magnus). Every step is exactly
 unitary; accuracy is controlled solely by the step count, and the global
 defect shrinks quadratically under step halving.
+
+The midpoints are drawn in blocks of BLOCK_STEPS. Each block is sampled and
+exponentiated at once, its steps are multiplied pairwise within every
+recorded interval (vectorised across the intervals), and the interval
+products are composed in order with the running product, so memory is
+O(block + samples) whatever the step count. 2x2 steps stay in
+Cayley-Klein form (a, b) with their trace phase summed apart, and the
+running product is projected back onto SU(2) after every block, so
+rounding does not drift the norm; larger dimensions use an eigh
+exponential and matrix products. Callers with block-diagonal 4x4
+propagators (the conditional loop of sequences) integrate each 2x2 block
+on its own.
 """
 
 from __future__ import annotations
@@ -140,59 +152,135 @@ def adiabatic_error(p: FieldParams) -> float:
 # ---------------------------------------------------------------------------
 # stepped integrator
 
+BLOCK_STEPS = 4096  # midpoints sampled, exponentiated and reduced at a time
 
-def _expm_batch(h: np.ndarray, dt: float) -> np.ndarray:
-    """Batched exp(-i h dt) for stacked Hermitian matrices."""
-    d = h.shape[-1]
-    if d == 2:
+
+class _SU2:
+    """2x2 steps as Cayley-Klein pairs: exp(-i h dt) = exp(-i c dt) U with
+    U = [[a, -conj(b)], [b, conj(a)]] in SU(2), stored as (..., 2) arrays of
+    (a, b); the phase c (the half trace of h) is summed separately."""
+
+    identity = np.array([1.0, 0.0], dtype=complex)
+
+    @staticmethod
+    def exp(h: np.ndarray, dt: float) -> tuple[np.ndarray, np.ndarray]:
         c = 0.5 * (h[..., 0, 0].real + h[..., 1, 1].real)
-        a = h[..., 0, 0].real - c
-        b = h[..., 0, 1]
-        r = np.hypot(a, np.abs(b))
-        safe_r = np.where(r == 0.0, 1.0, r)
-        cos = np.cos(r * dt)
-        sinc = np.sin(r * dt) / safe_r
-        out = np.empty_like(h)
-        out[..., 0, 0] = cos - 1j * sinc * a
-        out[..., 1, 1] = cos + 1j * sinc * a
-        out[..., 0, 1] = -1j * sinc * b
-        out[..., 1, 0] = -1j * sinc * np.conj(b)
-        return np.exp(-1j * c * dt)[..., None, None] * out
-    vals, vecs = np.linalg.eigh(h)
-    phases = np.exp(-1j * vals * dt)
-    return np.einsum("...ik,...k,...jk->...ij", vecs, phases, vecs.conj())
+        z = h[..., 0, 0].real - c
+        x = h[..., 0, 1]
+        r = np.sqrt(z * z + x.real * x.real + x.imag * x.imag)
+        sinc = np.sin(r * dt) / np.where(r == 0.0, 1.0, r)
+        ck = np.empty(h.shape[:-2] + (2,), dtype=complex)
+        parts = ck.view(float)  # a.real, a.imag, b.real, b.imag
+        parts[..., 0] = np.cos(r * dt)
+        parts[..., 1] = -sinc * z
+        parts[..., 2] = -sinc * x.imag
+        parts[..., 3] = -sinc * x.real
+        return ck, c
+
+    @staticmethod
+    def compose(later: np.ndarray, earlier: np.ndarray) -> np.ndarray:
+        """Pairs of later @ earlier; earlier broadcasts against later."""
+        a2, b2 = later[..., 0], later[..., 1]
+        a1, b1 = earlier[..., 0], earlier[..., 1]
+        out = np.empty(later.shape, dtype=complex)
+        out[..., 0] = a2 * a1 - b2.conj() * b1
+        out[..., 1] = b2 * a1 + a2.conj() * b1
+        return out
+
+    @staticmethod
+    def normalize(ck: np.ndarray) -> np.ndarray:
+        """Project back onto SU(2), dropping the norm drift of rounding."""
+        return ck / np.sqrt(np.sum(ck.real**2 + ck.imag**2, axis=-1, keepdims=True))
+
+    @staticmethod
+    def matrix(ck: np.ndarray) -> np.ndarray:
+        a, b = ck[..., 0], ck[..., 1]
+        out = np.empty(ck.shape[:-1] + (2, 2), dtype=complex)
+        out[..., 0, 0] = a
+        out[..., 0, 1] = -b.conj()
+        out[..., 1, 0] = b
+        out[..., 1, 1] = a.conj()
+        return out
 
 
-def _ordered_product(mats: np.ndarray) -> np.ndarray:
-    """Product mats[n-1] @ ... @ mats[0] by pairwise reduction."""
-    d = mats.shape[-1]
-    while mats.shape[0] > 1:
-        if mats.shape[0] % 2 == 1:
-            pad = np.eye(d, dtype=complex)[None, :, :]
-            mats = np.concatenate([mats, pad], axis=0)
-        mats = mats[1::2] @ mats[0::2]
-    return mats[0]
+class _Dense:
+    """d x d steps as matrices from a Hermitian eigendecomposition, the
+    phase kept inside."""
+
+    compose = staticmethod(np.matmul)
+
+    def __init__(self, d: int) -> None:
+        self.identity = np.eye(d, dtype=complex)
+
+    @staticmethod
+    def exp(h: np.ndarray, dt: float) -> tuple[np.ndarray, np.ndarray]:
+        vals, vecs = np.linalg.eigh(h)
+        u = np.einsum("...ik,...k,...jk->...ij", vecs, np.exp(-1j * vals * dt), vecs.conj())
+        return u, np.zeros(h.shape[:-2])
+
+    @staticmethod
+    def normalize(u: np.ndarray) -> np.ndarray:
+        return u
+
+    matrix = normalize  # the elements already are the matrices
 
 
-def _sample_hamiltonians(schedule, t_mid: np.ndarray) -> np.ndarray:
-    # vectorized evaluation when the schedule supports it, scalar fallback
+def _segment_products(kernel, elems: np.ndarray, starts: np.ndarray, lengths: np.ndarray):
+    """Ordered product of every run elems[s : s + n], (s, n) in zip(starts,
+    lengths), by pairwise reduction vectorised across the runs."""
+    if starts.size == 1:
+        rows = elems[None]
+    else:
+        offsets = np.arange(int(lengths.max()))
+        rows = np.take(elems, np.minimum(starts[:, None] + offsets, len(elems) - 1), axis=0)
+        rows[offsets >= lengths[:, None]] = kernel.identity
+    width = rows.shape[1]
+    while width > 1:
+        even = width - width % 2
+        pairs = kernel.compose(rows[:, 1:even:2], rows[:, 0:even:2])
+        rows = np.concatenate([pairs, rows[:, even:]], axis=1) if width % 2 else pairs
+        width = rows.shape[1]
+    return rows[:, 0]
+
+
+def _prefix_products(kernel, elems: np.ndarray) -> np.ndarray:
+    """Running products elems[k] @ ... @ elems[0] for every k."""
+    shift = 1
+    while shift < len(elems):
+        elems = np.concatenate([elems[:shift], kernel.compose(elems[shift:], elems[:-shift])])
+        shift *= 2
+    return elems
+
+
+def _sampler(schedule, t: np.ndarray):
+    """Samples of the schedule at t and a sampler for later time arrays.
+
+    Whether the schedule takes a time array is decided here, once: a
+    scalar-only callable shows itself by raising TypeError or ValueError on
+    the array or by returning the wrong shape, and is then called per time.
+    Any other error is the schedule's own and propagates.
+    """
     try:
-        h = np.asarray(schedule(t_mid), dtype=complex)
-        if not (h.ndim == 3 and h.shape[0] == t_mid.shape[0] and h.shape[1] == h.shape[2]):
-            raise ValueError
-    except Exception:
-        h = np.stack([np.asarray(schedule(float(t)), dtype=complex) for t in t_mid])
+        h = np.asarray(schedule(t), dtype=complex)
+        vectorised = h.ndim == 3 and h.shape[0] == t.size and h.shape[1] == h.shape[2]
+    except (TypeError, ValueError):
+        vectorised = False
+    if vectorised:
+        def sample(times):
+            return np.asarray(schedule(times), dtype=complex)
+    else:
+        def sample(times):
+            return np.stack([np.asarray(schedule(float(x)), dtype=complex) for x in times])
+        h = sample(t)
+    return h, sample
+
+
+def _check_samples(h: np.ndarray, m: int, d: int) -> np.ndarray:
+    if h.shape != (m, d, d):
+        raise ValueError(f"schedule returned shape {h.shape}, expected {(m, d, d)}")
     if not np.all(np.isfinite(h)):
         raise ValueError("schedule produced a non-finite Hamiltonian sample")
     return h
-
-
-def _probe_dimension(schedule, t: float) -> int:
-    try:
-        probe = np.asarray(schedule(np.array([t])), dtype=complex)
-    except Exception:
-        probe = np.asarray(schedule(t), dtype=complex)
-    return probe.shape[-1]
 
 
 def integrate(
@@ -207,8 +295,8 @@ def integrate(
     """Propagate under a time-dependent Hamiltonian by a product of exact
     midpoint exponentials.
 
-    schedule        t -> Hamiltonian; called with the full midpoint array
-                    first, falling back to scalar calls
+    schedule        t -> Hamiltonian; called with arrays of midpoints when
+                    it accepts them, per midpoint otherwise
     t_end           final time (>= 0)
     steps_per_unit  step density; the step count is steps_per_unit * t_end
                     rounded, unless total_steps is given explicitly
@@ -220,17 +308,9 @@ def integrate(
     """
     if not np.isfinite(t_end) or t_end < 0:
         raise ValueError("t_end must be finite and nonnegative")
-    d = _probe_dimension(schedule, 0.0 if t_end == 0 else t_end / 2)
-    if psi0 is None:
-        psi0 = np.zeros(d, dtype=complex)
-        psi0[0] = 1.0
-    psi0 = require_finite(np.asarray(psi0, dtype=complex), "psi0")
-
     if t_end == 0.0:
-        eye = np.eye(d, dtype=complex)[None]
-        return Trajectory(np.zeros(1), psi0[None, :], eye, schedule)
-
-    if total_steps is None:
+        n_steps = 0
+    elif total_steps is None:
         n_steps = max(1, int(round(steps_per_unit * t_end)))
     else:
         n_steps = int(total_steps)
@@ -239,18 +319,42 @@ def integrate(
     if n_steps > 50_000_000:
         raise RuntimeError("step budget exceeded")
 
-    dt = t_end / n_steps
-    t_mid = (np.arange(n_steps) + 0.5) * dt
-    h = _sample_hamiltonians(schedule, t_mid)
-    steps = _expm_batch(h, dt)
+    dt = t_end / n_steps if n_steps else 0.0
+    # the first block doubles as the dimension probe (t = 0 without steps)
+    h, sample = _sampler(schedule, (np.arange(min(max(n_steps, 1), BLOCK_STEPS)) + 0.5) * dt)
+    d = h.shape[-1]
+    if psi0 is None:
+        psi0 = np.zeros(d, dtype=complex)
+        psi0[0] = 1.0
+    psi0 = require_finite(np.asarray(psi0, dtype=complex), "psi0")
+    if n_steps == 0:
+        eye = np.eye(d, dtype=complex)[None]
+        return Trajectory(np.zeros(1), psi0[None, :], eye, schedule)
 
+    kernel = _SU2 if d == 2 else _Dense(d)
     n_rec = int(min(max(2, samples), n_steps + 1))
     bounds = np.unique(np.round(np.linspace(0, n_steps, n_rec)).astype(int))
-    props = np.empty((bounds.size, d, d), dtype=complex)
-    props[0] = np.eye(d, dtype=complex)
-    for k in range(1, bounds.size):
-        seg = _ordered_product(steps[bounds[k - 1] : bounds[k]])
-        props[k] = seg @ props[k - 1]
+    ends = bounds[1:]
+    recorded, recorded_phase = [kernel.identity[None]], [np.zeros(1)]
+    carry, carry_phase = kernel.identity, 0.0
+    for start in range(0, n_steps, BLOCK_STEPS):
+        stop = min(start + BLOCK_STEPS, n_steps)
+        if start:
+            h = sample((np.arange(start, stop) + 0.5) * dt)
+        elems, c = kernel.exp(_check_samples(h, stop - start, d), dt)
+        inner = ends[np.searchsorted(ends, start, "right") : np.searchsorted(ends, stop)]
+        seg_starts = np.concatenate(([start], inner)) - start
+        seg_stops = np.concatenate((inner, [stop])) - start
+        segs = _segment_products(kernel, elems, seg_starts, seg_stops - seg_starts)
+        total = kernel.compose(_prefix_products(kernel, segs), carry)
+        total_phase = carry_phase + dt * np.cumsum(np.add.reduceat(c, seg_starts))
+        keep = inner.size + int(ends[np.searchsorted(ends, stop)] == stop)
+        recorded.append(total[:keep])
+        recorded_phase.append(total_phase[:keep])
+        carry, carry_phase = kernel.normalize(total[-1]), total_phase[-1]
+
+    phase = np.exp(-1j * np.concatenate(recorded_phase))
+    props = kernel.matrix(np.concatenate(recorded)) * phase[:, None, None]
     states = np.einsum("kij,j->ki", props, psi0)
     times = bounds * dt
     times[-1] = t_end

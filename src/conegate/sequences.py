@@ -16,7 +16,7 @@ from typing import Union
 
 import numpy as np
 
-from .hamiltonians import FieldParams, h_compensated, h_rotating, h_two_qubit_rotating
+from .hamiltonians import FieldParams, h_compensated, h_rotating
 from .linalg import IDENTITY_2, SIGMA_Z
 from .phases import two_qubit_loop_params
 from .propagation import (
@@ -259,60 +259,70 @@ def _free_evolution_unitary(step: FreeEvolve, dim: int) -> np.ndarray:
     return np.diag(half).astype(complex)
 
 
-def _loop_closed_form(step: FieldLoop, dim: int) -> np.ndarray:
+def _loop_fields(step: FieldLoop) -> list[FieldParams]:
+    """Single-spin field of each 2x2 block of a loop: the loop's own field,
+    or for a conditional loop one per spin-b sector (b-up first), each
+    seeing the vertical offset delta + j or delta - j."""
     if isinstance(step.params, FieldParams):
-        p = step.params
-        t = step.revolutions * loop_duration(p)
-        u = (propagator_compensated if step.compensated else propagator_uncompensated)(p, t)
-        if step.sign < 0:
-            u = u.conj().T
-        return _embed(u, dim)
-    if dim != 4:
-        raise ValueError("a conditional loop needs dimension 4")
+        return [step.params]
     cl = step.params
     setting = two_qubit_loop_params(cl.delta, cl.j)
-    blocks = []
-    for sgn in (+1, -1):
-        p = FieldParams(
+    return [
+        FieldParams(
             omega0=cl.delta + sgn * cl.j,
             omega1=setting.omega1,
             gamma=setting.gamma,
             omega_z=setting.gamma if step.compensated else 0.0,
             phase0=cl.phase0,
         )
-        t = step.revolutions * loop_duration(p)
-        u = (propagator_compensated if step.compensated else propagator_uncompensated)(p, t)
-        blocks.append(u.conj().T if step.sign < 0 else u)
-    out = np.zeros((4, 4), dtype=complex)
-    out[:2, :2] = blocks[0]
-    out[2:, 2:] = blocks[1]
+        for sgn in (+1, -1)
+    ]
+
+
+def _block_diag(blocks: list, dim: int) -> np.ndarray:
+    """Propagator of dimension dim from the (..., 2, 2) blocks of the spin-b
+    sectors; a single block acts alike in both sectors."""
+    if dim == 2 and len(blocks) == 1:
+        return blocks[0]
+    if dim != 4:
+        raise ValueError("a conditional loop needs dimension 4")
+    up, down = blocks if len(blocks) == 2 else blocks * 2
+    out = np.zeros(up.shape[:-2] + (4, 4), dtype=complex)
+    out[..., :2, :2] = up
+    out[..., 2:, 2:] = down
     return out
 
 
-def _loop_schedule(step: FieldLoop, dim: int):
-    """(duration, schedule, native_dim) of one field-loop segment for the
-    integrator; sign = -1 runs the negated Hamiltonian backwards."""
-    if isinstance(step.params, FieldParams):
-        p = step.params
-        duration = step.revolutions * loop_duration(p)
-        base = (lambda t: h_compensated(p, t)) if step.compensated else (
-            lambda t: h_rotating(p, t)
-        )
-        native = 2
-    else:
-        cl = step.params
-        setting = two_qubit_loop_params(cl.delta, cl.j)
-        duration = step.revolutions * 2 * np.pi / abs(setting.gamma)
-        base = lambda t: h_two_qubit_rotating(
-            cl.delta, cl.j, setting.omega1, setting.gamma, t,
-            compensated=step.compensated, phase0=cl.phase0,
-        )
-        native = 4
+def _loop_closed_form(step: FieldLoop, dim: int) -> np.ndarray:
+    blocks = []
+    for p in _loop_fields(step):
+        t = step.revolutions * loop_duration(p)
+        u = (propagator_compensated if step.compensated else propagator_uncompensated)(p, t)
+        blocks.append(u.conj().T if step.sign < 0 else u)
+    return _block_diag(blocks, dim)
+
+
+def _integrate_loop(step: FieldLoop, dim: int, steps_per_loop: int, samples: int):
+    """Integrator run of one field-loop segment, each 2x2 block on its own.
+
+    Returns (duration, times, propagators at the times, Hamiltonian
+    accessor); sign = -1 runs the negated Hamiltonian backwards.
+    """
+    fields = _loop_fields(step)
+    duration = step.revolutions * loop_duration(fields[0])
+    h = h_compensated if step.compensated else h_rotating
     if step.sign < 0:
-        schedule = lambda t: -base(duration - np.asarray(t))
+        schedules = [lambda t, p=p: -h(p, duration - np.asarray(t)) for p in fields]
     else:
-        schedule = base
-    return duration, schedule, native
+        schedules = [lambda t, p=p: h(p, t) for p in fields]
+    n = max(1, int(round(steps_per_loop * step.revolutions)))
+    runs = [integrate(s, duration, total_steps=n, samples=samples) for s in schedules]
+    props = _block_diag([run.propagators for run in runs], dim)
+
+    def hamiltonian_at(t):
+        return _block_diag([np.asarray(s(t), dtype=complex) for s in schedules], dim)
+
+    return duration, runs[0].times, props, hamiltonian_at
 
 
 def primitive_unitary(step: PulsePrimitive, dim: int) -> np.ndarray:
@@ -353,18 +363,13 @@ def simulate_sequence(
     """Compose the sequence with every field loop run through the stepped
     integrator instead of the closed form. Hard pulses stay exact; free
     evolutions have constant generators, for which the integrator is exact
-    anyway."""
+    anyway. A conditional loop runs as two 2x2 sectors."""
     _check_frame_dim(seq, dim)
     u = np.eye(dim, dtype=complex)
     for step in seq.steps:
         if isinstance(step, FieldLoop):
-            duration, schedule, native = _loop_schedule(step, dim)
-            n = max(1, int(round(steps_per_loop * step.revolutions)))
-            traj = integrate(schedule, duration, total_steps=n, samples=2)
-            seg = traj.propagators[-1]
-            if native == 2:
-                seg = _embed(seg, dim)
-            u = seg @ u
+            _, _, props, _ = _integrate_loop(step, dim, steps_per_loop, samples=2)
+            u = props[-1] @ u
         else:
             u = primitive_unitary(step, dim) @ u
     return u
@@ -384,63 +389,42 @@ def sequence_trajectory(
     segments (zero between them)."""
     _check_frame_dim(seq, dim)
     psi = np.asarray(psi0, dtype=complex)
-    u = np.eye(dim, dtype=complex)
-    times = [0.0]
-    states = [psi.copy()]
-    props = [u.copy()]
-    segments = []  # (t_start, t_end, schedule, native_dim)
+    times = [np.zeros(1)]
+    props = [np.eye(dim, dtype=complex)[None]]
+    segments = []  # (t_start, t_end, Hamiltonian accessor)
     now = 0.0
     for step in seq.steps:
+        u = props[-1][-1]
         if isinstance(step, FieldLoop):
-            duration, schedule, native = _loop_schedule(step, dim)
-            n = max(1, int(round(steps_per_loop * step.revolutions)))
             m = max(2, int(round(samples_per_loop * step.revolutions)))
-            traj = integrate(schedule, duration, total_steps=n, samples=m)
-            segments.append((now, now + duration, schedule, native))
-            for k in range(1, traj.times.size):
-                seg_u = traj.propagators[k]
-                if native == 2:
-                    seg_u = _embed(seg_u, dim)
-                times.append(now + traj.times[k])
-                props.append(seg_u @ u)
-                states.append(props[-1] @ psi)
+            duration, seg_t, seg_u, h_at = _integrate_loop(step, dim, steps_per_loop, m)
+            segments.append((now, now + duration, h_at))
+            times.append(now + seg_t[1:])
+            props.append(seg_u[1:] @ u)
             now += duration
-            u = props[-1]
         elif isinstance(step, FreeEvolve) and step.duration > 0:
-            seg_u = primitive_unitary(step, dim)
             h_free = _free_evolution_hamiltonian(step, dim)
-            segments.append((now, now + step.duration, lambda t, h=h_free: _const(h, t), dim))
-            m = max(2, samples_per_loop // 4)
-            for frac in np.linspace(0, 1, m)[1:]:
-                t = step.duration * frac
-                part = _free_evolution_unitary(replace(step, duration=t), dim)
-                times.append(now + t)
-                props.append(part @ u)
-                states.append(props[-1] @ psi)
+            segments.append((now, now + step.duration, lambda t, h=h_free: _const(h, t)))
+            seg_t = step.duration * np.linspace(0, 1, max(2, samples_per_loop // 4))[1:]
+            seg_u = [_free_evolution_unitary(replace(step, duration=t), dim) for t in seg_t]
+            times.append(now + seg_t)
+            props.append(np.stack(seg_u) @ u)
             now += step.duration
-            u = props[-1]
         else:
-            u = primitive_unitary(step, dim) @ u
-            times.append(now)
-            props.append(u.copy())
-            states.append(u @ psi)
+            times.append(np.array([now]))
+            props.append((primitive_unitary(step, dim) @ u)[None])
 
     def hamiltonian_at(t):
         t_arr = np.asarray(t, dtype=float)
         out = np.zeros(t_arr.shape + (dim, dim), dtype=complex)
-        for t0, t1, schedule, native in segments:
+        for t0, t1, h_at in segments:
             mask = (t_arr >= t0) & (t_arr <= t1)
-            if not np.any(mask):
-                continue
-            h = np.asarray(schedule(t_arr[mask] - t0), dtype=complex)
-            if native == 2 and dim == 4:
-                h = np.kron(np.eye(2), h)
-            out[mask] = h
+            if np.any(mask):
+                out[mask] = h_at(t_arr[mask] - t0)
         return out
 
-    return Trajectory(
-        np.asarray(times), np.asarray(states), np.asarray(props), hamiltonian_at
-    )
+    props = np.concatenate(props)
+    return Trajectory(np.concatenate(times), props @ psi, props, hamiltonian_at)
 
 
 def _const(h: np.ndarray, t) -> np.ndarray:

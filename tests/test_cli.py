@@ -259,6 +259,50 @@ class TestGateCommand:
         assert "delta = 1.058" in out
 
 
+class TestVerifyOnce:
+    @staticmethod
+    def count_verifies(monkeypatch):
+        from conegate import cli, gates
+
+        calls = []
+        original = gates.verify_gate
+
+        def counting(recipe, steps_per_loop=10_000):
+            calls.append((recipe.name, steps_per_loop))
+            return original(recipe, steps_per_loop=steps_per_loop)
+
+        monkeypatch.setattr(gates, "verify_gate", counting)
+        monkeypatch.setattr(cli, "verify_gate", counting)
+        return calls
+
+    @pytest.mark.parametrize("name", ["not", "hadamard", "cnot"])
+    def test_gate_is_verified_once(self, name, monkeypatch, capsys):
+        calls = self.count_verifies(monkeypatch)
+        code, out, _ = run_cli(["gate", name, "--steps", "3000"], capsys)
+        assert code == 0
+        assert calls == [(name, 3000)]
+
+
+class TestZeroValuedFlags:
+    """A given 0 is validated, never swapped for the default."""
+
+    @pytest.mark.parametrize(
+        "argv, field",
+        [
+            (["gate", "phase", "--theta", "0"], "--theta"),
+            (["gate", "phase", "--loops", "0"], "--loops"),
+            (["gate", "cphase", "--delta-over-j", "0"], "--delta-over-j"),
+            (["compare-adiabatic", "--theta", "0", "--gamma-range", "0.1:0.2:0.1"],
+             "theta"),
+        ],
+    )
+    def test_zero_is_rejected(self, argv, field, capsys):
+        code, out, err = run_cli(argv, capsys)
+        assert code == 2
+        assert out == ""
+        assert field in err
+
+
 class TestCompareAdiabatic:
     def test_columns_and_claims(self, capsys):
         code, out, _ = run_cli(

@@ -12,7 +12,9 @@ from conegate.gates import (
     conditional_phase_diag,
     conditional_recipe,
     conjugated_loop_gate,
+    hadamard_recipe,
     matrix_to_json,
+    not_recipe,
     phase_gate,
     phase_gate_recipe,
     solve_hadamard,
@@ -280,3 +282,16 @@ class TestExports:
         assert doc["dim"] == 4
         assert len(doc["entries"]) == 16
         assert doc["entries"][1] == [0.0, -1.0]
+
+
+class TestUnverifiedBuilders:
+    def test_builders_leave_fidelity_unset(self, monkeypatch):
+        import conegate.gates as gates
+
+        monkeypatch.setattr(gates, "verify_gate", lambda *a, **k: pytest.fail("verified"))
+        for recipe in (hadamard_recipe(), not_recipe(), cnot_recipe()):
+            assert recipe.fidelity is None
+
+    def test_builders_match_solvers(self):
+        assert hadamard_recipe().sequence == solve_hadamard().sequence
+        assert not_recipe(relative_winding=2).sequence == solve_not(relative_winding=2).sequence

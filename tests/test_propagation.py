@@ -1,10 +1,26 @@
+import cmath
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from conegate.hamiltonians import FieldParams, SpeedProfile, h_profile, h_rotating
+from conegate.gates import hadamard_recipe
+from conegate.hamiltonians import (
+    FieldParams,
+    SpeedProfile,
+    h_profile,
+    h_rotating,
+    h_two_qubit_rotating,
+)
 from conegate.linalg import SIGMA_X, SIGMA_Z, is_unitary, mat_exp_hermitian
-from conegate.phases import cone_eigenstate, compensation_gamma, phase_decomposition
+from conegate.phases import (
+    compensation_gamma,
+    cone_eigenstate,
+    phase_decomposition,
+    two_qubit_loop_params,
+)
 from conegate.propagation import (
+    BLOCK_STEPS,
     Trajectory,
     adiabatic_error,
     integrate,
@@ -14,6 +30,14 @@ from conegate.propagation import (
     loop_with_profile,
     propagator_compensated,
     propagator_uncompensated,
+)
+from conegate.sequences import (
+    TWO_QUBIT,
+    ConditionalLoop,
+    FieldLoop,
+    PulseSequence,
+    sequence_trajectory,
+    simulate_sequence,
 )
 
 from conftest import random_field_draws
@@ -254,3 +278,112 @@ class TestAdiabaticError:
     def test_requires_uncompensated(self):
         with pytest.raises(ValueError):
             adiabatic_error(FieldParams(1.0, 1.0, 0.5, omega_z=0.5))
+
+
+def _per_step_reference(schedule, t_end, n_steps, samples):
+    """Recorded propagators from a plain left-to-right product of per-step
+    eigh exponentials, the rule integrate must reproduce."""
+    dt = t_end / n_steps
+    h = np.asarray(schedule((np.arange(n_steps) + 0.5) * dt), dtype=complex)
+    vals, vecs = np.linalg.eigh(h)
+    steps = np.einsum("kij,kj,klj->kil", vecs, np.exp(-1j * vals * dt), vecs.conj())
+    n_rec = min(max(2, samples), n_steps + 1)
+    bounds = np.unique(np.round(np.linspace(0, n_steps, n_rec)).astype(int))
+    u = np.eye(h.shape[-1], dtype=complex)
+    recorded = [u]
+    for k in range(n_steps):
+        u = steps[k] @ u
+        if k + 1 in bounds:
+            recorded.append(u)
+    return bounds * dt, np.array(recorded)
+
+
+class TestChunkedIntegrator:
+    @pytest.mark.parametrize("dim", [2, 4])
+    @pytest.mark.parametrize("offset", [-1, 0, 1])
+    @pytest.mark.parametrize("samples", [2, 3, 257, None])
+    def test_block_edges_match_per_step_product(self, dim, offset, samples):
+        n = BLOCK_STEPS + offset
+        samples = n + 1 if samples is None else samples
+        if dim == 2:
+            p = FieldParams(0.7, 1.3, 0.9)
+            schedule = lambda t: h_rotating(p, t) + 0.37 * np.eye(2)  # nonzero trace
+        else:
+            schedule = lambda t: h_two_qubit_rotating(1.8, 1.0, 1.5, -3.6, t)
+        t_end = 2.5
+        traj = integrate(schedule, t_end, total_steps=n, samples=samples)
+        times, reference = _per_step_reference(schedule, t_end, n, samples)
+        assert traj.propagators.shape == reference.shape
+        assert np.max(np.abs(traj.times - times)) < 1e-12
+        assert np.max(np.abs(traj.propagators - reference)) <= 1e-12
+
+    @pytest.mark.parametrize("compensated", [True, False])
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_conditional_loop_sectors_match_4x4(self, compensated, sign):
+        delta, j, n = 1.8, 1.0, 3000
+        setting = two_qubit_loop_params(delta, j)
+        loop = FieldLoop(ConditionalLoop(delta, j, phase0=0.4), compensated=compensated,
+                         sign=sign)
+        seq = PulseSequence((loop,), frame=TWO_QUBIT)
+        tau = 2 * np.pi / abs(setting.gamma)
+
+        def h4(t):
+            t = np.asarray(t)
+            if sign < 0:
+                t = tau - t
+            h = h_two_qubit_rotating(delta, j, setting.omega1, setting.gamma, t,
+                                     compensated=compensated, phase0=0.4)
+            return sign * h
+
+        full = integrate(h4, tau, total_steps=n, samples=33)
+        sectors = sequence_trajectory(seq, 4, np.eye(4)[0], steps_per_loop=n,
+                                      samples_per_loop=33)
+        assert np.max(np.abs(sectors.propagators - full.propagators)) <= 1e-12
+        u = simulate_sequence(seq, 4, steps_per_loop=n)
+        assert np.max(np.abs(u - full.propagators[-1])) <= 1e-12
+
+    def test_unitarity_defect_at_1e6_steps(self):
+        # the whole-run pairwise product of earlier versions left 2.7e-11 here
+        u = simulate_sequence(hadamard_recipe().sequence, 2, steps_per_loop=1_000_000)
+        assert np.max(np.abs(u.conj().T @ u - np.eye(2))) <= 2.7e-11
+
+    @pytest.mark.parametrize("steps", [100_000, 1_000_000])
+    def test_memory_stays_bounded(self, steps):
+        p = FieldParams(1.0, 1.0, -2.0, omega_z=-2.0)
+        tracemalloc.start()
+        try:
+            integrate_loop(p, compensated=True, steps_per_loop=steps, samples=2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4_000_000
+
+    def test_scalar_only_schedule_integrates(self):
+        p = FieldParams(0.7, 1.3, 0.9)
+        array_calls = []
+
+        def scalar_only(t):
+            if isinstance(t, np.ndarray):
+                array_calls.append(t.size)
+            phase = p.gamma * t + p.phase0  # TypeError below for an array
+            return 0.5 * np.array(
+                [[p.omega0, p.omega1 * cmath.exp(-1j * phase)],
+                 [p.omega1 * cmath.exp(1j * phase), -p.omega0]]
+            )
+
+        n = 2 * BLOCK_STEPS + 5
+        traj = integrate(scalar_only, 1.5, total_steps=n, samples=9)
+        vectorised = integrate(lambda t: h_rotating(p, t), 1.5, total_steps=n, samples=9)
+        assert len(array_calls) == 1  # decided once, at the probe
+        assert np.max(np.abs(traj.propagators - vectorised.propagators)) < 1e-12
+
+    def test_genuine_schedule_error_propagates(self):
+        calls = []
+
+        def broken(t):
+            calls.append(t)
+            raise RuntimeError("schedule table missing")
+
+        with pytest.raises(RuntimeError, match="schedule table missing"):
+            integrate(broken, 1.0, total_steps=10)
+        assert len(calls) == 1  # no scalar retry hides the error
