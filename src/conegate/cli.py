@@ -31,16 +31,17 @@ from .gates import (
 from .hamiltonians import FieldParams
 from .linalg import bloch_vector
 from .phases import cone_eigenstate
-from .propagation import adiabatic_error, loop_duration, propagator_compensated
+from .propagation import loop_infidelities
 from .sequences import (
     SINGLE_QUBIT,
     FieldLoop,
-    s_operation_params,
+    s_operation_angles,
     sequence_from_dict,
     sequence_trajectory,
 )
 
 DEFAULT_STEPS = 10_000
+MAX_SWEEP_POINTS = 1_000_000  # sweeps are evaluated as whole arrays
 GATE_FIDELITY_GATE = 1.0 - 1e-5
 CONFIG_ERROR = 2
 VERIFICATION_ERROR = 3
@@ -66,30 +67,64 @@ def _fmt(x: float) -> str:
     return f"{x:.12g}"
 
 
-def _parse_range(text: str) -> np.ndarray:
+def _parse_range(text: str, flag: str) -> np.ndarray:
     try:
         start_s, stop_s, step_s = text.split(":")
         start, stop, step = float(start_s), float(stop_s), float(step_s)
     except ValueError as exc:
-        raise ConfigError(f"range must look like start:stop:step, got {text!r}") from exc
+        raise ConfigError(f"{flag} must look like start:stop:step, got {text!r}") from exc
+    if not np.all(np.isfinite([start, stop, step])):
+        raise ConfigError(f"{flag}: start, stop and step must be finite, got {text!r}")
     if step <= 0 or stop < start:
-        raise ConfigError(f"empty or descending range {text!r}")
-    count = int(np.floor((stop - start) / step + 1e-9)) + 1
-    values = start + step * np.arange(count)
-    if values.size == 0:
-        raise ConfigError(f"range {text!r} contains no points")
-    return values
+        raise ConfigError(f"{flag}: empty or descending range {text!r}")
+    count = np.floor((stop - start) / step + 1e-9) + 1
+    _check_points(count, flag)
+    return start + step * np.arange(int(count))
+
+
+def _check_points(count: float, what: str) -> None:
+    """Refuse a sweep before its arrays are allocated."""
+    if count > MAX_SWEEP_POINTS:
+        raise ConfigError(f"{what} asks for {count:.0f} points, "
+                          f"more than the {MAX_SWEEP_POINTS} a sweep may hold")
+
+
+def _int_option(value, name: str) -> int:
+    """value as an integer; a non-integral number or a bool is refused."""
+    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+        raise ConfigError(f"{name} must be an integer, got {value!r}")
+    try:
+        return int(value)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{name} must be an integer, got {value!r}") from exc
+
+
+def _emit(text: str, out: str | None) -> None:
+    if not out:
+        sys.stdout.write(text)
+        return
+    try:
+        with open(out, "w") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise ConfigError(f"cannot write --out {out!r}: {exc.strerror or exc}") from exc
+
+
+def _csv_text(config: RunConfig, columns: dict) -> str:
+    """Header, column line and one %.12g row per sample, formatted in one
+    pass: the whole file is a single format string (the echoed header with
+    its % signs escaped) applied to the stacked columns."""
+    lines = config.header_lines()
+    lines.append(",".join(columns))
+    head = "\n".join(lines).replace("%", "%%") + "\n"
+    table = np.column_stack([np.asarray(c, dtype=float) for c in columns.values()])
+    row = ",".join(["%.12g"] * table.shape[1]) + "\n"
+    return (head + row * table.shape[0]) % tuple(table.ravel().tolist())
 
 
 def _write_output(config: RunConfig, columns: dict, out: str | None, fmt: str) -> None:
     if fmt == "csv":
-        lines = config.header_lines()
-        names = list(columns)
-        lines.append(",".join(names))
-        n_rows = len(next(iter(columns.values()))) if columns else 0
-        for k in range(n_rows):
-            lines.append(",".join(_fmt(columns[name][k]) for name in names))
-        text = "\n".join(lines) + "\n"
+        text = _csv_text(config, columns)
     elif fmt == "json":
         doc = {
             "tool": f"conegate {__version__}",
@@ -100,11 +135,7 @@ def _write_output(config: RunConfig, columns: dict, out: str | None, fmt: str) -
         text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
     else:
         raise ConfigError(f"unknown format {fmt!r}")
-    if out:
-        with open(out, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    _emit(text, out)
 
 
 # ---------------------------------------------------------------------------
@@ -113,19 +144,18 @@ def _write_output(config: RunConfig, columns: dict, out: str | None, fmt: str) -
 
 def cmd_scurve(config: RunConfig) -> int:
     v = config.values
-    omega1_values = _parse_range(v["omega1_range"])
+    omega1_values = _parse_range(v["omega1_range"], "--omega1-range")
     delta_text = str(v["delta_over_j"])
-    delta_values = _parse_range(delta_text) if ":" in delta_text else np.array(
+    delta_values = _parse_range(delta_text, "--delta-over-j") if ":" in delta_text else np.array(
         [float(delta_text)]
     )
-    cols = {"omega1_over_J": [], "delta_over_J": [], "J_tc": [], "phi_prime_rad": []}
-    for delta in delta_values:
-        for omega1 in omega1_values:
-            sol = s_operation_params(float(delta), 1.0, float(omega1))
-            cols["omega1_over_J"].append(float(omega1))
-            cols["delta_over_J"].append(float(delta))
-            cols["J_tc"].append(sol.t_c)
-            cols["phi_prime_rad"].append(sol.phi_prime)
+    _check_points(delta_values.size * omega1_values.size, "--delta-over-j x --omega1-range")
+    # delta is the outer loop of the grid, omega1 the inner one
+    delta = np.repeat(delta_values, omega1_values.size)
+    omega1 = np.tile(omega1_values, delta_values.size)
+    t_c, phi_prime, _, _ = s_operation_angles(delta, 1.0, omega1)
+    cols = {"omega1_over_J": omega1, "delta_over_J": delta, "J_tc": t_c,
+            "phi_prime_rad": phi_prime}
     _write_output(config, cols, v.get("out"), v.get("format", "csv"))
     return 0
 
@@ -223,16 +253,16 @@ def _trajectory_columns(traj, dim: int, mask=slice(None)) -> dict:
         e_left = np.einsum("ki,kij,kj->k", states[:-1].conj(), h_left, states[:-1]).real
         e_right = np.einsum("ki,kij,kj->k", states[1:].conj(), h_right, states[1:]).real
         running[1:] = -np.cumsum(0.5 * (e_left + e_right) * dt)
-    cols["t"] = list(times)
+    cols["t"] = times
     for k in range(dim):
-        cols[f"re_amp{k}"] = list(states[:, k].real)
-        cols[f"im_amp{k}"] = list(states[:, k].imag)
+        cols[f"re_amp{k}"] = states[:, k].real
+        cols[f"im_amp{k}"] = states[:, k].imag
     if dim == 2:
         bloch = np.array([bloch_vector(s) for s in states])
-        cols["bloch_x"] = list(bloch[:, 0])
-        cols["bloch_y"] = list(bloch[:, 1])
-        cols["bloch_z"] = list(bloch[:, 2])
-    cols["dynamical_phase"] = list(running)
+        cols["bloch_x"] = bloch[:, 0]
+        cols["bloch_y"] = bloch[:, 1]
+        cols["bloch_z"] = bloch[:, 2]
+    cols["dynamical_phase"] = running
     return cols
 
 
@@ -250,7 +280,7 @@ def cmd_gate(config: RunConfig) -> int:
 
     if name == "phase":
         theta = float(_option(v, "theta", np.pi / 3))
-        loops = int(_option(v, "loops", 1))
+        loops = _int_option(_option(v, "loops", 1), "--loops")
         if not 0.0 < theta < np.pi:
             raise ConfigError(f"--theta must lie strictly inside (0, pi), got {theta!r}")
         if loops < 1:
@@ -259,7 +289,8 @@ def cmd_gate(config: RunConfig) -> int:
             target = phase_gate(theta, loops)
             _print_gate_report(config, target, {"theta0": theta, "loops": loops,
                                                 "note": "degenerate tilt: identity gate, "
-                                                        "no loop is required"}, 1.0)
+                                                        "no loop is required"}, 1.0,
+                               out=v.get("out"))
             return 0
         recipe = phase_gate_recipe(theta, loops)
     elif name == "hadamard":
@@ -297,12 +328,7 @@ def _print_gate_report(config: RunConfig, target, parameters: dict, fid: float,
         val = parameters[key]
         lines.append(f"  {key} = {_fmt(val) if isinstance(val, float) else val}")
     lines.append(f"simulated fidelity = {fid:.12g}")
-    text = "\n".join(lines) + "\n"
-    if out:
-        with open(out, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    _emit("\n".join(lines) + "\n", out)
 
 
 def cmd_compare_adiabatic(config: RunConfig) -> int:
@@ -310,22 +336,14 @@ def cmd_compare_adiabatic(config: RunConfig) -> int:
     theta = float(_option(v, "theta", np.pi / 4))
     if not 0 < theta < np.pi / 2:
         raise ConfigError("theta must lie in (0, pi/2) so the field has a vertical part")
-    gammas = _parse_range(v["gamma_range"])
+    gammas = _parse_range(v["gamma_range"], "--gamma-range")
     omega0, omega1 = float(np.cos(theta)), float(np.sin(theta))
-    geom = cone_eigenstate(omega0, omega1)
-    cols = {"gamma_over_omega0": [], "infidelity_uncompensated": [],
-            "infidelity_compensated": []}
-    for g in gammas:
-        gamma = float(g) * omega0
-        if gamma == 0.0:
-            raise ConfigError("gamma range must exclude zero (no loop at zero speed)")
-        p_un = FieldParams(omega0, omega1, gamma)
-        p_co = FieldParams(omega0, omega1, gamma, omega_z=gamma)
-        u_co = propagator_compensated(p_co, loop_duration(p_co))
-        overlap = abs(geom.psi0.conj() @ (u_co @ geom.psi0))
-        cols["gamma_over_omega0"].append(float(g))
-        cols["infidelity_uncompensated"].append(adiabatic_error(p_un))
-        cols["infidelity_compensated"].append(max(0.0, 1.0 - overlap * overlap))
+    gamma = gammas * omega0
+    if np.any(gamma == 0.0):
+        raise ConfigError("gamma range must exclude zero (no loop at zero speed)")
+    uncompensated, compensated = loop_infidelities(omega0, omega1, gamma)
+    cols = {"gamma_over_omega0": gammas, "infidelity_uncompensated": uncompensated,
+            "infidelity_compensated": compensated}
     _write_output(config, cols, v.get("out"), v.get("format", "csv"))
     return 0
 
@@ -423,7 +441,7 @@ def _effective_config(args: argparse.Namespace) -> RunConfig:
     for key in _REQUIRED[args.command]:
         if values.get(key) in (None, ""):
             raise ConfigError(f"missing required option --{key.replace('_', '-')}")
-    if int(values["steps"]) < 1:
+    if _int_option(values["steps"], "--steps") < 1:
         raise ConfigError("steps must be positive")
     return RunConfig(command=args.command, values=values)
 

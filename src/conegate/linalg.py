@@ -3,6 +3,14 @@
 States are plain 1-d complex ndarrays, operators are square complex
 ndarrays. Dimensions are restricted to 2 and 4; nothing here scales
 beyond that and nothing needs to.
+
+The 2x2 exponential is one closed-form kernel, _expm_2x2, that broadcasts
+over (..., 2, 2) stacks with the same elementwise operations for one matrix
+or many, so a stacked call reproduces the per-matrix bits; mat_exp_hermitian
+is its checked front door. Two reductions do not broadcast that way: a
+batched complex dot product sums in another order than BLAS does for one
+pair of vectors, and a batched complex abs is not the scalar hypot. Callers
+that must reproduce per-point bits keep those two per point.
 """
 
 from __future__ import annotations
@@ -73,27 +81,40 @@ def normalize_state(psi: np.ndarray) -> np.ndarray:
     return psi / n
 
 
+def _expm_2x2(h: np.ndarray, t) -> np.ndarray:
+    """exp(-i h t) for a (..., 2, 2) stack of Hermitian h, t broadcasting
+    against the stack's leading shape.
+
+    Closed form exp(-i c t) (cos(r t) I - i sin(r t) n.sigma) with c the half
+    trace and r n.sigma the traceless part. Every entry goes through the same
+    elementwise operations whatever the stack shape, so a stacked call and a
+    call per matrix agree bit for bit. No Hermitian check: callers pass h
+    that is Hermitian by construction or checked already.
+    """
+    h = np.asarray(h)
+    t = np.asarray(t)[..., None, None]
+    # (..., 1, 1) slices keep every intermediate an array that broadcasts
+    # against the matrices; |b| is hypot(re, im) as for a complex scalar
+    c = 0.5 * (h[..., :1, :1].real + h[..., 1:, 1:].real)
+    b = h[..., :1, 1:]
+    r = np.hypot(h[..., :1, :1].real - c, np.hypot(b.real, b.imag))
+    null = r == 0.0
+    n_sigma = (h - c * IDENTITY_2) / np.where(null, 1.0, r)
+    u = np.cos(r * t) * IDENTITY_2 - 1j * np.sin(r * t) * n_sigma
+    return np.exp(-1j * c * t) * np.where(null, IDENTITY_2, u)
+
+
 def mat_exp_hermitian(h: np.ndarray, t: float) -> np.ndarray:
     """exp(-i h t) for Hermitian h, exact up to rounding.
 
-    Dimension 2 uses the closed form c*I + r n.sigma; larger dimensions
-    go through a Hermitian eigendecomposition.
+    Dimension 2 uses the closed-form kernel; larger dimensions go through a
+    Hermitian eigendecomposition.
     """
     h = require_hermitian(h)
     if not np.isfinite(t):
         raise ValueError("duration must be finite")
-    d = h.shape[0]
-    if d == 2:
-        c = 0.5 * np.trace(h).real
-        a = h[0, 0].real - c
-        b = h[0, 1]
-        r = np.hypot(a, abs(b))
-        if r == 0.0:
-            u = IDENTITY_2.copy()
-        else:
-            n_sigma = (h - c * IDENTITY_2) / r
-            u = np.cos(r * t) * IDENTITY_2 - 1j * np.sin(r * t) * n_sigma
-        return np.exp(-1j * c * t) * u
+    if h.shape[0] == 2:
+        return _expm_2x2(h, t)
     vals, vecs = np.linalg.eigh(h)
     return (vecs * np.exp(-1j * vals * t)) @ vecs.conj().T
 

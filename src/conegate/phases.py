@@ -19,6 +19,8 @@ from typing import NamedTuple
 import numpy as np
 from scipy.integrate import simpson
 
+from .propagation import _sampler
+
 TWO_PI = 2 * np.pi
 
 
@@ -129,16 +131,14 @@ class PhaseDecomposition:
 
 
 def energy_expectations(traj) -> np.ndarray:
-    """<psi(t)| H(t) |psi(t)> at every sample of a trajectory."""
+    """<psi(t)| H(t) |psi(t)> at every sample of a trajectory.
+
+    The accessor is sampled as the integrator samples a schedule: once on
+    the time array, per time only if it cannot take the array; its own
+    errors propagate."""
     if traj.hamiltonian_at is None:
         raise ValueError("trajectory carries no Hamiltonian accessor")
-    t = traj.times
-    try:
-        h = np.asarray(traj.hamiltonian_at(t), dtype=complex)
-        if h.shape != t.shape + traj.states.shape[1:] + traj.states.shape[1:]:
-            raise ValueError
-    except Exception:
-        h = np.stack([np.asarray(traj.hamiltonian_at(float(tk)), dtype=complex) for tk in t])
+    h, _ = _sampler(traj.hamiltonian_at, traj.times)
     return np.einsum("ki,kij,kj->k", traj.states.conj(), h, traj.states).real
 
 

@@ -10,7 +10,11 @@ exponential:
 
 with H0 the field Hamiltonian frozen at t = 0 and the frame factor in the
 half-angle convention exp(-i gamma t sigma_z / 2); both factorizations
-solve i dU/dt = H(t) U exactly.
+solve i dU/dt = H(t) U exactly. The static factor is the broadcasting 2x2
+kernel of linalg, so a sweep over speeds (loop_infidelities) builds all its
+propagators as stacks. Only the final overlap <psi0|U|psi0> stays per point:
+a batched complex dot product would sum in another order than the BLAS dot
+of one pair, and the printed sweeps must keep their bytes.
 
 The integrator multiplies per-step exact exponentials of the Hamiltonian
 sampled at step midpoints (second-order Magnus). Every step is exactly
@@ -38,7 +42,7 @@ from typing import Callable
 import numpy as np
 
 from .hamiltonians import FieldParams, SpeedProfile, h_compensated, h_rotating, h_profile
-from .linalg import SIGMA_X, SIGMA_Y, SIGMA_Z, require_finite
+from .linalg import SIGMA_X, SIGMA_Y, SIGMA_Z, _expm_2x2, require_finite
 
 
 @dataclass(frozen=True)
@@ -90,14 +94,17 @@ def _rz(angle: float | np.ndarray) -> np.ndarray:
     return out
 
 
-def _static_propagator(omega0: float, omega1: float, phase0: float, t: float) -> np.ndarray:
-    from .linalg import mat_exp_hermitian
-
+def _static_propagator(omega0, omega1: float, phase0: float, t) -> np.ndarray:
+    """exp(-i H0 t) of the frozen field Hamiltonian, broadcasting over omega0
+    and t. H0 is Hermitian by construction, so the kernel runs unchecked."""
+    if not np.isfinite(t).all():
+        raise ValueError("duration must be finite")
+    omega0 = np.asarray(omega0, dtype=float)[..., None, None]
     h0 = 0.5 * (
         omega0 * SIGMA_Z
         + omega1 * (np.cos(phase0) * SIGMA_X + np.sin(phase0) * SIGMA_Y)
     )
-    return mat_exp_hermitian(h0, t)
+    return _expm_2x2(h0, t)
 
 
 def propagator_uncompensated(p: FieldParams, t: float) -> np.ndarray:
@@ -137,16 +144,44 @@ def loop_with_profile(p: FieldParams, profile: SpeedProfile) -> np.ndarray:
     return _rz(profile.total_angle) @ u_static
 
 
+def loop_infidelities(
+    omega0: float, omega1: float, gamma, phase0: float = 0.0
+) -> tuple[np.ndarray, np.ndarray]:
+    """Infidelity 1 - |<psi0| U(tau) |psi0>|^2 after one revolution, for an
+    array of speeds gamma: (uncompensated, compensated), psi0 the upper
+    eigenstate of the frozen field Hamiltonian.
+
+    The propagators are built as stacks; the final dot product stays per
+    point, because a batched one sums in another order than BLAS does for a
+    single pair of vectors. The uncompensated column squares the overlap
+    modulus by power and the compensated one by product; the two can round
+    apart in the last bit, and each column keeps its own so that printed
+    sweeps stay byte-stable.
+    """
+    gamma = np.asarray(gamma, dtype=float)
+    if np.any(gamma == 0.0):
+        raise ValueError("no loop is defined for gamma = 0")
+    tau = 2 * np.pi / np.abs(gamma)
+    theta = np.arctan2(omega1, omega0)
+    psi0 = np.array([np.cos(theta / 2), np.sin(theta / 2) * np.exp(1j * phase0)])
+    psi0c = psi0.conj()
+    frame = _rz(gamma * tau)
+    u_un = frame @ _static_propagator(omega0 - gamma, omega1, phase0, tau)
+    u_co = frame @ _static_propagator(omega0, omega1, phase0, tau)
+    a_un = np.array([abs(psi0c @ v) for v in u_un @ psi0])
+    a_co = np.array([abs(psi0c @ v) for v in u_co @ psi0])
+    uncompensated = np.array([max(0.0, 1.0 - a**2) for a in a_un])
+    compensated = np.maximum(0.0, 1.0 - a_co * a_co)
+    return uncompensated, compensated
+
+
 def adiabatic_error(p: FieldParams) -> float:
     """Infidelity 1 - |<psi0| U(tau) |psi0>|^2 of the uncompensated loop,
     psi0 the upper eigenstate of the frozen field Hamiltonian."""
     if p.omega_z != 0.0:
         raise ValueError("adiabatic_error is defined for the uncompensated field")
-    tau = loop_duration(p)
-    theta = np.arctan2(p.omega1, p.omega0)
-    psi0 = np.array([np.cos(theta / 2), np.sin(theta / 2) * np.exp(1j * p.phase0)])
-    overlap = psi0.conj() @ (propagator_uncompensated(p, tau) @ psi0)
-    return float(max(0.0, 1.0 - abs(overlap) ** 2))
+    uncompensated, _ = loop_infidelities(p.omega0, p.omega1, [p.gamma], p.phase0)
+    return float(uncompensated[0])
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,7 @@ from typing import Union
 import numpy as np
 
 from .hamiltonians import FieldParams, h_compensated, h_rotating
-from .linalg import IDENTITY_2, SIGMA_Z
+from .linalg import SIGMA_Z
 from .phases import two_qubit_loop_params
 from .propagation import (
     Trajectory,
@@ -177,23 +177,24 @@ class SOpSolution:
     theta_minus: float
 
 
-def s_operation_params(delta: float, j: float, omega1: float) -> SOpSolution:
-    """Solve the preparation constraints for the pulse timing t_c and the
-    closing tilt angle phi_prime."""
-    if omega1 <= 0:
+def s_operation_angles(delta, j: float, omega1):
+    """The preparation constraints solved over arrays: (t_c, phi_prime,
+    theta_plus, theta_minus), each broadcast over delta and omega1."""
+    if np.any(np.asarray(omega1) <= 0):
         raise ValueError("omega1 must be positive")
     if j <= 0:
         raise ValueError("coupling j must be positive")
-    a_plus = float(np.arctan((delta + j) / omega1))
-    a_minus = float(np.arctan((delta - j) / omega1))
+    a_plus = np.arctan((delta + j) / omega1)
+    a_minus = np.arctan((delta - j) / omega1)
     j_tc = 0.5 * (a_plus - a_minus)
     phi_prime = 0.5 * (a_plus + a_minus)
-    return SOpSolution(
-        t_c=j_tc / j,
-        phi_prime=phi_prime,
-        theta_plus=float(np.pi / 2 - a_plus),
-        theta_minus=float(np.pi / 2 - a_minus),
-    )
+    return j_tc / j, phi_prime, np.pi / 2 - a_plus, np.pi / 2 - a_minus
+
+
+def s_operation_params(delta: float, j: float, omega1: float) -> SOpSolution:
+    """Solve the preparation constraints for the pulse timing t_c and the
+    closing tilt angle phi_prime."""
+    return SOpSolution(*(float(x) for x in s_operation_angles(delta, j, omega1)))
 
 
 def _check_solution(sol: SOpSolution, delta: float, j: float) -> float:
@@ -243,20 +244,24 @@ def invert_sequence(seq: PulseSequence) -> PulseSequence:
 
 
 def _embed(u2: np.ndarray, dim: int) -> np.ndarray:
-    if dim == 2:
-        return u2
-    return np.kron(IDENTITY_2, u2)
+    """A spin-a operator in the frame of dimension dim."""
+    return _block_diag([u2], dim)
 
 
-def _free_evolution_unitary(step: FreeEvolve, dim: int) -> np.ndarray:
-    t = step.sign * step.duration
+def _free_evolution_unitaries(step: FreeEvolve, dim: int, durations) -> np.ndarray:
+    """Diagonal unitaries of the free evolution run for each of durations
+    (the step's own duration ignored), as a (len(durations), dim, dim) stack."""
     if dim == 2:
         if step.j != 0.0:
             raise ValueError("j-coupled free evolution needs the two-qubit frame")
-        return rot_z(step.delta * t)
-    half = np.exp(-0.5j * t * np.array([step.delta + step.j, -(step.delta + step.j),
-                                        step.delta - step.j, -(step.delta - step.j)]))
-    return np.diag(half).astype(complex)
+        eigenvalues = np.array([step.delta, -step.delta])
+    else:
+        eigenvalues = np.array([step.delta + step.j, -(step.delta + step.j),
+                                step.delta - step.j, -(step.delta - step.j)])
+    t = step.sign * np.asarray(durations, dtype=float)
+    out = np.zeros((t.size, dim * dim), dtype=complex)
+    out[:, :: dim + 1] = np.exp((-0.5j * t)[:, None] * eigenvalues)
+    return out.reshape(t.size, dim, dim)
 
 
 def _loop_fields(step: FieldLoop) -> list[FieldParams]:
@@ -334,7 +339,7 @@ def primitive_unitary(step: PulsePrimitive, dim: int) -> np.ndarray:
     if isinstance(step, RotZ):
         return _embed(rot_z(step.angle), dim)
     if isinstance(step, FreeEvolve):
-        return _free_evolution_unitary(step, dim)
+        return _free_evolution_unitaries(step, dim, [step.duration])[0]
     return _loop_closed_form(step, dim)
 
 
@@ -406,9 +411,8 @@ def sequence_trajectory(
             h_free = _free_evolution_hamiltonian(step, dim)
             segments.append((now, now + step.duration, lambda t, h=h_free: _const(h, t)))
             seg_t = step.duration * np.linspace(0, 1, max(2, samples_per_loop // 4))[1:]
-            seg_u = [_free_evolution_unitary(replace(step, duration=t), dim) for t in seg_t]
             times.append(now + seg_t)
-            props.append(np.stack(seg_u) @ u)
+            props.append(_free_evolution_unitaries(step, dim, seg_t) @ u)
             now += step.duration
         else:
             times.append(np.array([now]))

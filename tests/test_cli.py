@@ -1,11 +1,17 @@
+import hashlib
 import json
 
 import numpy as np
 import pytest
 
-from conegate.cli import main
+from conegate.cli import MAX_SWEEP_POINTS, RunConfig, _write_output, main
 from conegate.phases import cone_eigenstate
-from conegate.propagation import adiabatic_error
+from conegate.propagation import (
+    adiabatic_error,
+    loop_duration,
+    propagator_compensated,
+    propagator_uncompensated,
+)
 from conegate.hamiltonians import FieldParams
 from conegate.sequences import s_operation_params
 
@@ -376,3 +382,158 @@ class TestConfigPlumbing:
         code, _, err = run_cli(["scurve", "--omega1-range", "1:2:1"], capsys)
         assert code == 2
         assert "delta-over-j" in err
+
+
+class TestSweepArrays:
+    """The whole-grid sweeps give the bits of a point-by-point evaluation."""
+
+    @pytest.mark.parametrize("delta_arg", ["1.058", "0.5:2.5:0.25"])
+    def test_scurve_columns_match_per_point(self, delta_arg, capsys):
+        code, out, _ = run_cli(["scurve", "--delta-over-j", delta_arg,
+                                "--omega1-range", "0.1:10.1:0.5", "--format", "json"], capsys)
+        assert code == 0
+        cols = json.loads(out)["columns"]
+        omega1, delta = cols["omega1_over_J"], cols["delta_over_J"]
+        assert omega1[0] == 0.1 and omega1[-1] == 0.1 + 0.5 * 20  # both endpoints
+        sols = [s_operation_params(d, 1.0, w) for d, w in zip(delta, omega1)]
+        assert np.array_equal(cols["J_tc"], [s.t_c for s in sols])
+        assert np.array_equal(cols["phi_prime_rad"], [s.phi_prime for s in sols])
+
+    def test_compare_columns_match_per_point(self, capsys):
+        theta = 0.6
+        code, out, _ = run_cli(["compare-adiabatic", "--theta", str(theta),
+                                "--gamma-range=-2.5:1.5:0.0917", "--format", "json"], capsys)
+        assert code == 0
+        cols = json.loads(out)["columns"]
+        omega0, omega1 = float(np.cos(theta)), float(np.sin(theta))
+        psi0 = cone_eigenstate(omega0, omega1).psi0
+        un, co = [], []
+        for g in cols["gamma_over_omega0"]:
+            p_un = FieldParams(omega0, omega1, g * omega0)
+            p_co = FieldParams(omega0, omega1, g * omega0, omega_z=g * omega0)
+            u_un = propagator_uncompensated(p_un, loop_duration(p_un))
+            u_co = propagator_compensated(p_co, loop_duration(p_co))
+            un.append(adiabatic_error(p_un))
+            assert un[-1] == max(0.0, 1.0 - abs(psi0.conj() @ (u_un @ psi0)) ** 2)
+            overlap = abs(psi0.conj() @ (u_co @ psi0))
+            co.append(max(0.0, 1.0 - overlap * overlap))
+        assert np.array_equal(cols["infidelity_uncompensated"], un)
+        assert np.array_equal(cols["infidelity_compensated"], co)
+
+    def test_csv_writer_matches_per_value_format(self, capsys):
+        values = [0.0, -0.0, 1e-300, 1e300, np.float64(0.1) * 3, -2.5e-17, 123456789012345.0]
+        columns = {"a": values, "b": np.array(values[::-1]), "c": list(np.arange(7.0))}
+        _write_output(RunConfig("test", {"k": "50%s"}), columns, None, "csv")
+        rows = [",".join(f"{columns[n][k]:.12g}" for n in columns) for k in range(7)]
+        expected = "\n".join([f"# conegate {__import__('conegate').__version__}",
+                               "# command = test", "# k = 50%s", "a,b,c"] + rows) + "\n"
+        assert capsys.readouterr().out == expected
+
+    def test_csv_writer_empty_columns(self, capsys):
+        _write_output(RunConfig("test", {}), {"t": [], "x": np.zeros(0)}, None, "csv")
+        assert capsys.readouterr().out.endswith("# command = test\nt,x\n")
+
+    @pytest.mark.parametrize(
+        "argv, digest",
+        [
+            (["scurve", "--delta-over-j", "0.9:1.3:0.2", "--omega1-range", "0.25:2:0.25"],
+             "e5a6d87b31c8a48c869e9a303b3fd2ba5874a57a64aef3bec371ea03dc120841"),
+            (["compare-adiabatic", "--theta", "0.6", "--gamma-range", "0.01:0.3:0.02"],
+             "a6220e180c8146b867fb43eb57f11f2a35687c19c323c147fde8f3f853907b24"),
+        ],
+    )
+    def test_pinned_digest(self, argv, digest, capsys, monkeypatch):
+        # digests of the point-by-point implementation's output
+        monkeypatch.delenv("CONEGATE_STEPS", raising=False)
+        code, out, _ = run_cli(argv, capsys)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+class TestSweepBounds:
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            (["compare-adiabatic", "--gamma-range", "0.1:1:1e-12"], "--gamma-range"),
+            (["scurve", "--delta-over-j", "1.0", "--omega1-range", "0.1:1:1e-12"],
+             "--omega1-range"),
+            (["scurve", "--delta-over-j", "0.1:1:1e-12", "--omega1-range", "1:2:1"],
+             "--delta-over-j"),
+            (["scurve", "--delta-over-j", "0:1:0.001", "--omega1-range", "1:2:0.001"],
+             "--delta-over-j x --omega1-range"),
+        ],
+    )
+    def test_oversized_sweep_is_refused_before_allocation(self, argv, flag, capsys):
+        code, out, err = run_cli(argv, capsys)
+        assert code == 2
+        assert out == ""
+        assert flag in err
+        assert str(MAX_SWEEP_POINTS) in err
+
+    @pytest.mark.parametrize("text", ["0.1:inf:1", "0.5:1:inf", "nan:1:0.1", "-inf:1:0.5"])
+    def test_non_finite_range_is_refused(self, text, capsys):
+        code, out, err = run_cli(["compare-adiabatic", f"--gamma-range={text}"], capsys)
+        assert code == 2
+        assert out == ""
+        assert "--gamma-range" in err and "finite" in err
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["scurve", "--delta-over-j", "1.0", "--omega1-range=-1:1:0.5"],
+             "omega1 must be positive"),
+            (["compare-adiabatic", "--gamma-range=-0.5:0.5:0.25"],
+             "gamma range must exclude zero"),
+        ],
+    )
+    def test_whole_grid_checks_keep_their_messages(self, argv, message, capsys):
+        code, out, err = run_cli(argv, capsys)
+        assert code == 2
+        assert out == ""
+        assert message in err
+
+
+class TestOutputErrors:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["scurve", "--delta-over-j", "1.058", "--omega1-range", "1:2:1"],
+            ["gate", "phase", "--theta", str(np.pi / 2)],
+        ],
+    )
+    def test_out_into_missing_directory(self, argv, tmp_path, capsys):
+        target = tmp_path / "nodir" / "x.out"
+        code, out, err = run_cli(argv + ["--out", str(target)], capsys)
+        assert code == 2
+        assert out == ""
+        assert str(target) in err
+        assert "Traceback" not in err
+
+
+class TestConfigIntegers:
+    @pytest.mark.parametrize(
+        "doc, argv, field",
+        [
+            ({"loops": 1.5, "theta": 1.0}, ["gate", "phase"], "loops"),
+            ({"loops": True, "theta": 1.0}, ["gate", "phase"], "loops"),
+            ({"steps": 10.5, "delta_over_j": "1.058", "omega1_range": "1:2:1"}, ["scurve"],
+             "steps"),
+            ({"steps": False, "delta_over_j": "1.058", "omega1_range": "1:2:1"}, ["scurve"],
+             "steps"),
+        ],
+    )
+    def test_non_integral_value_is_refused(self, doc, argv, field, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(doc))
+        code, out, err = run_cli(argv + ["--config", str(cfg)], capsys)
+        assert code == 2
+        assert out == ""
+        assert field in err
+
+    def test_integral_float_is_accepted(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"steps": 300.0, "delta_over_j": "1.058",
+                                   "omega1_range": "1:2:1"}))
+        code, out, _ = run_cli(["scurve", "--config", str(cfg)], capsys)
+        assert code == 0
+        assert "# steps = 300.0" in out

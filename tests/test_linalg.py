@@ -6,6 +6,7 @@ from conegate.linalg import (
     SIGMA_X,
     SIGMA_Y,
     SIGMA_Z,
+    _expm_2x2,
     bloch_vector,
     eigensystem_2x2,
     fidelity,
@@ -64,6 +65,19 @@ class TestMatExpHermitian:
     def test_rejects_nonfinite_duration(self):
         with pytest.raises(ValueError):
             mat_exp_hermitian(SIGMA_Z, np.inf)
+
+    def test_stacked_kernel_is_bitwise_per_matrix(self, rng):
+        hs = np.array([random_hermitian(rng, 2) for _ in range(40)]
+                      + [0.3 * np.eye(2), np.zeros((2, 2)), SIGMA_X, -2.0 * SIGMA_Z])
+        ts = rng.uniform(-4, 4, size=len(hs))
+        per_matrix = np.array([mat_exp_hermitian(h, t) for h, t in zip(hs, ts)])
+        assert np.array_equal(_expm_2x2(hs, ts), per_matrix)
+        assert np.array_equal(_expm_2x2(hs, 0.7),
+                              np.array([mat_exp_hermitian(h, 0.7) for h in hs]))
+
+    def test_null_field_is_exactly_a_phase(self):
+        assert np.array_equal(mat_exp_hermitian(0.3 * np.eye(2), 2.0),
+                              np.exp(-0.6j) * np.eye(2))
 
     def test_semigroup_property(self, rng):
         for dim in (2, 4):

@@ -8,6 +8,7 @@ from conegate.phases import (
     compensation_gamma,
     cone_eigenstate,
     dynamical_phase,
+    energy_expectations,
     geometric_phase_cone,
     phase_decomposition,
     phase_distance,
@@ -194,6 +195,30 @@ class TestDynamicalPhase:
         )
         assert abs(measured) > 0.1  # genuinely nonzero
         assert measured == pytest.approx(-integral, abs=1e-8)
+
+    def test_scalar_only_accessor_sampled_per_time(self):
+        times = np.linspace(0.0, 1.0, 5)
+        states = np.tile(np.array([1.0, 0.0], dtype=complex), (5, 1))
+
+        def scalar_only(t):
+            return 0.5 * float(t) * SIGMA_Z  # float() refuses an array
+
+        values = energy_expectations(Trajectory(times, states, None, scalar_only))
+        assert np.array_equal(values, 0.5 * times)
+
+    def test_accessor_errors_propagate(self):
+        times = np.linspace(0.0, 1.0, 5)
+        states = np.tile(np.array([1.0, 0.0], dtype=complex), (5, 1))
+
+        calls = []
+
+        def broken(t):
+            calls.append(np.ndim(t))
+            raise RuntimeError("field table missing")
+
+        with pytest.raises(RuntimeError, match="field table missing"):
+            energy_expectations(Trajectory(times, states, None, broken))
+        assert calls == [1]  # no per-time retry of a genuine error
 
     def test_needs_three_samples(self):
         times = np.array([0.0, 1.0])

@@ -25,8 +25,10 @@ from conegate.propagation import (
     adiabatic_error,
     integrate,
     integrate_loop,
+    _static_propagator,
     integrate_profile,
     loop_duration,
+    loop_infidelities,
     loop_with_profile,
     propagator_compensated,
     propagator_uncompensated,
@@ -278,6 +280,49 @@ class TestAdiabaticError:
     def test_requires_uncompensated(self):
         with pytest.raises(ValueError):
             adiabatic_error(FieldParams(1.0, 1.0, 0.5, omega_z=0.5))
+
+
+def _per_point_infidelities(omega0, omega1, gamma):
+    """The point-by-point evaluation the stacked sweep must reproduce bit for
+    bit: both propagators per speed, the uncompensated overlap squared by
+    power and the compensated one by product."""
+    psi0 = cone_eigenstate(omega0, omega1).psi0
+    p_un = FieldParams(omega0, omega1, gamma)
+    p_co = FieldParams(omega0, omega1, gamma, omega_z=gamma)
+    ov_un = abs(psi0.conj() @ (propagator_uncompensated(p_un, loop_duration(p_un)) @ psi0))
+    ov_co = abs(psi0.conj() @ (propagator_compensated(p_co, loop_duration(p_co)) @ psi0))
+    return max(0.0, 1.0 - ov_un**2), max(0.0, 1.0 - ov_co * ov_co)
+
+
+class TestStackedClosedForms:
+    def test_static_propagator_stack_is_bitwise_per_point(self, rng):
+        omega0 = rng.uniform(-3, 3, size=50)
+        t = rng.uniform(0, 20, size=50)
+        stacked = _static_propagator(omega0, 0.8, 0.4, t)
+        per_point = np.array([_static_propagator(float(w), 0.8, 0.4, float(x))
+                              for w, x in zip(omega0, t)])
+        assert stacked.shape == (50, 2, 2)
+        assert np.array_equal(stacked, per_point)
+
+    def test_static_propagator_rejects_nonfinite_duration(self):
+        with pytest.raises(ValueError, match="finite"):
+            _static_propagator(np.ones(3), 1.0, 0.0, np.array([1.0, np.inf, 2.0]))
+
+    @pytest.mark.parametrize("theta", [0.3, np.pi / 4, 1.3])
+    def test_sweep_columns_are_bitwise_per_point(self, theta):
+        omega0, omega1 = float(np.cos(theta)), float(np.sin(theta))
+        gammas = np.concatenate([np.arange(-3.0, -0.01, 0.0731), np.arange(0.01, 1.0, 0.0173)])
+        uncompensated, compensated = loop_infidelities(omega0, omega1, gammas * omega0)
+        expected = np.array([_per_point_infidelities(omega0, omega1, float(g))
+                             for g in gammas * omega0])
+        assert np.array_equal(uncompensated, expected[:, 0])
+        assert np.array_equal(compensated, expected[:, 1])
+        for g, value in zip(gammas[::7] * omega0, uncompensated[::7]):
+            assert adiabatic_error(FieldParams(omega0, omega1, float(g))) == value
+
+    def test_sweep_rejects_zero_speed(self):
+        with pytest.raises(ValueError, match="gamma = 0"):
+            loop_infidelities(1.0, 1.0, np.array([0.5, 0.0]))
 
 
 def _per_step_reference(schedule, t_end, n_steps, samples):

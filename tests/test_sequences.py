@@ -1,8 +1,10 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from conegate.hamiltonians import FieldParams
-from conegate.linalg import bloch_vector, fidelity, is_unitary
+from conegate.linalg import IDENTITY_2, bloch_vector, fidelity, is_unitary
 from conegate.phases import (
     canonical_phase,
     cone_eigenstate,
@@ -24,8 +26,14 @@ from conegate.sequences import (
     apply_sequence,
     build_conditional_loop,
     build_s_operation,
+    _embed,
+    _free_evolution_unitaries,
     from_json,
     invert_sequence,
+    rot_x,
+    rot_y,
+    rot_z,
+    s_operation_angles,
     s_operation_params,
     sequence_trajectory,
     simulate_sequence,
@@ -91,6 +99,20 @@ class TestSOperationParams:
             s_operation_params(1.0, 1.0, 0.0)
         with pytest.raises(ValueError):
             s_operation_params(1.0, 0.0, 1.0)
+
+    def test_grid_is_bitwise_per_point(self):
+        delta = np.repeat(np.arange(0.5, 2.5 + 1e-9, 0.25), 40)
+        omega1 = np.tile(np.arange(0.1, 10.0, 0.25), 9)
+        grid = np.column_stack(s_operation_angles(delta, 1.0, omega1))
+        per_point = np.array([
+            [s.t_c, s.phi_prime, s.theta_plus, s.theta_minus]
+            for s in (s_operation_params(float(d), 1.0, float(w)) for d, w in zip(delta, omega1))
+        ])
+        assert np.array_equal(grid, per_point)
+
+    def test_grid_rejects_any_nonpositive_omega1(self):
+        with pytest.raises(ValueError, match="omega1 must be positive"):
+            s_operation_angles(np.ones(3), 1.0, np.array([0.5, 0.0, 1.0]))
 
 
 class TestBuildSOperation:
@@ -204,6 +226,32 @@ class TestApplySequence:
         seq = PulseSequence((FreeEvolve(1.0, 0.5, j=1.0),), frame=SINGLE_QUBIT)
         with pytest.raises(ValueError):
             apply_sequence(seq, 2)
+
+    @pytest.mark.parametrize("rot", [rot_x, rot_y, rot_z])
+    def test_embedding_is_the_kronecker_product(self, rot):
+        u2 = rot(0.731)
+        assert np.array_equal(_embed(u2, 4), np.kron(IDENTITY_2, u2))
+        assert _embed(u2, 2) is u2
+
+    @pytest.mark.parametrize("dim", [2, 4])
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_free_evolution_stack_is_bitwise_per_sample(self, dim, sign):
+        step = FreeEvolve(1.7, 1.3, 0.4 if dim == 4 else 0.0, sign)
+        durations = step.duration * np.linspace(0, 1, 64)[1:]
+
+        def per_sample(t):
+            # the per-sample unitary: rot_z for one spin, the zz diagonal for two
+            t = step.sign * t
+            if dim == 2:
+                return rot_z(step.delta * t)
+            d, j = step.delta, step.j
+            return np.diag(np.exp(-0.5j * t * np.array([d + j, -(d + j), d - j, -(d - j)])))
+
+        stacked = _free_evolution_unitaries(step, dim, durations)
+        assert np.array_equal(stacked, np.array([per_sample(t) for t in durations]))
+        assert np.array_equal(
+            stacked, np.array([_free_evolution_unitaries(replace(step, duration=t), dim,
+                                                         [t])[0] for t in durations]))
 
     def test_conditional_loop_needs_dim_4(self):
         step = FieldLoop(ConditionalLoop(1.5, 1.0))
