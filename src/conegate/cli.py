@@ -277,6 +277,9 @@ def cmd_gate(config: RunConfig) -> int:
     v = config.values
     name = v["name"]
     steps = int(v["steps"])
+    if v.get("format", "csv") != "csv":
+        raise ConfigError(f"--format {v['format']!r} is not supported by gate, "
+                          "which prints a text report")
 
     if name == "phase":
         theta = float(_option(v, "theta", np.pi / 3))

@@ -84,15 +84,6 @@ class TwoQubitParams:
         return self.omega_a - self.omega_a_prime
 
 
-def sigma_x_at(phase: float | np.ndarray) -> np.ndarray:
-    """Horizontal-axis Pauli operator rotated to azimuth `phase` about z."""
-    phase = np.asarray(phase, dtype=float)
-    out = np.zeros(phase.shape + (2, 2), dtype=complex)
-    out[..., 0, 1] = np.exp(-1j * phase)
-    out[..., 1, 0] = np.exp(1j * phase)
-    return out
-
-
 def _field_hamiltonian(omega_vert, omega1, phase) -> np.ndarray:
     phase = np.asarray(phase, dtype=float)
     omega_vert = np.broadcast_to(np.asarray(omega_vert, dtype=float), phase.shape)

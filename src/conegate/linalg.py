@@ -19,13 +19,11 @@ import numpy as np
 
 HERMITIAN_ATOL = 1e-12
 UNITARY_ATOL = 1e-10
-STATE_NORM_ATOL = 1e-12
 
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
 SIGMA_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 IDENTITY_2 = np.eye(2, dtype=complex)
-IDENTITY_4 = np.eye(4, dtype=complex)
 
 
 def require_finite(a: np.ndarray, name: str = "array") -> np.ndarray:
@@ -35,16 +33,10 @@ def require_finite(a: np.ndarray, name: str = "array") -> np.ndarray:
     return a
 
 
-def is_hermitian(h: np.ndarray, atol: float = HERMITIAN_ATOL) -> bool:
-    h = np.asarray(h)
-    return h.ndim == 2 and h.shape[0] == h.shape[1] and np.allclose(
-        h, h.conj().T, rtol=1e-10, atol=atol
-    )
-
-
 def require_hermitian(h: np.ndarray, atol: float = HERMITIAN_ATOL) -> np.ndarray:
     h = require_finite(h, "operator")
-    if not is_hermitian(h, atol=atol):
+    if not (h.ndim == 2 and h.shape[0] == h.shape[1]
+            and np.allclose(h, h.conj().T, rtol=1e-10, atol=atol)):
         raise ValueError("operator is not Hermitian within tolerance")
     return h
 
@@ -55,30 +47,6 @@ def is_unitary(u: np.ndarray, atol: float = UNITARY_ATOL) -> bool:
         return False
     d = u.shape[0]
     return np.allclose(u.conj().T @ u, np.eye(d), atol=atol)
-
-
-def require_unitary(u: np.ndarray, atol: float = UNITARY_ATOL) -> np.ndarray:
-    u = require_finite(u, "operator")
-    if not is_unitary(u, atol=atol):
-        raise ValueError("operator is not unitary within tolerance")
-    return u
-
-
-def require_state(psi: np.ndarray, atol: float = STATE_NORM_ATOL) -> np.ndarray:
-    psi = require_finite(psi, "state")
-    if psi.ndim != 1 or psi.shape[0] not in (2, 4):
-        raise ValueError("state must be a complex vector of dimension 2 or 4")
-    if abs(np.linalg.norm(psi) - 1.0) > atol:
-        raise ValueError("state is not normalized within tolerance")
-    return psi
-
-
-def normalize_state(psi: np.ndarray) -> np.ndarray:
-    psi = require_finite(psi, "state")
-    n = np.linalg.norm(psi)
-    if n == 0:
-        raise ValueError("cannot normalize the zero vector")
-    return psi / n
 
 
 def _expm_2x2(h: np.ndarray, t) -> np.ndarray:

@@ -17,7 +17,6 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy.integrate import simpson
 
 from .propagation import _sampler
 
@@ -142,13 +141,45 @@ def energy_expectations(traj) -> np.ndarray:
     return np.einsum("ki,kij,kj->k", traj.states.conj(), h, traj.states).real
 
 
+def _div(num, den):
+    """num / den, and 0 where den is 0 (a repeated sample time)."""
+    return np.divide(num, den, out=np.zeros_like(den), where=den != 0)
+
+
+def _simpson(y: np.ndarray, x: np.ndarray) -> float:
+    """Composite Simpson integral of samples y at ascending times x, n >= 3.
+
+    Each panel is the parabola through three samples at any spacing,
+    written in the operation order of scipy.integrate.simpson, so an odd
+    sample count reproduces scipy's bits. An even count closes with
+    Cartwright's parabola over the last interval."""
+    n = y.size
+    stop = n - 2 if n % 2 else n - 3
+    h = np.diff(x)
+    h0, h1 = h[0:stop:2], h[1:stop + 1:2]
+    hsum = h0 + h1
+    ratio = _div(h0, h1)
+    panels = hsum / 6.0 * (y[0:stop:2] * (2.0 - _div(1.0, ratio))
+                           + y[1:stop + 1:2] * (hsum * _div(hsum, h0 * h1))
+                           + y[2:stop + 2:2] * (2.0 - ratio))
+    total = np.sum(panels)
+    if n % 2 == 0:
+        # 0-d arrays as in scipy: numpy scalars can round b**3 apart
+        a, b = np.asarray(h[-2]), np.asarray(h[-1])
+        alpha = _div(2 * b**2 + 3 * a * b, 6 * (b + a))
+        beta = _div(b**2 + 3.0 * a * b, 6 * a)
+        eta = _div(b**3, 6 * a * (a + b))
+        total += alpha * y[-1] + beta * y[-2] - eta * y[-3]
+    return float(total)
+
+
 def dynamical_phase(traj) -> float:
     """Accumulated dynamical phase -integral of <psi|H|psi> dt, by
     composite Simpson quadrature over the stored samples."""
     if traj.times.size < 3:
         raise ValueError("dynamical phase needs at least 3 trajectory samples")
     values = energy_expectations(traj)
-    return float(-simpson(values, x=traj.times))
+    return -_simpson(values, traj.times)
 
 
 def phase_decomposition(traj, cyclic_tol: float = 1e-6) -> PhaseDecomposition:

@@ -11,10 +11,11 @@ exponential:
 with H0 the field Hamiltonian frozen at t = 0 and the frame factor in the
 half-angle convention exp(-i gamma t sigma_z / 2); both factorizations
 solve i dU/dt = H(t) U exactly. The static factor is the broadcasting 2x2
-kernel of linalg, so a sweep over speeds (loop_infidelities) builds all its
-propagators as stacks. Only the final overlap <psi0|U|psi0> stays per point:
-a batched complex dot product would sum in another order than the BLAS dot
-of one pair, and the printed sweeps must keep their bytes.
+kernel of linalg, so a sweep over speeds (loop_infidelities) builds its
+propagators as stacks, LOOP_BLOCK speeds at a time. Only the final overlap
+<psi0|U|psi0> stays per point: a batched complex dot product would sum in
+another order than the BLAS dot of one pair, and the printed sweeps must
+keep their bytes.
 
 The integrator multiplies per-step exact exponentials of the Hamiltonian
 sampled at step midpoints (second-order Magnus). Every step is exactly
@@ -85,7 +86,7 @@ class Trajectory:
         return float(self.times[-1]) if self.times.size else 0.0
 
 
-def _rz(angle: float | np.ndarray) -> np.ndarray:
+def rot_z(angle: float | np.ndarray) -> np.ndarray:
     """exp(-i angle sigma_z / 2), broadcasting over angle."""
     angle = np.asarray(angle, dtype=float)
     out = np.zeros(angle.shape + (2, 2), dtype=complex)
@@ -112,7 +113,7 @@ def propagator_uncompensated(p: FieldParams, t: float) -> np.ndarray:
     if p.omega_z != 0.0:
         raise ValueError("uncompensated propagator requires omega_z = 0")
     u_static = _static_propagator(p.omega0 - p.gamma, p.omega1, p.phase0, t)
-    return _rz(p.gamma * t) @ u_static
+    return rot_z(p.gamma * t) @ u_static
 
 
 def propagator_compensated(p: FieldParams, t: float) -> np.ndarray:
@@ -125,7 +126,7 @@ def propagator_compensated(p: FieldParams, t: float) -> np.ndarray:
     if p.omega_z != p.gamma:
         raise ValueError("compensated propagator requires omega_z = gamma")
     u_static = _static_propagator(p.omega0, p.omega1, p.phase0, t)
-    return _rz(p.gamma * t) @ u_static
+    return rot_z(p.gamma * t) @ u_static
 
 
 def loop_duration(p: FieldParams) -> float:
@@ -141,37 +142,46 @@ def loop_with_profile(p: FieldParams, profile: SpeedProfile) -> np.ndarray:
     if abs(abs(profile.total_angle) - 2 * np.pi) > 1e-9:
         raise ValueError("profile does not integrate to a full revolution")
     u_static = _static_propagator(p.omega0, p.omega1, p.phase0, profile.duration)
-    return _rz(profile.total_angle) @ u_static
+    return rot_z(profile.total_angle) @ u_static
+
+
+LOOP_BLOCK = 4096  # speeds whose propagator stacks loop_infidelities holds at once
 
 
 def loop_infidelities(
     omega0: float, omega1: float, gamma, phase0: float = 0.0
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Infidelity 1 - |<psi0| U(tau) |psi0>|^2 after one revolution, for an
-    array of speeds gamma: (uncompensated, compensated), psi0 the upper
+    """Infidelity 1 - |<psi0| U(tau) |psi0>|^2 after one revolution, for a
+    1-d array of speeds gamma: (uncompensated, compensated), psi0 the upper
     eigenstate of the frozen field Hamiltonian.
 
-    The propagators are built as stacks; the final dot product stays per
-    point, because a batched one sums in another order than BLAS does for a
-    single pair of vectors. The uncompensated column squares the overlap
-    modulus by power and the compensated one by product; the two can round
-    apart in the last bit, and each column keeps its own so that printed
-    sweeps stay byte-stable.
+    The propagators are built as stacks of LOOP_BLOCK speeds at a time, so
+    memory stays bounded at any sweep length; the final dot product stays
+    per point, because a batched one sums in another order than BLAS does
+    for a single pair of vectors. The uncompensated column squares the
+    overlap modulus by power and the compensated one by product; the two
+    can round apart in the last bit, and each column keeps its own so that
+    printed sweeps stay byte-stable.
     """
     gamma = np.asarray(gamma, dtype=float)
     if np.any(gamma == 0.0):
         raise ValueError("no loop is defined for gamma = 0")
-    tau = 2 * np.pi / np.abs(gamma)
     theta = np.arctan2(omega1, omega0)
     psi0 = np.array([np.cos(theta / 2), np.sin(theta / 2) * np.exp(1j * phase0)])
     psi0c = psi0.conj()
-    frame = _rz(gamma * tau)
-    u_un = frame @ _static_propagator(omega0 - gamma, omega1, phase0, tau)
-    u_co = frame @ _static_propagator(omega0, omega1, phase0, tau)
-    a_un = np.array([abs(psi0c @ v) for v in u_un @ psi0])
-    a_co = np.array([abs(psi0c @ v) for v in u_co @ psi0])
-    uncompensated = np.array([max(0.0, 1.0 - a**2) for a in a_un])
-    compensated = np.maximum(0.0, 1.0 - a_co * a_co)
+    uncompensated = np.empty(gamma.shape)
+    compensated = np.empty(gamma.shape)
+    for start in range(0, gamma.size, LOOP_BLOCK):
+        block = slice(start, start + LOOP_BLOCK)
+        g = gamma[block]
+        tau = 2 * np.pi / np.abs(g)
+        frame = rot_z(g * tau)
+        u_un = frame @ _static_propagator(omega0 - g, omega1, phase0, tau)
+        u_co = frame @ _static_propagator(omega0, omega1, phase0, tau)
+        a_un = [abs(psi0c @ v) for v in u_un @ psi0]
+        a_co = np.array([abs(psi0c @ v) for v in u_co @ psi0])
+        uncompensated[block] = [max(0.0, 1.0 - a**2) for a in a_un]
+        compensated[block] = np.maximum(0.0, 1.0 - a_co * a_co)
     return uncompensated, compensated
 
 

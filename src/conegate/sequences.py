@@ -25,6 +25,7 @@ from .propagation import (
     loop_duration,
     propagator_compensated,
     propagator_uncompensated,
+    rot_z,
 )
 
 SINGLE_QUBIT = "single-qubit"
@@ -39,12 +40,6 @@ def rot_x(angle: float) -> np.ndarray:
 def rot_y(angle: float) -> np.ndarray:
     c, s = np.cos(angle / 2), np.sin(angle / 2)
     return np.array([[c, -s], [s, c]], dtype=complex)
-
-
-def rot_z(angle: float) -> np.ndarray:
-    return np.array(
-        [[np.exp(-0.5j * angle), 0.0], [0.0, np.exp(0.5j * angle)]], dtype=complex
-    )
 
 
 def _check_finite(value: float, name: str) -> None:

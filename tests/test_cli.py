@@ -252,6 +252,17 @@ class TestGateCommand:
         assert code == 0
         assert "theta0 = 1.30599941297" in out
 
+    def test_json_format_is_refused(self, tmp_path, capsys):
+        code, out, err = run_cli(["gate", "cnot", "--format", "json"], capsys)
+        assert code == 2
+        assert out == ""
+        assert "--format 'json'" in err
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"format": "json"}))
+        code, out, err = run_cli(["gate", "cnot", "--config", str(cfg)], capsys)
+        assert code == 2
+        assert "--format 'json'" in err
+
     def test_unknown_gate_rejected(self, capsys):
         code = main(["gate", "swap"])
         capsys.readouterr()

@@ -1,9 +1,16 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
+
+import conegate
 
 from conegate.hamiltonians import FieldParams, h_compensated, h_rotating
 from conegate.linalg import SIGMA_X, SIGMA_Z, bloch_vector, eigensystem_2x2
 from conegate.phases import (
+    _simpson,
     canonical_phase,
     compensation_gamma,
     cone_eigenstate,
@@ -229,7 +236,93 @@ class TestDynamicalPhase:
             dynamical_phase(traj)
 
 
+class TestSimpson:
+    """The numpy composite Simpson rule behind dynamical_phase."""
+
+    @staticmethod
+    def grids(rng, n):
+        """A uniform, a sorted-random and a repeated-time grid of n points."""
+        length = rng.uniform(0.5, 8.0)
+        yield np.linspace(0.0, length, n)
+        yield np.sort(rng.uniform(0.0, length, n))
+        yield np.sort(rng.integers(0, max(3, n // 2), n)).astype(float)
+
+    def test_odd_counts_match_scipy_bit_for_bit(self, rng):
+        integrate = pytest.importorskip("scipy.integrate")
+        counts = [3, 5, 7, 33, 257, 4097] + [2 * int(k) + 1 for k in rng.integers(1, 200, 60)]
+        for n in counts:
+            for x in self.grids(rng, n):
+                y = rng.normal(size=n)
+                assert _simpson(y, x) == float(integrate.simpson(y, x=x))
+
+    @pytest.mark.parametrize("n", [4, 6, 10, 64, 4096])
+    def test_even_counts_integrate_a_quadratic_exactly(self, n, rng):
+        for x in list(self.grids(rng, n))[:2]:
+            c0, c1, c2 = rng.uniform(0.5, 2.0, size=3)
+            a, b = x[0], x[-1]
+            exact = c0 * (b - a) + c1 * (b**2 - a**2) / 2 + c2 * (b**3 - a**3) / 3
+            assert _simpson(c0 + c1 * x + c2 * x**2, x) == pytest.approx(exact, rel=1e-14)
+
+    @pytest.mark.parametrize("n", [10, 64, 256, 1000])
+    def test_even_counts_converge_on_a_sine(self, n, rng):
+        mpmath = pytest.importorskip("mpmath")
+        x = np.sort(rng.uniform(0.0, 5.0, n))
+        x[0], x[-1] = 0.0, 5.0
+        with mpmath.workdps(30):
+            exact = float(mpmath.cos(mpmath.mpf(x[0])) - mpmath.cos(mpmath.mpf(x[-1])))
+        # composite Simpson error: O(h^4) over the interval, |d^4 sin / dx^4| <= 1
+        bound = (x[-1] - x[0]) * np.max(np.diff(x)) ** 4
+        assert abs(_simpson(np.sin(x), x) - exact) <= bound
+
+
+_WITHOUT_SCIPY = """
+import sys
+
+
+class BlockScipy:
+    def find_spec(self, name, path=None, target=None):
+        if name.split(".")[0] == "scipy":
+            raise ImportError(f"import of {name} blocked")
+
+
+sys.meta_path.insert(0, BlockScipy())
+import conegate, conegate.cli
+from conegate.hamiltonians import FieldParams
+from conegate.phases import cone_eigenstate, phase_decomposition
+from conegate.propagation import integrate_loop
+
+geom = cone_eigenstate(1.0, 1.0)
+traj = integrate_loop(FieldParams(1.0, 1.0, -2.0, omega_z=-2.0), compensated=True,
+                      steps_per_loop=2000, psi0=geom.psi0, samples=65)
+print(repr(phase_decomposition(traj)))
+"""
+
+
+def _run_python(code: str) -> subprocess.CompletedProcess:
+    src = os.path.dirname(os.path.dirname(os.path.abspath(conegate.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    return subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=60)
+
+
+class TestWithoutScipy:
+    def test_import_loads_no_scipy(self):
+        run = _run_python("import sys, conegate, conegate.cli\n"
+                          "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+        assert run.returncode == 0, run.stderr
+        assert run.stdout.strip() == "[]"
+
+    def test_phase_decomposition_runs_with_scipy_blocked(self):
+        run = _run_python(_WITHOUT_SCIPY)
+        assert run.returncode == 0, run.stderr
+        geom = cone_eigenstate(1.0, 1.0)
+        traj = integrate_loop(FieldParams(1.0, 1.0, -2.0, omega_z=-2.0), compensated=True,
+                              steps_per_loop=2000, psi0=geom.psi0, samples=65)
+        assert run.stdout.strip() == repr(phase_decomposition(traj))
+
+
 class TestPhaseDecomposition:
+
     def test_compensated_loop_geometric_phase(self):
         p = FieldParams(1.0, 1.0, -2.0, omega_z=-2.0)
         dec = phase_decomposition(closed_form_loop_trajectory(p))

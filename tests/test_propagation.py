@@ -4,6 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from conegate import propagation
 from conegate.gates import hadamard_recipe
 from conegate.hamiltonians import (
     FieldParams,
@@ -323,6 +324,26 @@ class TestStackedClosedForms:
     def test_sweep_rejects_zero_speed(self):
         with pytest.raises(ValueError, match="gamma = 0"):
             loop_infidelities(1.0, 1.0, np.array([0.5, 0.0]))
+
+    @pytest.mark.parametrize("n", [1, 6, 7, 50])
+    def test_sweep_blocks_are_bitwise_one_block(self, n, rng, monkeypatch):
+        gamma = rng.uniform(-3.0, 3.0, size=n)
+        whole = loop_infidelities(0.7, 0.9, gamma, 0.3)
+        monkeypatch.setattr(propagation, "LOOP_BLOCK", 7)
+        blocked = loop_infidelities(0.7, 0.9, gamma, 0.3)
+        assert np.array_equal(blocked[0], whole[0])
+        assert np.array_equal(blocked[1], whole[1])
+
+    def test_sweep_memory_is_bounded(self):
+        gamma = np.arange(0.1, 20.0, 0.0002) * np.cos(np.pi / 4)
+        assert gamma.size > 99_000
+        tracemalloc.start()
+        try:
+            loop_infidelities(np.cos(np.pi / 4), np.sin(np.pi / 4), gamma)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 10e6  # one block of stacks plus the two output columns
 
 
 def _per_step_reference(schedule, t_end, n_steps, samples):
