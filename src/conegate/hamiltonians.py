@@ -18,6 +18,7 @@ All constructors broadcast over a time array and then return a stacked
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -50,7 +51,7 @@ class FieldParams:
 
     def __post_init__(self) -> None:
         for name in ("omega0", "omega1", "gamma", "omega_z", "phase0"):
-            if not np.isfinite(getattr(self, name)):
+            if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"FieldParams.{name} must be finite")
         if self.omega1 < 0:
             raise ValueError("omega1 must be nonnegative")
@@ -72,7 +73,7 @@ class TwoQubitParams:
 
     def __post_init__(self) -> None:
         for name in ("omega_a", "omega_b", "j", "omega_a_prime", "omega1"):
-            if not np.isfinite(getattr(self, name)):
+            if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"TwoQubitParams.{name} must be finite")
         if self.j < 0:
             raise ValueError("coupling j must be nonnegative")

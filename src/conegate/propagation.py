@@ -17,6 +17,21 @@ propagators as stacks, LOOP_BLOCK speeds at a time. Only the final overlap
 another order than the BLAS dot of one pair, and the printed sweeps must
 keep their bytes.
 
+One point takes a scalar path (_static_entries, _rot_z_entries): the
+kernel's operations on one matrix in Python math/cmath, about twenty float
+operations instead of some twenty-five numpy calls. Its contract is bit
+equality with the stacked kernel, which holds because each entry goes
+through the same IEEE operations in the same order: the half trace of the
+traceless H0 is exactly 0, numpy's complex division by a real multiplies
+by the reciprocal, |b| is abs(complex) (numpy's hypot; math.hypot rounds
+differently), and math.cos/sin and cmath.exp of a zero-real argument match
+numpy's. The propagators keep the frame product as a BLAS matmul, whose
+fused multiply-adds Python cannot reproduce, so the scalar and the stacked
+propagators agree bit for bit. _propagator_entries gives the same closed
+form as Python entries, with the frame product in Python, for callers that
+compose in Python (sequences): its entries can differ from the matmul's in
+the last bit.
+
 The integrator multiplies per-step exact exponentials of the Hamiltonian
 sampled at step midpoints (second-order Magnus). Every step is exactly
 unitary; accuracy is controlled solely by the step count, and the global
@@ -37,6 +52,8 @@ on its own.
 
 from __future__ import annotations
 
+import cmath
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -86,8 +103,17 @@ class Trajectory:
         return float(self.times[-1]) if self.times.size else 0.0
 
 
+def _rot_z_entries(angle: float) -> tuple:
+    """rot_z of one angle as its entries (u00, u01, u10, u11) in Python
+    complex; cmath.exp of a zero-real argument is numpy's exp bit for bit."""
+    return (cmath.exp(complex(0.0, -0.5 * angle)), 0j, 0j,
+            cmath.exp(complex(0.0, 0.5 * angle)))
+
+
 def rot_z(angle: float | np.ndarray) -> np.ndarray:
     """exp(-i angle sigma_z / 2), broadcasting over angle."""
+    if isinstance(angle, (int, float)):
+        return np.array(_rot_z_entries(angle)).reshape(2, 2)
     angle = np.asarray(angle, dtype=float)
     out = np.zeros(angle.shape + (2, 2), dtype=complex)
     out[..., 0, 0] = np.exp(-0.5j * angle)
@@ -95,17 +121,65 @@ def rot_z(angle: float | np.ndarray) -> np.ndarray:
     return out
 
 
+def _static_entries(omega0: float, omega1: float, phase0: float, t: float) -> tuple:
+    """exp(-i H0 t) at one point as its entries (u00, u01, u10, u11).
+
+    linalg._expm_2x2's operations on one matrix, in Python floats. H0 =
+    [[hz, hx - i hy], [hx + i hy, -hz]] is traceless, so the kernel's half
+    trace is exactly 0 and its phase factor exp(-i 0 t) multiplies exactly;
+    its n.sigma = (h - c) / r is numpy's complex division by a real, which
+    multiplies by the reciprocal 1 / r; |b| is abs(complex), numpy's hypot.
+    """
+    hz = 0.5 * omega0
+    hx = 0.5 * (omega1 * math.cos(phase0))
+    hy = 0.5 * (omega1 * math.sin(phase0))
+    r = abs(complex(hz, abs(complex(hx, hy))))
+    if r == 0.0:
+        return (1 + 0j, 0j, 0j, 1 + 0j)
+    scale = 1.0 / r
+    cos, sin = math.cos(r * t), math.sin(r * t)
+    z, x, y = sin * (hz * scale), sin * (hx * scale), sin * (hy * scale)
+    return (complex(cos, -z), complex(-y, -x), complex(y, -x), complex(cos, z))
+
+
 def _static_propagator(omega0, omega1: float, phase0: float, t) -> np.ndarray:
     """exp(-i H0 t) of the frozen field Hamiltonian, broadcasting over omega0
-    and t. H0 is Hermitian by construction, so the kernel runs unchecked."""
-    if not np.isfinite(t).all():
+    and t. H0 is Hermitian by construction, so the kernel runs unchecked.
+
+    One point (omega0 and t Python or numpy floats) takes the scalar path,
+    _static_entries, which returns the stacked kernel's bits. math raises
+    ValueError on an infinite argument (a non-finite field, or r t
+    overflowing), where the stacked kernel returns NaN; such a point falls
+    through to it."""
+    scalar = isinstance(omega0, (int, float)) and isinstance(t, (int, float))
+    if not (math.isfinite(t) if scalar else np.isfinite(t).all()):
         raise ValueError("duration must be finite")
+    if scalar:
+        try:
+            entries = _static_entries(float(omega0), omega1, phase0, float(t))
+        except ValueError:
+            pass
+        else:
+            return np.array(entries).reshape(2, 2)
     omega0 = np.asarray(omega0, dtype=float)[..., None, None]
     h0 = 0.5 * (
         omega0 * SIGMA_Z
         + omega1 * (np.cos(phase0) * SIGMA_X + np.sin(phase0) * SIGMA_Y)
     )
     return _expm_2x2(h0, t)
+
+
+def _propagator_entries(p: FieldParams, t: float, compensated: bool) -> tuple:
+    """propagator_compensated (or propagator_uncompensated) at one time as
+    its entries (u00, u01, u10, u11), for callers that compose in Python.
+
+    The frame product rot_z(gamma t) @ exp(-i H t) is taken in Python
+    complex here; the ndarray propagators take it with BLAS, whose fused
+    multiply-adds can round an entry one ulp apart."""
+    omega0 = p.omega0 if compensated else p.omega0 - p.gamma
+    s00, s01, s10, s11 = _static_entries(omega0, p.omega1, p.phase0, t)
+    r0, _, _, r1 = _rot_z_entries(p.gamma * t)
+    return (r0 * s00, r0 * s01, r1 * s10, r1 * s11)
 
 
 def propagator_uncompensated(p: FieldParams, t: float) -> np.ndarray:
@@ -198,6 +272,7 @@ def adiabatic_error(p: FieldParams) -> float:
 # stepped integrator
 
 BLOCK_STEPS = 4096  # midpoints sampled, exponentiated and reduced at a time
+MAX_STEPS = 50_000_000  # steps one integrate call may take, checked before allocation
 
 
 class _SU2:
@@ -361,8 +436,10 @@ def integrate(
         n_steps = int(total_steps)
         if n_steps < 1:
             raise ValueError("total_steps must be at least 1")
-    if n_steps > 50_000_000:
-        raise RuntimeError("step budget exceeded")
+    if n_steps > MAX_STEPS:
+        raise ValueError(
+            f"step budget exceeded: {n_steps} steps requested, at most {MAX_STEPS:,} allowed"
+        )
 
     dt = t_end / n_steps if n_steps else 0.0
     # the first block doubles as the dimension probe (t = 0 without steps)

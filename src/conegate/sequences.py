@@ -6,12 +6,34 @@ Rotation convention: R_n(beta) = exp(-i beta (n.sigma) / 2), so free
 evolution under (omega/2) sigma_z turns the Bloch vector by +omega*t
 about z. Hard pulses are ideal (zero duration). In the two-qubit frame
 every primitive addresses spin a; spin b is a sigma_z-conserved spectator.
+
+Sectors. In the two-qubit basis |b a> every primitive is block-diagonal in
+spin b, so a sequence is composed as one 2x2 per spin-b sector, b-up first
+(the single-qubit frame has one sector):
+
+* a hard pulse is the same 2x2 in both sectors;
+* free evolution is a rot_z-type diagonal with offset delta + j (b up) or
+  delta - j (b down);
+* a conditional loop is one single-spin field per sector (_loop_fields); a
+  FieldParams loop acts alike in both.
+
+apply_sequence and simulate_sequence share one composition loop (_compose)
+and differ only in where a loop's sector propagators come from: the closed
+form, or the stepped integrator. Each sector 2x2 is carried as its entries
+(u00, u01, u10, u11) in Python complex and multiplied in Python, and the
+4x4 block diagonal is built once, at the end (_block_diag). For one 2x2
+this is several times cheaper than numpy calls; the products round like
+any plain complex product, not like the BLAS 4x4 product they replace, so
+a composite moves by a few ulp. sequence_trajectory records (n, dim, dim)
+stacks built from the same sector blocks, with its products unchanged.
 """
 
 from __future__ import annotations
 
+import cmath
 import json
-from dataclasses import dataclass, replace
+import math
+from dataclasses import dataclass
 from typing import Union
 
 import numpy as np
@@ -21,29 +43,37 @@ from .linalg import SIGMA_Z
 from .phases import two_qubit_loop_params
 from .propagation import (
     Trajectory,
+    _propagator_entries,
+    _rot_z_entries,
     integrate,
     loop_duration,
-    propagator_compensated,
-    propagator_uncompensated,
-    rot_z,
+    rot_z,  # the z rotation, exported beside rot_x and rot_y
 )
 
 SINGLE_QUBIT = "single-qubit"
 TWO_QUBIT = "two-qubit-rotating"
 
 
+def _rot_x_entries(angle: float) -> tuple:
+    c, s = math.cos(angle / 2), math.sin(angle / 2)
+    return (complex(c), complex(0.0, -s), complex(0.0, -s), complex(c))
+
+
+def _rot_y_entries(angle: float) -> tuple:
+    c, s = math.cos(angle / 2), math.sin(angle / 2)
+    return (complex(c), complex(-s), complex(s), complex(c))
+
+
 def rot_x(angle: float) -> np.ndarray:
-    c, s = np.cos(angle / 2), np.sin(angle / 2)
-    return np.array([[c, -1j * s], [-1j * s, c]], dtype=complex)
+    return np.array(_rot_x_entries(angle)).reshape(2, 2)
 
 
 def rot_y(angle: float) -> np.ndarray:
-    c, s = np.cos(angle / 2), np.sin(angle / 2)
-    return np.array([[c, -s], [s, c]], dtype=complex)
+    return np.array(_rot_y_entries(angle)).reshape(2, 2)
 
 
 def _check_finite(value: float, name: str) -> None:
-    if not np.isfinite(value):
+    if not math.isfinite(value):
         raise ValueError(f"{name} must be finite")
 
 
@@ -109,8 +139,11 @@ class ConditionalLoop:
     phase0: float = 0.0
 
     def __post_init__(self) -> None:
-        two_qubit_loop_params(self.delta, self.j)  # validates delta > j > 0
+        _check_finite(self.delta, "delta")
+        _check_finite(self.j, "j")
         _check_finite(self.phase0, "phase0")
+        # solved once per loop (validating delta > j > 0); not a field
+        object.__setattr__(self, "setting", two_qubit_loop_params(self.delta, self.j))
 
 
 @dataclass(frozen=True)
@@ -172,13 +205,9 @@ class SOpSolution:
     theta_minus: float
 
 
-def s_operation_angles(delta, j: float, omega1):
-    """The preparation constraints solved over arrays: (t_c, phi_prime,
-    theta_plus, theta_minus), each broadcast over delta and omega1."""
-    if np.any(np.asarray(omega1) <= 0):
-        raise ValueError("omega1 must be positive")
-    if j <= 0:
-        raise ValueError("coupling j must be positive")
+def _solve_s_operation(delta, j: float, omega1):
+    """(t_c, phi_prime, theta_plus, theta_minus) from the arctan constraint
+    math, broadcast over delta and omega1; inputs unchecked."""
     a_plus = np.arctan((delta + j) / omega1)
     a_minus = np.arctan((delta - j) / omega1)
     j_tc = 0.5 * (a_plus - a_minus)
@@ -186,23 +215,37 @@ def s_operation_angles(delta, j: float, omega1):
     return j_tc / j, phi_prime, np.pi / 2 - a_plus, np.pi / 2 - a_minus
 
 
+def s_operation_angles(delta, j: float, omega1):
+    """The preparation constraints solved over arrays: (t_c, phi_prime,
+    theta_plus, theta_minus), each broadcast over delta and omega1."""
+    if np.any(np.asarray(omega1) <= 0):
+        raise ValueError("omega1 must be positive")
+    if j <= 0:
+        raise ValueError("coupling j must be positive")
+    return _solve_s_operation(delta, j, omega1)
+
+
 def s_operation_params(delta: float, j: float, omega1: float) -> SOpSolution:
     """Solve the preparation constraints for the pulse timing t_c and the
-    closing tilt angle phi_prime."""
-    return SOpSolution(*(float(x) for x in s_operation_angles(delta, j, omega1)))
+    closing tilt angle phi_prime (the scalar case of s_operation_angles)."""
+    if omega1 <= 0:
+        raise ValueError("omega1 must be positive")
+    if j <= 0:
+        raise ValueError("coupling j must be positive")
+    return SOpSolution(*map(float, _solve_s_operation(delta, j, omega1)))
 
 
 def _check_solution(sol: SOpSolution, delta: float, j: float) -> float:
     """Validate a solution record against (delta, j); returns the implied
     RF amplitude."""
     j_tc = j * sol.t_c
-    if abs(sol.theta_plus - (np.pi / 2 - (sol.phi_prime + j_tc))) > 1e-9 or abs(
-        sol.theta_minus - (np.pi / 2 - (sol.phi_prime - j_tc))
+    if abs(sol.theta_plus - (math.pi / 2 - (sol.phi_prime + j_tc))) > 1e-9 or abs(
+        sol.theta_minus - (math.pi / 2 - (sol.phi_prime - j_tc))
     ) > 1e-9:
         raise ValueError("solution record angles are internally inconsistent")
-    w_plus = (delta + j) * np.tan(sol.theta_plus)
-    w_minus = (delta - j) * np.tan(sol.theta_minus)
-    if not (np.isfinite(w_plus) and w_plus > 0):
+    w_plus = (delta + j) * math.tan(sol.theta_plus)
+    w_minus = (delta - j) * math.tan(sol.theta_minus)
+    if not (math.isfinite(w_plus) and w_plus > 0):
         raise ValueError("solution record inconsistent with (delta, j)")
     if abs(w_plus - w_minus) > 1e-9 * max(1.0, abs(w_plus)):
         raise ValueError("solution record inconsistent with (delta, j)")
@@ -229,34 +272,89 @@ def invert_sequence(seq: PulseSequence) -> PulseSequence:
     evolutions. Involutive: invert(invert(seq)) == seq."""
     inverted = []
     for step in reversed(seq.steps):
-        if isinstance(step, (RotX, RotY, RotZ)):
-            inverted.append(type(step)(-step.angle))
-        elif isinstance(step, FreeEvolve):
-            inverted.append(replace(step, sign=-step.sign))
+        if isinstance(step, FreeEvolve):
+            inverted.append(FreeEvolve(step.duration, step.delta, step.j, -step.sign))
+        elif isinstance(step, FieldLoop):
+            inverted.append(FieldLoop(step.params, step.revolutions, step.compensated, -step.sign))
         else:
-            inverted.append(replace(step, sign=-step.sign))
+            inverted.append(type(step)(-step.angle))
     return PulseSequence(tuple(inverted), frame=seq.frame)
 
 
-def _embed(u2: np.ndarray, dim: int) -> np.ndarray:
-    """A spin-a operator in the frame of dimension dim."""
-    return _block_diag([u2], dim)
+_IDENTITY = (1 + 0j, 0j, 0j, 1 + 0j)
+
+
+def _product(a, b) -> tuple:
+    """a @ b for two 2x2 given as their entries (u00, u01, u10, u11)."""
+    a00, a01, a10, a11 = a
+    b00, b01, b10, b11 = b
+    return (a00 * b00 + a01 * b10, a00 * b01 + a01 * b11,
+            a10 * b00 + a11 * b10, a10 * b01 + a11 * b11)
+
+
+def _per_sector(blocks, dim: int):
+    """One block per spin-b sector of dimension dim; a single block acts
+    alike in both sectors."""
+    if len(blocks) == dim // 2:
+        return blocks
+    if len(blocks) > dim // 2:
+        raise ValueError("a conditional loop needs dimension 4")
+    return [blocks[0]] * (dim // 2)
+
+
+def _block_diag(blocks, dim: int) -> np.ndarray:
+    """Propagator of dimension dim from the (..., 2, 2) blocks of the spin-b
+    sectors."""
+    blocks = _per_sector(blocks, dim)
+    if dim == 2:
+        return blocks[0]
+    up, down = blocks
+    out = np.zeros(up.shape[:-2] + (4, 4), dtype=complex)
+    out[..., :2, :2] = up
+    out[..., 2:, 2:] = down
+    return out
+
+
+def _operator(blocks: list, dim: int) -> np.ndarray:
+    """The dim x dim matrix of sector blocks given as entry 4-tuples."""
+    return _block_diag(np.array(blocks, dtype=complex).reshape(-1, 2, 2), dim)
+
+
+def _sector_offsets(step: FreeEvolve, dim: int) -> list:
+    """Vertical offset of spin a in each spin-b sector."""
+    if dim == 2:
+        if step.j != 0.0:
+            raise ValueError("j-coupled free evolution needs the two-qubit frame")
+        return [step.delta]
+    return [step.delta + step.j, step.delta - step.j]
 
 
 def _free_evolution_unitaries(step: FreeEvolve, dim: int, durations) -> np.ndarray:
     """Diagonal unitaries of the free evolution run for each of durations
-    (the step's own duration ignored), as a (len(durations), dim, dim) stack."""
-    if dim == 2:
-        if step.j != 0.0:
-            raise ValueError("j-coupled free evolution needs the two-qubit frame")
-        eigenvalues = np.array([step.delta, -step.delta])
-    else:
-        eigenvalues = np.array([step.delta + step.j, -(step.delta + step.j),
-                                step.delta - step.j, -(step.delta - step.j)])
-    t = step.sign * np.asarray(durations, dtype=float)
-    out = np.zeros((t.size, dim * dim), dtype=complex)
-    out[:, :: dim + 1] = np.exp((-0.5j * t)[:, None] * eigenvalues)
-    return out.reshape(t.size, dim, dim)
+    (the step's own duration ignored), as a (len(durations), dim, dim) stack:
+    in each sector the rot_z-type diagonal exp(-+i t e / 2), e the sector's
+    offset, with the angles in _pulse_blocks' operation order."""
+    half_t = -0.5 * (step.sign * np.asarray(durations, dtype=float))
+    angles = half_t[:, None] * np.array(_sector_offsets(step, dim))
+    out = np.zeros((half_t.size, dim * dim), dtype=complex)
+    out[:, :: dim + 1] = np.exp(1j * np.stack([angles, -angles], axis=-1)).reshape(-1, dim)
+    return out.reshape(half_t.size, dim, dim)
+
+
+def _pulse_blocks(step: PulsePrimitive, dim: int) -> list:
+    """A hard pulse or a free evolution as its 2x2 blocks (entry 4-tuples):
+    one for a hard pulse, one per sector for a free evolution."""
+    if isinstance(step, RotX):
+        return [_rot_x_entries(step.angle)]
+    if isinstance(step, RotY):
+        return [_rot_y_entries(step.angle)]
+    if isinstance(step, RotZ):
+        return [_rot_z_entries(step.angle)]
+    half_t = -0.5 * (step.sign * step.duration)
+    return [
+        (cmath.exp(complex(0.0, half_t * e)), 0j, 0j, cmath.exp(complex(0.0, -(half_t * e))))
+        for e in _sector_offsets(step, dim)
+    ]
 
 
 def _loop_fields(step: FieldLoop) -> list[FieldParams]:
@@ -266,47 +364,37 @@ def _loop_fields(step: FieldLoop) -> list[FieldParams]:
     if isinstance(step.params, FieldParams):
         return [step.params]
     cl = step.params
-    setting = two_qubit_loop_params(cl.delta, cl.j)
     return [
         FieldParams(
             omega0=cl.delta + sgn * cl.j,
-            omega1=setting.omega1,
-            gamma=setting.gamma,
-            omega_z=setting.gamma if step.compensated else 0.0,
+            omega1=cl.setting.omega1,
+            gamma=cl.setting.gamma,
+            omega_z=cl.setting.gamma if step.compensated else 0.0,
             phase0=cl.phase0,
         )
         for sgn in (+1, -1)
     ]
 
 
-def _block_diag(blocks: list, dim: int) -> np.ndarray:
-    """Propagator of dimension dim from the (..., 2, 2) blocks of the spin-b
-    sectors; a single block acts alike in both sectors."""
-    if dim == 2 and len(blocks) == 1:
-        return blocks[0]
-    if dim != 4:
-        raise ValueError("a conditional loop needs dimension 4")
-    up, down = blocks if len(blocks) == 2 else blocks * 2
-    out = np.zeros(up.shape[:-2] + (4, 4), dtype=complex)
-    out[..., :2, :2] = up
-    out[..., 2:, 2:] = down
-    return out
-
-
-def _loop_closed_form(step: FieldLoop, dim: int) -> np.ndarray:
+def _loop_closed_form(step: FieldLoop) -> list:
+    """Closed-form blocks of a field loop (entry 4-tuples), one per field;
+    sign = -1 takes the adjoint."""
     blocks = []
     for p in _loop_fields(step):
-        t = step.revolutions * loop_duration(p)
-        u = (propagator_compensated if step.compensated else propagator_uncompensated)(p, t)
-        blocks.append(u.conj().T if step.sign < 0 else u)
-    return _block_diag(blocks, dim)
+        u00, u01, u10, u11 = _propagator_entries(
+            p, step.revolutions * loop_duration(p), step.compensated)
+        if step.sign < 0:
+            u00, u01, u10, u11 = (u00.conjugate(), u10.conjugate(),
+                                  u01.conjugate(), u11.conjugate())
+        blocks.append((u00, u01, u10, u11))
+    return blocks
 
 
 def _integrate_loop(step: FieldLoop, dim: int, steps_per_loop: int, samples: int):
     """Integrator run of one field-loop segment, each 2x2 block on its own.
 
-    Returns (duration, times, propagators at the times, Hamiltonian
-    accessor); sign = -1 runs the negated Hamiltonian backwards.
+    Returns (duration, one Trajectory per field, Hamiltonian accessor of
+    dimension dim); sign = -1 runs the negated Hamiltonian backwards.
     """
     fields = _loop_fields(step)
     duration = step.revolutions * loop_duration(fields[0])
@@ -317,25 +405,11 @@ def _integrate_loop(step: FieldLoop, dim: int, steps_per_loop: int, samples: int
         schedules = [lambda t, p=p: h(p, t) for p in fields]
     n = max(1, int(round(steps_per_loop * step.revolutions)))
     runs = [integrate(s, duration, total_steps=n, samples=samples) for s in schedules]
-    props = _block_diag([run.propagators for run in runs], dim)
 
     def hamiltonian_at(t):
         return _block_diag([np.asarray(s(t), dtype=complex) for s in schedules], dim)
 
-    return duration, runs[0].times, props, hamiltonian_at
-
-
-def primitive_unitary(step: PulsePrimitive, dim: int) -> np.ndarray:
-    """Exact unitary of one primitive (closed forms for loops)."""
-    if isinstance(step, RotX):
-        return _embed(rot_x(step.angle), dim)
-    if isinstance(step, RotY):
-        return _embed(rot_y(step.angle), dim)
-    if isinstance(step, RotZ):
-        return _embed(rot_z(step.angle), dim)
-    if isinstance(step, FreeEvolve):
-        return _free_evolution_unitaries(step, dim, [step.duration])[0]
-    return _loop_closed_form(step, dim)
+    return duration, runs, hamiltonian_at
 
 
 def _check_frame_dim(seq: PulseSequence, dim: int) -> None:
@@ -347,14 +421,22 @@ def _check_frame_dim(seq: PulseSequence, dim: int) -> None:
         raise ValueError(f"frame {seq.frame!r} cannot be applied at dimension 4")
 
 
+def _compose(seq: PulseSequence, dim: int, loop_blocks) -> np.ndarray:
+    """The sequence as one unitary, composed per spin-b sector in listed
+    order (the first primitive acts first); loop_blocks(step) gives a field
+    loop's blocks."""
+    _check_frame_dim(seq, dim)
+    sectors = [_IDENTITY] * (dim // 2)
+    for step in seq.steps:
+        blocks = loop_blocks(step) if isinstance(step, FieldLoop) else _pulse_blocks(step, dim)
+        sectors = [_product(u, v) for u, v in zip(_per_sector(blocks, dim), sectors)]
+    return _operator(sectors, dim)
+
+
 def apply_sequence(seq: PulseSequence, dim: int) -> np.ndarray:
     """Compose the sequence into one unitary (closed-form loop segments).
     Steps act in listed order: the first primitive is applied first."""
-    _check_frame_dim(seq, dim)
-    u = np.eye(dim, dtype=complex)
-    for step in seq.steps:
-        u = primitive_unitary(step, dim) @ u
-    return u
+    return _compose(seq, dim, _loop_closed_form)
 
 
 def simulate_sequence(
@@ -364,15 +446,12 @@ def simulate_sequence(
     integrator instead of the closed form. Hard pulses stay exact; free
     evolutions have constant generators, for which the integrator is exact
     anyway. A conditional loop runs as two 2x2 sectors."""
-    _check_frame_dim(seq, dim)
-    u = np.eye(dim, dtype=complex)
-    for step in seq.steps:
-        if isinstance(step, FieldLoop):
-            _, _, props, _ = _integrate_loop(step, dim, steps_per_loop, samples=2)
-            u = props[-1] @ u
-        else:
-            u = primitive_unitary(step, dim) @ u
-    return u
+
+    def integrated(step: FieldLoop) -> list:
+        _, runs, _ = _integrate_loop(step, dim, steps_per_loop, samples=2)
+        return [run.propagators[-1].ravel().tolist() for run in runs]
+
+    return _compose(seq, dim, integrated)
 
 
 def sequence_trajectory(
@@ -397,9 +476,10 @@ def sequence_trajectory(
         u = props[-1][-1]
         if isinstance(step, FieldLoop):
             m = max(2, int(round(samples_per_loop * step.revolutions)))
-            duration, seg_t, seg_u, h_at = _integrate_loop(step, dim, steps_per_loop, m)
+            duration, runs, h_at = _integrate_loop(step, dim, steps_per_loop, m)
+            seg_u = _block_diag([run.propagators for run in runs], dim)
             segments.append((now, now + duration, h_at))
-            times.append(now + seg_t[1:])
+            times.append(now + runs[0].times[1:])
             props.append(seg_u[1:] @ u)
             now += duration
         elif isinstance(step, FreeEvolve) and step.duration > 0:
@@ -411,7 +491,7 @@ def sequence_trajectory(
             now += step.duration
         else:
             times.append(np.array([now]))
-            props.append((primitive_unitary(step, dim) @ u)[None])
+            props.append((_operator(_pulse_blocks(step, dim), dim) @ u)[None])
 
     def hamiltonian_at(t):
         t_arr = np.asarray(t, dtype=float)
@@ -443,10 +523,9 @@ def build_conditional_loop(delta: float, j: float) -> PulseSequence:
     """Preparation, one compensated conditional revolution, then the exact
     inverse preparation. The composite is diagonal with opposite phases in
     each spectator sector."""
-    setting = two_qubit_loop_params(delta, j)
-    sol = s_operation_params(delta, j, setting.omega1)
-    s_seq = build_s_operation(sol, delta, j)
     loop = FieldLoop(ConditionalLoop(delta, j), revolutions=1.0, compensated=True)
+    sol = s_operation_params(delta, j, loop.params.setting.omega1)
+    s_seq = build_s_operation(sol, delta, j)
     steps = s_seq.steps + (loop,) + invert_sequence(s_seq).steps
     return PulseSequence(steps, frame=TWO_QUBIT)
 
@@ -488,39 +567,68 @@ def _step_to_dict(step: PulsePrimitive) -> dict:
     }
 
 
-def _step_from_dict(d: dict, index: int) -> PulsePrimitive:
+def _number(doc: dict, key: str, path: str, default: float | None = None) -> float:
+    """doc[key] as a finite float (default when absent, if one is given);
+    errors name the field by its path in the document."""
+    if key not in doc:
+        if default is None:
+            raise ValueError(f"{path}.{key}: missing field")
+        return default
+    value = doc[key]
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"{path}.{key}: expected a finite number")
     try:
-        op = d["op"]
-        if op == "rot_x":
-            return RotX(float(d["angle"]))
-        if op == "rot_y":
-            return RotY(float(d["angle"]))
-        if op == "rot_z":
-            return RotZ(float(d["angle"]))
-        if op == "free":
-            duration = float(d["duration"])
-            sign = -1 if duration < 0 else 1
-            return FreeEvolve(abs(duration), float(d["delta"]), float(d.get("j", 0.0)), sign)
-        if op == "loop":
-            rev = float(d.get("revolutions", 1.0))
-            sign = -1 if rev < 0 else 1
-            loop = d["loop"]
-            if "delta" in loop:
-                params = ConditionalLoop(
-                    float(loop["delta"]), float(loop["j"]), float(loop.get("phase0", 0.0))
-                )
-            else:
-                params = FieldParams(
-                    omega0=float(loop["omega0"]),
-                    omega1=float(loop["omega1"]),
-                    gamma=float(loop["gamma"]),
-                    omega_z=float(loop.get("omega_z", 0.0)),
-                    phase0=float(loop.get("phase0", 0.0)),
-                )
-            return FieldLoop(params, abs(rev), bool(d.get("compensated", True)), sign)
-        raise ValueError(f"unknown op {op!r}")
-    except KeyError as exc:
-        raise ValueError(f"step {index}: missing field {exc.args[0]!r}") from exc
+        value = float(value)
+    except OverflowError:  # an integer beyond the float range
+        value = math.inf
+    if not math.isfinite(value):
+        raise ValueError(f"{path}.{key}: expected a finite number")
+    return value
+
+
+def _object(value, path: str) -> dict:
+    if not isinstance(value, dict):
+        raise ValueError(f"{path}: expected an object")
+    return value
+
+
+_ROTATIONS = {"rot_x": RotX, "rot_y": RotY, "rot_z": RotZ}
+# a loop document's keys in constructor order, with their defaults (None: required)
+_LOOP_KEYS = {
+    ConditionalLoop: (("delta", None), ("j", None), ("phase0", 0.0)),
+    FieldParams: (("omega0", None), ("omega1", None), ("gamma", None), ("omega_z", 0.0),
+                  ("phase0", 0.0)),
+}
+
+
+def _step_from_dict(d: dict, index: int) -> PulsePrimitive:
+    path = f"steps[{index}]"
+    d = _object(d, path)
+    if "op" not in d:
+        raise ValueError(f"{path}.op: missing field")
+    op = d["op"]
+    if not isinstance(op, str) or op not in (*_ROTATIONS, "free", "loop"):
+        raise ValueError(f"{path}.op: unknown op {op!r}")
+    if op in _ROTATIONS:
+        return _ROTATIONS[op](_number(d, "angle", path))
+    if op == "free":
+        duration = _number(d, "duration", path)
+        delta, j = _number(d, "delta", path), _number(d, "j", path, 0.0)
+        return FreeEvolve(abs(duration), delta, j, -1 if duration < 0 else 1)
+    rev = _number(d, "revolutions", path, 1.0)
+    compensated = d.get("compensated", True)
+    if not isinstance(compensated, bool):
+        raise ValueError(f"{path}.compensated: expected true or false")
+    if "loop" not in d:
+        raise ValueError(f"{path}.loop: missing field")
+    where = f"{path}.loop"
+    loop = _object(d["loop"], where)
+    kind = ConditionalLoop if "delta" in loop else FieldParams
+    values = [_number(loop, key, where, default) for key, default in _LOOP_KEYS[kind]]
+    try:
+        return FieldLoop(kind(*values), abs(rev), compensated, -1 if rev < 0 else 1)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
 def sequence_to_dict(seq: PulseSequence) -> dict:
@@ -528,10 +636,17 @@ def sequence_to_dict(seq: PulseSequence) -> dict:
 
 
 def sequence_from_dict(d: dict) -> PulseSequence:
+    """The sequence of a schedule document. Every malformed field raises
+    ValueError naming its path, such as steps[3].angle."""
     if not isinstance(d, dict) or "steps" not in d:
         raise ValueError("sequence document must be an object with a 'steps' list")
+    if not isinstance(d["steps"], list):
+        raise ValueError("steps: expected a list")
     steps = tuple(_step_from_dict(s, i) for i, s in enumerate(d["steps"]))
-    return PulseSequence(steps, frame=d.get("frame", SINGLE_QUBIT))
+    frame = d.get("frame", SINGLE_QUBIT)
+    if frame not in (SINGLE_QUBIT, TWO_QUBIT):
+        raise ValueError(f"frame: unknown frame {frame!r}")
+    return PulseSequence(steps, frame=frame)
 
 
 def to_json(seq: PulseSequence, indent: int | None = None) -> str:

@@ -548,3 +548,42 @@ class TestConfigIntegers:
         code, out, _ = run_cli(["scurve", "--config", str(cfg)], capsys)
         assert code == 0
         assert "# steps = 300.0" in out
+
+
+class TestScheduleSchema:
+    @pytest.mark.parametrize(
+        "doc, message",
+        [
+            ({"steps": [{"op": "rot_x", "angle": None}]},
+             "steps[0].angle: expected a finite number"),
+            ({"steps": "abc"}, "steps: expected a list"),
+            ({"steps": [{"op": "rot_y", "angle": 1.0}, {"op": "free", "duration": "1",
+                                                        "delta": 1.0}]},
+             "steps[1].duration: expected a finite number"),
+            ({"steps": [7]}, "steps[0]: expected an object"),
+            ({"steps": [{"angle": 1.0}]}, "steps[0].op: missing field"),
+            ({"steps": [{"op": "loop", "compensated": "no", "loop": {}}]},
+             "steps[0].compensated: expected true or false"),
+            ({"steps": [{"op": "loop", "loop": "abc"}]}, "steps[0].loop: expected an object"),
+            ({"steps": [{"op": "loop", "loop": {"omega0": 1, "omega1": 1, "gamma": 10**400}}]},
+             "steps[0].loop.gamma: expected a finite number"),
+            ({"steps": [{"op": "loop", "loop": {"omega0": 1, "omega1": 1, "gamma": -2}}]},
+             "steps[0]: compensated loop requires omega_z = gamma"),
+            ({"frame": "three-qubit", "steps": []}, "frame: unknown frame 'three-qubit'"),
+        ],
+    )
+    def test_malformed_schedule_exits_2_naming_the_field(self, doc, message, tmp_path, capsys):
+        path = tmp_path / "schedule.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run_cli(["evolve", "--schedule", str(path), "--steps", "100"], capsys)
+        assert code == 2
+        assert out == ""
+        assert err == f"error: {message}\n"
+
+
+class TestStepBudget:
+    def test_step_budget_exits_2(self, capsys):
+        code, out, err = run_cli(["gate", "phase", "--theta", "1", "--steps", "60000000"], capsys)
+        assert code == 2
+        assert out == ""
+        assert "60000000 steps requested, at most 50,000,000 allowed" in err

@@ -26,6 +26,7 @@ from conegate.propagation import (
     adiabatic_error,
     integrate,
     integrate_loop,
+    _propagator_entries,
     _static_propagator,
     integrate_profile,
     loop_duration,
@@ -33,6 +34,7 @@ from conegate.propagation import (
     loop_with_profile,
     propagator_compensated,
     propagator_uncompensated,
+    rot_z,
 )
 from conegate.sequences import (
     TWO_QUBIT,
@@ -305,6 +307,39 @@ class TestStackedClosedForms:
         assert stacked.shape == (50, 2, 2)
         assert np.array_equal(stacked, per_point)
 
+    def test_scalar_static_propagator_is_the_stacked_kernel(self, rng):
+        # 40 (omega1, phase0) settings x 500 (omega0, t) points; null fields,
+        # t = 0 and phases far outside [0, 2 pi] included
+        scales = 10.0 ** rng.uniform(-3, 2, 38)
+        omega1s = np.concatenate([[0.0, 0.0], rng.uniform(0, 5, 38) * scales])
+        phases = np.concatenate([[0.0, 1e3], rng.uniform(-1e3, 1e3, 38)])
+        for omega1, phase0 in zip(omega1s.tolist(), phases.tolist()):
+            omega0 = rng.uniform(-5, 5, 500) * 10.0 ** rng.uniform(-3, 2, 500)
+            t = rng.uniform(0, 30, 500) * 10.0 ** rng.uniform(-3, 2, 500)
+            omega0[:20], t[20:40] = 0.0, 0.0
+            stacked = _static_propagator(omega0, omega1, phase0, t)
+            scalar = np.array([_static_propagator(w, omega1, phase0, x)
+                               for w, x in zip(omega0.tolist(), t.tolist())])
+            assert np.array_equal(scalar, stacked)
+
+    @pytest.mark.parametrize("compensated", [True, False])
+    def test_scalar_propagators_are_the_stacked_ones(self, compensated, rng):
+        propagator = propagator_compensated if compensated else propagator_uncompensated
+        for _ in range(40):
+            gamma = rng.choice([-1.0, 1.0]) * rng.uniform(0.01, 5.0)
+            p = FieldParams(rng.uniform(-3, 3), rng.uniform(0, 3), gamma,
+                            omega_z=gamma if compensated else 0.0, phase0=rng.uniform(-50, 50))
+            t = np.concatenate([[0.0], rng.uniform(0, 20, 499)])
+            stacked = propagator(p, t)
+            assert np.array_equal(np.array([propagator(p, x) for x in t.tolist()]), stacked)
+            entries = np.array([_propagator_entries(p, x, compensated) for x in t.tolist()])
+            # the same closed form with the frame product taken in Python
+            assert np.max(np.abs(entries.reshape(-1, 2, 2) - stacked)) <= 4.5e-16
+
+    def test_scalar_rot_z_is_the_stacked_one(self, rng):
+        angles = np.concatenate([[0.0, -0.0, 1e-300, 1e6], rng.uniform(-50, 50, 996)])
+        assert np.array_equal(np.array([rot_z(a) for a in angles.tolist()]), rot_z(angles))
+
     def test_static_propagator_rejects_nonfinite_duration(self):
         with pytest.raises(ValueError, match="finite"):
             _static_propagator(np.ones(3), 1.0, 0.0, np.array([1.0, np.inf, 2.0]))
@@ -442,6 +477,12 @@ class TestChunkedIntegrator:
         vectorised = integrate(lambda t: h_rotating(p, t), 1.5, total_steps=n, samples=9)
         assert len(array_calls) == 1  # decided once, at the probe
         assert np.max(np.abs(traj.propagators - vectorised.propagators)) < 1e-12
+
+    def test_step_budget_is_a_value_error(self):
+        calls = []
+        with pytest.raises(ValueError, match="60000000 steps requested, at most 50,000,000"):
+            integrate(lambda t: calls.append(t), 1.0, total_steps=60_000_000)
+        assert calls == []  # refused before sampling or allocating
 
     def test_genuine_schedule_error_propagates(self):
         calls = []

@@ -1,10 +1,13 @@
+import hashlib
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from conegate import sequences
 from conegate.hamiltonians import FieldParams
 from conegate.linalg import IDENTITY_2, bloch_vector, fidelity, is_unitary
+from conegate.propagation import propagator_compensated
 from conegate.phases import (
     canonical_phase,
     cone_eigenstate,
@@ -26,7 +29,6 @@ from conegate.sequences import (
     apply_sequence,
     build_conditional_loop,
     build_s_operation,
-    _embed,
     _free_evolution_unitaries,
     from_json,
     invert_sequence,
@@ -227,12 +229,6 @@ class TestApplySequence:
         with pytest.raises(ValueError):
             apply_sequence(seq, 2)
 
-    @pytest.mark.parametrize("rot", [rot_x, rot_y, rot_z])
-    def test_embedding_is_the_kronecker_product(self, rot):
-        u2 = rot(0.731)
-        assert np.array_equal(_embed(u2, 4), np.kron(IDENTITY_2, u2))
-        assert _embed(u2, 2) is u2
-
     @pytest.mark.parametrize("dim", [2, 4])
     @pytest.mark.parametrize("sign", [1, -1])
     def test_free_evolution_stack_is_bitwise_per_sample(self, dim, sign):
@@ -258,6 +254,122 @@ class TestApplySequence:
         seq = PulseSequence((step,), frame=SINGLE_QUBIT)
         with pytest.raises(ValueError):
             apply_sequence(seq, 2)
+
+
+def rot_x_oracle(angle):
+    c, s = np.cos(angle / 2), np.sin(angle / 2)
+    return np.array([[c, -1j * s], [-1j * s, c]], dtype=complex)
+
+
+def rot_y_oracle(angle):
+    c, s = np.cos(angle / 2), np.sin(angle / 2)
+    return np.array([[c, -s], [s, c]], dtype=complex)
+
+
+def rot_z_oracle(angle):
+    return np.diag([np.exp(-0.5j * angle), np.exp(0.5j * angle)])
+
+
+def free_oracle(step, dim):
+    """The eigenvalue table of the two-spin frame Hamiltonian, exponentiated."""
+    d, j = step.delta, step.j
+    eigenvalues = [d, -d] if dim == 2 else [d + j, -(d + j), d - j, -(d - j)]
+    return np.diag(np.exp((-0.5j * (step.sign * step.duration)) * np.array(eigenvalues)))
+
+
+def seeded_angles(rng, n):
+    return np.concatenate([[0.0, -0.0, np.pi, -np.pi / 2, 1e-300, 1e3],
+                           rng.uniform(-20, 20, n)])
+
+
+class TestSectorComposition:
+    @pytest.mark.parametrize("rot", ["rot_x", "rot_y", "rot_z"])
+    def test_hard_pulse_matches_kronecker_oracle(self, rot, rng):
+        kind, oracle = {"rot_x": (RotX, rot_x_oracle), "rot_y": (RotY, rot_y_oracle),
+                        "rot_z": (RotZ, rot_z_oracle)}[rot]
+        for angle in seeded_angles(rng, 300):
+            step = kind(float(angle))
+            u2 = oracle(float(angle))
+            assert np.array_equal(apply_sequence(PulseSequence((step,)), 2), u2)
+            assert np.array_equal(apply_sequence(PulseSequence((step,), TWO_QUBIT), 4),
+                                  np.kron(IDENTITY_2, u2))
+            assert np.array_equal({"rot_x": rot_x, "rot_y": rot_y, "rot_z": rot_z}[rot](
+                float(angle)), u2)
+
+    @pytest.mark.parametrize("dim", [2, 4])
+    def test_free_evolution_matches_diagonal_oracle(self, dim, rng):
+        for k in range(300):
+            step = FreeEvolve(rng.uniform(0, 5) * 10.0 ** rng.uniform(-3, 2), rng.uniform(-4, 4),
+                              rng.uniform(-2, 2) if dim == 4 else 0.0, 1 if k % 2 else -1)
+            frame = TWO_QUBIT if dim == 4 else SINGLE_QUBIT
+            assert np.array_equal(apply_sequence(PulseSequence((step,), frame), dim),
+                                  free_oracle(step, dim))
+
+    def test_conditional_loop_matches_4x4_composition(self, rng):
+        for delta in rng.uniform(1.05, 3.0, size=500):
+            seq = build_conditional_loop(float(delta), 1.0)
+            setting = two_qubit_loop_params(float(delta), 1.0)
+            expected = np.eye(4, dtype=complex)
+            for step in seq.steps:
+                if isinstance(step, FieldLoop):
+                    blocks = []
+                    for sgn in (1, -1):
+                        p = FieldParams(delta + sgn, setting.omega1, setting.gamma,
+                                        omega_z=setting.gamma)
+                        blocks.append(propagator_compensated(p, 2 * np.pi / abs(p.gamma)))
+                    m = np.zeros((4, 4), dtype=complex)
+                    m[:2, :2], m[2:, 2:] = blocks
+                elif isinstance(step, FreeEvolve):
+                    m = free_oracle(step, 4)
+                else:
+                    oracle = {RotX: rot_x_oracle, RotY: rot_y_oracle, RotZ: rot_z_oracle}
+                    m = np.kron(IDENTITY_2, oracle[type(step)](step.angle))
+                expected = m @ expected
+            assert np.max(np.abs(apply_sequence(seq, 4) - expected)) <= 4e-15
+
+    def test_simulate_composes_the_integrated_sectors(self):
+        seq = build_conditional_loop(1.6, 1.0)
+        loop = seq.steps[5]
+        _, runs, _ = sequences._integrate_loop(loop, 4, 3000, samples=2)
+        expected = np.eye(4, dtype=complex)
+        for step in seq.steps:
+            if step is loop:
+                m = np.zeros((4, 4), dtype=complex)
+                m[:2, :2], m[2:, 2:] = (run.propagators[-1] for run in runs)
+            else:
+                m = apply_sequence(PulseSequence((step,), TWO_QUBIT), 4)
+            expected = m @ expected
+        assert np.max(np.abs(simulate_sequence(seq, 4, steps_per_loop=3000) - expected)) <= 4e-15
+
+    def test_trajectory_propagators_keep_their_bits(self):
+        # sha256 of the propagators before sector composition (x86-64,
+        # OpenBLAS); the pulse and free-evolution oracles above pin the
+        # pieces portably
+        base = build_conditional_loop(1.7, 1.0)
+        p = FieldParams(0.9, 0.5, -1.4, omega_z=-1.4, phase0=0.3)
+        seq = PulseSequence(base.steps + (FreeEvolve(0.3, 1.7, 1.0, sign=-1), RotZ(0.4),
+                                          FieldLoop(p, revolutions=0.5, sign=-1)), TWO_QUBIT)
+        traj = sequence_trajectory(seq, 4, np.eye(4)[0], steps_per_loop=2000)
+        assert traj.propagators.shape == (582, 4, 4)
+        assert hashlib.sha256(traj.propagators.tobytes()).hexdigest() == (
+            "e970914fa258e95e0ed1a7a67022496cbe6bf6f1e0f656f6449492b0db3a03cf")
+
+    def test_builder_solves_the_loop_once(self, monkeypatch):
+        calls = []
+
+        def counting(delta, j):
+            calls.append((delta, j))
+            return two_qubit_loop_params(delta, j)
+
+        monkeypatch.setattr(sequences, "two_qubit_loop_params", counting)
+        apply_sequence(build_conditional_loop(1.4, 1.0), 4)
+        assert calls == [(1.4, 1.0)]
+
+    def test_conditional_loop_rejects_nonfinite_offsets(self):
+        with pytest.raises(ValueError, match="delta must be finite"):
+            ConditionalLoop(np.nan, 1.0)
+        with pytest.raises(ValueError, match="j must be finite"):
+            ConditionalLoop(2.0, np.inf)
 
 
 class TestPrimitiveValidation:
@@ -376,7 +488,7 @@ class TestSerialization:
         assert from_json(text) == seq
 
     def test_malformed_step_reports_index(self):
-        with pytest.raises(ValueError, match="step 1"):
+        with pytest.raises(ValueError, match=r"^steps\[1\]\.angle: missing field$"):
             from_json('{"frame": "single-qubit", "steps": '
                       '[{"op": "rot_x", "angle": 1.0}, {"op": "rot_y"}]}')
 
