@@ -17,20 +17,16 @@ propagators as stacks, LOOP_BLOCK speeds at a time. Only the final overlap
 another order than the BLAS dot of one pair, and the printed sweeps must
 keep their bytes.
 
-One point takes a scalar path (_static_entries, _rot_z_entries): the
-kernel's operations on one matrix in Python math/cmath, about twenty float
-operations instead of some twenty-five numpy calls. Its contract is bit
-equality with the stacked kernel, which holds because each entry goes
+One point takes a scalar path in Python math (_static_entries,
+_rot_z_entries), bit-equal to the stacked kernel because every entry goes
 through the same IEEE operations in the same order: the half trace of the
-traceless H0 is exactly 0, numpy's complex division by a real multiplies
-by the reciprocal, |b| is abs(complex) (numpy's hypot; math.hypot rounds
-differently), and math.cos/sin and cmath.exp of a zero-real argument match
-numpy's. The propagators keep the frame product as a BLAS matmul, whose
-fused multiply-adds Python cannot reproduce, so the scalar and the stacked
-propagators agree bit for bit. _propagator_entries gives the same closed
-form as Python entries, with the frame product in Python, for callers that
-compose in Python (sequences): its entries can differ from the matmul's in
-the last bit.
+traceless H0 is exactly 0, numpy divides a complex by a real as a product
+with the reciprocal, |b| is abs(complex) like numpy's hypot (math.hypot
+rounds apart), and math.cos/sin are numpy's, also inside its complex exp
+of a zero-real argument. The ndarray propagators keep the frame product a
+BLAS matmul, whose fused multiply-adds Python cannot reproduce;
+_propagator_entries takes it in Python for callers that compose in Python
+(sequences) and can round an entry one ulp apart.
 
 The integrator multiplies per-step exact exponentials of the Hamiltonian
 sampled at step midpoints (second-order Magnus). Every step is exactly
@@ -52,7 +48,6 @@ on its own.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -103,11 +98,15 @@ class Trajectory:
         return float(self.times[-1]) if self.times.size else 0.0
 
 
+def _expi(y: float) -> complex:
+    """exp(i y) as numpy's complex exp computes it for a zero real part."""
+    return complex(math.cos(y), math.sin(y))
+
+
 def _rot_z_entries(angle: float) -> tuple:
     """rot_z of one angle as its entries (u00, u01, u10, u11) in Python
-    complex; cmath.exp of a zero-real argument is numpy's exp bit for bit."""
-    return (cmath.exp(complex(0.0, -0.5 * angle)), 0j, 0j,
-            cmath.exp(complex(0.0, 0.5 * angle)))
+    complex, bit for bit the array path's."""
+    return (_expi(-0.5 * angle), 0j, 0j, _expi(0.5 * angle))
 
 
 def rot_z(angle: float | np.ndarray) -> np.ndarray:
@@ -147,20 +146,12 @@ def _static_propagator(omega0, omega1: float, phase0: float, t) -> np.ndarray:
     and t. H0 is Hermitian by construction, so the kernel runs unchecked.
 
     One point (omega0 and t Python or numpy floats) takes the scalar path,
-    _static_entries, which returns the stacked kernel's bits. math raises
-    ValueError on an infinite argument (a non-finite field, or r t
-    overflowing), where the stacked kernel returns NaN; such a point falls
-    through to it."""
+    _static_entries, which returns the stacked kernel's bits."""
     scalar = isinstance(omega0, (int, float)) and isinstance(t, (int, float))
     if not (math.isfinite(t) if scalar else np.isfinite(t).all()):
         raise ValueError("duration must be finite")
     if scalar:
-        try:
-            entries = _static_entries(float(omega0), omega1, phase0, float(t))
-        except ValueError:
-            pass
-        else:
-            return np.array(entries).reshape(2, 2)
+        return np.array(_static_entries(float(omega0), omega1, phase0, float(t))).reshape(2, 2)
     omega0 = np.asarray(omega0, dtype=float)[..., None, None]
     h0 = 0.5 * (
         omega0 * SIGMA_Z

@@ -8,29 +8,22 @@ about z. Hard pulses are ideal (zero duration). In the two-qubit frame
 every primitive addresses spin a; spin b is a sigma_z-conserved spectator.
 
 Sectors. In the two-qubit basis |b a> every primitive is block-diagonal in
-spin b, so a sequence is composed as one 2x2 per spin-b sector, b-up first
-(the single-qubit frame has one sector):
-
-* a hard pulse is the same 2x2 in both sectors;
-* free evolution is a rot_z-type diagonal with offset delta + j (b up) or
-  delta - j (b down);
-* a conditional loop is one single-spin field per sector (_loop_fields); a
-  FieldParams loop acts alike in both.
-
-apply_sequence and simulate_sequence share one composition loop (_compose)
-and differ only in where a loop's sector propagators come from: the closed
-form, or the stepped integrator. Each sector 2x2 is carried as its entries
-(u00, u01, u10, u11) in Python complex and multiplied in Python, and the
-4x4 block diagonal is built once, at the end (_block_diag). For one 2x2
-this is several times cheaper than numpy calls; the products round like
-any plain complex product, not like the BLAS 4x4 product they replace, so
-a composite moves by a few ulp. sequence_trajectory records (n, dim, dim)
-stacks built from the same sector blocks, with its products unchanged.
+spin b: a hard pulse is the same 2x2 in both sectors, free evolution a
+rot_z-type diagonal with offset delta + j (b up) or delta - j (b down), and
+a conditional loop one single-spin field per sector (_loop_fields).
+apply_sequence and simulate_sequence share one loop (_compose) that keeps
+one 2x2 per sector, b-up first, as its entries (u00, u01, u10, u11) in
+Python complex, and builds the 4x4 block diagonal once, at the end
+(_block_diag); they differ only in where a loop's sector blocks come from,
+the closed form or the integrator. For a 2x2 this is several times cheaper
+than numpy calls. Python's complex products round without the fused
+multiply-adds of a BLAS product, so a composite can differ from a 4x4
+matmul of the same blocks in the last bits. sequence_trajectory builds its
+(n, dim, dim) stacks from the same sector blocks.
 """
 
 from __future__ import annotations
 
-import cmath
 import json
 import math
 from dataclasses import dataclass
@@ -43,6 +36,7 @@ from .linalg import SIGMA_Z
 from .phases import two_qubit_loop_params
 from .propagation import (
     Trajectory,
+    _expi,
     _propagator_entries,
     _rot_z_entries,
     integrate,
@@ -351,10 +345,7 @@ def _pulse_blocks(step: PulsePrimitive, dim: int) -> list:
     if isinstance(step, RotZ):
         return [_rot_z_entries(step.angle)]
     half_t = -0.5 * (step.sign * step.duration)
-    return [
-        (cmath.exp(complex(0.0, half_t * e)), 0j, 0j, cmath.exp(complex(0.0, -(half_t * e))))
-        for e in _sector_offsets(step, dim)
-    ]
+    return [(_expi(half_t * e), 0j, 0j, _expi(-(half_t * e))) for e in _sector_offsets(step, dim)]
 
 
 def _loop_fields(step: FieldLoop) -> list[FieldParams]:

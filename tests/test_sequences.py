@@ -282,19 +282,21 @@ def seeded_angles(rng, n):
                            rng.uniform(-20, 20, n)])
 
 
+# primitive, public matrix and oracle of each hard pulse
+PULSES = {"rot_x": (RotX, rot_x, rot_x_oracle), "rot_y": (RotY, rot_y, rot_y_oracle),
+          "rot_z": (RotZ, rot_z, rot_z_oracle)}
+
+
 class TestSectorComposition:
-    @pytest.mark.parametrize("rot", ["rot_x", "rot_y", "rot_z"])
+    @pytest.mark.parametrize("rot", list(PULSES))
     def test_hard_pulse_matches_kronecker_oracle(self, rot, rng):
-        kind, oracle = {"rot_x": (RotX, rot_x_oracle), "rot_y": (RotY, rot_y_oracle),
-                        "rot_z": (RotZ, rot_z_oracle)}[rot]
-        for angle in seeded_angles(rng, 300):
-            step = kind(float(angle))
-            u2 = oracle(float(angle))
-            assert np.array_equal(apply_sequence(PulseSequence((step,)), 2), u2)
-            assert np.array_equal(apply_sequence(PulseSequence((step,), TWO_QUBIT), 4),
+        kind, matrix, oracle = PULSES[rot]
+        for angle in seeded_angles(rng, 300).tolist():
+            u2 = oracle(angle)
+            assert np.array_equal(matrix(angle), u2)
+            assert np.array_equal(apply_sequence(PulseSequence((kind(angle),)), 2), u2)
+            assert np.array_equal(apply_sequence(PulseSequence((kind(angle),), TWO_QUBIT), 4),
                                   np.kron(IDENTITY_2, u2))
-            assert np.array_equal({"rot_x": rot_x, "rot_y": rot_y, "rot_z": rot_z}[rot](
-                float(angle)), u2)
 
     @pytest.mark.parametrize("dim", [2, 4])
     def test_free_evolution_matches_diagonal_oracle(self, dim, rng):
