@@ -10,7 +10,9 @@ configuration and tool version.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
+import math
 import os
 import sys
 from dataclasses import dataclass
@@ -35,6 +37,7 @@ from .propagation import loop_infidelities
 from .sequences import (
     SINGLE_QUBIT,
     FieldLoop,
+    _finite,
     s_operation_angles,
     sequence_from_dict,
     sequence_trajectory,
@@ -161,14 +164,21 @@ def cmd_scurve(config: RunConfig) -> int:
 
 
 def _initial_state(doc: dict, seq) -> np.ndarray:
+    dim = 2 if seq.frame == SINGLE_QUBIT else 4
     if "initial_state" in doc:
         pairs = doc["initial_state"]
-        psi = np.array([complex(re, im) for re, im in pairs])
+        if not isinstance(pairs, list) or len(pairs) != dim:
+            raise ConfigError(f"initial_state: expected {dim} [re, im] pairs")
+        psi = np.empty(dim, dtype=complex)
+        for k, pair in enumerate(pairs):
+            where = f"initial_state[{k}]"
+            if not (isinstance(pair, list) and len(pair) == 2):
+                raise ConfigError(f"{where}: expected a [re, im] pair")
+            psi[k] = complex(_finite(pair[0], where + "[0]"), _finite(pair[1], where + "[1]"))
         norm = np.linalg.norm(psi)
         if norm == 0:
             raise ConfigError("initial_state must be a nonzero vector")
         return psi / norm
-    dim = 2 if seq.frame == SINGLE_QUBIT else 4
     for step in seq.steps:
         if isinstance(step, FieldLoop) and isinstance(step.params, FieldParams):
             geom = cone_eigenstate(step.params.omega0, step.params.omega1)
@@ -302,8 +312,9 @@ def cmd_gate(config: RunConfig) -> int:
         recipe = not_recipe()
     elif name == "cphase":
         delta = float(_option(v, "delta_over_j", 1.058))
-        if not delta > 1.0:
-            raise ConfigError(f"--delta-over-j must exceed 1 (delta > j), got {delta!r}")
+        if not (math.isfinite(delta) and delta > 1.0):
+            raise ConfigError(f"--delta-over-j must be finite and exceed 1 (delta > j), "
+                              f"got {delta!r}")
         recipe = conditional_recipe(delta)
     elif name == "cnot":
         recipe = cnot_recipe()
@@ -355,7 +366,10 @@ def cmd_compare_adiabatic(config: RunConfig) -> int:
 # argument plumbing
 
 
-def _build_parser() -> argparse.ArgumentParser:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on first use and kept: parse_args
+    leaves it unchanged, so every call of main can share it."""
     parser = argparse.ArgumentParser(
         prog="conegate",
         description="Simulate exactly controlled conical spin evolution and "
@@ -450,9 +464,8 @@ def _effective_config(args: argparse.Namespace) -> RunConfig:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         # argparse exits with 2 on bad usage, matching the config-error code
         return int(exc.code or 0)

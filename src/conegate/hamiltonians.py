@@ -101,20 +101,58 @@ def h_rotating(p: FieldParams, t: float | np.ndarray) -> np.ndarray:
     return _field_hamiltonian(p.omega0, p.omega1, p.gamma * np.asarray(t) + p.phase0)
 
 
+def _require_compensation(p: FieldParams) -> None:
+    if p.omega_z != p.gamma:
+        raise ValueError(
+            "compensation misconfigured: omega_z must equal gamma "
+            f"(got omega_z={p.omega_z}, gamma={p.gamma})"
+        )
+
+
 def h_compensated(p: FieldParams, t: float | np.ndarray) -> np.ndarray:
     """Rotating-field Hamiltonian with the vertical compensation field on.
 
     Requires omega_z == gamma: the compensation field must track the
     rotation speed exactly.
     """
-    if p.omega_z != p.gamma:
-        raise ValueError(
-            "compensation misconfigured: omega_z must equal gamma "
-            f"(got omega_z={p.omega_z}, gamma={p.gamma})"
-        )
+    _require_compensation(p)
     return _field_hamiltonian(
         p.omega0 + p.gamma, p.omega1, p.gamma * np.asarray(t) + p.phase0
     )
+
+
+@dataclass(frozen=True)
+class FieldSchedule:
+    """The schedule t -> H(t) of one rotating-field run, kept as its
+    components so the integrator can build each step from them:
+
+        H(t) = sign [[v / 2, x], [conj(x), -v / 2]],
+        x    = omega1 / 2 exp(-i (gamma s + phase0)),
+
+    with v the vertical field and s = t, or s = t_end - t when sign = -1
+    (the inverse run: the negated Hamiltonian traversed backwards).
+    Called, it returns the matrices of h_compensated / h_rotating bit for
+    bit (of(p, compensated) builds the record of either).
+    """
+
+    vertical: float
+    omega1: float
+    gamma: float
+    phase0: float = 0.0
+    sign: int = 1
+    t_end: float = 0.0
+
+    @classmethod
+    def of(cls, p: FieldParams, compensated: bool) -> "FieldSchedule":
+        if not compensated:
+            return cls(p.omega0, p.omega1, p.gamma, p.phase0)
+        _require_compensation(p)
+        return cls(p.omega0 + p.gamma, p.omega1, p.gamma, p.phase0)
+
+    def __call__(self, t: float | np.ndarray) -> np.ndarray:
+        s = np.asarray(t) if self.sign > 0 else self.t_end - np.asarray(t)
+        h = _field_hamiltonian(self.vertical, self.omega1, self.gamma * s + self.phase0)
+        return h if self.sign > 0 else -h
 
 
 def h_two_qubit_static(p: TwoQubitParams) -> np.ndarray:

@@ -33,28 +33,36 @@ sampled at step midpoints (second-order Magnus). Every step is exactly
 unitary; accuracy is controlled solely by the step count, and the global
 defect shrinks quadratically under step halving.
 
-The midpoints are drawn in blocks of BLOCK_STEPS. Each block is sampled and
+The midpoints are drawn in blocks of BLOCK_STEPS. Each block is
 exponentiated at once, its steps are multiplied pairwise within every
 recorded interval (vectorised across the intervals), and the interval
 products are composed in order with the running product, so memory is
 O(block + samples) whatever the step count. 2x2 steps stay in
 Cayley-Klein form (a, b) with their trace phase summed apart, and the
 running product is projected back onto SU(2) after every block, so
-rounding does not drift the norm; larger dimensions use an eigh
-exponential and matrix products. Callers with block-diagonal 4x4
-propagators (the conditional loop of sequences) integrate each 2x2 block
-on its own.
+rounding does not drift the norm. They are built from the components
+(z, x) of the traceless part of the Hamiltonian: a FieldSchedule (a
+rotating-field run, as integrate_loop and the loops of sequences give
+it) yields them directly from the field's time and phase, any other
+schedule is called and its 2x2 samples are read back. Either way one
+workspace per call holds the block's components, its pairs and every
+temporary of the reductions, and numpy writes into it with out= in the
+operation order of fresh arrays, so the bits do not depend on the
+path. Larger dimensions use an eigh exponential and matrix products on
+fresh arrays. Callers with block-diagonal 4x4 propagators (the
+conditional loop of sequences) integrate each 2x2 block on its own.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from types import SimpleNamespace
 from typing import Callable
 
 import numpy as np
 
-from .hamiltonians import FieldParams, SpeedProfile, h_compensated, h_rotating, h_profile
+from .hamiltonians import FieldParams, FieldSchedule, SpeedProfile, h_profile
 from .linalg import SIGMA_X, SIGMA_Y, SIGMA_Z, _expm_2x2, require_finite
 
 
@@ -160,16 +168,19 @@ def _static_propagator(omega0, omega1: float, phase0: float, t) -> np.ndarray:
     return _expm_2x2(h0, t)
 
 
-def _propagator_entries(p: FieldParams, t: float, compensated: bool) -> tuple:
-    """propagator_compensated (or propagator_uncompensated) at one time as
-    its entries (u00, u01, u10, u11), for callers that compose in Python.
+def _propagator_entries(omega0: float, omega1: float, gamma: float, phase0: float, t: float,
+                        compensated: bool) -> tuple:
+    """propagator_compensated (or propagator_uncompensated) of the field
+    (omega0, omega1, gamma, phase0) at one time as its entries (u00, u01,
+    u10, u11), for callers that compose in Python.
 
     The frame product rot_z(gamma t) @ exp(-i H t) is taken in Python
     complex here; the ndarray propagators take it with BLAS, whose fused
     multiply-adds can round an entry one ulp apart."""
-    omega0 = p.omega0 if compensated else p.omega0 - p.gamma
-    s00, s01, s10, s11 = _static_entries(omega0, p.omega1, p.phase0, t)
-    r0, _, _, r1 = _rot_z_entries(p.gamma * t)
+    if not compensated:
+        omega0 = omega0 - gamma
+    s00, s01, s10, s11 = _static_entries(omega0, omega1, phase0, t)
+    r0, _, _, r1 = _rot_z_entries(gamma * t)
     return (r0 * s00, r0 * s01, r1 * s10, r1 * s11)
 
 
@@ -264,39 +275,168 @@ def adiabatic_error(p: FieldParams) -> float:
 
 BLOCK_STEPS = 4096  # midpoints sampled, exponentiated and reduced at a time
 MAX_STEPS = 50_000_000  # steps one integrate call may take, checked before allocation
+TRIG_TABLE = 64  # distinct step norms whose cos and sin a block evaluates once each
 
 
 class _SU2:
     """2x2 steps as Cayley-Klein pairs: exp(-i h dt) = exp(-i c dt) U with
     U = [[a, -conj(b)], [b, conj(a)]] in SU(2), stored as (..., 2) arrays of
-    (a, b); the phase c (the half trace of h) is summed separately."""
+    (a, b); the phase c (the half trace of h) is summed separately.
+
+    An instance is the workspace of one integrate call. A block's steps
+    enter as the traceless part [[z, x], [conj(x), -z]] of h, negated: -z
+    and the rows (-x.real, -x.imag) of a buffer. Their pairs and every
+    temporary of the reductions are buffers too, written with out= in the
+    order of operations of a fresh-array evaluation; the views that a block
+    size or a reduction reads and writes are made once and then reused.
+    No complex product writes over one of its own operands: numpy runs a
+    strided in-place product through another, unfused loop, which rounds
+    apart."""
 
     identity = np.array([1.0, 0.0], dtype=complex)
 
-    @staticmethod
-    def exp(h: np.ndarray, dt: float) -> tuple[np.ndarray, np.ndarray]:
-        c = 0.5 * (h[..., 0, 0].real + h[..., 1, 1].real)
-        z = h[..., 0, 0].real - c
-        x = h[..., 0, 1]
-        r = np.sqrt(z * z + x.real * x.real + x.imag * x.imag)
-        sinc = np.sin(r * dt) / np.where(r == 0.0, 1.0, r)
-        ck = np.empty(h.shape[:-2] + (2,), dtype=complex)
-        parts = ck.view(float)  # a.real, a.imag, b.real, b.imag
-        parts[..., 0] = np.cos(r * dt)
-        parts[..., 1] = -sinc * z
-        parts[..., 2] = -sinc * x.imag
-        parts[..., 3] = -sinc * x.real
-        return ck, c
+    def __init__(self, m: int) -> None:
+        self._pairs = np.empty((m, 2), dtype=complex)
+        self._neg_x = np.empty((2, m))
+        self._real = np.empty((5, m))
+        self._bits = np.empty(m, dtype=np.int64)
+        self._temps = np.empty((5, m // 2 + 1), dtype=complex)
+        self._spare = self._rows = np.empty((0, 2), dtype=complex)
+        self._index = np.empty(0, dtype=np.intp)
+        self._pad = np.empty(0, dtype=bool)
+        self._blocks: dict = {}  # steps in a block -> views of the buffers, reduction plan
+
+    def _block(self, m: int) -> SimpleNamespace:
+        v = self._blocks.get(m)
+        if v is None:
+            neg_x, parts = self._neg_x[:, :m], self._pairs[:m].view(float)
+            phase, r, rdt, sinc, cos = self._real[:, :m]
+            v = self._blocks[m] = SimpleNamespace(
+                steps=np.arange(m, dtype=float), neg_x=neg_x, neg_x_swapped=neg_x[::-1],
+                neg_z=phase, phase=phase, r=r, rdt=rdt, sinc=sinc, cos=cos,
+                squares=self._real[2:4, :m], bits=self._bits[:m], pairs=self._pairs[:m],
+                a_re=parts[:, 0], a_im=parts[:, 1], b=parts[:, 2:].T, plan=None,
+            )
+        return v
+
+    def field(self, f: FieldSchedule, start: int, stop: int, dt: float) -> float:
+        """Write the record's field at the midpoints of steps start..stop
+        into the block's -x rows and return -z.
+
+        x = omega1 / 2 exp(-i phase), and numpy's complex exp of -i phase
+        is cos and sin of -phase; -phase is taken as (-gamma) s + (-phase0),
+        which rounds to exactly -(gamma s + phase0)."""
+        v = self._block(stop - start)
+        phase, neg_x = v.phase, v.neg_x
+        np.add(v.steps, start + 0.5, out=phase)
+        np.multiply(phase, dt, out=phase)
+        if f.sign < 0:
+            np.subtract(f.t_end, phase, out=phase)
+        np.multiply(-f.gamma, phase, out=phase)
+        np.add(phase, -f.phase0, out=phase)
+        np.cos(phase, out=neg_x[0])
+        np.sin(phase, out=neg_x[1])
+        half = 0.5 * f.omega1
+        np.multiply(-half if f.sign > 0 else half, neg_x, out=neg_x)
+        z = 0.5 * f.vertical
+        return -z if f.sign > 0 else z
+
+    def samples(self, h: np.ndarray, c: np.ndarray) -> np.ndarray:
+        """Write a block of sampled 2x2 Hamiltonians with half traces c into
+        the block's -x rows and -z row; returns -z."""
+        v = self._block(len(h))
+        np.negative(h[:, 0, 0].real - c, out=v.neg_z)
+        np.negative(h[:, 0, 1].real, out=v.neg_x[0])
+        np.negative(h[:, 0, 1].imag, out=v.neg_x[1])
+        return v.neg_z
+
+    def exp(self, neg_z, m: int, dt: float) -> np.ndarray:
+        """Pairs of the block's m steps exp(-i h dt), from its -x rows and
+        -z (a float or an array).
+
+        cos(r dt) and sin(r dt) / r are taken once per distinct r when r
+        spans at most TRIG_TABLE floats, as it does along a field loop
+        (|x| is constant up to rounding): the bit patterns of nonnegative
+        floats count up with their values, so r's offset from the least r
+        in bit patterns indexes a table of the values in between."""
+        v = self._block(m)
+        r, sinc = v.r, v.sinc
+        np.multiply(v.neg_x, v.neg_x, out=v.squares)
+        np.add(neg_z * neg_z, v.squares[0], out=r)
+        np.add(r, v.squares[1], out=r)
+        np.sqrt(r, out=r)
+        bits = r.view(np.int64)
+        low, high = int(bits.min()), int(bits.max())
+        if high - low < TRIG_TABLE:
+            np.subtract(bits, low, out=v.bits)
+            values = np.arange(low, high + 1, dtype=np.int64).view(float)
+            values_dt = values * dt
+            table = np.sin(values_dt) / np.where(values == 0.0, 1.0, values)
+            np.take(table, v.bits, out=sinc, mode="clip")
+            np.take(np.cos(values_dt), v.bits, out=v.a_re, mode="clip")
+        else:
+            np.multiply(r, dt, out=v.rdt)
+            np.sin(v.rdt, out=sinc)
+            np.cos(v.rdt, out=v.cos)
+            np.divide(sinc, r if r.all() else np.where(r == 0.0, 1.0, r), out=sinc)
+            v.a_re[...] = v.cos
+        np.multiply(sinc, neg_z, out=v.a_im)
+        np.multiply(sinc, v.neg_x_swapped, out=v.b)  # b = -i sinc conj(x)
+        return v.pairs
+
+    def operands(self, later: np.ndarray, earlier: np.ndarray, out: np.ndarray) -> tuple:
+        """The arrays run() reads and writes for the pairs of later @ earlier
+        into out: earlier broadcasts against later, and out may overlap
+        either, as the products go to temporaries first."""
+        shape = later.shape[:-1]
+        n = math.prod(shape)
+        if n > self._temps.shape[1]:
+            self._temps = np.empty((5, n), dtype=complex)
+            self._blocks.clear()  # their plans read the old temporaries
+        temps = self._temps[:, :n].reshape((5,) + shape)
+        return (later[..., 0], later[..., 1], earlier[..., 0], earlier[..., 1],
+                out[..., 0], out[..., 1], *temps)
 
     @staticmethod
-    def compose(later: np.ndarray, earlier: np.ndarray) -> np.ndarray:
-        """Pairs of later @ earlier; earlier broadcasts against later."""
-        a2, b2 = later[..., 0], later[..., 1]
-        a1, b1 = earlier[..., 0], earlier[..., 1]
-        out = np.empty(later.shape, dtype=complex)
-        out[..., 0] = a2 * a1 - b2.conj() * b1
-        out[..., 1] = b2 * a1 + a2.conj() * b1
+    def run(a2, b2, a1, b1, a, b, aa, bb, ba, ab, conj) -> None:
+        """a = a2 a1 - conj(b2) b1 and b = b2 a1 + conj(a2) b1."""
+        np.multiply(a2, a1, out=aa)
+        np.conjugate(b2, out=conj)
+        np.multiply(conj, b1, out=bb)
+        np.multiply(b2, a1, out=ba)
+        np.conjugate(a2, out=conj)
+        np.multiply(conj, b1, out=ab)
+        np.subtract(aa, bb, out=a)
+        np.add(ba, ab, out=b)
+
+    def compose(self, later: np.ndarray, earlier: np.ndarray, out: np.ndarray) -> np.ndarray:
+        self.run(*self.operands(later, earlier, out))
         return out
+
+    def plan(self, pairs: np.ndarray) -> list:
+        """_reduction_plan of a block's pairs as exp() returns them, made
+        once per block size: they are always the same buffer."""
+        v = self._block(len(pairs))
+        if v.plan is None:
+            v.plan = _reduction_plan(self, pairs)
+        return v.plan
+
+    def rows(self, width: int, nseg: int) -> tuple:
+        """Gather buffers for nseg runs of at most width steps: the rows
+        (width, nseg, 2), their step indices and their padding mask."""
+        n = width * nseg
+        if n > len(self._rows):
+            self._rows = np.empty((n, 2), dtype=complex)
+            self._index = np.empty(n, dtype=np.intp)
+            self._pad = np.empty(n, dtype=bool)
+        shape = (width, nseg)
+        return (self._rows[:n].reshape(shape + (2,)), self._index[:n].reshape(shape),
+                self._pad[:n].reshape(shape))
+
+    def spare(self, n: int) -> np.ndarray:
+        if n > len(self._spare):
+            self._spare = np.empty((n, 2), dtype=complex)
+        return self._spare[:n]
 
     @staticmethod
     def normalize(ck: np.ndarray) -> np.ndarray:
@@ -316,18 +456,32 @@ class _SU2:
 
 class _Dense:
     """d x d steps as matrices from a Hermitian eigendecomposition, the
-    phase kept inside."""
-
-    compose = staticmethod(np.matmul)
+    phase kept inside; its arrays are allocated as they are needed."""
 
     def __init__(self, d: int) -> None:
         self.identity = np.eye(d, dtype=complex)
 
     @staticmethod
-    def exp(h: np.ndarray, dt: float) -> tuple[np.ndarray, np.ndarray]:
+    def exp_samples(h: np.ndarray, dt: float) -> np.ndarray:
         vals, vecs = np.linalg.eigh(h)
-        u = np.einsum("...ik,...k,...jk->...ij", vecs, np.exp(-1j * vals * dt), vecs.conj())
-        return u, np.zeros(h.shape[:-2])
+        return np.einsum("...ik,...k,...jk->...ij", vecs, np.exp(-1j * vals * dt), vecs.conj())
+
+    @staticmethod
+    def operands(later: np.ndarray, earlier: np.ndarray, out: np.ndarray) -> tuple:
+        return later, earlier, out
+
+    compose = run = staticmethod(np.matmul)
+
+    def plan(self, elems: np.ndarray) -> list:
+        return _reduction_plan(self, elems)
+
+    def rows(self, width: int, nseg: int) -> tuple:
+        shape = (width, nseg)
+        return (np.empty(shape + self.identity.shape, dtype=complex),
+                np.empty(shape, dtype=np.intp), np.empty(shape, dtype=bool))
+
+    def spare(self, n: int) -> np.ndarray:
+        return np.empty((n,) + self.identity.shape, dtype=complex)
 
     @staticmethod
     def normalize(u: np.ndarray) -> np.ndarray:
@@ -336,29 +490,57 @@ class _Dense:
     matrix = normalize  # the elements already are the matrices
 
 
-def _segment_products(kernel, elems: np.ndarray, starts: np.ndarray, lengths: np.ndarray):
-    """Ordered product of every run elems[s : s + n], (s, n) in zip(starts,
-    lengths), by pairwise reduction vectorised across the runs."""
-    if starts.size == 1:
-        rows = elems[None]
-    else:
-        offsets = np.arange(int(lengths.max()))
-        rows = np.take(elems, np.minimum(starts[:, None] + offsets, len(elems) - 1), axis=0)
-        rows[offsets >= lengths[:, None]] = kernel.identity
-    width = rows.shape[1]
+def _reduction_plan(kernel, rows: np.ndarray) -> list:
+    """Pairwise reduction of rows along their first axis, in place, as a
+    list of levels: the kernel's operands composing each pair into
+    the front of rows, and the (to, from) rows moving an odd last element
+    behind them."""
+    plan = []
+    width = len(rows)
     while width > 1:
-        even = width - width % 2
-        pairs = kernel.compose(rows[:, 1:even:2], rows[:, 0:even:2])
-        rows = np.concatenate([pairs, rows[:, even:]], axis=1) if width % 2 else pairs
-        width = rows.shape[1]
-    return rows[:, 0]
+        half = width // 2
+        pairs = kernel.operands(rows[1 : 2 * half : 2], rows[0 : 2 * half : 2], rows[:half])
+        plan.append((pairs, (rows[half], rows[width - 1]) if width % 2 else None))
+        width -= half
+    return plan
+
+
+def _segment_products(kernel, elems: np.ndarray, cuts: np.ndarray) -> np.ndarray:
+    """Ordered products of the runs of elems between the cuts (offsets into
+    elems), as an (n_runs, ...) array, by pairwise reduction vectorised
+    across the runs. The reduction runs in place: in elems itself for one
+    run, else in the kernel's gather buffer, which holds step k of every
+    run in row k, the runs shorter than the longest padded with the
+    identity."""
+    if cuts.size == 0:
+        rows, plan = elems, kernel.plan(elems)
+    else:
+        starts = np.concatenate(([0], cuts))
+        lengths = np.diff(starts, append=len(elems))
+        rows, index, pad = kernel.rows(int(lengths.max()), starts.size)
+        offsets = np.arange(len(rows))[:, None]
+        np.add(offsets, starts, out=index)
+        np.take(elems, index, axis=0, out=rows, mode="clip")
+        np.greater_equal(offsets, lengths, out=pad)
+        rows[pad] = kernel.identity
+        plan = _reduction_plan(kernel, rows)
+    for pairs, move in plan:
+        kernel.run(*pairs)
+        if move is not None:
+            move[0][...] = move[1]
+    return rows[0] if cuts.size else rows[:1]
 
 
 def _prefix_products(kernel, elems: np.ndarray) -> np.ndarray:
-    """Running products elems[k] @ ... @ elems[0] for every k."""
+    """Running products elems[k] @ ... @ elems[0] for every k, by doubling
+    between elems and the kernel's spare buffer; returns the one holding
+    them."""
+    spare = kernel.spare(len(elems))
     shift = 1
     while shift < len(elems):
-        elems = np.concatenate([elems[:shift], kernel.compose(elems[shift:], elems[:-shift])])
+        spare[:shift] = elems[:shift]
+        kernel.compose(elems[shift:], elems[:-shift], out=spare[shift:])
+        elems, spare = spare, elems
         shift *= 2
     return elems
 
@@ -394,6 +576,16 @@ def _check_samples(h: np.ndarray, m: int, d: int) -> np.ndarray:
     return h
 
 
+def _check_field(f: FieldSchedule, t_end: float) -> None:
+    """A record's samples over [0, t_end] are finite when its fields are and
+    its phase is at both ends: the phase at a midpoint rounds between them,
+    and the other components are bounded by the fields."""
+    ends = (0.0, t_end) if f.sign > 0 else (f.t_end - t_end, f.t_end)
+    phases = tuple(f.gamma * s + f.phase0 for s in ends)
+    if not all(map(math.isfinite, (f.vertical, f.omega1, f.gamma, f.phase0) + phases)):
+        raise ValueError("schedule produced a non-finite Hamiltonian sample")
+
+
 def integrate(
     schedule: Callable[[np.ndarray], np.ndarray],
     t_end: float,
@@ -407,7 +599,8 @@ def integrate(
     midpoint exponentials.
 
     schedule        t -> Hamiltonian; called with arrays of midpoints when
-                    it accepts them, per midpoint otherwise
+                    it accepts them, per midpoint otherwise. A FieldSchedule
+                    is read as its components instead of being called.
     t_end           final time (>= 0)
     steps_per_unit  step density; the step count is steps_per_unit * t_end
                     rounded, unless total_steps is given explicitly
@@ -433,9 +626,15 @@ def integrate(
         )
 
     dt = t_end / n_steps if n_steps else 0.0
-    # the first block doubles as the dimension probe (t = 0 without steps)
-    h, sample = _sampler(schedule, (np.arange(min(max(n_steps, 1), BLOCK_STEPS)) + 0.5) * dt)
-    d = h.shape[-1]
+    m = min(max(n_steps, 1), BLOCK_STEPS)
+    field = isinstance(schedule, FieldSchedule)
+    if field:
+        _check_field(schedule, t_end)
+        d = 2
+    else:
+        # the first block doubles as the dimension probe (t = 0 without steps)
+        h, sample = _sampler(schedule, (np.arange(m) + 0.5) * dt)
+        d = h.shape[-1]
     if psi0 is None:
         psi0 = np.zeros(d, dtype=complex)
         psi0[0] = 1.0
@@ -444,30 +643,46 @@ def integrate(
         eye = np.eye(d, dtype=complex)[None]
         return Trajectory(np.zeros(1), psi0[None, :], eye, schedule)
 
-    kernel = _SU2 if d == 2 else _Dense(d)
+    kernel = _SU2(m) if d == 2 else _Dense(d)
     n_rec = int(min(max(2, samples), n_steps + 1))
-    bounds = np.unique(np.round(np.linspace(0, n_steps, n_rec)).astype(int))
+    bounds = np.round(np.linspace(0, n_steps, n_rec)).astype(int)
+    bounds = bounds[np.diff(bounds, prepend=-1) > 0]  # ascending, so unique is a diff
     ends = bounds[1:]
-    recorded, recorded_phase = [kernel.identity[None]], [np.zeros(1)]
-    carry, carry_phase = kernel.identity, 0.0
+    recorded = np.empty((bounds.size,) + kernel.identity.shape, dtype=complex)
+    recorded[0] = kernel.identity
+    recorded_phase = np.zeros(bounds.size)  # stays 0 where no phase is kept apart
+    carry, carry_phase, done = kernel.identity, 0.0, 1
     for start in range(0, n_steps, BLOCK_STEPS):
         stop = min(start + BLOCK_STEPS, n_steps)
-        if start:
-            h = sample((np.arange(start, stop) + 0.5) * dt)
-        elems, c = kernel.exp(_check_samples(h, stop - start, d), dt)
-        inner = ends[np.searchsorted(ends, start, "right") : np.searchsorted(ends, stop)]
-        seg_starts = np.concatenate(([start], inner)) - start
-        seg_stops = np.concatenate((inner, [stop])) - start
-        segs = _segment_products(kernel, elems, seg_starts, seg_stops - seg_starts)
-        total = kernel.compose(_prefix_products(kernel, segs), carry)
-        total_phase = carry_phase + dt * np.cumsum(np.add.reduceat(c, seg_starts))
-        keep = inner.size + int(ends[np.searchsorted(ends, stop)] == stop)
-        recorded.append(total[:keep])
-        recorded_phase.append(total_phase[:keep])
-        carry, carry_phase = kernel.normalize(total[-1]), total_phase[-1]
+        c = None
+        if field:
+            elems = kernel.exp(kernel.field(schedule, start, stop, dt), stop - start, dt)
+        else:
+            if start:
+                h = sample((np.arange(start, stop) + 0.5) * dt)
+            h = _check_samples(h, stop - start, d)
+            if d == 2:
+                c = 0.5 * (h[:, 0, 0].real + h[:, 1, 1].real)
+                elems = kernel.exp(kernel.samples(h, c), stop - start, dt)
+            else:
+                elems = kernel.exp_samples(h, dt)
+        first, last = np.searchsorted(ends, start, "right"), np.searchsorted(ends, stop)
+        cuts = ends[first:last] - start
+        segs = _segment_products(kernel, elems, cuts)
+        prefix = _prefix_products(kernel, segs)
+        total = kernel.compose(prefix, carry, out=prefix)
+        keep = cuts.size + int(ends[last] == stop)
+        recorded[done : done + keep] = total[:keep]
+        if c is not None:
+            seg_phase = np.add.reduceat(c, np.concatenate(([0], cuts)))
+            total_phase = carry_phase + dt * np.cumsum(seg_phase)
+            recorded_phase[done : done + keep] = total_phase[:keep]
+            carry_phase = total_phase[-1]
+        carry = kernel.normalize(total[-1])
+        done += keep
 
-    phase = np.exp(-1j * np.concatenate(recorded_phase))
-    props = kernel.matrix(np.concatenate(recorded)) * phase[:, None, None]
+    phase = np.exp(-1j * recorded_phase)
+    props = kernel.matrix(recorded) * phase[:, None, None]
     states = np.einsum("kij,j->ki", props, psi0)
     times = bounds * dt
     times[-1] = t_end
@@ -484,10 +699,9 @@ def integrate_loop(
     samples: int = 257,
 ) -> Trajectory:
     """Integrator run over `revolutions` full revolutions of the field."""
-    schedule = (lambda t: h_compensated(p, t)) if compensated else (lambda t: h_rotating(p, t))
     t_end = revolutions * loop_duration(p)
     return integrate(
-        schedule,
+        FieldSchedule.of(p, compensated),
         t_end,
         total_steps=max(1, int(round(steps_per_loop * revolutions))),
         psi0=psi0,

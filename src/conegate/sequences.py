@@ -31,7 +31,7 @@ from typing import Union
 
 import numpy as np
 
-from .hamiltonians import FieldParams, h_compensated, h_rotating
+from .hamiltonians import FieldParams, FieldSchedule
 from .linalg import SIGMA_Z
 from .phases import two_qubit_loop_params
 from .propagation import (
@@ -40,7 +40,6 @@ from .propagation import (
     _propagator_entries,
     _rot_z_entries,
     integrate,
-    loop_duration,
     rot_z,  # the z rotation, exported beside rot_x and rot_y
 )
 
@@ -348,32 +347,29 @@ def _pulse_blocks(step: PulsePrimitive, dim: int) -> list:
     return [(_expi(half_t * e), 0j, 0j, _expi(-(half_t * e))) for e in _sector_offsets(step, dim)]
 
 
-def _loop_fields(step: FieldLoop) -> list[FieldParams]:
-    """Single-spin field of each 2x2 block of a loop: the loop's own field,
-    or for a conditional loop one per spin-b sector (b-up first), each
-    seeing the vertical offset delta + j or delta - j."""
-    if isinstance(step.params, FieldParams):
-        return [step.params]
-    cl = step.params
-    return [
-        FieldParams(
-            omega0=cl.delta + sgn * cl.j,
-            omega1=cl.setting.omega1,
-            gamma=cl.setting.gamma,
-            omega_z=cl.setting.gamma if step.compensated else 0.0,
-            phase0=cl.phase0,
-        )
-        for sgn in (+1, -1)
-    ]
+def _loop_fields(step: FieldLoop) -> list[tuple]:
+    """Single-spin field (omega0, omega1, gamma, phase0) of each 2x2 block of
+    a loop: the loop's own field, or for a conditional loop one per spin-b
+    sector (b-up first), each seeing the vertical offset delta + j or
+    delta - j."""
+    p = step.params
+    if isinstance(p, FieldParams):
+        return [(p.omega0, p.omega1, p.gamma, p.phase0)]
+    s = p.setting
+    return [(p.delta + sgn * p.j, s.omega1, s.gamma, p.phase0) for sgn in (+1, -1)]
+
+
+def _loop_duration(step: FieldLoop, gamma: float) -> float:
+    return step.revolutions * (2 * np.pi / abs(gamma))
 
 
 def _loop_closed_form(step: FieldLoop) -> list:
     """Closed-form blocks of a field loop (entry 4-tuples), one per field;
     sign = -1 takes the adjoint."""
     blocks = []
-    for p in _loop_fields(step):
+    for omega0, omega1, gamma, phase0 in _loop_fields(step):
         u00, u01, u10, u11 = _propagator_entries(
-            p, step.revolutions * loop_duration(p), step.compensated)
+            omega0, omega1, gamma, phase0, _loop_duration(step, gamma), step.compensated)
         if step.sign < 0:
             u00, u01, u10, u11 = (u00.conjugate(), u10.conjugate(),
                                   u01.conjugate(), u11.conjugate())
@@ -388,17 +384,17 @@ def _integrate_loop(step: FieldLoop, dim: int, steps_per_loop: int, samples: int
     dimension dim); sign = -1 runs the negated Hamiltonian backwards.
     """
     fields = _loop_fields(step)
-    duration = step.revolutions * loop_duration(fields[0])
-    h = h_compensated if step.compensated else h_rotating
-    if step.sign < 0:
-        schedules = [lambda t, p=p: -h(p, duration - np.asarray(t)) for p in fields]
-    else:
-        schedules = [lambda t, p=p: h(p, t) for p in fields]
+    duration = _loop_duration(step, fields[0][2])
+    schedules = [
+        FieldSchedule(omega0 + gamma if step.compensated else omega0, omega1, gamma, phase0,
+                      step.sign, duration)
+        for omega0, omega1, gamma, phase0 in fields
+    ]
     n = max(1, int(round(steps_per_loop * step.revolutions)))
     runs = [integrate(s, duration, total_steps=n, samples=samples) for s in schedules]
 
     def hamiltonian_at(t):
-        return _block_diag([np.asarray(s(t), dtype=complex) for s in schedules], dim)
+        return _block_diag([s(t) for s in schedules], dim)
 
     return duration, runs, hamiltonian_at
 
@@ -558,23 +554,27 @@ def _step_to_dict(step: PulsePrimitive) -> dict:
     }
 
 
-def _number(doc: dict, key: str, path: str, default: float | None = None) -> float:
-    """doc[key] as a finite float (default when absent, if one is given);
-    errors name the field by its path in the document."""
-    if key not in doc:
-        if default is None:
-            raise ValueError(f"{path}.{key}: missing field")
-        return default
-    value = doc[key]
+def _finite(value, where: str) -> float:
+    """A document's value as a finite float; errors name the field by its
+    path in the document, where."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ValueError(f"{path}.{key}: expected a finite number")
+        raise ValueError(f"{where}: expected a finite number")
     try:
         value = float(value)
     except OverflowError:  # an integer beyond the float range
         value = math.inf
     if not math.isfinite(value):
-        raise ValueError(f"{path}.{key}: expected a finite number")
+        raise ValueError(f"{where}: expected a finite number")
     return value
+
+
+def _number(doc: dict, key: str, path: str, default: float | None = None) -> float:
+    """doc[key] as a finite float (default when absent, if one is given)."""
+    if key not in doc:
+        if default is None:
+            raise ValueError(f"{path}.{key}: missing field")
+        return default
+    return _finite(doc[key], f"{path}.{key}")
 
 
 def _object(value, path: str) -> dict:

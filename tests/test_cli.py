@@ -587,3 +587,61 @@ class TestStepBudget:
         assert code == 2
         assert out == ""
         assert "60000000 steps requested, at most 50,000,000 allowed" in err
+
+
+class TestParserReuse:
+    """main builds its parser once; nothing of one call leaks into the next."""
+
+    def test_a_given_flag_does_not_stick(self, capsys):
+        code, out, _ = run_cli(["gate", "phase", "--theta", "1.0", "--steps", "500"], capsys)
+        assert code == 0
+        assert "# theta = 1.0" in out
+        code, out, _ = run_cli(["gate", "phase", "--steps", "500"], capsys)
+        assert code == 0
+        assert "# theta =" not in out
+        assert f"theta0 = {np.pi / 3:.12g}" in out
+
+    def test_version_twice(self, capsys):
+        for _ in range(2):
+            code, out, _ = run_cli(["--version"], capsys)
+            assert code == 0
+            assert out.startswith("conegate ")
+
+
+class TestFieldNamingErrors:
+    @pytest.mark.parametrize(
+        "initial_state, message",
+        [
+            ([[1, 0], [0, 0], [0, 0]], "initial_state: expected 2 [re, im] pairs"),
+            ([[1, 0], "x"], "initial_state[1]: expected a [re, im] pair"),
+            ([[1, 0], [0, True]], "initial_state[1][1]: expected a finite number"),
+            ([["1", 0], [0, 0]], "initial_state[0][0]: expected a finite number"),
+            ({"re": 1}, "initial_state: expected 2 [re, im] pairs"),
+        ],
+    )
+    def test_malformed_initial_state(self, initial_state, message, tmp_path, capsys):
+        doc = loop_schedule_doc()
+        doc["initial_state"] = initial_state
+        path = tmp_path / "schedule.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run_cli(["evolve", "--schedule", str(path), "--steps", "100"], capsys)
+        assert code == 2
+        assert out == ""
+        assert err == f"error: {message}\n"
+
+    def test_two_qubit_initial_state_needs_four_pairs(self, tmp_path, capsys):
+        doc = {"frame": "two-qubit-rotating",
+               "steps": [{"op": "rot_x", "angle": 1.0}],
+               "initial_state": [[1, 0], [0, 0]]}
+        path = tmp_path / "schedule.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run_cli(["evolve", "--schedule", str(path)], capsys)
+        assert code == 2
+        assert err == "error: initial_state: expected 4 [re, im] pairs\n"
+
+    @pytest.mark.parametrize("value", ["inf", "-inf", "nan"])
+    def test_non_finite_delta_over_j_names_the_flag(self, value, capsys):
+        code, out, err = run_cli(["gate", "cphase", "--delta-over-j", value], capsys)
+        assert code == 2
+        assert out == ""
+        assert "--delta-over-j" in err

@@ -8,7 +8,9 @@ from conegate import propagation
 from conegate.gates import hadamard_recipe
 from conegate.hamiltonians import (
     FieldParams,
+    FieldSchedule,
     SpeedProfile,
+    h_compensated,
     h_profile,
     h_rotating,
     h_two_qubit_rotating,
@@ -332,7 +334,9 @@ class TestStackedClosedForms:
             t = np.concatenate([[0.0], rng.uniform(0, 20, 499)])
             stacked = propagator(p, t)
             assert np.array_equal(np.array([propagator(p, x) for x in t.tolist()]), stacked)
-            entries = np.array([_propagator_entries(p, x, compensated) for x in t.tolist()])
+            entries = np.array([
+                _propagator_entries(p.omega0, p.omega1, p.gamma, p.phase0, x, compensated)
+                for x in t.tolist()])
             # the same closed form with the frame product taken in Python
             assert np.max(np.abs(entries.reshape(-1, 2, 2) - stacked)) <= 4.5e-16
 
@@ -494,3 +498,79 @@ class TestChunkedIntegrator:
         with pytest.raises(RuntimeError, match="schedule table missing"):
             integrate(broken, 1.0, total_steps=10)
         assert len(calls) == 1  # no scalar retry hides the error
+
+
+class TestFieldScheduleComponents:
+    """integrate reads a FieldSchedule as its components; the result is the
+    callable path's, bit for bit."""
+
+    @pytest.mark.parametrize("compensated", [True, False])
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_component_path_is_the_callable_path(self, compensated, sign, rng):
+        h = h_compensated if compensated else h_rotating
+        for n in (1, 7, BLOCK_STEPS - 1, BLOCK_STEPS, BLOCK_STEPS + 1, 2 * BLOCK_STEPS + 5):
+            gamma = rng.choice([-1.0, 1.0]) * rng.uniform(0.2, 3.0)
+            p = FieldParams(rng.uniform(-2, 2), rng.uniform(0.1, 2), gamma,
+                            omega_z=gamma if compensated else 0.0,
+                            phase0=rng.uniform(-3, 3))
+            t_end = rng.uniform(0.5, 2.5) * loop_duration(p)
+            record = FieldSchedule.of(p, compensated)
+            if sign < 0:
+                record = FieldSchedule(record.vertical, p.omega1, p.gamma, p.phase0, -1, t_end)
+
+                def schedule(t):
+                    return -h(p, t_end - np.asarray(t))
+            else:
+                def schedule(t):
+                    return h(p, t)
+            for samples in (2, 257, n + 1):
+                fast = integrate(record, t_end, total_steps=n, samples=samples)
+                slow = integrate(schedule, t_end, total_steps=n, samples=samples)
+                assert np.array_equal(fast.times, slow.times)
+                assert np.array_equal(fast.propagators, slow.propagators)
+                assert np.array_equal(fast.states, slow.states)
+
+    def test_record_is_the_hamiltonian(self, rng):
+        p = FieldParams(0.8, 1.1, -1.3, omega_z=-1.3, phase0=0.4)
+        traj = integrate_loop(p, True, steps_per_loop=3000, samples=101)
+        assert isinstance(traj.hamiltonian_at, FieldSchedule)
+        assert np.array_equal(traj.hamiltonian_at(traj.times), h_compensated(p, traj.times))
+        t = rng.uniform(0, 10, 50)
+        assert np.array_equal(traj.hamiltonian_at(t), h_compensated(p, t))
+        assert np.array_equal(traj.hamiltonian_at(1.5), h_compensated(p, 1.5))
+        backwards = FieldSchedule.of(p, True)
+        backwards = FieldSchedule(backwards.vertical, p.omega1, p.gamma, p.phase0, -1, 2.0)
+        assert np.array_equal(backwards(t), -h_compensated(p, 2.0 - t))
+
+    def test_record_checks_compensation(self):
+        with pytest.raises(ValueError, match="compensation misconfigured"):
+            FieldSchedule.of(FieldParams(1.0, 1.0, -2.0), compensated=True)
+
+    def test_non_finite_phase_is_refused(self):
+        record = FieldSchedule(1.0, 1.0, 1e300, 0.0)
+        with pytest.raises(ValueError, match="non-finite Hamiltonian sample"):
+            integrate(record, 1e10, total_steps=10)
+
+    @pytest.mark.parametrize("schedule", ["record", "profile"])
+    def test_trig_table_is_bitwise(self, schedule, monkeypatch):
+        # a field loop's step norms span a few floats and take the table;
+        # a speed profile's span many and take the direct path
+        n = BLOCK_STEPS + 9
+        p = FieldParams(0.3, 2.7, 1.7, omega_z=1.7, phase0=0.1)
+        if schedule == "record":
+            record = FieldSchedule.of(p, True)
+            args = (record, 1500.0)  # long steps: neighbouring norms differ in cos and sin
+            kernel = propagation._SU2(BLOCK_STEPS)
+            kernel.exp(kernel.field(record, 0, BLOCK_STEPS, 1500.0 / n), BLOCK_STEPS, 1500.0 / n)
+            assert np.unique(kernel._block(BLOCK_STEPS).r).size > 1
+        else:
+            profile = SpeedProfile.from_samples(np.linspace(0, 3, 5), [0.5, 2.0, 3.0, 1.0, 0.2])
+            args = (lambda t: h_profile(p, profile, t), profile.duration)
+        table = integrate(*args, total_steps=n, samples=33)
+        monkeypatch.setattr(propagation, "TRIG_TABLE", 0)
+        direct = integrate(*args, total_steps=n, samples=33)
+        assert np.array_equal(table.propagators, direct.propagators)
+
+    def test_zero_field_steps_are_the_identity(self):
+        traj = integrate(FieldSchedule(0.0, 0.0, 1.0), 2.0, total_steps=10, samples=3)
+        assert np.array_equal(traj.propagators, np.broadcast_to(np.eye(2), (3, 2, 2)))
