@@ -460,6 +460,30 @@ class TestSweepArrays:
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == digest
 
+    @pytest.mark.parametrize(
+        "schedule, extra, digest",
+        [
+            ("tilted", [], "d61d9afbadef8546a4d84c3044226c70e71d74a00d6e5e9aba2feca94a12f8c7"),
+            ("conditional", [], "b81325cf8f3918c39423322afecc9cd5a69e6886430797313b4290a8f565f111"),
+            ("conditional", ["--t-end", "1.0"], "f466c6e1f21bbd4d5e339165f403103bf42f46393085eda0bbbc62afb6389575"),
+        ],
+    )
+    def test_pinned_evolve_digest(self, schedule, extra, digest, tmp_path, capsys,
+                                  monkeypatch):
+        # the header echoes the schedule path, so it is a fixed relative name
+        from conegate.gates import phase_gate_recipe
+        from conegate.sequences import build_conditional_loop, sequence_to_dict
+
+        seq = (phase_gate_recipe(1.0).sequence if schedule == "tilted"
+               else build_conditional_loop(1.8, 1.0))
+        monkeypatch.delenv("CONEGATE_STEPS", raising=False)
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "schedule.json").write_text(json.dumps(sequence_to_dict(seq)))
+        code, out, _ = run_cli(["evolve", "--schedule", "schedule.json", "--steps", "2000"]
+                               + extra, capsys)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
 
 class TestSweepBounds:
     @pytest.mark.parametrize(
