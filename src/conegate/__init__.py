@@ -10,22 +10,12 @@ controlled-NOT gates that are verified by simulation.
 
 from .hamiltonians import (
     FieldParams,
-    SpeedProfile,
-    TwoQubitParams,
-    effective_offset,
     h_compensated,
-    h_profile,
-    h_rotating,
     h_two_qubit_rotating,
-    h_two_qubit_static,
-    to_rotating_frame,
 )
 from .linalg import (
     bloch_vector,
-    eigensystem_2x2,
     fidelity,
-    mat_exp_hermitian,
-    tensor,
 )
 from .phases import (
     ConeGeometry,
@@ -43,9 +33,7 @@ from .propagation import (
     adiabatic_error,
     integrate,
     integrate_loop,
-    integrate_profile,
     loop_duration,
-    loop_with_profile,
     propagator_compensated,
     propagator_uncompensated,
 )
@@ -61,7 +49,6 @@ from .sequences import (
     apply_sequence,
     build_conditional_loop,
     build_s_operation,
-    from_json,
     invert_sequence,
     s_operation_params,
     sequence_trajectory,
@@ -71,16 +58,12 @@ from .sequences import (
 from .gates import (
     GateRecipe,
     cnot_recipe,
-    conditional_phase_correction,
     conditional_phase_diag,
     conditional_recipe,
-    conjugated_loop_gate,
     hadamard_recipe,
     not_recipe,
     phase_gate,
     phase_gate_recipe,
-    solve_hadamard,
-    solve_not,
     verify_gate,
 )
 

@@ -32,7 +32,7 @@ from .gates import (
 )
 from .hamiltonians import FieldParams
 from .linalg import bloch_vector
-from .phases import cone_eigenstate
+from .phases import cone_eigenstate, running_dynamical_phase
 from .propagation import loop_infidelities
 from .sequences import (
     SINGLE_QUBIT,
@@ -71,6 +71,8 @@ def _fmt(x: float) -> str:
 
 
 def _parse_range(text: str, flag: str) -> np.ndarray:
+    if not isinstance(text, str):
+        raise ConfigError(f"{flag} must look like start:stop:step, got {text!r}")
     try:
         start_s, stop_s, step_s = text.split(":")
         start, stop, step = float(start_s), float(stop_s), float(step_s)
@@ -100,6 +102,16 @@ def _int_option(value, name: str) -> int:
         return int(value)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"{name} must be an integer, got {value!r}") from exc
+
+
+def _float_option(value, name: str) -> float:
+    """value as a float; a bool, or anything float() cannot read, is refused."""
+    if isinstance(value, bool):
+        raise ConfigError(f"{name} must be a number, got {value!r}")
+    try:
+        return float(value)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{name} must be a number, got {value!r}") from exc
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -148,10 +160,11 @@ def _write_output(config: RunConfig, columns: dict, out: str | None, fmt: str) -
 def cmd_scurve(config: RunConfig) -> int:
     v = config.values
     omega1_values = _parse_range(v["omega1_range"], "--omega1-range")
-    delta_text = str(v["delta_over_j"])
-    delta_values = _parse_range(delta_text, "--delta-over-j") if ":" in delta_text else np.array(
-        [float(delta_text)]
-    )
+    delta_arg = v["delta_over_j"]
+    if isinstance(delta_arg, str) and ":" in delta_arg:
+        delta_values = _parse_range(delta_arg, "--delta-over-j")
+    else:
+        delta_values = np.array([_float_option(delta_arg, "--delta-over-j")])
     _check_points(delta_values.size * omega1_values.size, "--delta-over-j x --omega1-range")
     # delta is the outer loop of the grid, omega1 the inner one
     delta = np.repeat(delta_values, omega1_values.size)
@@ -219,7 +232,7 @@ def cmd_evolve(config: RunConfig) -> int:
     t_end = v.get("t_end")
     mask = slice(None)
     if t_end is not None:
-        mask = traj.times <= float(t_end) + 1e-15
+        mask = traj.times <= _float_option(t_end, "--t-end") + 1e-15
 
     has_loop = any(isinstance(s, FieldLoop) for s in seq.steps)
     if has_loop:
@@ -250,19 +263,6 @@ def _trajectory_columns(traj, dim: int, mask=slice(None)) -> dict:
         return cols
     times = traj.times[mask]
     states = traj.states[mask]
-    running = np.zeros(times.size)
-    if times.size > 1:
-        # evaluate each interval's endpoint Hamiltonians nudged inside the
-        # interval, so samples shared between a hard pulse and two timed
-        # segments pair with the segment that actually covers the interval
-        dt = np.diff(times)
-        t_left = times[:-1] + 1e-9 * dt
-        t_right = times[1:] - 1e-9 * dt
-        h_left = np.asarray(traj.hamiltonian_at(t_left), dtype=complex)
-        h_right = np.asarray(traj.hamiltonian_at(t_right), dtype=complex)
-        e_left = np.einsum("ki,kij,kj->k", states[:-1].conj(), h_left, states[:-1]).real
-        e_right = np.einsum("ki,kij,kj->k", states[1:].conj(), h_right, states[1:]).real
-        running[1:] = -np.cumsum(0.5 * (e_left + e_right) * dt)
     cols["t"] = times
     for k in range(dim):
         cols[f"re_amp{k}"] = states[:, k].real
@@ -272,7 +272,7 @@ def _trajectory_columns(traj, dim: int, mask=slice(None)) -> dict:
         cols["bloch_x"] = bloch[:, 0]
         cols["bloch_y"] = bloch[:, 1]
         cols["bloch_z"] = bloch[:, 2]
-    cols["dynamical_phase"] = running
+    cols["dynamical_phase"] = running_dynamical_phase(traj, mask)
     return cols
 
 
@@ -292,7 +292,7 @@ def cmd_gate(config: RunConfig) -> int:
                           "which prints a text report")
 
     if name == "phase":
-        theta = float(_option(v, "theta", np.pi / 3))
+        theta = _float_option(_option(v, "theta", np.pi / 3), "--theta")
         loops = _int_option(_option(v, "loops", 1), "--loops")
         if not 0.0 < theta < np.pi:
             raise ConfigError(f"--theta must lie strictly inside (0, pi), got {theta!r}")
@@ -311,7 +311,7 @@ def cmd_gate(config: RunConfig) -> int:
     elif name == "not":
         recipe = not_recipe()
     elif name == "cphase":
-        delta = float(_option(v, "delta_over_j", 1.058))
+        delta = _float_option(_option(v, "delta_over_j", 1.058), "--delta-over-j")
         if not (math.isfinite(delta) and delta > 1.0):
             raise ConfigError(f"--delta-over-j must be finite and exceed 1 (delta > j), "
                               f"got {delta!r}")
@@ -347,7 +347,7 @@ def _print_gate_report(config: RunConfig, target, parameters: dict, fid: float,
 
 def cmd_compare_adiabatic(config: RunConfig) -> int:
     v = config.values
-    theta = float(_option(v, "theta", np.pi / 4))
+    theta = _float_option(_option(v, "theta", np.pi / 4), "--theta")
     if not 0 < theta < np.pi / 2:
         raise ConfigError("theta must lie in (0, pi/2) so the field has a vertical part")
     gammas = _parse_range(v["gamma_range"], "--gamma-range")
@@ -458,6 +458,9 @@ def _effective_config(args: argparse.Namespace) -> RunConfig:
     for key in _REQUIRED[args.command]:
         if values.get(key) in (None, ""):
             raise ConfigError(f"missing required option --{key.replace('_', '-')}")
+    for key in ("schedule", "out"):
+        if values.get(key) is not None and not isinstance(values[key], str):
+            raise ConfigError(f"--{key} must be a file path, got {values[key]!r}")
     if _int_option(values["steps"], "--steps") < 1:
         raise ConfigError("steps must be positive")
     return RunConfig(command=args.command, values=values)

@@ -1,26 +1,22 @@
-"""Geometric gate constructors and recipe solvers: diagonal phase gates
-from tilted-axis loops, the Hadamard and NOT built on them, the
-conditional phase gate, and the controlled-NOT composition.
+"""Geometric gate constructors: diagonal phase gates from tilted-axis
+loops, the Hadamard and NOT built on them, the conditional phase gate, and
+the controlled-NOT composition.
 
 Every recipe records a pulse program whose loops can be re-simulated with
 the stepped integrator; verify_gate fills the recipe fidelity from that
-simulation. Diagonal phase conventions: one simulated compensated loop
-advances the relative diagonal phase by -2 pi cos(theta0) per revolution
-(relative_winding = 1); relative_winding = 2 selects the doubled-phase
-convention, which counts twice that per loop.
+simulation. Diagonal phase convention: one simulated compensated loop
+advances the relative diagonal phase by -2 pi cos(theta0) per revolution.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .hamiltonians import FieldParams
-from .linalg import IDENTITY_2, fidelity
+from .linalg import fidelity
 from .phases import (
-    canonical_phase,
     compensation_gamma,
     geometric_phase_cone,
     two_qubit_loop_params,
@@ -79,9 +75,9 @@ def _bisect(f, lo: float, hi: float, tol: float = 1e-14, max_iter: int = 200) ->
     return 0.5 * (lo + hi)
 
 
-def phase_gate(theta0: float, loops: int = 1, relative_winding: int = 1) -> np.ndarray:
+def phase_gate(theta0: float, loops: int = 1) -> np.ndarray:
     """Diagonal phase gate diag(e^{-i n pi cos theta0}, e^{+i n pi cos theta0})
-    with n = relative_winding * loops, up to global phase.
+    with n = loops, up to global phase.
 
     theta0 is the tilt of the loop axis away from the qubit axis; the
     degenerate tilts 0 and pi are rejected.
@@ -90,10 +86,7 @@ def phase_gate(theta0: float, loops: int = 1, relative_winding: int = 1) -> np.n
         raise ValueError("theta0 must lie strictly inside (0, pi)")
     if loops < 1 or int(loops) != loops:
         raise ValueError("loops must be a positive integer")
-    if relative_winding not in (1, 2):
-        raise ValueError("relative_winding must be 1 or 2")
-    n = relative_winding * loops
-    x = n * np.pi * np.cos(theta0)
+    x = loops * np.pi * np.cos(theta0)
     return np.diag([np.exp(-1j * x), np.exp(1j * x)]).astype(complex)
 
 
@@ -129,7 +122,7 @@ def _phase_loop_tilt(theta0: float) -> float:
 def phase_gate_recipe(theta0: float, loops: int = 1) -> GateRecipe:
     """Pulse program for the phase gate: conjugate a tilted compensated
     loop into the qubit frame with a y-rotation pair."""
-    target = phase_gate(theta0, loops, relative_winding=1)
+    target = phase_gate(theta0, loops)
     tilt = _phase_loop_tilt(theta0)
     seq = PulseSequence(
         (RotY(tilt), _tilted_loop(tilt, revolutions=float(loops)), RotY(-tilt)),
@@ -143,7 +136,7 @@ def phase_gate_recipe(theta0: float, loops: int = 1) -> GateRecipe:
     )
 
 
-def conjugated_loop_gate(theta0: float, gamma_phase: float) -> np.ndarray:
+def _conjugated_loop_gate(theta0: float, gamma_phase: float) -> np.ndarray:
     """Gate of one loop whose eigenbasis is tilted by theta0 about y:
     R_y(theta0) diag(e^{i G}, e^{-i G}) R_y(-theta0), evaluated exactly."""
     cg, sg = np.cos(gamma_phase), np.sin(gamma_phase)
@@ -179,7 +172,7 @@ def hadamard_recipe() -> GateRecipe:
     """
     theta0 = _hadamard_root()
     gamma_phase = geometric_phase_cone(theta0)
-    w = conjugated_loop_gate(theta0, gamma_phase)
+    w = _conjugated_loop_gate(theta0, gamma_phase)
     # diag(e^{i a}, 1) @ w @ diag(e^{i b}, 1) = e^{i chi} H, solved entrywise;
     # consistency of the remaining entry is certified by the fidelity gate.
     chi = float(np.angle(-np.sqrt(2) * w[1, 1]))
@@ -205,31 +198,16 @@ def hadamard_recipe() -> GateRecipe:
     )
 
 
-def _certified(recipe: GateRecipe, steps_per_loop: int) -> GateRecipe:
-    verify_gate(recipe, steps_per_loop=steps_per_loop)
-    if recipe.fidelity < FIDELITY_ACCEPT:
-        raise ValueError(f"{recipe.name} recipe failed verification")
-    return recipe
-
-
-def solve_hadamard(steps_per_loop: int = 10_000) -> GateRecipe:
-    """hadamard_recipe(), accepted only above simulated fidelity 1 - 1e-6."""
-    return _certified(hadamard_recipe(), steps_per_loop)
-
-
-def not_recipe(loops: int = 1, relative_winding: int = 1) -> GateRecipe:
+def not_recipe(loops: int = 1) -> GateRecipe:
     """NOT gate as a phase gate conjugated by two Hadamards, not yet verified.
 
-    Solves n pi cos(theta0) = pi/2 for the tilt (n = relative_winding *
-    loops), so the conjugated gate is sigma_x up to global phase. The
-    doubled-phase convention (relative_winding = 2, loops = 1) lands at
-    cos(theta0) = 1/4; the simulated single-loop convention at 1/2.
+    Solves loops pi cos(theta0) = pi/2 for the tilt, so the conjugated gate
+    is sigma_x up to global phase: cos(theta0) = 1/2 for one loop, 1/4 for
+    two.
     """
-    n = relative_winding * loops
-    theta0 = _bisect(lambda th: n * np.pi * np.cos(th) - np.pi / 2, 1e-9, np.pi / 2)
+    theta0 = _bisect(lambda th: loops * np.pi * np.cos(th) - np.pi / 2, 1e-9, np.pi / 2)
     hadamard = hadamard_recipe()
-    # the realized program always uses single-winding loops
-    phase = phase_gate_recipe(theta0, loops=loops * relative_winding)
+    phase = phase_gate_recipe(theta0, loops=loops)
     seq = PulseSequence(
         hadamard.sequence.steps + phase.sequence.steps + hadamard.sequence.steps,
         frame=SINGLE_QUBIT,
@@ -241,17 +219,10 @@ def not_recipe(loops: int = 1, relative_winding: int = 1) -> GateRecipe:
         parameters={
             "theta0": float(theta0),
             "loops": int(loops),
-            "relative_winding": int(relative_winding),
+            "relative_winding": 1,  # the report names its convention: one winding per loop
             "hadamard_theta0": hadamard.parameters["theta0"],
         },
     )
-
-
-def solve_not(
-    loops: int = 1, relative_winding: int = 1, steps_per_loop: int = 10_000
-) -> GateRecipe:
-    """not_recipe(), accepted only above simulated fidelity 1 - 1e-6."""
-    return _certified(not_recipe(loops, relative_winding), steps_per_loop)
 
 
 def conditional_phase_diag(delta: float, j: float) -> np.ndarray:
@@ -262,14 +233,6 @@ def conditional_phase_diag(delta: float, j: float) -> np.ndarray:
     g_minus = geometric_phase_cone(setting.theta_minus)
     return np.diag(
         np.exp(1j * np.array([g_plus, -g_plus, g_minus, -g_minus]))
-    ).astype(complex)
-
-
-def conditional_phase_correction(gamma_minus: float) -> np.ndarray:
-    """Single-spin diagonal correction I_b (x) diag(e^{-i G-}, e^{+i G-})
-    that turns the conditional diagonal into diag(-i, i, 1, 1)."""
-    return np.kron(
-        IDENTITY_2, np.diag([np.exp(-1j * gamma_minus), np.exp(1j * gamma_minus)])
     ).astype(complex)
 
 
@@ -355,16 +318,6 @@ def verify_gate(recipe: GateRecipe, steps_per_loop: int = 10_000) -> float:
 def apply_recipe(recipe: GateRecipe) -> np.ndarray:
     """Closed-form composition of the recipe's pulse program."""
     return apply_sequence(recipe.sequence, recipe.dim)
-
-
-# ---------------------------------------------------------------------------
-# export helpers
-
-
-def matrix_to_json(u: np.ndarray) -> str:
-    """Row-major [re, im] pair encoding of a gate matrix."""
-    entries = [[float(z.real), float(z.imag)] for z in np.asarray(u, dtype=complex).ravel()]
-    return json.dumps({"dim": int(u.shape[0]), "entries": entries})
 
 
 def format_matrix(u: np.ndarray, precision: int = 6) -> str:

@@ -1,5 +1,5 @@
 """Hamiltonian constructors for a spin in a rotating field and for a
-J-coupled spin pair, plus rotating-frame transformations.
+J-coupled spin pair in the doubly-rotating frame.
 
 Conventions, fixed once and used everywhere:
 
@@ -23,11 +23,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import IDENTITY_2, SIGMA_Z, require_hermitian, tensor
+from .linalg import IDENTITY_2, SIGMA_Z
 
-SIGMA_ZA = tensor(IDENTITY_2, SIGMA_Z)  # acts on spin a (low-order factor)
-SIGMA_ZB = tensor(SIGMA_Z, IDENTITY_2)  # acts on spin b (high-order factor)
-SIGMA_ZZ = tensor(SIGMA_Z, SIGMA_Z)
+SIGMA_ZA = np.kron(IDENTITY_2, SIGMA_Z)  # acts on spin a (low-order factor)
+SIGMA_ZZ = np.kron(SIGMA_Z, SIGMA_Z)
 
 
 @dataclass(frozen=True)
@@ -55,34 +54,6 @@ class FieldParams:
                 raise ValueError(f"FieldParams.{name} must be finite")
         if self.omega1 < 0:
             raise ValueError("omega1 must be nonnegative")
-
-
-@dataclass(frozen=True)
-class TwoQubitParams:
-    """Static parameters of the J-coupled spin pair and its RF drive.
-
-    delta = omega_a - omega_a_prime is the offset of the drive from the
-    bare resonance of spin a.
-    """
-
-    omega_a: float
-    omega_b: float
-    j: float
-    omega_a_prime: float
-    omega1: float = 0.0
-
-    def __post_init__(self) -> None:
-        for name in ("omega_a", "omega_b", "j", "omega_a_prime", "omega1"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"TwoQubitParams.{name} must be finite")
-        if self.j < 0:
-            raise ValueError("coupling j must be nonnegative")
-        if self.omega1 < 0:
-            raise ValueError("omega1 must be nonnegative")
-
-    @property
-    def delta(self) -> float:
-        return self.omega_a - self.omega_a_prime
 
 
 def _field_hamiltonian(omega_vert, omega1, phase) -> np.ndarray:
@@ -155,22 +126,6 @@ class FieldSchedule:
         return h if self.sign > 0 else -h
 
 
-def h_two_qubit_static(p: TwoQubitParams) -> np.ndarray:
-    """Diagonal pair Hamiltonian: Zeeman terms plus the zz coupling."""
-    return 0.5 * (
-        p.omega_a * SIGMA_ZA + p.omega_b * SIGMA_ZB + p.j * SIGMA_ZZ
-    )
-
-
-def effective_offset(p: TwoQubitParams, b_state: str) -> float:
-    """Vertical offset seen by spin a, conditioned on the state of spin b."""
-    if b_state == "up":
-        return p.delta + p.j
-    if b_state == "down":
-        return p.delta - p.j
-    raise ValueError("b_state must be 'up' or 'down'")
-
-
 def h_two_qubit_rotating(
     delta: float,
     j: float,
@@ -201,131 +156,3 @@ def h_two_qubit_rotating(
     h[..., 1, 0] = np.conj(off)
     h[..., 3, 2] = np.conj(off)
     return h
-
-
-def to_rotating_frame(
-    h_lab: np.ndarray, frame_speed: float, t: float
-) -> np.ndarray:
-    """Transform an instantaneous lab-frame Hamiltonian into the frame
-    rotating about z at `frame_speed`.
-
-    Returns R H R^-1 + i (dR/dt) R^-1 with R = exp(+i frame_speed sigma_z t / 2)
-    (for dimension 4 the frame rotates spin a only).
-    """
-    h_lab = require_hermitian(h_lab)
-    d = h_lab.shape[0]
-    if d == 2:
-        sz = SIGMA_Z
-    elif d == 4:
-        sz = SIGMA_ZA
-    else:
-        raise ValueError("to_rotating_frame supports dimensions 2 and 4")
-    half = 0.5 * frame_speed * t
-    r_diag = np.exp(1j * half * np.diag(sz).real)
-    h_rot = (r_diag[:, None] * h_lab) * r_diag.conj()[None, :]
-    return h_rot - 0.5 * frame_speed * sz
-
-
-@dataclass(frozen=True)
-class SpeedProfile:
-    """Rotation-speed schedule gamma_a(t) for one full field revolution.
-
-    The accumulated angle over the declared duration must be +-2pi within
-    1e-9; the sign selects the traversal sense. `kind` is "constant" or
-    "tabulated" (piecewise-linear between samples).
-    """
-
-    kind: str
-    duration: float
-    gamma0: float | None = None
-    times: np.ndarray | None = None
-    gammas: np.ndarray | None = None
-
-    def __post_init__(self) -> None:
-        if self.kind not in ("constant", "tabulated"):
-            raise ValueError("kind must be 'constant' or 'tabulated'")
-        if not (np.isfinite(self.duration) and self.duration > 0):
-            raise ValueError("duration must be positive and finite")
-        if self.kind == "constant":
-            if self.gamma0 is None or not np.isfinite(self.gamma0):
-                raise ValueError("constant profile needs a finite gamma0")
-        else:
-            t = np.asarray(self.times, dtype=float)
-            g = np.asarray(self.gammas, dtype=float)
-            if t.ndim != 1 or t.shape != g.shape or t.size < 2:
-                raise ValueError("tabulated profile needs matching 1-d samples")
-            if t[0] != 0.0 or abs(t[-1] - self.duration) > 1e-12 * max(1.0, self.duration):
-                raise ValueError("sample times must run from 0 to duration")
-            if np.any(np.diff(t) <= 0):
-                raise ValueError("sample times must be strictly increasing")
-            if not np.all(np.isfinite(g)):
-                raise ValueError("sampled speeds must be finite")
-            object.__setattr__(self, "times", t)
-            object.__setattr__(self, "gammas", g)
-        total = self.total_angle
-        if abs(abs(total) - 2 * np.pi) > 1e-9:
-            raise ValueError(
-                f"profile must integrate to +-2pi over one loop, got {total!r}"
-            )
-
-    @classmethod
-    def constant(cls, gamma: float) -> "SpeedProfile":
-        if gamma == 0:
-            raise ValueError("constant profile needs a nonzero speed")
-        return cls(kind="constant", duration=2 * np.pi / abs(gamma), gamma0=gamma)
-
-    @classmethod
-    def from_samples(
-        cls, times: np.ndarray, gammas: np.ndarray, normalize: bool = True
-    ) -> "SpeedProfile":
-        """Piecewise-linear profile; with normalize=True the speeds are
-        rescaled so the total angle is exactly +-2pi (sign preserved)."""
-        times = np.asarray(times, dtype=float)
-        gammas = np.asarray(gammas, dtype=float)
-        if normalize:
-            total = np.trapezoid(gammas, times)
-            if total == 0:
-                raise ValueError("profile integrates to zero; cannot normalize")
-            gammas = gammas * (2 * np.pi / abs(total))  # keeps the traversal sense
-        return cls(
-            kind="tabulated",
-            duration=float(times[-1]),
-            times=times,
-            gammas=gammas,
-        )
-
-    def gamma_of_t(self, t: float | np.ndarray) -> np.ndarray:
-        t = np.asarray(t, dtype=float)
-        if self.kind == "constant":
-            return np.broadcast_to(np.float64(self.gamma0), t.shape).copy()
-        return np.interp(t, self.times, self.gammas)
-
-    def angle_of_t(self, t: float | np.ndarray) -> np.ndarray:
-        """Accumulated rotation angle: the integral of gamma_a from 0 to t.
-
-        Exact for both kinds (the tabulated integrand is piecewise linear).
-        """
-        t = np.asarray(t, dtype=float)
-        if self.kind == "constant":
-            return self.gamma0 * t
-        tt, gg = self.times, self.gammas
-        cum = np.concatenate(
-            [[0.0], np.cumsum(0.5 * (gg[1:] + gg[:-1]) * np.diff(tt))]
-        )
-        idx = np.clip(np.searchsorted(tt, t, side="right") - 1, 0, tt.size - 2)
-        dt = t - tt[idx]
-        slope = (gg[idx + 1] - gg[idx]) / (tt[idx + 1] - tt[idx])
-        return cum[idx] + gg[idx] * dt + 0.5 * slope * dt * dt
-
-    @property
-    def total_angle(self) -> float:
-        return float(self.angle_of_t(self.duration))
-
-
-def h_profile(p: FieldParams, profile: SpeedProfile, t: float | np.ndarray) -> np.ndarray:
-    """Compensated Hamiltonian for a loop traversed with a time-dependent
-    speed: the vertical compensation tracks gamma_a(t) instantaneously."""
-    t = np.asarray(t, dtype=float)
-    vert = p.omega0 + profile.gamma_of_t(t)
-    phase = profile.angle_of_t(t) + p.phase0
-    return _field_hamiltonian(vert, p.omega1, phase)

@@ -18,7 +18,6 @@ from __future__ import annotations
 import numpy as np
 
 HERMITIAN_ATOL = 1e-12
-UNITARY_ATOL = 1e-10
 
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
@@ -39,14 +38,6 @@ def require_hermitian(h: np.ndarray, atol: float = HERMITIAN_ATOL) -> np.ndarray
             and np.allclose(h, h.conj().T, rtol=1e-10, atol=atol)):
         raise ValueError("operator is not Hermitian within tolerance")
     return h
-
-
-def is_unitary(u: np.ndarray, atol: float = UNITARY_ATOL) -> bool:
-    u = np.asarray(u)
-    if u.ndim != 2 or u.shape[0] != u.shape[1]:
-        return False
-    d = u.shape[0]
-    return np.allclose(u.conj().T @ u, np.eye(d), atol=atol)
 
 
 def _expm_2x2(h: np.ndarray, t) -> np.ndarray:
@@ -87,15 +78,6 @@ def mat_exp_hermitian(h: np.ndarray, t: float) -> np.ndarray:
     return (vecs * np.exp(-1j * vals * t)) @ vecs.conj().T
 
 
-def tensor(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Kronecker product with the left factor as the most significant subsystem."""
-    a = require_finite(a, "left factor")
-    b = require_finite(b, "right factor")
-    if a.shape != (2, 2) or b.shape != (2, 2):
-        raise ValueError("tensor expects two 2x2 matrices")
-    return np.kron(a, b)
-
-
 def fidelity(u: np.ndarray, v: np.ndarray) -> float:
     """Global-phase-invariant gate fidelity |Tr(u^dag v)| / d in [0, 1].
 
@@ -112,45 +94,6 @@ def fidelity(u: np.ndarray, v: np.ndarray) -> float:
     if value > 1.0 + 1e-6:
         raise ValueError("fidelity above 1: inputs are not unitary")
     return min(1.0, value)
-
-
-def _fix_phase(v: np.ndarray) -> np.ndarray:
-    # first component of significant magnitude made real nonnegative
-    idx = int(np.argmax(np.abs(v) > 1e-12 * max(np.max(np.abs(v)), 1.0)))
-    ph = v[idx]
-    if abs(ph) == 0.0:
-        return v
-    return v * (ph.conjugate() / abs(ph))
-
-
-def eigensystem_2x2(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Spectral decomposition of a 2x2 Hermitian matrix.
-
-    Returns (values, vectors): values sorted descending, vectors[:, k] the
-    orthonormal eigenvector for values[k], phase-fixed so the first
-    significant component is real nonnegative. A degenerate input returns
-    the standard basis.
-    """
-    h = require_hermitian(h)
-    if h.shape != (2, 2):
-        raise ValueError("eigensystem_2x2 expects a 2x2 matrix")
-    a = h[0, 0].real
-    c = h[1, 1].real
-    b = h[0, 1]
-    m = 0.5 * (a + c)
-    r = np.hypot(0.5 * (a - c), abs(b))
-    values = np.array([m + r, m - r])
-    if r == 0.0:
-        return values, np.eye(2, dtype=complex)
-    if abs(b) == 0.0:
-        vectors = np.eye(2, dtype=complex) if a >= c else np.eye(2, dtype=complex)[:, ::-1]
-    else:
-        upper = np.array([b, values[0] - a], dtype=complex)
-        upper /= np.linalg.norm(upper)
-        lower = np.array([-upper[1].conjugate(), upper[0].conjugate()])
-        vectors = np.column_stack([upper, lower])
-    vectors = np.column_stack([_fix_phase(vectors[:, 0]), _fix_phase(vectors[:, 1])])
-    return values, vectors
 
 
 def bloch_vector(psi: np.ndarray) -> np.ndarray:

@@ -1,5 +1,7 @@
-"""Cone eigenstate geometry, compensation-field solving, and the split of
-a cyclic evolution's total phase into dynamical and geometric parts.
+"""Cone eigenstate geometry, compensation-field solving, the split of a
+cyclic evolution's total phase into dynamical and geometric parts, and the
+running dynamical phase along a trajectory: every energy expectation
+<psi|H|psi> of the package is taken here.
 
 Sign conventions: the eigenvalue of the frozen field Hamiltonian
 H0 = (omega0 sigma_z + omega1 sigma_x) / 2 is +-sqrt(omega0^2 + omega1^2)/2
@@ -138,7 +140,32 @@ def energy_expectations(traj) -> np.ndarray:
     if traj.hamiltonian_at is None:
         raise ValueError("trajectory carries no Hamiltonian accessor")
     h, _ = _sampler(traj.hamiltonian_at, traj.times)
-    return np.einsum("ki,kij,kj->k", traj.states.conj(), h, traj.states).real
+    return _expectations(traj.states, h)
+
+
+def _expectations(states: np.ndarray, h: np.ndarray) -> np.ndarray:
+    return np.einsum("ki,kij,kj->k", states.conj(), h, states).real
+
+
+def running_dynamical_phase(traj, mask) -> np.ndarray:
+    """-integral of <psi|H|psi> dt from the first kept sample to each one,
+    by the trapezoid rule over the samples traj.times[mask]."""
+    times = traj.times[mask]
+    states = traj.states[mask]
+    running = np.zeros(times.size)
+    if times.size > 1:
+        # evaluate each interval's endpoint Hamiltonians nudged inside the
+        # interval, so samples shared between a hard pulse and two timed
+        # segments pair with the segment that actually covers the interval
+        dt = np.diff(times)
+        t_left = times[:-1] + 1e-9 * dt
+        t_right = times[1:] - 1e-9 * dt
+        h_left = np.asarray(traj.hamiltonian_at(t_left), dtype=complex)
+        h_right = np.asarray(traj.hamiltonian_at(t_right), dtype=complex)
+        e_left = _expectations(states[:-1], h_left)
+        e_right = _expectations(states[1:], h_right)
+        running[1:] = -np.cumsum(0.5 * (e_left + e_right) * dt)
+    return running
 
 
 def _div(num, den):

@@ -62,7 +62,7 @@ from typing import Callable
 
 import numpy as np
 
-from .hamiltonians import FieldParams, FieldSchedule, SpeedProfile, h_profile
+from .hamiltonians import FieldParams, FieldSchedule
 from .linalg import SIGMA_X, SIGMA_Y, SIGMA_Z, _expm_2x2, require_finite
 
 
@@ -210,15 +210,6 @@ def loop_duration(p: FieldParams) -> float:
     if p.gamma == 0.0:
         raise ValueError("no loop is defined for gamma = 0")
     return 2 * np.pi / abs(p.gamma)
-
-
-def loop_with_profile(p: FieldParams, profile: SpeedProfile) -> np.ndarray:
-    """Closed-form propagator for one revolution traversed with a
-    time-dependent speed, compensation tracking gamma_a(t)."""
-    if abs(abs(profile.total_angle) - 2 * np.pi) > 1e-9:
-        raise ValueError("profile does not integrate to a full revolution")
-    u_static = _static_propagator(p.omega0, p.omega1, p.phase0, profile.duration)
-    return rot_z(profile.total_angle) @ u_static
 
 
 LOOP_BLOCK = 4096  # speeds whose propagator stacks loop_infidelities holds at once
@@ -704,24 +695,6 @@ def integrate_loop(
         FieldSchedule.of(p, compensated),
         t_end,
         total_steps=max(1, int(round(steps_per_loop * revolutions))),
-        psi0=psi0,
-        samples=samples,
-    )
-
-
-def integrate_profile(
-    p: FieldParams,
-    profile: SpeedProfile,
-    steps_per_loop: int = 10_000,
-    *,
-    psi0: np.ndarray | None = None,
-    samples: int = 257,
-) -> Trajectory:
-    """Integrator run over one revolution traversed with a speed profile."""
-    return integrate(
-        lambda t: h_profile(p, profile, t),
-        profile.duration,
-        total_steps=steps_per_loop,
         psi0=psi0,
         samples=samples,
     )

@@ -31,7 +31,7 @@ from typing import Union
 
 import numpy as np
 
-from .hamiltonians import FieldParams, FieldSchedule
+from .hamiltonians import SIGMA_ZA, SIGMA_ZZ, FieldParams, FieldSchedule
 from .linalg import SIGMA_Z
 from .phases import two_qubit_loop_params
 from .propagation import (
@@ -501,8 +501,6 @@ def _const(h: np.ndarray, t) -> np.ndarray:
 def _free_evolution_hamiltonian(step: FreeEvolve, dim: int) -> np.ndarray:
     if dim == 2:
         return step.sign * 0.5 * step.delta * SIGMA_Z
-    from .hamiltonians import SIGMA_ZA, SIGMA_ZZ
-
     return step.sign * (0.5 * step.delta * SIGMA_ZA + 0.5 * step.j * SIGMA_ZZ)
 
 

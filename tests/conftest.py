@@ -17,3 +17,11 @@ def random_field_draws(rng, n):
     omega0 = rng.uniform(0.2, 2.0, size=n)
     omega1 = rng.uniform(0.0, 2.0, size=n)
     return np.column_stack([omega0, omega1])
+
+
+def is_unitary(u, atol=1e-10):
+    """Whether u is a square matrix with u^dag u = I within atol."""
+    u = np.asarray(u)
+    if u.ndim != 2 or u.shape[0] != u.shape[1]:
+        return False
+    return np.allclose(u.conj().T @ u, np.eye(u.shape[0]), atol=atol)

@@ -463,9 +463,12 @@ class TestSweepArrays:
     @pytest.mark.parametrize(
         "schedule, extra, digest",
         [
-            ("tilted", [], "d61d9afbadef8546a4d84c3044226c70e71d74a00d6e5e9aba2feca94a12f8c7"),
-            ("conditional", [], "b81325cf8f3918c39423322afecc9cd5a69e6886430797313b4290a8f565f111"),
-            ("conditional", ["--t-end", "1.0"], "f466c6e1f21bbd4d5e339165f403103bf42f46393085eda0bbbc62afb6389575"),
+            ("tilted", [],
+             "d61d9afbadef8546a4d84c3044226c70e71d74a00d6e5e9aba2feca94a12f8c7"),
+            ("conditional", [],
+             "b81325cf8f3918c39423322afecc9cd5a69e6886430797313b4290a8f565f111"),
+            ("conditional", ["--t-end", "1.0"],
+             "f466c6e1f21bbd4d5e339165f403103bf42f46393085eda0bbbc62afb6389575"),
         ],
     )
     def test_pinned_evolve_digest(self, schedule, extra, digest, tmp_path, capsys,
@@ -572,6 +575,38 @@ class TestConfigIntegers:
         code, out, _ = run_cli(["scurve", "--config", str(cfg)], capsys)
         assert code == 0
         assert "# steps = 300.0" in out
+
+
+class TestConfigTypes:
+    @pytest.mark.parametrize(
+        "doc, argv, flag",
+        [
+            ({"delta_over_j": "abc"}, ["gate", "cphase"], "--delta-over-j"),
+            ({"delta_over_j": [2]}, ["gate", "cphase"], "--delta-over-j"),
+            ({"theta": "x"}, ["gate", "phase"], "--theta"),
+            ({"theta": [1]}, ["gate", "phase"], "--theta"),
+            ({"theta": True}, ["gate", "phase"], "--theta"),
+            ({"theta": "x", "gamma_range": "0.1:0.2:0.1"}, ["compare-adiabatic"], "--theta"),
+            ({"gamma_range": 5}, ["compare-adiabatic"], "--gamma-range"),
+            ({"delta_over_j": "abc", "omega1_range": "1:2:1"}, ["scurve"], "--delta-over-j"),
+            ({"delta_over_j": [2], "omega1_range": "1:2:1"}, ["scurve"], "--delta-over-j"),
+            ({"delta_over_j": "1.058", "omega1_range": 5}, ["scurve"], "--omega1-range"),
+            ({"t_end": "soon"}, ["evolve", "--schedule", "loop.json"], "--t-end"),
+            ({"t_end": {}}, ["evolve", "--schedule", "loop.json"], "--t-end"),
+            ({"schedule": ["a"]}, ["evolve"], "--schedule"),
+            ({"out": 5}, ["gate", "phase"], "--out"),
+        ],
+    )
+    def test_wrong_type_exits_2_naming_the_flag(self, doc, argv, flag, tmp_path, capsys,
+                                                monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "loop.json").write_text(json.dumps(loop_schedule_doc()))
+        (tmp_path / "cfg.json").write_text(json.dumps(doc))
+        code, out, err = run_cli(argv + ["--steps", "100", "--config", "cfg.json"], capsys)
+        assert code == 2
+        assert out == ""
+        assert flag in err
+        assert "Traceback" not in err
 
 
 class TestScheduleSchema:

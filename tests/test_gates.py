@@ -6,22 +6,18 @@ from conegate.gates import (
     CNOT_TARGET,
     HADAMARD,
     GateRecipe,
+    _conjugated_loop_gate,
     apply_recipe,
     cnot_recipe,
-    conditional_phase_correction,
     conditional_phase_diag,
     conditional_recipe,
-    conjugated_loop_gate,
     hadamard_recipe,
-    matrix_to_json,
     not_recipe,
     phase_gate,
     phase_gate_recipe,
-    solve_hadamard,
-    solve_not,
     verify_gate,
 )
-from conegate.linalg import IDENTITY_2, SIGMA_X, fidelity, is_unitary
+from conegate.linalg import IDENTITY_2, SIGMA_X, fidelity
 from conegate.phases import (
     geometric_phase_cone,
     phase_distance,
@@ -36,10 +32,25 @@ from conegate.sequences import (
     simulate_sequence,
 )
 
+from conftest import is_unitary
+
+
+def verified(recipe, steps_per_loop=10_000):
+    """The recipe after verify_gate, as the CLI's gate command runs it."""
+    verify_gate(recipe, steps_per_loop=steps_per_loop)
+    return recipe
+
+
+def correction(gamma_minus):
+    """I_b (x) diag(e^{-i G-}, e^{+i G-}): turns the conditional diagonal at
+    the CNOT point into diag(-i, i, 1, 1)."""
+    return np.kron(IDENTITY_2, np.diag([np.exp(-1j * gamma_minus), np.exp(1j * gamma_minus)]))
+
 
 class TestPhaseGate:
     def test_doubled_convention_quarter_cosine(self):
-        u = phase_gate(np.arccos(0.25), loops=1, relative_winding=2)
+        # one doubled winding is two single-winding loops
+        u = phase_gate(np.arccos(0.25), loops=2)
         assert np.allclose(u, np.diag([-1j, 1j]), atol=1e-14)
 
     def test_equator_is_identity(self):
@@ -78,20 +89,14 @@ class TestPhaseGate:
             diff = geometric_phase_cone(theta0) - geometric_phase_cone(np.pi - theta0)
             assert phase_distance(diff, -2 * np.pi * np.cos(theta0)) < 1e-12
 
-    def test_doubled_convention_is_two_windings(self):
-        theta0 = 1.2
-        single = phase_gate(theta0, loops=2, relative_winding=1)
-        doubled = phase_gate(theta0, loops=1, relative_winding=2)
-        assert np.allclose(single, doubled, atol=1e-14)
-
 
 class TestConjugatedLoopGate:
     def test_zero_phase_is_identity(self):
-        assert np.allclose(conjugated_loop_gate(0.7, 0.0), np.eye(2), atol=1e-15)
+        assert np.allclose(_conjugated_loop_gate(0.7, 0.0), np.eye(2), atol=1e-15)
 
     def test_axis_aligned_is_diagonal(self):
         g = 1.3
-        u = conjugated_loop_gate(0.0, g)
+        u = _conjugated_loop_gate(0.0, g)
         assert np.allclose(u, np.diag([np.exp(1j * g), np.exp(-1j * g)]), atol=1e-14)
 
     def test_balanced_regime_moduli(self):
@@ -99,7 +104,7 @@ class TestConjugatedLoopGate:
         theta0 = 1.3059994129746395
         g = geometric_phase_cone(theta0)
         assert abs(abs(np.sin(g) * np.sin(theta0)) - np.sqrt(2) / 2) < 1e-9
-        u = conjugated_loop_gate(theta0, g)
+        u = _conjugated_loop_gate(theta0, g)
         assert np.allclose(np.abs(u), np.sqrt(2) / 2, atol=1e-9)
 
     def test_equals_rotation_conjugation(self, rng):
@@ -108,19 +113,19 @@ class TestConjugatedLoopGate:
         for _ in range(10):
             theta0 = rng.uniform(0, np.pi)
             g = rng.uniform(-2 * np.pi, 2 * np.pi)
-            direct = conjugated_loop_gate(theta0, g)
+            direct = _conjugated_loop_gate(theta0, g)
             built = rot_y(theta0) @ np.diag([np.exp(1j * g), np.exp(-1j * g)]) @ rot_y(-theta0)
             assert np.max(np.abs(direct - built)) < 1e-14
 
     def test_unitary(self, rng):
         for _ in range(10):
-            u = conjugated_loop_gate(rng.uniform(0, np.pi), rng.uniform(-7, 7))
+            u = _conjugated_loop_gate(rng.uniform(0, np.pi), rng.uniform(-7, 7))
             assert is_unitary(u, atol=1e-12)
 
 
 class TestSolveHadamard:
     def test_root_location(self):
-        recipe = solve_hadamard()
+        recipe = hadamard_recipe()
         theta0 = recipe.parameters["theta0"]
         assert theta0 == pytest.approx(1.306, abs=1e-3)
         residual = np.sin(np.pi * np.cos(theta0)) * np.sin(theta0) - np.sqrt(2) / 2
@@ -135,40 +140,41 @@ class TestSolveHadamard:
         vals = f(grid)
         k = int(np.argmax(vals[:-1] * vals[1:] <= 0))
         independent = 0.5 * (grid[k] + grid[k + 1])
-        recipe = solve_hadamard()
+        recipe = hadamard_recipe()
         assert recipe.parameters["theta0"] == pytest.approx(independent, abs=1e-6)
 
     def test_closed_form_composition_is_hadamard(self):
-        recipe = solve_hadamard()
+        recipe = hadamard_recipe()
         assert fidelity(apply_recipe(recipe), HADAMARD) >= 1 - 1e-8
 
     def test_simulated_fidelity(self):
-        recipe = solve_hadamard()
+        recipe = verified(hadamard_recipe())
         assert recipe.fidelity >= 1 - 1e-6
 
     def test_involution(self):
-        recipe = solve_hadamard()
+        recipe = hadamard_recipe()
         u = apply_recipe(recipe)
         assert fidelity(u @ u, np.eye(2, dtype=complex)) == pytest.approx(1.0, abs=1e-10)
 
 
 class TestSolveNot:
     def test_doubled_convention_tilt(self):
-        recipe = solve_not(relative_winding=2)
+        # two single-winding loops land where one doubled winding did
+        recipe = verified(not_recipe(loops=2))
         assert np.cos(recipe.parameters["theta0"]) == pytest.approx(0.25, abs=1e-9)
         assert recipe.fidelity >= 1 - 1e-6
 
     def test_single_winding_tilt(self):
-        recipe = solve_not(relative_winding=1)
+        recipe = verified(not_recipe())
         assert np.cos(recipe.parameters["theta0"]) == pytest.approx(0.5, abs=1e-9)
         assert recipe.fidelity >= 1 - 1e-6
 
     def test_closed_form_is_sigma_x(self):
-        recipe = solve_not()
+        recipe = not_recipe()
         assert fidelity(apply_recipe(recipe), SIGMA_X) >= 1 - 1e-9
 
     def test_squares_to_identity(self):
-        recipe = solve_not()
+        recipe = not_recipe()
         u = apply_recipe(recipe)
         assert fidelity(u @ u, np.eye(2, dtype=complex)) == pytest.approx(1.0, abs=1e-9)
 
@@ -178,7 +184,7 @@ class TestConditionalPhase:
         delta = CNOT_DELTA_FACTOR
         setting = two_qubit_loop_params(delta, 1.0)
         g_minus = geometric_phase_cone(setting.theta_minus)
-        product = conditional_phase_diag(delta, 1.0) @ conditional_phase_correction(g_minus)
+        product = conditional_phase_diag(delta, 1.0) @ correction(g_minus)
         assert np.max(np.abs(product - np.diag([-1j, 1j, 1, 1]))) < 1e-12
 
     def test_simulated_correction(self):
@@ -186,11 +192,8 @@ class TestConditionalPhase:
         setting = two_qubit_loop_params(delta, 1.0)
         g_minus = geometric_phase_cone(setting.theta_minus)
         u = simulate_sequence(build_conditional_loop(delta, 1.0), 4, steps_per_loop=20_000)
-        product = u @ conditional_phase_correction(g_minus)
+        product = u @ correction(g_minus)
         assert np.max(np.abs(product - np.diag([-1j, 1j, 1, 1]))) < 1e-6
-
-    def test_zero_phase_correction_is_identity(self):
-        assert np.allclose(conditional_phase_correction(0.0), np.eye(4), atol=1e-15)
 
     def test_conditional_recipe_verifies(self):
         recipe = conditional_recipe(1.058)
@@ -254,7 +257,7 @@ class TestVerifyGate:
         assert recipe.fidelity == pytest.approx(1.0, abs=1e-14)
 
     def test_perturbed_tilt_lowers_fidelity(self):
-        good = solve_hadamard()
+        good = verified(hadamard_recipe())
         theta0 = good.parameters["theta0"]
         from conegate.gates import _tilted_loop
 
@@ -274,16 +277,6 @@ class TestVerifyGate:
         assert fid < good.fidelity - 1e-4
 
 
-class TestExports:
-    def test_matrix_json_shape(self):
-        import json
-
-        doc = json.loads(matrix_to_json(CNOT_TARGET))
-        assert doc["dim"] == 4
-        assert len(doc["entries"]) == 16
-        assert doc["entries"][1] == [0.0, -1.0]
-
-
 class TestUnverifiedBuilders:
     def test_builders_leave_fidelity_unset(self, monkeypatch):
         import conegate.gates as gates
@@ -291,7 +284,3 @@ class TestUnverifiedBuilders:
         monkeypatch.setattr(gates, "verify_gate", lambda *a, **k: pytest.fail("verified"))
         for recipe in (hadamard_recipe(), not_recipe(), cnot_recipe()):
             assert recipe.fidelity is None
-
-    def test_builders_match_solvers(self):
-        assert hadamard_recipe().sequence == solve_hadamard().sequence
-        assert not_recipe(relative_winding=2).sequence == solve_not(relative_winding=2).sequence

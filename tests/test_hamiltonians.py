@@ -3,17 +3,11 @@ import pytest
 
 from conegate.hamiltonians import (
     FieldParams,
-    SpeedProfile,
-    TwoQubitParams,
-    effective_offset,
     h_compensated,
-    h_profile,
     h_rotating,
     h_two_qubit_rotating,
-    h_two_qubit_static,
-    to_rotating_frame,
 )
-from conegate.linalg import IDENTITY_2, SIGMA_X, SIGMA_Y, SIGMA_Z, tensor
+from conegate.linalg import IDENTITY_2, SIGMA_X, SIGMA_Y, SIGMA_Z
 
 
 class TestFieldParams:
@@ -88,93 +82,33 @@ class TestCompensatedField:
 
 
 class TestTwoQubitStatic:
+    """The undriven pair in the rotating frame (omega1 = gamma = 0): its
+    diagonal fixes the |b a> basis order."""
+
+    @staticmethod
+    def static(delta, j):
+        return h_two_qubit_rotating(delta, j, 0.0, 0.0, 0.3)
+
     def test_pure_coupling(self):
-        p = TwoQubitParams(0.0, 0.0, 1.0, 0.0)
-        assert np.allclose(h_two_qubit_static(p), 0.5 * np.diag([1, -1, -1, 1]))
+        assert np.allclose(self.static(0.0, 1.0), 0.5 * np.diag([1, -1, -1, 1]))
 
     def test_basis_ordering_a_low_order(self):
-        p = TwoQubitParams(2.0, 0.0, 0.0, 0.0)
-        assert np.allclose(h_two_qubit_static(p), 0.5 * np.diag([2, -2, 2, -2]))
+        assert np.allclose(self.static(2.0, 0.0), 0.5 * np.diag([2, -2, 2, -2]))
 
     def test_matches_tensor_assembly(self, rng):
         for _ in range(10):
-            p = TwoQubitParams(
-                rng.uniform(-3, 3), rng.uniform(-3, 3), rng.uniform(0.1, 2), 0.0
-            )
-            expected = 0.5 * (
-                p.omega_a * tensor(IDENTITY_2, SIGMA_Z)
-                + p.omega_b * tensor(SIGMA_Z, IDENTITY_2)
-                + p.j * tensor(SIGMA_Z, SIGMA_Z)
-            )
-            assert np.allclose(h_two_qubit_static(p), expected)
+            delta, j = rng.uniform(-3, 3), rng.uniform(0.1, 2)
+            expected = 0.5 * (delta * np.kron(IDENTITY_2, SIGMA_Z)
+                              + j * np.kron(SIGMA_Z, SIGMA_Z))
+            assert np.allclose(self.static(delta, j), expected)
 
-    def test_commutes_with_single_spin_z(self, rng):
-        p = TwoQubitParams(1.3, -0.7, 0.9, 0.0)
-        h = h_two_qubit_static(p)
-        for sz in (tensor(SIGMA_Z, IDENTITY_2), tensor(IDENTITY_2, SIGMA_Z)):
-            assert np.max(np.abs(h @ sz - sz @ h)) == 0.0
-
-
-class TestEffectiveOffset:
-    def test_experimental_ratio(self):
-        p = TwoQubitParams(omega_a=1.058, omega_b=500.0, j=1.0, omega_a_prime=0.0)
-        assert effective_offset(p, "up") == pytest.approx(2.058)
-        assert effective_offset(p, "down") == pytest.approx(0.058)
-
-    def test_uncoupled(self):
-        p = TwoQubitParams(omega_a=1.5, omega_b=0.0, j=0.0, omega_a_prime=0.2)
-        assert effective_offset(p, "up") == effective_offset(p, "down") == pytest.approx(1.3)
-
-    def test_unknown_state(self):
-        p = TwoQubitParams(1.0, 1.0, 0.5, 0.0)
-        with pytest.raises(ValueError):
-            effective_offset(p, "sideways")
-
-
-def lab_frame_drive(omega0, omega_rf, omega1, t):
-    """Lab-frame single-spin Hamiltonian: offset plus frame Zeeman term plus
-    an RF field circling at the frame frequency."""
-    phase = omega_rf * t
-    return (
-        0.5 * omega0 * SIGMA_Z
-        + 0.5 * omega_rf * SIGMA_Z
-        + 0.5 * omega1 * np.array(
-            [[0, np.exp(-1j * phase)], [np.exp(1j * phase), 0]], dtype=complex
-        )
-    )
-
-
-class TestRotatingFrame:
-    def test_corotating_frame_kills_z_term(self):
-        omega = 1.7
-        h = 0.5 * omega * SIGMA_Z
-        for t in (0.0, 0.3, 2.0):
-            assert np.max(np.abs(to_rotating_frame(h, omega, t))) < 1e-15
-
-    def test_zero_speed_is_identity_transform(self, rng):
-        from conftest import random_hermitian
-
-        h = random_hermitian(rng, 2)
-        assert np.allclose(to_rotating_frame(h, 0.0, 1.3), h)
-
-    def test_lab_drive_becomes_static(self):
-        omega0, omega_rf, omega1 = 0.8, 450.0, 1.1
-        expected = 0.5 * omega0 * SIGMA_Z + 0.5 * omega1 * SIGMA_X
-        for t in np.linspace(0, 3, 17):
-            h_lab = lab_frame_drive(omega0, omega_rf, omega1, float(t))
-            h_rot = to_rotating_frame(h_lab, omega_rf, float(t))
-            assert np.max(np.abs(h_rot - expected)) < 1e-10
-
-    def test_transformed_eigenvalues_time_independent(self):
-        omega0, omega_rf, omega1 = 0.8, 450.0, 1.1
-        ref = None
-        for t in np.linspace(0, 3, 11):
-            h_rot = to_rotating_frame(lab_frame_drive(omega0, omega_rf, omega1, float(t)),
-                                      omega_rf, float(t))
-            vals = np.linalg.eigvalsh(h_rot)
-            if ref is None:
-                ref = vals
-            assert np.allclose(vals, ref, atol=1e-10)
+    def test_commutes_with_single_spin_z(self):
+        h = h_two_qubit_rotating(1.3, 0.9, 0.7, -2.0, 0.4)  # the drive acts on spin a only
+        sz_b = np.kron(SIGMA_Z, IDENTITY_2)
+        assert np.max(np.abs(h @ sz_b - sz_b @ h)) == 0.0
+        h = self.static(1.3, 0.9)
+        sz_a = np.kron(IDENTITY_2, SIGMA_Z)
+        assert np.max(np.abs(h @ sz_a - sz_a @ h)) == 0.0
 
 
 class TestTwoQubitRotating:
@@ -191,36 +125,3 @@ class TestTwoQubitRotating:
             assert np.allclose(h4[:2, :2], up)
             assert np.allclose(h4[2:, 2:], down)
             assert np.max(np.abs(h4[:2, 2:])) == 0.0
-
-
-class TestSpeedProfile:
-    def test_constant_profile(self):
-        prof = SpeedProfile.constant(-2.0)
-        assert prof.duration == pytest.approx(np.pi)
-        assert prof.total_angle == pytest.approx(-2 * np.pi)
-        assert prof.gamma_of_t(0.3) == pytest.approx(-2.0)
-
-    def test_normalized_tabulated_profile(self):
-        times = np.linspace(0, np.pi, 201)
-        raw = -2.0 * (1 + 0.5 * np.sin(2 * np.pi * times / np.pi))
-        prof = SpeedProfile.from_samples(times, raw)
-        assert abs(abs(prof.total_angle) - 2 * np.pi) < 1e-9
-
-    def test_angle_matches_quadrature(self):
-        times = np.linspace(0, 2.0, 101)
-        raw = 1.0 + 0.3 * np.cos(3 * times)
-        prof = SpeedProfile.from_samples(times, raw)
-        # dense trapezoid over the piecewise-linear interpolant
-        fine = np.linspace(0, 1.7, 200001)
-        expected = np.trapezoid(np.interp(fine, prof.times, prof.gammas), fine)
-        assert prof.angle_of_t(1.7) == pytest.approx(expected, abs=1e-9)
-
-    def test_rejects_partial_revolution(self):
-        with pytest.raises(ValueError):
-            SpeedProfile(kind="constant", duration=1.0, gamma0=1.0)
-
-    def test_h_profile_constant_matches_compensated(self):
-        p = FieldParams(1.0, 1.0, -2.0, omega_z=-2.0)
-        prof = SpeedProfile.constant(-2.0)
-        for t in np.linspace(0, prof.duration, 7):
-            assert np.allclose(h_profile(p, prof, float(t)), h_compensated(p, float(t)))

@@ -8,14 +8,11 @@ from conegate.linalg import (
     SIGMA_Z,
     _expm_2x2,
     bloch_vector,
-    eigensystem_2x2,
     fidelity,
-    is_unitary,
     mat_exp_hermitian,
-    tensor,
 )
 
-from conftest import random_hermitian
+from conftest import is_unitary, random_hermitian
 
 
 def expm_taylor(m: np.ndarray, order: int = 12) -> np.ndarray:
@@ -95,23 +92,6 @@ class TestMatExpHermitian:
                 assert is_unitary(u, atol=1e-10)
 
 
-class TestTensor:
-    def test_identity_pair(self):
-        assert np.array_equal(tensor(IDENTITY_2, IDENTITY_2), np.eye(4))
-
-    def test_zz(self):
-        assert np.allclose(tensor(SIGMA_Z, SIGMA_Z), np.diag([1, -1, -1, 1]))
-
-    def test_left_factor_most_significant(self):
-        a, b = 2.0, 3.0
-        out = tensor(np.diag([a, b]).astype(complex), IDENTITY_2)
-        assert np.allclose(out, np.diag([a, a, b, b]))
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(ValueError):
-            tensor(np.eye(4, dtype=complex), IDENTITY_2)
-
-
 class TestFidelity:
     def test_self_fidelity(self, rng):
         h = random_hermitian(rng, 4)
@@ -129,44 +109,6 @@ class TestFidelity:
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
             fidelity(IDENTITY_2, np.eye(4, dtype=complex))
-
-
-class TestEigensystem2x2:
-    def test_symmetric_cone(self):
-        h = 0.5 * (SIGMA_Z + SIGMA_X)
-        values, vectors = eigensystem_2x2(h)
-        assert values == pytest.approx([np.sqrt(2) / 2, -np.sqrt(2) / 2], abs=1e-14)
-        expected = np.array([np.cos(np.pi / 8), np.sin(np.pi / 8)])
-        assert np.allclose(vectors[:, 0], expected, atol=1e-14)
-
-    def test_sigma_z(self):
-        values, vectors = eigensystem_2x2(SIGMA_Z)
-        assert values == pytest.approx([1.0, -1.0])
-        assert np.allclose(vectors[:, 0], [1, 0])
-        assert np.allclose(vectors[:, 1], [0, 1])
-
-    def test_degenerate(self):
-        values, vectors = eigensystem_2x2(np.zeros((2, 2), dtype=complex))
-        assert values == pytest.approx([0.0, 0.0])
-        assert np.allclose(vectors.conj().T @ vectors, np.eye(2), atol=1e-14)
-
-    def test_reconstruction(self, rng):
-        for _ in range(20):
-            h = random_hermitian(rng, 2)
-            values, vectors = eigensystem_2x2(h)
-            rebuilt = (vectors * values) @ vectors.conj().T
-            assert np.max(np.abs(rebuilt - h)) < 1e-12
-
-    def test_orthonormal_and_phase_convention(self, rng):
-        for _ in range(20):
-            h = random_hermitian(rng, 2)
-            values, vectors = eigensystem_2x2(h)
-            assert values[0] >= values[1]
-            assert np.allclose(vectors.conj().T @ vectors, np.eye(2), atol=1e-12)
-            for k in range(2):
-                v = vectors[:, k]
-                lead = v[np.argmax(np.abs(v) > 1e-12)]
-                assert abs(lead.imag) < 1e-12 and lead.real >= 0
 
 
 class TestBlochVector:

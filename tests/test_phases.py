@@ -8,7 +8,7 @@ import pytest
 import conegate
 
 from conegate.hamiltonians import FieldParams, h_compensated, h_rotating
-from conegate.linalg import SIGMA_X, SIGMA_Z, bloch_vector, eigensystem_2x2
+from conegate.linalg import SIGMA_X, SIGMA_Z, bloch_vector
 from conegate.phases import (
     _simpson,
     canonical_phase,
@@ -60,9 +60,10 @@ class TestConeEigenstate:
         geom = cone_eigenstate(2.058, 1.0)
         assert geom.theta == pytest.approx(np.arctan(1 / 2.058), abs=1e-15)
         h0 = 0.5 * (2.058 * SIGMA_Z + 1.0 * SIGMA_X)
-        values, vectors = eigensystem_2x2(h0)
-        assert geom.eigenvalue == pytest.approx(values[0], abs=1e-14)
-        assert np.max(np.abs(geom.psi0 - vectors[:, 0])) < 1e-12
+        values, vectors = np.linalg.eigh(h0)  # ascending: the upper branch is last
+        upper = vectors[:, 1] * abs(vectors[0, 1]) / vectors[0, 1]  # first entry real >= 0
+        assert geom.eigenvalue == pytest.approx(values[1], abs=1e-14)
+        assert np.max(np.abs(geom.psi0 - upper)) < 1e-12
 
     def test_lower_branch(self):
         geom = cone_eigenstate(1.0, 1.0, branch="lower")

@@ -9,17 +9,14 @@ from conegate.gates import hadamard_recipe
 from conegate.hamiltonians import (
     FieldParams,
     FieldSchedule,
-    SpeedProfile,
     h_compensated,
-    h_profile,
     h_rotating,
     h_two_qubit_rotating,
 )
-from conegate.linalg import SIGMA_X, SIGMA_Z, is_unitary, mat_exp_hermitian
+from conegate.linalg import SIGMA_X, SIGMA_Z, mat_exp_hermitian
 from conegate.phases import (
     compensation_gamma,
     cone_eigenstate,
-    phase_decomposition,
     two_qubit_loop_params,
 )
 from conegate.propagation import (
@@ -30,10 +27,8 @@ from conegate.propagation import (
     integrate_loop,
     _propagator_entries,
     _static_propagator,
-    integrate_profile,
     loop_duration,
     loop_infidelities,
-    loop_with_profile,
     propagator_compensated,
     propagator_uncompensated,
     rot_z,
@@ -47,7 +42,7 @@ from conegate.sequences import (
     simulate_sequence,
 )
 
-from conftest import random_field_draws
+from conftest import is_unitary, random_field_draws
 
 
 class TestUncompensatedPropagator:
@@ -214,47 +209,6 @@ class TestTrajectoryValidation:
         props = np.stack([np.eye(2), np.eye(2)]).astype(complex)
         with pytest.raises(ValueError):
             Trajectory(times, states, props)
-
-
-class TestProfileLoops:
-    def test_constant_profile_reduces_to_compensated(self):
-        p = FieldParams(1.0, 1.0, -2.0, omega_z=-2.0)
-        prof = SpeedProfile.constant(-2.0)
-        u_profile = loop_with_profile(p, prof)
-        u_const = propagator_compensated(p, loop_duration(p))
-        assert np.max(np.abs(u_profile - u_const)) < 1e-14
-
-    @staticmethod
-    def _modulated_profile(gamma_bar: float) -> SpeedProfile:
-        tau = 2 * np.pi / abs(gamma_bar)
-        times = np.linspace(0, tau, 4001)
-        raw = gamma_bar * (1 + 0.5 * np.sin(2 * np.pi * times / tau))
-        return SpeedProfile.from_samples(times, raw)
-
-    def test_modulated_profile_cyclic_return(self):
-        p = FieldParams(1.0, 1.0, -2.0, omega_z=-2.0)
-        prof = self._modulated_profile(-2.0)
-        geom = cone_eigenstate(1.0, 1.0)
-        traj = integrate_profile(p, prof, steps_per_loop=40_000, psi0=geom.psi0, samples=2)
-        overlap = abs(geom.psi0.conj() @ traj.states[-1])
-        assert abs(overlap - 1.0) < 1e-8
-
-    def test_closed_form_matches_integrator(self):
-        p = FieldParams(1.0, 1.0, -2.0, omega_z=-2.0)
-        prof = self._modulated_profile(-2.0)
-        traj = integrate_profile(p, prof, steps_per_loop=40_000, samples=2)
-        assert np.max(np.abs(loop_with_profile(p, prof) - traj.propagators[-1])) < 1e-8
-
-    def test_profiles_share_geometric_phase(self):
-        p = FieldParams(1.0, 1.0, -2.0, omega_z=-2.0)
-        geom = cone_eigenstate(1.0, 1.0)
-        geos = []
-        for prof in (SpeedProfile.constant(-2.0), self._modulated_profile(-2.0)):
-            traj = integrate_profile(
-                p, prof, steps_per_loop=40_000, psi0=geom.psi0, samples=2001
-            )
-            geos.append(phase_decomposition(traj).geometric)
-        assert abs(geos[0] - geos[1]) < 1e-8
 
 
 class TestAdiabaticError:
@@ -564,8 +518,16 @@ class TestFieldScheduleComponents:
             kernel.exp(kernel.field(record, 0, BLOCK_STEPS, 1500.0 / n), BLOCK_STEPS, 1500.0 / n)
             assert np.unique(kernel._block(BLOCK_STEPS).r).size > 1
         else:
-            profile = SpeedProfile.from_samples(np.linspace(0, 3, 5), [0.5, 2.0, 3.0, 1.0, 0.2])
-            args = (lambda t: h_profile(p, profile, t), profile.duration)
+            def ramped(t):  # speed 1.7 + 0.8 t, tracked by the compensation field
+                t = np.asarray(t, dtype=float)
+                h = np.zeros(t.shape + (2, 2), dtype=complex)
+                h[..., 0, 0] = 0.5 * (p.omega0 + 1.7 + 0.8 * t)
+                h[..., 1, 1] = -h[..., 0, 0]
+                h[..., 0, 1] = 0.5 * p.omega1 * np.exp(-1j * (1.7 * t + 0.4 * t * t + 0.1))
+                h[..., 1, 0] = np.conj(h[..., 0, 1])
+                return h
+
+            args = (ramped, 3.0)
         table = integrate(*args, total_steps=n, samples=33)
         monkeypatch.setattr(propagation, "TRIG_TABLE", 0)
         direct = integrate(*args, total_steps=n, samples=33)

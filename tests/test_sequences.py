@@ -6,7 +6,7 @@ import pytest
 
 from conegate import sequences
 from conegate.hamiltonians import FieldParams
-from conegate.linalg import IDENTITY_2, bloch_vector, fidelity, is_unitary
+from conegate.linalg import IDENTITY_2, bloch_vector, fidelity
 from conegate.propagation import propagator_compensated
 from conegate.phases import (
     canonical_phase,
@@ -41,6 +41,8 @@ from conegate.sequences import (
     simulate_sequence,
     to_json,
 )
+
+from conftest import is_unitary
 
 CNOT_DELTA = 4 / np.sqrt(7)
 
