@@ -33,7 +33,7 @@ from .gates import (
 from .hamiltonians import FieldParams
 from .linalg import bloch_vector
 from .phases import cone_eigenstate, running_dynamical_phase
-from .propagation import loop_infidelities
+from .propagation import MAX_STEPS, loop_infidelities
 from .sequences import (
     SINGLE_QUBIT,
     FieldLoop,
@@ -45,6 +45,7 @@ from .sequences import (
 
 DEFAULT_STEPS = 10_000
 MAX_SWEEP_POINTS = 1_000_000  # sweeps are evaluated as whole arrays
+CSV_CHUNK_ROWS = 4096  # rows formatted per % pass
 GATE_FIDELITY_GATE = 1.0 - 1e-5
 CONFIG_ERROR = 2
 VERIFICATION_ERROR = 3
@@ -105,41 +106,47 @@ def _int_option(value, name: str) -> int:
 
 
 def _float_option(value, name: str) -> float:
-    """value as a float; a bool, or anything float() cannot read, is refused."""
-    if isinstance(value, bool):
-        raise ConfigError(f"{name} must be a number, got {value!r}")
+    """value as a finite float; a bool, anything float() cannot read, NaN
+    and an infinity are refused."""
     try:
-        return float(value)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"{name} must be a number, got {value!r}") from exc
+        number = float(value)
+    except (TypeError, ValueError, OverflowError):
+        number = math.nan
+    if isinstance(value, bool) or not math.isfinite(number):
+        raise ConfigError(f"{name} must be a finite number, got {value!r}")
+    return number
 
 
-def _emit(text: str, out: str | None) -> None:
+def _emit(chunks, out: str | None) -> None:
+    """Write the strings of chunks, in order, to out or to stdout."""
     if not out:
-        sys.stdout.write(text)
+        sys.stdout.writelines(chunks)
         return
     try:
         with open(out, "w") as fh:
-            fh.write(text)
+            fh.writelines(chunks)
     except OSError as exc:
         raise ConfigError(f"cannot write --out {out!r}: {exc.strerror or exc}") from exc
 
 
-def _csv_text(config: RunConfig, columns: dict) -> str:
-    """Header, column line and one %.12g row per sample, formatted in one
-    pass: the whole file is a single format string (the echoed header with
-    its % signs escaped) applied to the stacked columns."""
+def _csv_chunks(config: RunConfig, columns: dict):
+    """Header, column line and one %.12g row per sample, as strings: the
+    header as is, then CSV_CHUNK_ROWS rows at a time, each chunk one format
+    string applied to its slice of the stacked columns, so memory stays
+    bounded at any row count."""
     lines = config.header_lines()
     lines.append(",".join(columns))
-    head = "\n".join(lines).replace("%", "%%") + "\n"
-    table = np.column_stack([np.asarray(c, dtype=float) for c in columns.values()])
-    row = ",".join(["%.12g"] * table.shape[1]) + "\n"
-    return (head + row * table.shape[0]) % tuple(table.ravel().tolist())
+    yield "\n".join(lines) + "\n"
+    cols = [np.asarray(c, dtype=float) for c in columns.values()]
+    row = ",".join(["%.12g"] * len(cols)) + "\n"
+    for start in range(0, len(cols[0]), CSV_CHUNK_ROWS):
+        chunk = np.column_stack([c[start : start + CSV_CHUNK_ROWS] for c in cols])
+        yield (row * len(chunk)) % tuple(chunk.ravel().tolist())
 
 
 def _write_output(config: RunConfig, columns: dict, out: str | None, fmt: str) -> None:
     if fmt == "csv":
-        text = _csv_text(config, columns)
+        chunks = _csv_chunks(config, columns)
     elif fmt == "json":
         doc = {
             "tool": f"conegate {__version__}",
@@ -147,10 +154,10 @@ def _write_output(config: RunConfig, columns: dict, out: str | None, fmt: str) -
             "config": config.values,
             "columns": {name: [float(v) for v in vals] for name, vals in columns.items()},
         }
-        text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
+        chunks = [json.dumps(doc, indent=2, sort_keys=True) + "\n"]
     else:
         raise ConfigError(f"unknown format {fmt!r}")
-    _emit(text, out)
+    _emit(chunks, out)
 
 
 # ---------------------------------------------------------------------------
@@ -220,6 +227,11 @@ def cmd_evolve(config: RunConfig) -> int:
         ) from exc
     seq = sequence_from_dict(doc)
     dim = 2 if seq.frame == SINGLE_QUBIT else 4
+    t_end = v.get("t_end")
+    if t_end is not None:
+        t_end = _float_option(t_end, "--t-end")
+        if t_end < 0:
+            raise ConfigError(f"--t-end must be nonnegative, got {t_end!r}")
 
     if not seq.steps:
         _write_output(config, _trajectory_columns(None, dim), v.get("out"), v.get("format", "csv"))
@@ -229,10 +241,9 @@ def cmd_evolve(config: RunConfig) -> int:
     steps = int(v["steps"])
     traj = sequence_trajectory(seq, dim, psi0, steps_per_loop=steps)
 
-    t_end = v.get("t_end")
     mask = slice(None)
     if t_end is not None:
-        mask = traj.times <= _float_option(t_end, "--t-end") + 1e-15
+        mask = traj.times <= t_end + 1e-15
 
     has_loop = any(isinstance(s, FieldLoop) for s in seq.steps)
     if has_loop:
@@ -296,8 +307,9 @@ def cmd_gate(config: RunConfig) -> int:
         loops = _int_option(_option(v, "loops", 1), "--loops")
         if not 0.0 < theta < np.pi:
             raise ConfigError(f"--theta must lie strictly inside (0, pi), got {theta!r}")
-        if loops < 1:
-            raise ConfigError(f"--loops must be a positive integer, got {loops!r}")
+        if not 1 <= loops <= MAX_STEPS:  # a loop takes at least one step
+            raise ConfigError(f"--loops must be a positive integer of at most {MAX_STEPS:,}, "
+                              f"got {loops!r}")
         if abs(np.cos(theta)) < 1e-12:
             target = phase_gate(theta, loops)
             _print_gate_report(config, target, {"theta0": theta, "loops": loops,
@@ -312,9 +324,8 @@ def cmd_gate(config: RunConfig) -> int:
         recipe = not_recipe()
     elif name == "cphase":
         delta = _float_option(_option(v, "delta_over_j", 1.058), "--delta-over-j")
-        if not (math.isfinite(delta) and delta > 1.0):
-            raise ConfigError(f"--delta-over-j must be finite and exceed 1 (delta > j), "
-                              f"got {delta!r}")
+        if delta <= 1.0:
+            raise ConfigError(f"--delta-over-j must exceed 1 (delta > j), got {delta!r}")
         recipe = conditional_recipe(delta)
     elif name == "cnot":
         recipe = cnot_recipe()
@@ -342,7 +353,7 @@ def _print_gate_report(config: RunConfig, target, parameters: dict, fid: float,
         val = parameters[key]
         lines.append(f"  {key} = {_fmt(val) if isinstance(val, float) else val}")
     lines.append(f"simulated fidelity = {fid:.12g}")
-    _emit("\n".join(lines) + "\n", out)
+    _emit(["\n".join(lines) + "\n"], out)
 
 
 def cmd_compare_adiabatic(config: RunConfig) -> int:
@@ -461,8 +472,14 @@ def _effective_config(args: argparse.Namespace) -> RunConfig:
     for key in ("schedule", "out"):
         if values.get(key) is not None and not isinstance(values[key], str):
             raise ConfigError(f"--{key} must be a file path, got {values[key]!r}")
-    if _int_option(values["steps"], "--steps") < 1:
+    steps = _int_option(values["steps"], "--steps")
+    if steps < 1:
         raise ConfigError("steps must be positive")
+    if steps > MAX_STEPS:  # a loop of one revolution would exceed the budget
+        raise ConfigError(f"--steps: step budget exceeded: {steps} steps requested, "
+                          f"at most {MAX_STEPS:,} allowed")
+    if values.get("seed") is not None:
+        _int_option(values["seed"], "--seed")
     return RunConfig(command=args.command, values=values)
 
 

@@ -10,6 +10,7 @@ advances the relative diagonal phase by -2 pi cos(theta0) per revolution.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -150,9 +151,11 @@ def _conjugated_loop_gate(theta0: float, gamma_phase: float) -> np.ndarray:
     )
 
 
+@functools.cache
 def _hadamard_root() -> float:
     """Tilt theta0 in (0, pi/2) with |sin(pi cos theta0) sin theta0| = sqrt2/2,
-    taken on the decreasing branch past the maximum."""
+    taken on the decreasing branch past the maximum; it has no inputs, so it
+    is solved once per process."""
 
     def f(theta):
         return np.sin(np.pi * np.cos(theta)) * np.sin(theta)

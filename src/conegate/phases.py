@@ -116,19 +116,12 @@ class PhaseDecomposition:
     `total` is the argument of the cyclic overlap (in (-pi, pi]); the
     other two are raw accumulated values with geometric = total - dynamical,
     so the decomposition identity holds exactly. Compare any of them
-    modulo 2 pi (see canonical()).
+    modulo 2 pi (see canonical_phase).
     """
 
     total: float
     dynamical: float
     geometric: float
-
-    def canonical(self) -> "PhaseDecomposition":
-        return PhaseDecomposition(
-            canonical_phase(self.total),
-            canonical_phase(self.dynamical),
-            canonical_phase(self.geometric),
-        )
 
 
 def energy_expectations(traj) -> np.ndarray:

@@ -10,23 +10,23 @@ exponential:
 
 with H0 the field Hamiltonian frozen at t = 0 and the frame factor in the
 half-angle convention exp(-i gamma t sigma_z / 2); both factorizations
-solve i dU/dt = H(t) U exactly. The static factor is the broadcasting 2x2
-kernel of linalg, so a sweep over speeds (loop_infidelities) builds its
-propagators as stacks, LOOP_BLOCK speeds at a time. Only the final overlap
-<psi0|U|psi0> stays per point: a batched complex dot product would sum in
-another order than the BLAS dot of one pair, and the printed sweeps must
-keep their bytes.
+solve i dU/dt = H(t) U exactly. Each factor is an SU(2) closed form,
+written once per representation: Python complex entries for one point
+(_static_entries, _z_entries) and numpy stacks for sweeps and
+trajectories (_static_stack, _z_stack). A stack runs the entries' IEEE
+operations in the same order, so it reproduces the per-point bits, up to
+the sign of a zero at a null field or a zero angle: |b| is abs(complex)
+like numpy's hypot (math.hypot rounds apart), and math.cos and math.sin
+are numpy's, also inside its complex exp of a zero-real argument.
 
-One point takes a scalar path in Python math (_static_entries,
-_rot_z_entries), bit-equal to the stacked kernel because every entry goes
-through the same IEEE operations in the same order: the half trace of the
-traceless H0 is exactly 0, numpy divides a complex by a real as a product
-with the reciprocal, |b| is abs(complex) like numpy's hypot (math.hypot
-rounds apart), and math.cos/sin are numpy's, also inside its complex exp
-of a zero-real argument. The ndarray propagators keep the frame product a
-BLAS matmul, whose fused multiply-adds Python cannot reproduce;
-_propagator_entries takes it in Python for callers that compose in Python
-(sequences) and can round an entry one ulp apart.
+A sweep over speeds (loop_infidelities) builds its propagators as stacks,
+LOOP_BLOCK speeds at a time. Only the final overlap <psi0|U|psi0> stays
+per point: a batched complex dot product would sum in another order than
+the BLAS dot of one pair, and the printed sweeps must keep their bytes.
+The ndarray propagators keep the frame product a BLAS matmul, whose fused
+multiply-adds Python cannot reproduce; _propagator_entries takes it in
+Python for callers that compose in Python (sequences) and can round an
+entry one ulp apart.
 
 The integrator multiplies per-step exact exponentials of the Hamiltonian
 sampled at step midpoints (second-order Magnus). Every step is exactly
@@ -63,7 +63,7 @@ from typing import Callable
 import numpy as np
 
 from .hamiltonians import FieldParams, FieldSchedule
-from .linalg import SIGMA_X, SIGMA_Y, SIGMA_Z, _expm_2x2, require_finite
+from .linalg import require_finite
 
 
 @dataclass(frozen=True)
@@ -106,37 +106,41 @@ class Trajectory:
         return float(self.times[-1]) if self.times.size else 0.0
 
 
-def _expi(y: float) -> complex:
-    """exp(i y) as numpy's complex exp computes it for a zero real part."""
-    return complex(math.cos(y), math.sin(y))
+def _z_entries(alpha: float) -> tuple:
+    """diag(exp(i alpha), exp(-i alpha)) of one half-angle as its entries
+    (u00, u01, u10, u11) in Python complex: cos and sin of +-alpha, which is
+    numpy's complex exp of a zero-real argument, so _z_stack's bits away
+    from a zero angle."""
+    return (complex(math.cos(alpha), math.sin(alpha)), 0j, 0j,
+            complex(math.cos(-alpha), math.sin(-alpha)))
 
 
-def _rot_z_entries(angle: float) -> tuple:
-    """rot_z of one angle as its entries (u00, u01, u10, u11) in Python
-    complex, bit for bit the array path's."""
-    return (_expi(-0.5 * angle), 0j, 0j, _expi(0.5 * angle))
+def _z_stack(alpha) -> np.ndarray:
+    """diag(exp(i alpha), exp(-i alpha)) over an array of half-angles, as an
+    (..., 2, 2) stack."""
+    alpha = np.asarray(alpha, dtype=float)
+    out = np.zeros(alpha.shape + (2, 2), dtype=complex)
+    # the exponents' imaginary parts are 0 + alpha and 0 + (-alpha), so a
+    # zero angle gives +0 in both entries
+    out[..., 0, 0] = np.exp(1j * alpha)
+    out[..., 1, 1] = np.exp(1j * -alpha)
+    return out
 
 
 def rot_z(angle: float | np.ndarray) -> np.ndarray:
     """exp(-i angle sigma_z / 2), broadcasting over angle."""
     if isinstance(angle, (int, float)):
-        return np.array(_rot_z_entries(angle)).reshape(2, 2)
-    angle = np.asarray(angle, dtype=float)
-    out = np.zeros(angle.shape + (2, 2), dtype=complex)
-    out[..., 0, 0] = np.exp(-0.5j * angle)
-    out[..., 1, 1] = np.exp(0.5j * angle)
-    return out
+        return np.array(_z_entries(-0.5 * angle)).reshape(2, 2)
+    return _z_stack(-0.5 * np.asarray(angle, dtype=float))
 
 
 def _static_entries(omega0: float, omega1: float, phase0: float, t: float) -> tuple:
-    """exp(-i H0 t) at one point as its entries (u00, u01, u10, u11).
+    """exp(-i H0 t) at one point as its entries (u00, u01, u10, u11), H0 =
+    [[hz, hx - i hy], [hx + i hy, -hz]] the frozen field Hamiltonian.
 
-    linalg._expm_2x2's operations on one matrix, in Python floats. H0 =
-    [[hz, hx - i hy], [hx + i hy, -hz]] is traceless, so the kernel's half
-    trace is exactly 0 and its phase factor exp(-i 0 t) multiplies exactly;
-    its n.sigma = (h - c) / r is numpy's complex division by a real, which
-    multiplies by the reciprocal 1 / r; |b| is abs(complex), numpy's hypot.
-    """
+    Closed form cos(r t) I - i sin(r t) n.sigma with r n.sigma = H0 (H0 is
+    traceless, so there is no phase factor); |b| is abs(complex), which is
+    numpy's hypot, and n.sigma is taken as H0 times 1 / r."""
     hz = 0.5 * omega0
     hx = 0.5 * (omega1 * math.cos(phase0))
     hy = 0.5 * (omega1 * math.sin(phase0))
@@ -149,23 +153,35 @@ def _static_entries(omega0: float, omega1: float, phase0: float, t: float) -> tu
     return (complex(cos, -z), complex(-y, -x), complex(y, -x), complex(cos, z))
 
 
+def _static_stack(omega0: np.ndarray, omega1: float, phase0: float, t) -> np.ndarray:
+    """_static_entries' operations over arrays of omega0 and t, as an
+    (..., 2, 2) stack; a null field gives the identity up to zero signs."""
+    hz = 0.5 * omega0
+    hx = 0.5 * (omega1 * math.cos(phase0))
+    hy = 0.5 * (omega1 * math.sin(phase0))
+    r = np.hypot(hz, abs(complex(hx, hy)))
+    scale = 1.0 / np.where(r == 0.0, 1.0, r)
+    rt = r * t
+    cos, sin = np.cos(rt), np.sin(rt)
+    z, x, y = sin * (hz * scale), sin * (hx * scale), sin * (hy * scale)
+    out = np.empty(rt.shape + (2, 2), dtype=complex)
+    out.real[..., 0, 0], out.imag[..., 0, 0] = cos, -z
+    out.real[..., 0, 1], out.imag[..., 0, 1] = -y, -x
+    out.real[..., 1, 0], out.imag[..., 1, 0] = y, -x
+    out.real[..., 1, 1], out.imag[..., 1, 1] = cos, z
+    return out
+
+
 def _static_propagator(omega0, omega1: float, phase0: float, t) -> np.ndarray:
     """exp(-i H0 t) of the frozen field Hamiltonian, broadcasting over omega0
-    and t. H0 is Hermitian by construction, so the kernel runs unchecked.
-
-    One point (omega0 and t Python or numpy floats) takes the scalar path,
-    _static_entries, which returns the stacked kernel's bits."""
+    and t: one point (omega0 and t Python or numpy floats) as
+    _static_entries, anything else as _static_stack, with the same bits."""
     scalar = isinstance(omega0, (int, float)) and isinstance(t, (int, float))
     if not (math.isfinite(t) if scalar else np.isfinite(t).all()):
         raise ValueError("duration must be finite")
     if scalar:
         return np.array(_static_entries(float(omega0), omega1, phase0, float(t))).reshape(2, 2)
-    omega0 = np.asarray(omega0, dtype=float)[..., None, None]
-    h0 = 0.5 * (
-        omega0 * SIGMA_Z
-        + omega1 * (np.cos(phase0) * SIGMA_X + np.sin(phase0) * SIGMA_Y)
-    )
-    return _expm_2x2(h0, t)
+    return _static_stack(np.asarray(omega0, dtype=float), omega1, phase0, np.asarray(t))
 
 
 def _propagator_entries(omega0: float, omega1: float, gamma: float, phase0: float, t: float,
@@ -180,7 +196,7 @@ def _propagator_entries(omega0: float, omega1: float, gamma: float, phase0: floa
     if not compensated:
         omega0 = omega0 - gamma
     s00, s01, s10, s11 = _static_entries(omega0, omega1, phase0, t)
-    r0, _, _, r1 = _rot_z_entries(gamma * t)
+    r0, _, _, r1 = _z_entries(-0.5 * (gamma * t))
     return (r0 * s00, r0 * s01, r1 * s10, r1 * s11)
 
 
@@ -580,9 +596,8 @@ def _check_field(f: FieldSchedule, t_end: float) -> None:
 def integrate(
     schedule: Callable[[np.ndarray], np.ndarray],
     t_end: float,
-    steps_per_unit: float = 1000,
     *,
-    total_steps: int | None = None,
+    total_steps: int,
     psi0: np.ndarray | None = None,
     samples: int = 257,
 ) -> Trajectory:
@@ -593,8 +608,7 @@ def integrate(
                     it accepts them, per midpoint otherwise. A FieldSchedule
                     is read as its components instead of being called.
     t_end           final time (>= 0)
-    steps_per_unit  step density; the step count is steps_per_unit * t_end
-                    rounded, unless total_steps is given explicitly
+    total_steps     step count (at least 1; no steps are taken when t_end is 0)
     psi0            initial state; defaults to the first basis vector
     samples         number of recorded sample points (capped by the step count)
 
@@ -605,8 +619,6 @@ def integrate(
         raise ValueError("t_end must be finite and nonnegative")
     if t_end == 0.0:
         n_steps = 0
-    elif total_steps is None:
-        n_steps = max(1, int(round(steps_per_unit * t_end)))
     else:
         n_steps = int(total_steps)
         if n_steps < 1:

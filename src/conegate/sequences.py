@@ -36,9 +36,9 @@ from .linalg import SIGMA_Z
 from .phases import two_qubit_loop_params
 from .propagation import (
     Trajectory,
-    _expi,
     _propagator_entries,
-    _rot_z_entries,
+    _z_entries,
+    _z_stack,
     integrate,
     rot_z,  # the z rotation, exported beside rot_x and rot_y
 )
@@ -325,13 +325,10 @@ def _sector_offsets(step: FreeEvolve, dim: int) -> list:
 def _free_evolution_unitaries(step: FreeEvolve, dim: int, durations) -> np.ndarray:
     """Diagonal unitaries of the free evolution run for each of durations
     (the step's own duration ignored), as a (len(durations), dim, dim) stack:
-    in each sector the rot_z-type diagonal exp(-+i t e / 2), e the sector's
-    offset, with the angles in _pulse_blocks' operation order."""
+    in each sector diag(exp(i a), exp(-i a)) with the half-angle a = -t e / 2,
+    e the sector's offset, in _pulse_blocks' operation order."""
     half_t = -0.5 * (step.sign * np.asarray(durations, dtype=float))
-    angles = half_t[:, None] * np.array(_sector_offsets(step, dim))
-    out = np.zeros((half_t.size, dim * dim), dtype=complex)
-    out[:, :: dim + 1] = np.exp(1j * np.stack([angles, -angles], axis=-1)).reshape(-1, dim)
-    return out.reshape(half_t.size, dim, dim)
+    return _block_diag([_z_stack(half_t * e) for e in _sector_offsets(step, dim)], dim)
 
 
 def _pulse_blocks(step: PulsePrimitive, dim: int) -> list:
@@ -342,9 +339,9 @@ def _pulse_blocks(step: PulsePrimitive, dim: int) -> list:
     if isinstance(step, RotY):
         return [_rot_y_entries(step.angle)]
     if isinstance(step, RotZ):
-        return [_rot_z_entries(step.angle)]
+        return [_z_entries(-0.5 * step.angle)]
     half_t = -0.5 * (step.sign * step.duration)
-    return [(_expi(half_t * e), 0j, 0j, _expi(-(half_t * e))) for e in _sector_offsets(step, dim)]
+    return [_z_entries(half_t * e) for e in _sector_offsets(step, dim)]
 
 
 def _loop_fields(step: FieldLoop) -> list[tuple]:

@@ -25,3 +25,9 @@ def is_unitary(u, atol=1e-10):
     if u.ndim != 2 or u.shape[0] != u.shape[1]:
         return False
     return np.allclose(u.conj().T @ u, np.eye(u.shape[0]), atol=atol)
+
+
+def expm_hermitian(h, t):
+    """exp(-i h t) for a Hermitian h, by its eigendecomposition."""
+    vals, vecs = np.linalg.eigh(h)
+    return (vecs * np.exp(-1j * vals * t)) @ vecs.conj().T

@@ -4,7 +4,7 @@ import json
 import numpy as np
 import pytest
 
-from conegate.cli import MAX_SWEEP_POINTS, RunConfig, _write_output, main
+from conegate.cli import CSV_CHUNK_ROWS, MAX_SWEEP_POINTS, RunConfig, _write_output, main
 from conegate.phases import cone_eigenstate
 from conegate.propagation import (
     adiabatic_error,
@@ -440,6 +440,19 @@ class TestSweepArrays:
                                "# command = test", "# k = 50%s", "a,b,c"] + rows) + "\n"
         assert capsys.readouterr().out == expected
 
+    @pytest.mark.parametrize("rows", [CSV_CHUNK_ROWS - 1, CSV_CHUNK_ROWS, CSV_CHUNK_ROWS + 1])
+    def test_csv_chunks_match_per_value_format(self, rows, capsys):
+        rng = np.random.default_rng(rows)
+        values = rng.normal(size=rows) * 10.0 ** rng.integers(-300, 300, size=rows)
+        values[:4] = [0.0, -0.0, 0.1 * 3, 123456789012345.0]
+        columns = {"a": values, "b": values[::-1], "c": list(np.arange(float(rows)))}
+        _write_output(RunConfig("test", {"k": "50%s"}), columns, None, "csv")
+        lines = capsys.readouterr().out.split("\n")
+        assert lines[:4] == [f"# conegate {__import__('conegate').__version__}",
+                             "# command = test", "# k = 50%s", "a,b,c"]
+        assert lines[4:] == [",".join(f"{columns[n][k]:.12g}" for n in columns)
+                             for k in range(rows)] + [""]
+
     def test_csv_writer_empty_columns(self, capsys):
         _write_output(RunConfig("test", {}), {"t": [], "x": np.zeros(0)}, None, "csv")
         assert capsys.readouterr().out.endswith("# command = test\nt,x\n")
@@ -647,6 +660,21 @@ class TestStepBudget:
         assert out == ""
         assert "60000000 steps requested, at most 50,000,000 allowed" in err
 
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            (["gate", "phase", "--steps", str(10**400)], "--steps"),
+            (["gate", "cnot", "--steps", str(10**12)], "--steps"),
+            (["gate", "phase", "--loops", str(10**400)], "--loops"),
+            (["gate", "phase", "--loops", str(10**9), "--steps", "1"], "--loops"),
+        ],
+    )
+    def test_counts_beyond_the_budget_exit_2_naming_the_flag(self, argv, flag, capsys):
+        code, out, err = run_cli(argv, capsys)
+        assert code == 2
+        assert out == ""
+        assert err.startswith(f"error: {flag}")
+
 
 class TestParserReuse:
     """main builds its parser once; nothing of one call leaks into the next."""
@@ -697,6 +725,43 @@ class TestFieldNamingErrors:
         code, out, err = run_cli(["evolve", "--schedule", str(path)], capsys)
         assert code == 2
         assert err == "error: initial_state: expected 4 [re, im] pairs\n"
+
+    @pytest.mark.parametrize(
+        "argv, doc",
+        [
+            (["--t-end", "nan"], {}),
+            (["--t-end=-5"], {}),
+            ([], {"t_end": float("nan")}),
+            ([], {"t_end": -5}),
+            ([], {"t_end": 10**400}),
+        ],
+    )
+    def test_bad_t_end_exits_2_before_integrating(self, argv, doc, tmp_path, capsys):
+        (tmp_path / "loop.json").write_text(json.dumps(loop_schedule_doc()))
+        (tmp_path / "cfg.json").write_text(json.dumps(doc))
+        code, out, err = run_cli(["evolve", "--schedule", str(tmp_path / "loop.json"),
+                                  "--steps", "100", "--config", str(tmp_path / "cfg.json")]
+                                 + argv, capsys)
+        assert code == 2
+        assert out == ""
+        assert "--t-end" in err
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "1e400"])
+    def test_non_finite_scurve_delta_over_j_exits_2(self, value, capsys):
+        code, out, err = run_cli(["scurve", f"--delta-over-j={value}",
+                                  "--omega1-range", "1:2:1"], capsys)
+        assert code == 2
+        assert out == ""
+        assert "--delta-over-j" in err
+
+    @pytest.mark.parametrize("seed", ["abc", 1.5, True, [1]])
+    def test_config_seed_must_be_an_integer(self, seed, tmp_path, capsys):
+        (tmp_path / "cfg.json").write_text(json.dumps({"seed": seed}))
+        code, out, err = run_cli(["scurve", "--delta-over-j", "1.058", "--omega1-range",
+                                  "1:2:1", "--config", str(tmp_path / "cfg.json")], capsys)
+        assert code == 2
+        assert out == ""
+        assert "--seed" in err
 
     @pytest.mark.parametrize("value", ["inf", "-inf", "nan"])
     def test_non_finite_delta_over_j_names_the_flag(self, value, capsys):

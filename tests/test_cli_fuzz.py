@@ -1,0 +1,173 @@
+"""Generated command lines, --config objects and schedule documents, run
+in-process through cli.main: every run exits 0, 2 or 3, prints nothing to
+stdout when it exits 2, and lets no exception escape.
+
+Work stays small so the whole test takes a few seconds: at most 2,000
+integrator steps per loop (or the default), a few revolutions per loop and
+at most 1,000 points per sweep. Larger values appear only where they are
+refused before any work is done.
+"""
+
+import contextlib
+import io
+import json
+import math
+
+import pytest
+
+pytest.importorskip("hypothesis")
+from hypothesis import HealthCheck, given, settings, strategies as st  # noqa: E402
+
+from conegate.cli import main  # noqa: E402
+
+# values that a field of the wrong type or range may hold
+ODD = st.sampled_from([math.nan, math.inf, -math.inf, 10**400, -(10**400), 1e308, -1e308,
+                       0, -0.0, True, False, None, "abc", "", "1.5", [], [1.0], {}])
+
+
+def mostly(good, odd=ODD):
+    """good, or one time in eight odd: most runs then get deep enough to
+    integrate and print."""
+    return st.integers(0, 7).flatmap(lambda k: odd if k == 0 else good)
+
+
+def numbers(lo, hi):
+    return mostly(st.one_of(st.floats(lo, hi, allow_nan=False), st.integers(int(lo), int(hi))))
+
+
+def counts(hi):
+    return mostly(st.integers(1, hi), st.one_of(
+        st.sampled_from([0, -3, 10**8, 10**12, 10**400, 2.0, 1.5]), ODD))
+
+
+@st.composite
+def ranges(draw, lo=-3.0):
+    """start:stop:step text of at most 1,000 points from lo on, or a
+    malformed one."""
+    start = draw(st.floats(lo, 3, allow_nan=False))
+    points = draw(st.integers(1, 1000))
+    step = draw(st.floats(1e-3, 1.0))
+    good = f"{start!r}:{start + step * (points - 1)!r}:{step!r}"
+    return draw(mostly(st.just(good), st.one_of(st.sampled_from(
+        ["1:2", "a:b:c", "nan:1:0.1", "0:inf:1", "2:1:0.5", "1:2:0", "1:2:-1", "0:1:1e-12",
+         "1e308:1e308:1e300", ""]), ODD)))
+
+
+@st.composite
+def loop_docs(draw, compensated):
+    if draw(st.booleans()):  # a conditional loop
+        loop = {"delta": draw(numbers(-2, 4)), "j": draw(numbers(-1, 2)),
+                "phase0": draw(numbers(-7, 7))}
+    else:
+        gamma = draw(numbers(-4, 4))
+        loop = {"omega0": draw(numbers(-3, 3)), "omega1": draw(numbers(-1, 3)),
+                "gamma": gamma, "phase0": draw(numbers(-7, 7))}
+        loop["omega_z"] = draw(mostly(st.just(gamma if compensated else 0.0), numbers(-4, 4)))
+    if draw(st.integers(0, 9)) == 0:
+        del loop[draw(st.sampled_from(sorted(loop)))]
+    return loop
+
+
+@st.composite
+def step_docs(draw):
+    op = draw(mostly(st.sampled_from(["rot_x", "rot_y", "rot_z", "free", "loop"]),
+                     st.sampled_from(["bogus", 3])))
+    if op == "free":
+        doc = {"op": op, "duration": draw(numbers(-3, 3)), "delta": draw(numbers(-3, 3)),
+               "j": draw(numbers(-2, 2))}
+    elif op == "loop":
+        compensated = draw(st.booleans())
+        doc = {"op": op, "revolutions": draw(mostly(st.floats(-3, 3))),
+               "compensated": draw(mostly(st.just(compensated))),
+               "loop": draw(mostly(loop_docs(compensated)))}
+    else:
+        doc = {"op": op, "angle": draw(numbers(-10, 10))}
+    if draw(st.integers(0, 9)) == 0:
+        del doc[draw(st.sampled_from(sorted(doc)))]
+    return draw(mostly(st.just(doc)))
+
+
+@st.composite
+def schedules(draw):
+    doc = {"frame": draw(mostly(st.sampled_from(["single-qubit", "two-qubit-rotating"]))),
+           "steps": draw(mostly(st.lists(step_docs(), max_size=4)))}
+    if draw(st.integers(0, 4)) == 0:
+        doc["initial_state"] = draw(mostly(
+            st.lists(st.lists(numbers(-1, 1), min_size=2, max_size=2), min_size=2, max_size=4)))
+    if draw(st.integers(0, 9)) == 0:
+        del doc[draw(st.sampled_from(sorted(doc)))]
+    return doc
+
+
+# every option a command reads, with the values it may be given
+OPTIONS = {
+    "steps": counts(2000),
+    "seed": counts(10),
+    "format": mostly(st.sampled_from(["csv", "json"]), st.sampled_from(["xml", 5])),
+    "theta": st.one_of(numbers(0.05, 1.5), numbers(-1, 4)),
+    "loops": counts(4),
+    "delta_over_j": st.one_of(numbers(-1, 4), ranges()),
+    "omega1_range": ranges(lo=1e-3),
+    "gamma_range": ranges(),
+    "t_end": numbers(-1, 8),
+    "out": st.sampled_from(["out.txt", "", 5, ["x"]]),
+}
+FLAGS = {"delta_over_j": "--delta-over-j", "omega1_range": "--omega1-range",
+         "gamma_range": "--gamma-range", "t_end": "--t-end"}
+COMMANDS = {
+    "scurve": ["delta_over_j", "omega1_range"],
+    "evolve": ["t_end"],
+    "gate": ["theta", "loops", "delta_over_j"],
+    "compare-adiabatic": ["theta", "gamma_range"],
+}
+COMMON = ["steps", "seed", "format", "out"]
+
+
+def as_text(value) -> str:
+    return value if isinstance(value, str) else json.dumps(value)
+
+
+@st.composite
+def invocations(draw):
+    """(argv, config object or None, schedule document or None)."""
+    command = draw(st.sampled_from(sorted(COMMANDS)))
+    argv = [command]
+    if command == "gate":
+        argv.append(draw(st.sampled_from(["phase", "hadamard", "not", "cphase", "cnot"])))
+    config = {}
+    for key in COMMANDS[command] + COMMON:
+        # an optional flag is mostly left out; a required one mostly given
+        where = draw(st.sampled_from(["argv"] * 3 + ["config"] * 2 + ["neither"] * (
+            5 if key in ("out", "seed", "format") else 1)))
+        if where == "neither":
+            continue
+        value = draw(OPTIONS[key])
+        if where == "config":
+            config[key] = value
+        else:
+            argv.append(f"{FLAGS.get(key, '--' + key)}={as_text(value)}")
+    if draw(st.integers(0, 19)) == 0:
+        config = draw(ODD)
+    schedule = draw(schedules()) if command == "evolve" else None
+    return argv, config, schedule
+
+
+@settings(max_examples=150, derandomize=True, deadline=None, database=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture, HealthCheck.too_slow])
+@given(invocations())
+def test_generated_invocations_exit_cleanly(tmp_path, monkeypatch, invocation):
+    argv, config, schedule = invocation
+    monkeypatch.delenv("CONEGATE_STEPS", raising=False)
+    monkeypatch.chdir(tmp_path)
+    if config is not None:
+        (tmp_path / "cfg.json").write_text(json.dumps(config))
+        argv = argv + ["--config", "cfg.json"]
+    if schedule is not None:
+        (tmp_path / "schedule.json").write_text(json.dumps(schedule))
+        argv = argv + ["--schedule", "schedule.json"]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 2, 3), (argv, config, schedule, err.getvalue())
+    if code == 2:
+        assert out.getvalue() == "", (argv, config, schedule)

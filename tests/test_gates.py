@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from conegate import gates
 from conegate.gates import (
     CNOT_DELTA_FACTOR,
     CNOT_TARGET,
@@ -155,6 +156,20 @@ class TestSolveHadamard:
         recipe = hadamard_recipe()
         u = apply_recipe(recipe)
         assert fidelity(u @ u, np.eye(2, dtype=complex)) == pytest.approx(1.0, abs=1e-10)
+
+    def test_tilt_is_solved_once_per_process(self, monkeypatch):
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return bisect(*args)
+
+        bisect = gates._bisect
+        monkeypatch.setattr(gates, "_bisect", counting)
+        gates._hadamard_root.cache_clear()
+        first, second = hadamard_recipe(), hadamard_recipe()
+        assert len(calls) == 1
+        assert first.parameters == second.parameters
 
 
 class TestSolveNot:

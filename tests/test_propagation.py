@@ -13,7 +13,7 @@ from conegate.hamiltonians import (
     h_rotating,
     h_two_qubit_rotating,
 )
-from conegate.linalg import SIGMA_X, SIGMA_Z, mat_exp_hermitian
+from conegate.linalg import SIGMA_X, SIGMA_Z
 from conegate.phases import (
     compensation_gamma,
     cone_eigenstate,
@@ -42,7 +42,7 @@ from conegate.sequences import (
     simulate_sequence,
 )
 
-from conftest import is_unitary, random_field_draws
+from conftest import expm_hermitian, is_unitary, random_field_draws
 
 
 class TestUncompensatedPropagator:
@@ -55,7 +55,7 @@ class TestUncompensatedPropagator:
         h0 = 0.5 * (1.2 * SIGMA_Z + 0.8 * SIGMA_X)
         for t in (0.5, 2.0):
             assert np.allclose(
-                propagator_uncompensated(p, t), mat_exp_hermitian(h0, t), atol=1e-13
+                propagator_uncompensated(p, t), expm_hermitian(h0, t), atol=1e-13
             )
 
     def test_full_loop_matches_integrator(self):
@@ -88,7 +88,7 @@ class TestCompensatedPropagator:
         p = FieldParams(0.6, 1.1, 0.0, omega_z=0.0)
         h0 = 0.5 * (0.6 * SIGMA_Z + 1.1 * SIGMA_X)
         assert np.allclose(
-            propagator_compensated(p, 1.7), mat_exp_hermitian(h0, 1.7), atol=1e-13
+            propagator_compensated(p, 1.7), expm_hermitian(h0, 1.7), atol=1e-13
         )
 
     def test_matches_integrator_along_the_loop(self):
@@ -152,7 +152,7 @@ class TestIntegrate:
                 total_steps=500,
                 samples=2,
             )
-            assert np.max(np.abs(traj.propagators[-1] - mat_exp_hermitian(h, t))) < 1e-10
+            assert np.max(np.abs(traj.propagators[-1] - expm_hermitian(h, t))) < 1e-10
 
     def test_convergence_order_two(self):
         p = FieldParams(1.0, 1.0, 0.3)
