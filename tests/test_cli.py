@@ -166,6 +166,22 @@ class TestEvolve:
         assert rows[0]["re_amp0"] == pytest.approx(geom.psi0[0].real, abs=1e-12)
         assert rows[0]["re_amp1"] == pytest.approx(geom.psi0[1].real, abs=1e-12)
 
+    def test_bloch_columns_take_one_call_per_trajectory(self, tmp_path, capsys,
+                                                        monkeypatch):
+        import conegate.cli
+
+        shapes = []
+        stacked = conegate.cli.bloch_vector
+        monkeypatch.setattr(conegate.cli, "bloch_vector",
+                            lambda psi: shapes.append(np.shape(psi)) or stacked(psi))
+        path = tmp_path / "loop.json"
+        path.write_text(json.dumps(loop_schedule_doc()))
+        code, out, _ = run_cli(["evolve", "--schedule", str(path), "--steps", "1000"], capsys)
+        assert code == 0
+        _, rows = parse_csv(out)
+        assert len(rows) > 2
+        assert shapes == [(len(rows), 2)]
+
     def test_empty_schedule_header_only(self, tmp_path, capsys):
         path = tmp_path / "empty.json"
         path.write_text(json.dumps({"frame": "single-qubit", "steps": []}))
@@ -478,6 +494,8 @@ class TestSweepArrays:
         [
             ("tilted", [],
              "d61d9afbadef8546a4d84c3044226c70e71d74a00d6e5e9aba2feca94a12f8c7"),
+            ("tilted", ["--t-end", "1.0"],
+             "ee534f5db579b6e47176243949d7b1919339e258ea996a40711efdb1f8edd83a"),
             ("conditional", [],
              "b81325cf8f3918c39423322afecc9cd5a69e6886430797313b4290a8f565f111"),
             ("conditional", ["--t-end", "1.0"],

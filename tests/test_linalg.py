@@ -4,6 +4,7 @@ import pytest
 from conegate.linalg import (
     IDENTITY_2,
     SIGMA_X,
+    SIGMA_Y,
     SIGMA_Z,
     bloch_vector,
     fidelity,
@@ -137,3 +138,93 @@ class TestBlochVector:
     def test_rejects_unnormalized(self):
         with pytest.raises(ValueError):
             bloch_vector(np.array([1.0, 1.0], dtype=complex))
+
+    def test_rejects_wrong_dimension(self):
+        with pytest.raises(ValueError, match="dimension 2 only"):
+            bloch_vector(np.zeros(3, dtype=complex))
+
+
+def bloch_one_state(psi: np.ndarray) -> np.ndarray:
+    """The one-state Bloch vector as the package first computed it: a
+    matrix-vector product and a dot per Pauli matrix, in this order."""
+    psi = np.asarray(psi, dtype=complex)
+    norm_sq = float((psi.conj() @ psi).real)
+    return np.array(
+        [
+            (psi.conj() @ (SIGMA_X @ psi)).real,
+            (psi.conj() @ (SIGMA_Y @ psi)).real,
+            (psi.conj() @ (SIGMA_Z @ psi)).real,
+        ]
+    ) / norm_sq
+
+
+def per_row(states: np.ndarray) -> np.ndarray:
+    return np.array([bloch_one_state(s) for s in states]).reshape(states.shape[:-1] + (3,))
+
+
+def random_states(n: int, seed: int) -> np.ndarray:
+    rng = np.random.default_rng(seed)
+    z = rng.normal(size=(n, 2)) + 1j * rng.normal(size=(n, 2))
+    return z / np.linalg.norm(z, axis=1, keepdims=True)
+
+
+class TestBlochVectorStack:
+    """A (..., 2) stack gives the (..., 3) vectors of its states, each one
+    byte for byte the one-state computation."""
+
+    def test_random_stack_is_bytewise_per_state(self):
+        states = random_states(100_000, 7)
+        stacked = bloch_vector(states)
+        assert stacked.shape == (100_000, 3)
+        assert stacked.tobytes() == per_row(states).tobytes()
+
+    def test_edge_states_are_bytewise_per_state(self):
+        r = 1 / np.sqrt(2)
+        parts = [1.0, -1.0, 0.0, -0.0, 1j, -1j, complex(-0.0, -0.0), complex(1.0, -0.0)]
+        basis = [[a, b] for a in parts for b in parts if abs(abs(a) ** 2 + abs(b) ** 2 - 1) < 1e-12]
+        phased = [[r * a, r * b] for a in (1, -1, 1j, -1j) for b in (1, -1, 1j, -1j)]
+        states = np.array(basis + phased, dtype=complex)
+        assert len(basis) >= 8
+        stacked = bloch_vector(states)
+        assert stacked.tobytes() == per_row(states).tobytes()
+        for state, vector in zip(states, stacked):
+            assert bloch_vector(state).tobytes() == vector.tobytes()
+
+    def test_strided_and_fortran_stacks_are_bytewise_per_state(self):
+        states = random_states(5_000, 11)
+        wide = np.zeros((2 * len(states), 3), dtype=complex)
+        wide[::2, 1:] = states
+        strided = wide[::2, 1:]
+        fortran = np.asfortranarray(states)
+        assert not strided.flags.c_contiguous and not fortran.flags.c_contiguous
+        for stack in (strided, fortran):
+            assert bloch_vector(stack).tobytes() == per_row(stack).tobytes()
+            assert bloch_vector(stack).tobytes() == per_row(states).tobytes()
+
+    def test_one_state_and_nested_stacks_keep_their_shape(self):
+        states = random_states(12, 3)
+        assert bloch_vector(states[0]).shape == (3,)
+        nested = bloch_vector(states.reshape(3, 4, 2))
+        assert nested.shape == (3, 4, 3)
+        assert nested.reshape(12, 3).tobytes() == per_row(states).tobytes()
+
+    def test_empty_stack(self):
+        assert bloch_vector(np.zeros((0, 2), dtype=complex)).shape == (0, 3)
+
+    def test_nan_row_is_refused(self):
+        states = random_states(5, 1)
+        states[2, 1] = np.nan
+        with pytest.raises(ValueError, match="^state contains NaN or Inf entries$"):
+            bloch_vector(states)
+
+    def test_three_component_rows_are_refused(self):
+        with pytest.raises(ValueError, match="^bloch_vector is defined for dimension 2 only$"):
+            bloch_vector(np.ones((4, 3), dtype=complex) / np.sqrt(3))
+
+    def test_one_unnormalized_row_is_refused(self):
+        states = random_states(6, 2)
+        states[4] *= 1.0 + 1e-5
+        with pytest.raises(ValueError, match="^state is not normalized$"):
+            bloch_vector(states)
+        states[4] /= 1.0 + 1e-5
+        bloch_vector(states)
