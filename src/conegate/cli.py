@@ -279,10 +279,7 @@ def _trajectory_columns(traj, dim: int, mask=slice(None)) -> dict:
         cols[f"re_amp{k}"] = states[:, k].real
         cols[f"im_amp{k}"] = states[:, k].imag
     if dim == 2:
-        bloch = np.array([bloch_vector(s) for s in states])
-        cols["bloch_x"] = bloch[:, 0]
-        cols["bloch_y"] = bloch[:, 1]
-        cols["bloch_z"] = bloch[:, 2]
+        cols["bloch_x"], cols["bloch_y"], cols["bloch_z"] = bloch_vector(states).T
     cols["dynamical_phase"] = running_dynamical_phase(traj, mask)
     return cols
 

@@ -16,6 +16,7 @@ SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
 SIGMA_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 IDENTITY_2 = np.eye(2, dtype=complex)
+_PAULI = np.stack([SIGMA_X, SIGMA_Y, SIGMA_Z])
 
 
 def require_finite(a: np.ndarray, name: str = "array") -> np.ndarray:
@@ -44,22 +45,21 @@ def fidelity(u: np.ndarray, v: np.ndarray) -> float:
 
 
 def bloch_vector(psi: np.ndarray) -> np.ndarray:
-    """Bloch coordinates (x, y, z) of a normalized two-level state.
+    """Bloch coordinates (x, y, z) of normalized two-level states: a
+    (..., 2) stack gives (..., 3), one state (3,).
 
     Tolerates the norm drift long exact-exponential products accumulate
-    from rounding (the result is renormalized), but rejects vectors that
-    are not close to normalized.
+    from rounding (each result is renormalized), but rejects any state that
+    is not close to normalized. Every <psi|sigma|psi> and the norm are
+    stacked matmuls, whose loop hands each state to the same BLAS calls as
+    a single state's `@`, so a stack gives each state's own bytes.
     """
     psi = require_finite(psi, "state")
-    if psi.ndim != 1 or psi.shape[0] != 2:
+    if psi.ndim < 1 or psi.shape[-1] != 2:
         raise ValueError("bloch_vector is defined for dimension 2 only")
-    norm_sq = float((psi.conj() @ psi).real)
-    if abs(norm_sq - 1.0) > 1e-6:
+    ket = psi[..., None, :, None]
+    bra = psi.conj()[..., None, None, :]
+    norm_sq = (bra @ ket).real[..., 0, 0]
+    if np.any(np.abs(norm_sq - 1.0) > 1e-6):
         raise ValueError("state is not normalized")
-    return np.array(
-        [
-            (psi.conj() @ (SIGMA_X @ psi)).real,
-            (psi.conj() @ (SIGMA_Y @ psi)).real,
-            (psi.conj() @ (SIGMA_Z @ psi)).real,
-        ]
-    ) / norm_sq
+    return (bra @ (_PAULI @ ket)).real[..., 0, 0] / norm_sq
