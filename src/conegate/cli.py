@@ -41,10 +41,12 @@ from .sequences import (
     s_operation_angles,
     sequence_from_dict,
     sequence_trajectory,
+    trajectory_rows,
 )
 
 DEFAULT_STEPS = 10_000
-MAX_SWEEP_POINTS = 1_000_000  # sweeps are evaluated as whole arrays
+# rows of a sweep or an evolve trajectory; both are evaluated as whole arrays
+MAX_SWEEP_POINTS = 1_000_000
 CSV_CHUNK_ROWS = 4096  # rows formatted per % pass
 GATE_FIDELITY_GATE = 1.0 - 1e-5
 CONFIG_ERROR = 2
@@ -89,10 +91,10 @@ def _parse_range(text: str, flag: str) -> np.ndarray:
 
 
 def _check_points(count: float, what: str) -> None:
-    """Refuse a sweep before its arrays are allocated."""
+    """Refuse a sweep or a trajectory before its arrays are allocated."""
     if count > MAX_SWEEP_POINTS:
         raise ConfigError(f"{what} asks for {count:.0f} points, "
-                          f"more than the {MAX_SWEEP_POINTS} a sweep may hold")
+                          f"more than the {MAX_SWEEP_POINTS} a sweep or trajectory may hold")
 
 
 def _int_option(value, name: str) -> int:
@@ -237,8 +239,9 @@ def cmd_evolve(config: RunConfig) -> int:
         _write_output(config, _trajectory_columns(None, dim), v.get("out"), v.get("format", "csv"))
         return 0
 
-    psi0 = _initial_state(doc, seq)
     steps = int(v["steps"])
+    _check_points(trajectory_rows(seq, steps), f"--schedule at --steps {steps}")
+    psi0 = _initial_state(doc, seq)
     traj = sequence_trajectory(seq, dim, psi0, steps_per_loop=steps)
 
     mask = slice(None)
@@ -430,6 +433,7 @@ _REQUIRED = {
 }
 
 _DEFAULTS = {"format": "csv"}
+_UNCONFIGURABLE = ("command", "config")  # parser dests that are not run values
 
 
 def _effective_config(args: argparse.Namespace) -> RunConfig:
@@ -455,10 +459,16 @@ def _effective_config(args: argparse.Namespace) -> RunConfig:
             ) from exc
         if not isinstance(file_values, dict):
             raise ConfigError("config file must hold a JSON object")
+        # parse_args gives every option of the chosen subcommand a value
+        options = set(vars(args)) - set(_UNCONFIGURABLE)
+        unknown = sorted(set(file_values) - options)
+        if unknown:
+            raise ConfigError(f"unknown config key(s) for {args.command}: "
+                              + ", ".join(map(repr, unknown)))
         values.update(file_values)
 
     for key, val in vars(args).items():
-        if key in ("command", "config"):
+        if key in _UNCONFIGURABLE:
             continue
         if val is not None:
             values[key] = val

@@ -374,6 +374,18 @@ def _loop_closed_form(step: FieldLoop) -> list:
     return blocks
 
 
+def _loop_steps(step: FieldLoop, steps_per_loop: int) -> int:
+    return max(1, int(round(steps_per_loop * step.revolutions)))
+
+
+def _loop_samples(step: FieldLoop, samples_per_loop: int) -> int:
+    return max(2, int(round(samples_per_loop * step.revolutions)))
+
+
+def _free_samples(samples_per_loop: int) -> int:
+    return max(2, samples_per_loop // 4)
+
+
 def _integrate_loop(step: FieldLoop, dim: int, steps_per_loop: int, samples: int):
     """Integrator run of one field-loop segment, each 2x2 block on its own.
 
@@ -387,7 +399,7 @@ def _integrate_loop(step: FieldLoop, dim: int, steps_per_loop: int, samples: int
                       step.sign, duration)
         for omega0, omega1, gamma, phase0 in fields
     ]
-    n = max(1, int(round(steps_per_loop * step.revolutions)))
+    n = _loop_steps(step, steps_per_loop)
     runs = [integrate(s, duration, total_steps=n, samples=samples) for s in schedules]
 
     def hamiltonian_at(t):
@@ -459,7 +471,7 @@ def sequence_trajectory(
     for step in seq.steps:
         u = props[-1][-1]
         if isinstance(step, FieldLoop):
-            m = max(2, int(round(samples_per_loop * step.revolutions)))
+            m = _loop_samples(step, samples_per_loop)
             duration, runs, h_at = _integrate_loop(step, dim, steps_per_loop, m)
             seg_u = _block_diag([run.propagators for run in runs], dim)
             segments.append((now, now + duration, h_at))
@@ -469,7 +481,7 @@ def sequence_trajectory(
         elif isinstance(step, FreeEvolve) and step.duration > 0:
             h_free = _free_evolution_hamiltonian(step, dim)
             segments.append((now, now + step.duration, lambda t, h=h_free: _const(h, t)))
-            seg_t = step.duration * np.linspace(0, 1, max(2, samples_per_loop // 4))[1:]
+            seg_t = step.duration * np.linspace(0, 1, _free_samples(samples_per_loop))[1:]
             times.append(now + seg_t)
             props.append(_free_evolution_unitaries(step, dim, seg_t) @ u)
             now += step.duration
@@ -488,6 +500,22 @@ def sequence_trajectory(
 
     props = np.concatenate(props)
     return Trajectory(np.concatenate(times), props @ psi, props, hamiltonian_at)
+
+
+def trajectory_rows(seq: PulseSequence, steps_per_loop: int = 10_000,
+                    samples_per_loop: int = 257) -> int:
+    """The most rows sequence_trajectory records for seq, counted without
+    integrating: a loop records at most its step count + 1 samples."""
+    rows = 1
+    for step in seq.steps:
+        if isinstance(step, FieldLoop):
+            rows += min(_loop_samples(step, samples_per_loop),
+                        _loop_steps(step, steps_per_loop) + 1) - 1
+        elif isinstance(step, FreeEvolve) and step.duration > 0:
+            rows += _free_samples(samples_per_loop) - 1
+        else:
+            rows += 1
+    return rows
 
 
 def _const(h: np.ndarray, t) -> np.ndarray:

@@ -378,6 +378,24 @@ class TestConfigPlumbing:
         assert code == 0
         assert "# delta_over_j = 1.058" in out
 
+    @pytest.mark.parametrize(
+        "doc, argv, keys",
+        [
+            ({"stpes": 100, "command": "scurve"}, ["gate", "phase"], "'command', 'stpes'"),
+            ({"config": "other.json"}, ["gate", "phase"], "'config'"),
+            ({"omega1_range": "1:2:1"}, ["gate", "hadamard"], "'omega1_range'"),
+            ({"t_end": 1.0, "delta_over_j": "1.058", "omega1_range": "1:2:1"}, ["scurve"],
+             "'t_end'"),
+        ],
+    )
+    def test_unknown_config_key_exits_2_naming_it(self, doc, argv, keys, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(doc))
+        code, out, err = run_cli(argv + ["--config", str(cfg)], capsys)
+        assert code == 2
+        assert out == ""
+        assert err == f"error: unknown config key(s) for {argv[0]}: {keys}\n"
+
     def test_env_var_sets_steps(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setenv("CONEGATE_STEPS", "777")
         code, out, _ = run_cli(
@@ -538,6 +556,24 @@ class TestSweepBounds:
         assert out == ""
         assert flag in err
         assert str(MAX_SWEEP_POINTS) in err
+
+    def test_oversized_trajectory_is_refused_before_allocation(self, tmp_path, capsys):
+        import tracemalloc
+
+        doc = loop_schedule_doc()
+        doc["steps"][0]["revolutions"] = 1e5  # 1e7 steps, a sample at each
+        (tmp_path / "loop.json").write_text(json.dumps(doc))
+        tracemalloc.start()
+        try:
+            code, out, err = run_cli(["evolve", "--schedule", str(tmp_path / "loop.json"),
+                                      "--steps", "100"], capsys)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 2
+        assert out == ""
+        assert "10000001 points" in err and str(MAX_SWEEP_POINTS) in err
+        assert peak < 4e6
 
     @pytest.mark.parametrize("text", ["0.1:inf:1", "0.5:1:inf", "nan:1:0.1", "-inf:1:0.5"])
     def test_non_finite_range_is_refused(self, text, capsys):
