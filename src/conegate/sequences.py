@@ -378,11 +378,10 @@ def _loop_steps(step: FieldLoop, steps_per_loop: int) -> int:
     return max(1, int(round(steps_per_loop * step.revolutions)))
 
 
-def _loop_samples(step: FieldLoop, samples_per_loop: int) -> int:
-    return max(2, int(round(samples_per_loop * step.revolutions)))
-
-
-def _free_samples(samples_per_loop: int) -> int:
+def _samples(step: FieldLoop | FreeEvolve, samples_per_loop: int) -> int:
+    """Samples a loop or a free evolution asks to record, its start included."""
+    if isinstance(step, FieldLoop):
+        return max(2, int(round(samples_per_loop * step.revolutions)))
     return max(2, samples_per_loop // 4)
 
 
@@ -471,7 +470,7 @@ def sequence_trajectory(
     for step in seq.steps:
         u = props[-1][-1]
         if isinstance(step, FieldLoop):
-            m = _loop_samples(step, samples_per_loop)
+            m = _samples(step, samples_per_loop)
             duration, runs, h_at = _integrate_loop(step, dim, steps_per_loop, m)
             seg_u = _block_diag([run.propagators for run in runs], dim)
             segments.append((now, now + duration, h_at))
@@ -481,7 +480,7 @@ def sequence_trajectory(
         elif isinstance(step, FreeEvolve) and step.duration > 0:
             h_free = _free_evolution_hamiltonian(step, dim)
             segments.append((now, now + step.duration, lambda t, h=h_free: _const(h, t)))
-            seg_t = step.duration * np.linspace(0, 1, _free_samples(samples_per_loop))[1:]
+            seg_t = step.duration * np.linspace(0, 1, _samples(step, samples_per_loop))[1:]
             times.append(now + seg_t)
             props.append(_free_evolution_unitaries(step, dim, seg_t) @ u)
             now += step.duration
@@ -509,10 +508,10 @@ def trajectory_rows(seq: PulseSequence, steps_per_loop: int = 10_000,
     rows = 1
     for step in seq.steps:
         if isinstance(step, FieldLoop):
-            rows += min(_loop_samples(step, samples_per_loop),
+            rows += min(_samples(step, samples_per_loop),
                         _loop_steps(step, steps_per_loop) + 1) - 1
         elif isinstance(step, FreeEvolve) and step.duration > 0:
-            rows += _free_samples(samples_per_loop) - 1
+            rows += _samples(step, samples_per_loop) - 1
         else:
             rows += 1
     return rows

@@ -464,6 +464,20 @@ class TestSequenceTrajectory:
         h_mid = traj.hamiltonian_at(traj.duration / 2)
         assert h_mid.shape == (2, 2)
 
+    @pytest.mark.parametrize("steps", [1, 3, 100, 257, 2000])
+    def test_row_count_is_known_before_integrating(self, steps):
+        p = FieldParams(1.0, 1.0, -2.0, omega_z=-2.0)
+        free = FreeEvolve(0.53, 1.058)
+        schedules = [
+            PulseSequence((RotY(0.2), FieldLoop(p), RotY(-0.2))),
+            PulseSequence((FieldLoop(p, revolutions=0.3), free, FieldLoop(p, revolutions=2.7))),
+            build_conditional_loop(1.8, 1.0),
+        ]
+        for seq in schedules:
+            dim = 2 if seq.frame == SINGLE_QUBIT else 4
+            traj = sequence_trajectory(seq, dim, up_state(dim), steps_per_loop=steps)
+            assert sequences.trajectory_rows(seq, steps) == len(traj.times)
+
 
 class TestSerialization:
     def build_reference(self) -> PulseSequence:
