@@ -512,12 +512,12 @@ class TestSweepArrays:
         [
             ("tilted", [],
              "d61d9afbadef8546a4d84c3044226c70e71d74a00d6e5e9aba2feca94a12f8c7"),
-            ("tilted", ["--t-end", "1.0"],
-             "ee534f5db579b6e47176243949d7b1919339e258ea996a40711efdb1f8edd83a"),
             ("conditional", [],
              "b81325cf8f3918c39423322afecc9cd5a69e6886430797313b4290a8f565f111"),
             ("conditional", ["--t-end", "1.0"],
              "f466c6e1f21bbd4d5e339165f403103bf42f46393085eda0bbbc62afb6389575"),
+            ("tilted", ["--t-end", "1.0"],
+             "ee534f5db579b6e47176243949d7b1919339e258ea996a40711efdb1f8edd83a"),
         ],
     )
     def test_pinned_evolve_digest(self, schedule, extra, digest, tmp_path, capsys,
