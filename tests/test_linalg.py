@@ -177,7 +177,7 @@ class TestBlochVectorStack:
     def test_edge_states_are_bytewise_per_state(self):
         r = 1 / np.sqrt(2)
         parts = [1.0, -1.0, 0.0, -0.0, 1j, -1j, complex(-0.0, -0.0), complex(1.0, -0.0)]
-        basis = [[a, b] for a in parts for b in parts if abs(abs(a) ** 2 + abs(b) ** 2 - 1) < 1e-12]
+        basis = [[a, b] for a in parts for b in parts if abs(a) ** 2 + abs(b) ** 2 == 1]
         phased = [[r * a, r * b] for a in (1, -1, 1j, -1j) for b in (1, -1, 1j, -1j)]
         states = np.array(basis + phased, dtype=complex)
         assert len(basis) >= 8
