@@ -93,7 +93,8 @@ def _parse_range(text: str, flag: str) -> np.ndarray:
 def _check_points(count: float, what: str) -> None:
     """Refuse a sweep or a trajectory before its arrays are allocated."""
     if count > MAX_SWEEP_POINTS:
-        raise ConfigError(f"{what} asks for {count:.0f} points, "
+        shown = count if isinstance(count, int) else f"{count:.0f}"  # an int may pass 1e308
+        raise ConfigError(f"{what} asks for {shown} points, "
                           f"more than the {MAX_SWEEP_POINTS} a sweep or trajectory may hold")
 
 
@@ -434,6 +435,7 @@ _REQUIRED = {
 
 _DEFAULTS = {"format": "csv"}
 _UNCONFIGURABLE = ("command", "config")  # parser dests that are not run values
+_POSITIONALS = ("name",)  # run values the command line always sets
 
 
 def _effective_config(args: argparse.Namespace) -> RunConfig:
@@ -460,7 +462,7 @@ def _effective_config(args: argparse.Namespace) -> RunConfig:
         if not isinstance(file_values, dict):
             raise ConfigError("config file must hold a JSON object")
         # parse_args gives every option of the chosen subcommand a value
-        options = set(vars(args)) - set(_UNCONFIGURABLE)
+        options = set(vars(args)) - set(_UNCONFIGURABLE) - set(_POSITIONALS)
         unknown = sorted(set(file_values) - options)
         if unknown:
             raise ConfigError(f"unknown config key(s) for {args.command}: "

@@ -593,6 +593,12 @@ def _check_field(f: FieldSchedule, t_end: float) -> None:
         raise ValueError("schedule produced a non-finite Hamiltonian sample")
 
 
+def _recorded_samples(samples: int, n_steps: int) -> int:
+    """Sample points a run of n_steps records when asked for samples: the
+    start and the end at least, one per step boundary at most."""
+    return int(min(max(2, samples), n_steps + 1))
+
+
 def integrate(
     schedule: Callable[[np.ndarray], np.ndarray],
     t_end: float,
@@ -647,7 +653,7 @@ def integrate(
         return Trajectory(np.zeros(1), psi0[None, :], eye, schedule)
 
     kernel = _SU2(m) if d == 2 else _Dense(d)
-    n_rec = int(min(max(2, samples), n_steps + 1))
+    n_rec = _recorded_samples(samples, n_steps)
     bounds = np.round(np.linspace(0, n_steps, n_rec)).astype(int)
     bounds = bounds[np.diff(bounds, prepend=-1) > 0]  # ascending, so unique is a diff
     ends = bounds[1:]

@@ -37,6 +37,7 @@ from .phases import two_qubit_loop_params
 from .propagation import (
     Trajectory,
     _propagator_entries,
+    _recorded_samples,
     _z_entries,
     _z_stack,
     integrate,
@@ -45,6 +46,7 @@ from .propagation import (
 
 SINGLE_QUBIT = "single-qubit"
 TWO_QUBIT = "two-qubit-rotating"
+SAMPLES_PER_LOOP = 257  # samples sequence_trajectory records per revolution
 
 
 def _rot_x_entries(angle: float) -> tuple:
@@ -374,14 +376,26 @@ def _loop_closed_form(step: FieldLoop) -> list:
     return blocks
 
 
+def _per_revolution(count: int, step: FieldLoop) -> int:
+    """count per revolution scaled to the loop's revolutions, rounded."""
+    n = count * step.revolutions
+    if not math.isfinite(n):
+        raise ValueError(f"a loop of {step.revolutions:g} revolutions at {count} "
+                         "per revolution overflows the step or sample count")
+    return round(n)
+
+
 def _loop_steps(step: FieldLoop, steps_per_loop: int) -> int:
-    return max(1, int(round(steps_per_loop * step.revolutions)))
+    return max(1, _per_revolution(steps_per_loop, step))
 
 
-def _samples(step: FieldLoop | FreeEvolve, samples_per_loop: int) -> int:
-    """Samples a loop or a free evolution asks to record, its start included."""
-    if isinstance(step, FieldLoop):
-        return max(2, int(round(samples_per_loop * step.revolutions)))
+def _loop_samples(step: FieldLoop, samples_per_loop: int) -> int:
+    """Samples a loop asks to record, its start included."""
+    return max(2, _per_revolution(samples_per_loop, step))
+
+
+def _free_samples(samples_per_loop: int) -> int:
+    """Samples a free evolution records, its start included."""
     return max(2, samples_per_loop // 4)
 
 
@@ -454,7 +468,7 @@ def sequence_trajectory(
     dim: int,
     psi0: np.ndarray,
     steps_per_loop: int = 10_000,
-    samples_per_loop: int = 257,
+    samples_per_loop: int = SAMPLES_PER_LOOP,
 ) -> Trajectory:
     """Time-resolved integrator run over the whole sequence.
 
@@ -470,7 +484,7 @@ def sequence_trajectory(
     for step in seq.steps:
         u = props[-1][-1]
         if isinstance(step, FieldLoop):
-            m = _samples(step, samples_per_loop)
+            m = _loop_samples(step, samples_per_loop)
             duration, runs, h_at = _integrate_loop(step, dim, steps_per_loop, m)
             seg_u = _block_diag([run.propagators for run in runs], dim)
             segments.append((now, now + duration, h_at))
@@ -480,7 +494,7 @@ def sequence_trajectory(
         elif isinstance(step, FreeEvolve) and step.duration > 0:
             h_free = _free_evolution_hamiltonian(step, dim)
             segments.append((now, now + step.duration, lambda t, h=h_free: _const(h, t)))
-            seg_t = step.duration * np.linspace(0, 1, _samples(step, samples_per_loop))[1:]
+            seg_t = step.duration * np.linspace(0, 1, _free_samples(samples_per_loop))[1:]
             times.append(now + seg_t)
             props.append(_free_evolution_unitaries(step, dim, seg_t) @ u)
             now += step.duration
@@ -501,17 +515,16 @@ def sequence_trajectory(
     return Trajectory(np.concatenate(times), props @ psi, props, hamiltonian_at)
 
 
-def trajectory_rows(seq: PulseSequence, steps_per_loop: int = 10_000,
-                    samples_per_loop: int = 257) -> int:
-    """The most rows sequence_trajectory records for seq, counted without
-    integrating: a loop records at most its step count + 1 samples."""
+def trajectory_rows(seq: PulseSequence, steps_per_loop: int) -> int:
+    """The most rows sequence_trajectory records for seq at its default
+    sampling, counted without integrating."""
     rows = 1
     for step in seq.steps:
         if isinstance(step, FieldLoop):
-            rows += min(_samples(step, samples_per_loop),
-                        _loop_steps(step, steps_per_loop) + 1) - 1
+            rows += _recorded_samples(_loop_samples(step, SAMPLES_PER_LOOP),
+                                      _loop_steps(step, steps_per_loop)) - 1
         elif isinstance(step, FreeEvolve) and step.duration > 0:
-            rows += _samples(step, samples_per_loop) - 1
+            rows += _free_samples(SAMPLES_PER_LOOP) - 1
         else:
             rows += 1
     return rows

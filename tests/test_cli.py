@@ -386,6 +386,7 @@ class TestConfigPlumbing:
             ({"omega1_range": "1:2:1"}, ["gate", "hadamard"], "'omega1_range'"),
             ({"t_end": 1.0, "delta_over_j": "1.058", "omega1_range": "1:2:1"}, ["scurve"],
              "'t_end'"),
+            ({"name": "cnot"}, ["gate", "phase"], "'name'"),
         ],
     )
     def test_unknown_config_key_exits_2_naming_it(self, doc, argv, keys, tmp_path, capsys):
@@ -557,22 +558,31 @@ class TestSweepBounds:
         assert flag in err
         assert str(MAX_SWEEP_POINTS) in err
 
-    def test_oversized_trajectory_is_refused_before_allocation(self, tmp_path, capsys):
+    @pytest.mark.parametrize(
+        "revolutions, steps, message",
+        [
+            ([1e5], 100, f"10000001 points, more than the {MAX_SWEEP_POINTS}"),  # 1e7 steps
+            ([1e306], 100, "a loop of 1e+306 revolutions at 257 per revolution overflows"),
+            ([6e305] * 3, 257, f"points, more than the {MAX_SWEEP_POINTS}"),  # a sum past 1e308
+        ],
+    )
+    def test_oversized_trajectory_is_refused_before_allocation(
+            self, revolutions, steps, message, tmp_path, capsys):
         import tracemalloc
 
         doc = loop_schedule_doc()
-        doc["steps"][0]["revolutions"] = 1e5  # 1e7 steps, a sample at each
+        doc["steps"] = [dict(doc["steps"][0], revolutions=r) for r in revolutions]
         (tmp_path / "loop.json").write_text(json.dumps(doc))
         tracemalloc.start()
         try:
             code, out, err = run_cli(["evolve", "--schedule", str(tmp_path / "loop.json"),
-                                      "--steps", "100"], capsys)
+                                      "--steps", str(steps)], capsys)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert code == 2
         assert out == ""
-        assert "10000001 points" in err and str(MAX_SWEEP_POINTS) in err
+        assert message in err
         assert peak < 4e6
 
     @pytest.mark.parametrize("text", ["0.1:inf:1", "0.5:1:inf", "nan:1:0.1", "-inf:1:0.5"])
