@@ -4,6 +4,7 @@ import json
 import numpy as np
 import pytest
 
+from conegate import cli
 from conegate.cli import CSV_CHUNK_ROWS, MAX_SWEEP_POINTS, RunConfig, _write_output, main
 from conegate.phases import cone_eigenstate
 from conegate.propagation import (
@@ -13,7 +14,7 @@ from conegate.propagation import (
     propagator_uncompensated,
 )
 from conegate.hamiltonians import FieldParams
-from conegate.sequences import s_operation_params
+from conegate.sequences import s_operation_angles, s_operation_params
 
 
 def run_cli(args, capsys):
@@ -499,10 +500,17 @@ class TestSweepArrays:
              "e5a6d87b31c8a48c869e9a303b3fd2ba5874a57a64aef3bec371ea03dc120841"),
             (["compare-adiabatic", "--theta", "0.6", "--gamma-range", "0.01:0.3:0.02"],
              "a6220e180c8146b867fb43eb57f11f2a35687c19c323c147fde8f3f853907b24"),
+            # a 100 x 190 grid, the size of the benchmark's scurve calls
+            (["scurve", "--delta-over-j", "0.5:2.49:0.02", "--omega1-range", "0.3:9.775:0.05"],
+             "a3b1f6d0fcc05fc006cd7dc22cbdcdc59891f617d99feb9ce5c0601ad190cd37"),
+            # 5,500 speeds, across the LOOP_BLOCK boundary of loop_infidelities
+            (["compare-adiabatic", "--theta", "0.6", "--gamma-range", "0.001:5.5:0.001"],
+             "6cf6c540ae6f70fa52d65894180c79a15a530e46bf0f528acbb1e6e85756ae65"),
         ],
     )
     def test_pinned_digest(self, argv, digest, capsys, monkeypatch):
-        # digests of the point-by-point implementation's output
+        # digests of the point-by-point implementation's output; the last two
+        # were taken before the grid writer and the stacked overlaps
         monkeypatch.delenv("CONEGATE_STEPS", raising=False)
         code, out, _ = run_cli(argv, capsys)
         assert code == 0
@@ -536,6 +544,73 @@ class TestSweepArrays:
                                + extra, capsys)
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def _grid_reference(delta_values, omega1_values) -> str:
+    """The scurve CSV body of a grid, each value formatted on its own from
+    whole repeat/tile columns: delta is the outer axis, omega1 the inner."""
+    delta = np.repeat(delta_values, omega1_values.size)
+    omega1 = np.tile(omega1_values, delta_values.size)
+    t_c, phi_prime, _, _ = s_operation_angles(delta, 1.0, omega1)
+    rows = [f"{w:.12g},{d:.12g},{t:.12g},{p:.12g}\n"
+            for w, d, t, p in zip(omega1, delta, t_c, phi_prime)]
+    return "omega1_over_J,delta_over_J,J_tc,phi_prime_rad\n" + "".join(rows)
+
+
+def _range_text(start: float, step: float, count: int) -> str:
+    # the stop sits half a step past the last point, so the count is exact
+    return f"{start!r}:{start + (count - 0.5) * step!r}:{step!r}"
+
+
+class TestGridWriter:
+    """scurve's CSV is the grid's rows formatted value by value, whatever
+    the grid's shape against the chunk size, and its writer holds one chunk
+    at a time."""
+
+    @pytest.mark.parametrize("omegas", [CSV_CHUNK_ROWS - 1, CSV_CHUNK_ROWS, CSV_CHUNK_ROWS + 1])
+    @pytest.mark.parametrize("delta_arg", ["1.058", "-1.5:1.5:0.75"])  # the second crosses 0
+    def test_rows_match_per_value_format(self, omegas, delta_arg, capsys):
+        omega1_arg = _range_text(0.05, 0.001, omegas)
+        code, out, _ = run_cli(["scurve", f"--delta-over-j={delta_arg}",
+                                "--omega1-range", omega1_arg], capsys)
+        assert code == 0
+        header, _, body = out.partition("omega1_over_J,")
+        assert all(line.startswith("# ") for line in header.splitlines())
+        deltas = (np.array([1.058]) if ":" not in delta_arg
+                  else -1.5 + 0.75 * np.arange(5))
+        assert 0.0 in deltas or deltas.size == 1
+        assert "omega1_over_J," + body == _grid_reference(deltas, 0.05 + 0.001 * np.arange(omegas))
+
+    @pytest.mark.parametrize("omegas", [1, 2, 4, 5, 6, 11])
+    @pytest.mark.parametrize("deltas", [1, 2, 3, 7])
+    def test_small_chunks_match_per_value_format(self, omegas, deltas, capsys, monkeypatch):
+        # chunks of 5 rows put every grid shape on and across a chunk edge
+        monkeypatch.setattr(cli, "CSV_CHUNK_ROWS", 5)
+        code, out, _ = run_cli(["scurve", f"--delta-over-j={_range_text(-0.7, 0.35, deltas)}",
+                                "--omega1-range", _range_text(0.2, 0.3, omegas)], capsys)
+        assert code == 0
+        expected = _grid_reference(-0.7 + 0.35 * np.arange(deltas), 0.2 + 0.3 * np.arange(omegas))
+        assert out.partition("omega1_over_J,")[2] == expected.partition("omega1_over_J,")[2]
+
+    def test_writer_memory_is_one_chunk(self, tmp_path):
+        import tracemalloc
+
+        argv = ["scurve", "--delta-over-j", _range_text(0.5, 0.02, 40),
+                "--omega1-range", _range_text(0.1, 0.005, 5000), "--out", str(tmp_path / "g.csv")]
+        rows = 40 * 5000
+        tracemalloc.start()
+        try:
+            code = main(argv)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        with open(tmp_path / "g.csv") as fh:
+            assert sum(not line.startswith("#") for line in fh) == rows + 1
+        # at most ten float64 arrays of the grid for the solver and its
+        # columns, plus 2 MB for one chunk's values, template and text: the
+        # whole output as one string would take another 11 MB
+        assert peak < 10 * 8 * rows + 2e6
 
 
 class TestSweepBounds:

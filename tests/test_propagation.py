@@ -314,6 +314,19 @@ class TestStackedClosedForms:
         for g, value in zip(gammas[::7] * omega0, uncompensated[::7]):
             assert adiabatic_error(FieldParams(omega0, omega1, float(g))) == value
 
+    def test_vecdot_is_the_per_pair_dot(self, rng):
+        # loop_infidelities takes a block's overlaps <psi0|U psi0> in one
+        # np.vecdot; the printed sweeps keep their bytes only while it sums
+        # each pair as the dot of that pair alone does
+        psi0 = rng.normal(size=(100, 2)) + 1j * rng.normal(size=(100, 2))
+        v = rng.normal(size=(100, 1000, 2)) + 1j * rng.normal(size=(100, 1000, 2))
+        v *= 10.0 ** rng.integers(-8, 3, size=(100, 1000, 1))
+        for a, vs in zip(psi0, v):
+            per_pair = np.array([a.conj() @ b for b in vs])
+            assert np.vecdot(a, vs).tobytes() == per_pair.tobytes(), (
+                "np.vecdot and the dot of one pair round apart on this numpy/BLAS "
+                "build, so loop_infidelities would not print the pinned sweeps' bytes")
+
     def test_sweep_rejects_zero_speed(self):
         with pytest.raises(ValueError, match="gamma = 0"):
             loop_infidelities(1.0, 1.0, np.array([0.5, 0.0]))
