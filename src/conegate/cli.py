@@ -132,25 +132,59 @@ def _emit(chunks, out: str | None) -> None:
         raise ConfigError(f"cannot write --out {out!r}: {exc.strerror or exc}") from exc
 
 
-def _csv_chunks(config: RunConfig, columns: dict):
+def _axis_texts(values: np.ndarray) -> list[str]:
+    """'%.12g,' of each value: a grid axis's text up to the next column."""
+    return ["%.12g," % x for x in values.tolist()]
+
+
+def _csv_chunks(config: RunConfig, columns: dict, grid: dict | None = None):
     """Header, column line and one %.12g row per sample, as strings: the
     header as is, then CSV_CHUNK_ROWS rows at a time, each chunk one format
     string applied to its slice of the stacked columns, so memory stays
-    bounded at any row count."""
+    bounded at any row count.
+
+    grid, when given, maps the names of a grid's two axes (inner, then
+    outer) to their values. The rows are then the axes' outer product,
+    inner axis fastest: the axis columns come first, and columns holds the
+    other columns in row order. Each chunk's format string carries the axis
+    texts as literals, so only the other columns go through %.12g per row.
+    An inner axis that fits in one chunk is formatted once for the whole
+    run, and a chunk spans as many whole outer values as fit; a longer one
+    is cut into chunk-sized slices, each formatted per outer value. Either
+    way a chunk holds at most CSV_CHUNK_ROWS rows and no axis is repeated
+    into a whole column."""
     lines = config.header_lines()
-    lines.append(",".join(columns))
+    lines.append(",".join([*(grid or {}), *columns]))
     yield "\n".join(lines) + "\n"
     cols = [np.asarray(c, dtype=float) for c in columns.values()]
     row = ",".join(["%.12g"] * len(cols)) + "\n"
-    for start in range(0, len(cols[0]), CSV_CHUNK_ROWS):
-        chunk = np.column_stack([c[start : start + CSV_CHUNK_ROWS] for c in cols])
-        yield (row * len(chunk)) % tuple(chunk.ravel().tolist())
+    if grid is None:
+        for start in range(0, len(cols[0]), CSV_CHUNK_ROWS):
+            chunk = np.column_stack([c[start : start + CSV_CHUNK_ROWS] for c in cols])
+            yield (row * len(chunk)) % tuple(chunk.ravel().tolist())
+        return
+    inner, outer = (np.asarray(axis, dtype=float) for axis in grid.values())
+    width = min(inner.size, CSV_CHUNK_ROWS)  # inner values in one chunk
+    whole = _axis_texts(inner) if width == inner.size else None
+    for i in range(0, outer.size, CSV_CHUNK_ROWS // width):
+        tails = [text + row for text in _axis_texts(outer[i : i + CSV_CHUNK_ROWS // width])]
+        for j in range(0, inner.size, width):
+            heads = whole or _axis_texts(inner[j : j + width])
+            start = i * inner.size + j
+            chunk = np.column_stack([c[start : start + len(tails) * len(heads)] for c in cols])
+            template = "".join(tail.join(heads) + tail for tail in tails)
+            yield template % tuple(chunk.ravel().tolist())
 
 
-def _write_output(config: RunConfig, columns: dict, out: str | None, fmt: str) -> None:
+def _write_output(config: RunConfig, columns: dict, out: str | None, fmt: str,
+                  grid: dict | None = None) -> None:
     if fmt == "csv":
-        chunks = _csv_chunks(config, columns)
+        chunks = _csv_chunks(config, columns, grid)
     elif fmt == "json":
+        if grid:  # the axes as whole columns, inner axis fastest
+            (inner_name, inner), (outer_name, outer) = grid.items()
+            columns = {inner_name: np.tile(inner, outer.size),
+                       outer_name: np.repeat(outer, inner.size), **columns}
         doc = {
             "tool": f"conegate {__version__}",
             "command": config.command,
@@ -177,12 +211,10 @@ def cmd_scurve(config: RunConfig) -> int:
         delta_values = np.array([_float_option(delta_arg, "--delta-over-j")])
     _check_points(delta_values.size * omega1_values.size, "--delta-over-j x --omega1-range")
     # delta is the outer loop of the grid, omega1 the inner one
-    delta = np.repeat(delta_values, omega1_values.size)
-    omega1 = np.tile(omega1_values, delta_values.size)
-    t_c, phi_prime, _, _ = s_operation_angles(delta, 1.0, omega1)
-    cols = {"omega1_over_J": omega1, "delta_over_J": delta, "J_tc": t_c,
-            "phi_prime_rad": phi_prime}
-    _write_output(config, cols, v.get("out"), v.get("format", "csv"))
+    t_c, phi_prime, _, _ = s_operation_angles(delta_values[:, None], 1.0, omega1_values)
+    grid = {"omega1_over_J": omega1_values, "delta_over_J": delta_values}
+    cols = {"J_tc": t_c.ravel(), "phi_prime_rad": phi_prime.ravel()}
+    _write_output(config, cols, v.get("out"), v.get("format", "csv"), grid)
     return 0
 
 
