@@ -557,6 +557,17 @@ def _grid_reference(delta_values, omega1_values) -> str:
     return "omega1_over_J,delta_over_J,J_tc,phi_prime_rad\n" + "".join(rows)
 
 
+def _assert_same_lines(got: str, expected: str) -> None:
+    """got == expected, reporting the first line that differs: pytest's own
+    diff of two texts of thousands of lines takes minutes."""
+    got_lines, expected_lines = got.split("\n"), expected.split("\n")
+    pairs = zip(got_lines, expected_lines)
+    first = next((k for k, (a, b) in enumerate(pairs) if a != b),
+                 min(len(got_lines), len(expected_lines)))
+    assert got_lines == expected_lines, (
+        f"line {first}: {got_lines[first:first + 1]} != {expected_lines[first:first + 1]}")
+
+
 def _range_text(start: float, step: float, count: int) -> str:
     # the stop sits half a step past the last point, so the count is exact
     return f"{start!r}:{start + (count - 0.5) * step!r}:{step!r}"
@@ -579,7 +590,8 @@ class TestGridWriter:
         deltas = (np.array([1.058]) if ":" not in delta_arg
                   else -1.5 + 0.75 * np.arange(5))
         assert 0.0 in deltas or deltas.size == 1
-        assert "omega1_over_J," + body == _grid_reference(deltas, 0.05 + 0.001 * np.arange(omegas))
+        _assert_same_lines("omega1_over_J," + body,
+                           _grid_reference(deltas, 0.05 + 0.001 * np.arange(omegas)))
 
     @pytest.mark.parametrize("omegas", [1, 2, 4, 5, 6, 11])
     @pytest.mark.parametrize("deltas", [1, 2, 3, 7])
@@ -590,7 +602,8 @@ class TestGridWriter:
                                 "--omega1-range", _range_text(0.2, 0.3, omegas)], capsys)
         assert code == 0
         expected = _grid_reference(-0.7 + 0.35 * np.arange(deltas), 0.2 + 0.3 * np.arange(omegas))
-        assert out.partition("omega1_over_J,")[2] == expected.partition("omega1_over_J,")[2]
+        _assert_same_lines(out.partition("omega1_over_J,")[2],
+                           expected.partition("omega1_over_J,")[2])
 
     def test_writer_memory_is_one_chunk(self, tmp_path):
         import tracemalloc

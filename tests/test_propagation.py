@@ -314,6 +314,16 @@ class TestStackedClosedForms:
         for g, value in zip(gammas[::7] * omega0, uncompensated[::7]):
             assert adiabatic_error(FieldParams(omega0, omega1, float(g))) == value
 
+    def test_uncompensated_column_squares_by_power(self):
+        # at these speeds (theta = 0.6) 1 - a**2 and 1 - a * a round apart in
+        # the last bit; the uncompensated column has always taken the power
+        omega0, omega1 = float(np.cos(0.6)), float(np.sin(0.6))
+        gammas = [0.18239917089503785, 0.305951912447016, 0.37288663081619045,
+                  0.391869349959113]
+        uncompensated, _ = loop_infidelities(omega0, omega1, np.array(gammas))
+        expected = [_per_point_infidelities(omega0, omega1, g)[0] for g in gammas]
+        assert uncompensated.tobytes() == np.array(expected).tobytes()
+
     def test_vecdot_is_the_per_pair_dot(self, rng):
         # loop_infidelities takes a block's overlaps <psi0|U psi0> in one
         # np.vecdot; the printed sweeps keep their bytes only while it sums
