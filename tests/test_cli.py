@@ -431,6 +431,121 @@ class TestConfigPlumbing:
         assert "delta-over-j" in err
 
 
+def _stdout(*lines: str) -> str:
+    return "\n".join([f"# conegate {__import__('conegate').__version__}", *lines]) + "\n"
+
+
+_SCURVE_ROW = ["omega1_over_J,delta_over_J,J_tc,phi_prime_rad",
+               "1,1.058,0.530275060261,0.588210153884"]
+_COMPARE_ROWS = ["gamma_over_omega0,infidelity_uncompensated,infidelity_compensated",
+                 "0.1,0.0016702316939,0", "0.2,0.00623073648608,0"]
+_EVOLVE_COLUMNS = ["t,re_amp0,im_amp0,re_amp1,im_amp1,bloch_x,bloch_y,bloch_z,dynamical_phase"]
+
+
+class TestHeaderEcho:
+    """The header echoes a command-line number as parsed and every other
+    given value as given; of the defaults it shows format and steps only."""
+
+    @pytest.mark.parametrize(
+        "argv, doc, env, expected",
+        [
+            (["gate", "phase", "--theta", "1", "--steps", "0500", "--loops", "02"], None, None,
+             _stdout("# command = gate", "# format = csv", "# loops = 2", "# name = phase",
+                     "# steps = 500", "# theta = 1.0", "target matrix:",
+                     "-0.968109+0.250529j  +0.000000+0.000000j",
+                     "+0.000000+0.000000j  -0.968109-0.250529j", "parameters:",
+                     "  loops = 2", "  theta0 = 1", "  tilt = 1",
+                     "simulated fidelity = 0.999999999875")),
+            (["gate", "cphase", "--delta-over-j", "1.0580", "--steps", "300"], None, None,
+             _stdout("# command = gate", "# delta_over_j = 1.058", "# format = csv",
+                     "# name = cphase", "# steps = 300", "target matrix:",
+                     "+0.999060+0.043341j  +0.000000+0.000000j  +0.000000+0.000000j  "
+                     "+0.000000+0.000000j",
+                     "+0.000000+0.000000j  +0.999060-0.043341j  +0.000000+0.000000j  "
+                     "+0.000000+0.000000j",
+                     "+0.000000+0.000000j  +0.000000+0.000000j  -0.867758+0.496987j  "
+                     "+0.000000+0.000000j",
+                     "+0.000000+0.000000j  +0.000000+0.000000j  +0.000000+0.000000j  "
+                     "-0.867758-0.496987j",
+                     "parameters:", "  delta = 1.058", "  gamma = -2.116",
+                     "  gamma_minus_phase = -3.66171562839",
+                     "  gamma_plus_phase = -6.23983029654", "  j = 1",
+                     "  omega1 = 0.345490955019", "  theta_minus = 1.40447021732",
+                     "  theta_plus = 0.166326109475",
+                     "simulated fidelity = 0.999999999977")),
+            (["gate", "phase", "--steps", "300"], {"theta": "1"}, None,
+             _stdout("# command = gate", "# format = csv", "# name = phase", "# steps = 300",
+                     "# theta = 1", "target matrix:",
+                     "-0.126275-0.991995j  +0.000000+0.000000j",
+                     "+0.000000+0.000000j  -0.126275+0.991995j", "parameters:",
+                     "  loops = 1", "  theta0 = 1", "  tilt = 1",
+                     "simulated fidelity = 0.999999999725")),
+            (["gate", "phase", "--steps", "300"], None, None,
+             _stdout("# command = gate", "# format = csv", "# name = phase", "# steps = 300",
+                     "target matrix:", "-0.000000-1.000000j  +0.000000+0.000000j",
+                     "+0.000000+0.000000j  -0.000000+1.000000j", "parameters:",
+                     "  loops = 1", "  theta0 = 1.0471975512", "  tilt = 1.0471975512",
+                     "simulated fidelity = 0.999999999737")),
+            (["scurve", "--delta-over-j", "1.0580", "--omega1-range", "1:1:1"], None, None,
+             _stdout("# command = scurve", "# delta_over_j = 1.0580", "# format = csv",
+                     "# omega1_range = 1:1:1", "# steps = 10000", *_SCURVE_ROW)),
+            (["scurve"], {"steps": 300.0, "delta_over_j": 1.058, "omega1_range": "1:1:1"}, None,
+             _stdout("# command = scurve", "# delta_over_j = 1.058", "# format = csv",
+                     "# omega1_range = 1:1:1", "# steps = 300.0", *_SCURVE_ROW)),
+            (["scurve", "--steps", "0400", "--format", "json"],
+             {"steps": 300.0, "delta_over_j": "1.0580", "omega1_range": "1:1:1"}, None,
+             "\n".join(["{", '  "columns": {', '    "J_tc": [', "      0.5302750602609773",
+                        "    ],", '    "delta_over_J": [', "      1.058", "    ],",
+                        '    "omega1_over_J": [', "      1.0", "    ],",
+                        '    "phi_prime_rad": [', "      0.5882101538843943", "    ]", "  },",
+                        '  "command": "scurve",', '  "config": {',
+                        '    "delta_over_j": "1.0580",', '    "format": "json",',
+                        '    "omega1_range": "1:1:1",', '    "steps": 400', "  },",
+                        f'  "tool": "conegate {__import__("conegate").__version__}"', "}", ""])),
+            (["scurve", "--delta-over-j", "1.058", "--omega1-range", "1:1:1"], None, "0300",
+             _stdout("# command = scurve", "# delta_over_j = 1.058", "# format = csv",
+                     "# omega1_range = 1:1:1", "# steps = 300", *_SCURVE_ROW)),
+            (["compare-adiabatic", "--theta", "0.60", "--gamma-range", "0.1:0.2:0.1",
+              "--out", ""], None, None,
+             _stdout("# command = compare-adiabatic", "# format = csv",
+                     "# gamma_range = 0.1:0.2:0.1", "# out = ", "# steps = 10000",
+                     "# theta = 0.6", *_COMPARE_ROWS)),
+            (["compare-adiabatic", "--gamma-range", "0.1:0.2:0.1"], {"theta": 0.6, "out": ""},
+             "250",
+             _stdout("# command = compare-adiabatic", "# format = csv",
+                     "# gamma_range = 0.1:0.2:0.1", "# out = ", "# steps = 250",
+                     "# theta = 0.6", *_COMPARE_ROWS)),
+            (["compare-adiabatic", "--gamma-range", "0.1:0.2:0.1"], None, None,
+             _stdout("# command = compare-adiabatic", "# format = csv",
+                     "# gamma_range = 0.1:0.2:0.1", "# steps = 10000",
+                     *_COMPARE_ROWS[:1],
+                     "0.1,0.00270420697247,2.22044604925e-16", "0.2,0.0110999920968,0")),
+            (["evolve", "--schedule", "empty.json", "--t-end", "1"], None, None,
+             _stdout("# command = evolve", "# format = csv", "# schedule = empty.json",
+                     "# steps = 10000", "# t_end = 1.0", *_EVOLVE_COLUMNS)),
+            (["evolve", "--schedule", "empty.json"], {"t_end": 1}, None,
+             _stdout("# command = evolve", "# format = csv", "# schedule = empty.json",
+                     "# steps = 10000", "# t_end = 1", *_EVOLVE_COLUMNS)),
+        ],
+        ids=["flag-numbers", "gate-delta-flag", "config-theta-text", "theta-default-hidden",
+             "scurve-delta-flag-text", "config-raw", "json-flags-over-config", "env-steps",
+             "out-empty-flag", "out-empty-config-env", "compare-defaults",
+             "t-end-flag", "t-end-config"],
+    )
+    def test_full_stdout(self, argv, doc, env, expected, tmp_path, capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.delenv("CONEGATE_STEPS", raising=False)
+        if env is not None:
+            monkeypatch.setenv("CONEGATE_STEPS", env)
+        (tmp_path / "empty.json").write_text(json.dumps({"frame": "single-qubit", "steps": []}))
+        if doc is not None:
+            (tmp_path / "cfg.json").write_text(json.dumps(doc))
+            argv = argv + ["--config", "cfg.json"]
+        code, out, err = run_cli(argv, capsys)
+        assert (code, err) == (0, "")
+        assert out == expected
+
+
 class TestSweepArrays:
     """The whole-grid sweeps give the bits of a point-by-point evaluation."""
 
