@@ -4,7 +4,8 @@ gate synthesis reports, and speed-vs-accuracy comparisons.
 Exit codes: 0 on success, 2 on parse/config errors, 3 when a gate fails
 its fidelity gate. Numeric output is deterministic: fixed 12-significant-
 digit formatting and a '#'-prefixed header echoing the effective
-configuration and tool version.
+configuration and tool version. Each option is declared once, as a row of
+OPTIONS that gives its parser, default, check and help.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ import math
 import os
 import sys
 from dataclasses import dataclass
+from typing import Any, Callable, NamedTuple
 
 import numpy as np
 
@@ -44,7 +46,6 @@ from .sequences import (
     trajectory_rows,
 )
 
-DEFAULT_STEPS = 10_000
 # rows of a sweep or an evolve trajectory; both are evaluated as whole arrays
 MAX_SWEEP_POINTS = 1_000_000
 CSV_CHUNK_ROWS = 4096  # rows formatted per % pass
@@ -98,17 +99,17 @@ def _check_points(count: float, what: str) -> None:
                           f"more than the {MAX_SWEEP_POINTS} a sweep or trajectory may hold")
 
 
-def _int_option(value, name: str) -> int:
+def _int_option(value, flag: str) -> int:
     """value as an integer; a non-integral number or a bool is refused."""
     if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
-        raise ConfigError(f"{name} must be an integer, got {value!r}")
+        raise ConfigError(f"{flag} must be an integer, got {value!r}")
     try:
         return int(value)
     except (TypeError, ValueError) as exc:
-        raise ConfigError(f"{name} must be an integer, got {value!r}") from exc
+        raise ConfigError(f"{flag} must be an integer, got {value!r}") from exc
 
 
-def _float_option(value, name: str) -> float:
+def _float_option(value, flag: str) -> float:
     """value as a finite float; a bool, anything float() cannot read, NaN
     and an infinity are refused."""
     try:
@@ -116,7 +117,7 @@ def _float_option(value, name: str) -> float:
     except (TypeError, ValueError, OverflowError):
         number = math.nan
     if isinstance(value, bool) or not math.isfinite(number):
-        raise ConfigError(f"{name} must be a finite number, got {value!r}")
+        raise ConfigError(f"{flag} must be a finite number, got {value!r}")
     return number
 
 
@@ -180,7 +181,7 @@ def _write_output(config: RunConfig, columns: dict, out: str | None, fmt: str,
                   grid: dict | None = None) -> None:
     if fmt == "csv":
         chunks = _csv_chunks(config, columns, grid)
-    elif fmt == "json":
+    else:  # json; _settings has checked the format
         if grid:  # the axes as whole columns, inner axis fastest
             (inner_name, inner), (outer_name, outer) = grid.items()
             columns = {inner_name: np.tile(inner, outer.size),
@@ -192,8 +193,6 @@ def _write_output(config: RunConfig, columns: dict, out: str | None, fmt: str,
             "columns": {name: [float(v) for v in vals] for name, vals in columns.items()},
         }
         chunks = [json.dumps(doc, indent=2, sort_keys=True) + "\n"]
-    else:
-        raise ConfigError(f"unknown format {fmt!r}")
     _emit(chunks, out)
 
 
@@ -201,20 +200,14 @@ def _write_output(config: RunConfig, columns: dict, out: str | None, fmt: str,
 # subcommands
 
 
-def cmd_scurve(config: RunConfig) -> int:
-    v = config.values
-    omega1_values = _parse_range(v["omega1_range"], "--omega1-range")
-    delta_arg = v["delta_over_j"]
-    if isinstance(delta_arg, str) and ":" in delta_arg:
-        delta_values = _parse_range(delta_arg, "--delta-over-j")
-    else:
-        delta_values = np.array([_float_option(delta_arg, "--delta-over-j")])
+def cmd_scurve(config: RunConfig, v: dict) -> int:
+    omega1_values, delta_values = v["omega1_range"], v["delta_over_j"]
     _check_points(delta_values.size * omega1_values.size, "--delta-over-j x --omega1-range")
     # delta is the outer loop of the grid, omega1 the inner one
     t_c, phi_prime, _, _ = s_operation_angles(delta_values[:, None], 1.0, omega1_values)
     grid = {"omega1_over_J": omega1_values, "delta_over_J": delta_values}
     cols = {"J_tc": t_c.ravel(), "phi_prime_rad": phi_prime.ravel()}
-    _write_output(config, cols, v.get("out"), v.get("format", "csv"), grid)
+    _write_output(config, cols, v["out"], v["format"], grid)
     return 0
 
 
@@ -246,13 +239,9 @@ def _initial_state(doc: dict, seq) -> np.ndarray:
     return psi
 
 
-def cmd_evolve(config: RunConfig) -> int:
-    v = config.values
-    path = v.get("schedule")
-    if not path:
-        raise ConfigError("evolve needs --schedule pointing to a sequence JSON file")
+def cmd_evolve(config: RunConfig, v: dict) -> int:
     try:
-        with open(path) as fh:
+        with open(v["schedule"]) as fh:
             doc = json.load(fh)
     except OSError as exc:
         raise ConfigError(f"cannot read schedule: {exc}") from exc
@@ -262,37 +251,34 @@ def cmd_evolve(config: RunConfig) -> int:
         ) from exc
     seq = sequence_from_dict(doc)
     dim = 2 if seq.frame == SINGLE_QUBIT else 4
-    t_end = v.get("t_end")
-    if t_end is not None:
-        t_end = _float_option(t_end, "--t-end")
-        if t_end < 0:
-            raise ConfigError(f"--t-end must be nonnegative, got {t_end!r}")
 
     if not seq.steps:
-        _write_output(config, _trajectory_columns(None, dim), v.get("out"), v.get("format", "csv"))
+        _write_output(config, _trajectory_columns(None, dim), v["out"], v["format"])
         return 0
 
-    steps = int(v["steps"])
+    steps = v["steps"]
     _check_points(trajectory_rows(seq, steps), f"--schedule at --steps {steps}")
     psi0 = _initial_state(doc, seq)
     traj = sequence_trajectory(seq, dim, psi0, steps_per_loop=steps)
 
     mask = slice(None)
-    if t_end is not None:
-        mask = traj.times <= t_end + 1e-15
+    if v["t_end"] is not None:
+        mask = traj.times <= v["t_end"] + 1e-15
 
     has_loop = any(isinstance(s, FieldLoop) for s in seq.steps)
     if has_loop:
+        # the first and last rows of the whole schedule, whatever precedes
+        # or follows its loops
         overlap = abs(complex(traj.states[0].conj() @ traj.states[-1]))
         defect = abs(1.0 - overlap)
         if defect > 1e-6:
             print(
-                f"warning: declared loop is not cyclic, overlap defect {defect:.3e}",
+                f"warning: schedule is not cyclic: final-state overlap defect {defect:.3e}",
                 file=sys.stderr,
             )
 
     cols = _trajectory_columns(traj, dim, mask)
-    _write_output(config, cols, v.get("out"), v.get("format", "csv"))
+    _write_output(config, cols, v["out"], v["format"])
     return 0
 
 
@@ -320,55 +306,27 @@ def _trajectory_columns(traj, dim: int, mask=slice(None)) -> dict:
     return cols
 
 
-def _option(v: dict, key: str, default):
-    """The configured value of key, or default when it was not given; a
-    given falsy value (0, 0.0) is kept and validated by the caller."""
-    value = v.get(key)
-    return default if value is None else value
-
-
-def cmd_gate(config: RunConfig) -> int:
-    v = config.values
+def cmd_gate(config: RunConfig, v: dict) -> int:
     name = v["name"]
-    steps = int(v["steps"])
-    if v.get("format", "csv") != "csv":
-        raise ConfigError(f"--format {v['format']!r} is not supported by gate, "
-                          "which prints a text report")
-
     if name == "phase":
-        theta = _float_option(_option(v, "theta", np.pi / 3), "--theta")
-        loops = _int_option(_option(v, "loops", 1), "--loops")
-        if not 0.0 < theta < np.pi:
-            raise ConfigError(f"--theta must lie strictly inside (0, pi), got {theta!r}")
-        if not 1 <= loops <= MAX_STEPS:  # a loop takes at least one step
-            raise ConfigError(f"--loops must be a positive integer of at most {MAX_STEPS:,}, "
-                              f"got {loops!r}")
+        theta, loops = v["theta"], v["loops"]
         if abs(np.cos(theta)) < 1e-12:
             target = phase_gate(theta, loops)
             _print_gate_report(config, target, {"theta0": theta, "loops": loops,
                                                 "note": "degenerate tilt: identity gate, "
                                                         "no loop is required"}, 1.0,
-                               out=v.get("out"))
+                               out=v["out"])
             return 0
         recipe = phase_gate_recipe(theta, loops)
-    elif name == "hadamard":
-        recipe = hadamard_recipe()
-    elif name == "not":
-        recipe = not_recipe()
     elif name == "cphase":
-        delta = _float_option(_option(v, "delta_over_j", 1.058), "--delta-over-j")
-        if delta <= 1.0:
-            raise ConfigError(f"--delta-over-j must exceed 1 (delta > j), got {delta!r}")
-        recipe = conditional_recipe(delta)
-    elif name == "cnot":
-        recipe = cnot_recipe()
+        recipe = conditional_recipe(v["delta_over_j"])
     else:
-        raise ConfigError(f"unknown gate {name!r}")
+        recipe = {"hadamard": hadamard_recipe, "not": not_recipe, "cnot": cnot_recipe}[name]()
 
     # every recipe arrives unverified, so the program is simulated once
-    fidelity_value = verify_gate(recipe, steps_per_loop=steps)
+    fidelity_value = verify_gate(recipe, steps_per_loop=v["steps"])
     _print_gate_report(config, recipe.target, recipe.parameters, fidelity_value,
-                       out=v.get("out"))
+                       out=v["out"])
     if fidelity_value < GATE_FIDELITY_GATE:
         print(f"verification FAILED: fidelity {fidelity_value:.12g} below "
               f"{GATE_FIDELITY_GATE}", file=sys.stderr)
@@ -389,31 +347,122 @@ def _print_gate_report(config: RunConfig, target, parameters: dict, fid: float,
     _emit(["\n".join(lines) + "\n"], out)
 
 
-def cmd_compare_adiabatic(config: RunConfig) -> int:
-    v = config.values
-    theta = _float_option(_option(v, "theta", np.pi / 4), "--theta")
-    if not 0 < theta < np.pi / 2:
-        raise ConfigError("theta must lie in (0, pi/2) so the field has a vertical part")
-    gammas = _parse_range(v["gamma_range"], "--gamma-range")
-    omega0, omega1 = float(np.cos(theta)), float(np.sin(theta))
-    gamma = gammas * omega0
-    if np.any(gamma == 0.0):
-        raise ConfigError("gamma range must exclude zero (no loop at zero speed)")
-    uncompensated, compensated = loop_infidelities(omega0, omega1, gamma)
+def cmd_compare_adiabatic(config: RunConfig, v: dict) -> int:
+    gammas = v["gamma_range"]
+    omega0, omega1 = float(np.cos(v["theta"])), float(np.sin(v["theta"]))
+    uncompensated, compensated = loop_infidelities(omega0, omega1, gammas * omega0)
     cols = {"gamma_over_omega0": gammas, "infidelity_uncompensated": uncompensated,
             "infidelity_compensated": compensated}
-    _write_output(config, cols, v.get("out"), v.get("format", "csv"))
+    _write_output(config, cols, v["out"], v["format"])
     return 0
 
 
 # ---------------------------------------------------------------------------
-# argument plumbing
+# options
+
+
+def _scurve_deltas(value, flag: str) -> np.ndarray:
+    """scurve's offset ratios: a start:stop:step text, or one finite number."""
+    if isinstance(value, str) and ":" in value:
+        return _parse_range(value, flag)
+    return np.array([_float_option(value, flag)])
+
+
+def _path(value, flag: str) -> str:
+    if not isinstance(value, str):
+        raise ConfigError(f"{flag} must be a file path, got {value!r}")
+    return value
+
+
+def _format(value, flag: str) -> str:
+    if value not in ("csv", "json"):
+        raise ConfigError(f"{flag} must be csv or json, got {value!r}")
+    return value
+
+
+def _steps_problem(steps: int) -> str | None:
+    if steps < 1:
+        return "steps must be positive"
+    if steps > MAX_STEPS:  # a loop of one revolution would exceed the budget
+        return (f"--steps: step budget exceeded: {steps} steps requested, "
+                f"at most {MAX_STEPS:,} allowed")
+    return None
+
+
+class Option(NamedTuple):
+    """One run option: its dest, the subcommands that take it, how a
+    command-line text or a config value is read (parse(value, flag)), its
+    value when not given (REQUIRED refuses that), a check of the read value
+    that returns what is wrong with it or None, and its help text."""
+
+    dest: str
+    commands: tuple[str, ...]
+    parse: Callable[[Any, str], Any]
+    default: Any
+    check: Callable[[Any], str | None] | None
+    help: str
+
+    @property
+    def flag(self) -> str:
+        return "--" + self.dest.replace("_", "-")
+
+
+REQUIRED = object()
+SUBCOMMANDS = {
+    "scurve": "preparation timing and tilt versus RF amplitude",
+    "evolve": "simulate a pulse-sequence schedule file",
+    "gate": "synthesize and verify a gate",
+    "compare-adiabatic": "uncompensated vs compensated loop infidelity",
+}
+_ALL = tuple(SUBCOMMANDS)
+
+# every run option, in the order of their checks and of --help; format and
+# steps are always given (see _settings), so their rows carry no default
+OPTIONS = (
+    Option("delta_over_j", ("scurve",), _scurve_deltas, REQUIRED, None,
+           "offset/coupling ratio, a single value or start:stop:step"),
+    Option("omega1_range", ("scurve",), _parse_range, REQUIRED, None, "start:stop:step sweep"),
+    Option("schedule", ("evolve",), _path, REQUIRED, None, "sequence JSON document"),
+    Option("t_end", ("evolve",), _float_option, None,
+           lambda t: None if t >= 0 else f"--t-end must be nonnegative, got {t!r}",
+           "truncate output at this time"),
+    Option("theta", ("gate",), _float_option, np.pi / 3,
+           lambda x: None if 0.0 < x < np.pi else
+           f"--theta must lie strictly inside (0, pi), got {x!r}",
+           "tilt angle for the phase gate"),
+    Option("loops", ("gate",), _int_option, 1,  # a loop takes at least one step
+           lambda n: None if 1 <= n <= MAX_STEPS else
+           f"--loops must be a positive integer of at most {MAX_STEPS:,}, got {n!r}",
+           "loop count for the phase gate"),
+    Option("delta_over_j", ("gate",), _float_option, 1.058,
+           lambda d: None if d > 1.0 else
+           f"--delta-over-j must exceed 1 (delta > j), got {d!r}",
+           "offset/coupling ratio for cphase"),
+    Option("theta", ("compare-adiabatic",), _float_option, np.pi / 4,
+           lambda x: None if 0 < x < np.pi / 2 else
+           "theta must lie in (0, pi/2) so the field has a vertical part",
+           "cone angle of the tracked eigenstate"),
+    Option("gamma_range", ("compare-adiabatic",), _parse_range, REQUIRED,
+           lambda g: None if np.all(g != 0.0) else
+           "gamma range must exclude zero (no loop at zero speed)",
+           "start:stop:step sweep of gamma in units of omega0"),
+    Option("out", _ALL, _path, None, None, "output path (default: stdout)"),
+    Option("format", ("scurve", "evolve", "compare-adiabatic"), _format, None, None,
+           "output format, csv or json"),
+    Option("format", ("gate",), _format, None,
+           lambda f: None if f == "csv" else
+           f"--format {f!r} is not supported by gate, which prints a text report",
+           "csv only: gate prints a text report"),
+    Option("steps", _ALL, _int_option, None, _steps_problem,
+           "integrator steps per loop (CONEGATE_STEPS sets the default)"),
+)
 
 
 @functools.cache
 def _parser() -> argparse.ArgumentParser:
-    """The command-line parser, built on first use and kept: parse_args
-    leaves it unchanged, so every call of main can share it."""
+    """The command-line parser, built from OPTIONS on first use and kept:
+    parse_args leaves it unchanged, so every call of main can share it.
+    Option values stay text here; _settings reads them."""
     parser = argparse.ArgumentParser(
         prog="conegate",
         description="Simulate exactly controlled conical spin evolution and "
@@ -421,67 +470,29 @@ def _parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"conegate {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(sp):
-        sp.add_argument("--out", help="output path (default: stdout)")
-        sp.add_argument("--format", choices=["csv", "json"], help="output format")
-        sp.add_argument("--steps", type=int, help="integrator steps per loop")
-        sp.add_argument("--seed", type=int, help="seed echoed into the header "
-                                                 "(reserved for sampling commands)")
+    for command, text in SUBCOMMANDS.items():
+        sp = sub.add_parser(command, help=text)
+        if command == "gate":
+            sp.add_argument("name", choices=["phase", "hadamard", "not", "cphase", "cnot"])
+        for option in OPTIONS:
+            if command in option.commands:
+                sp.add_argument(option.flag, help=option.help)
         sp.add_argument("--config", help="JSON file with default flag values")
-
-    sp = sub.add_parser("scurve", help="preparation timing and tilt versus RF amplitude")
-    sp.add_argument("--delta-over-j", dest="delta_over_j",
-                    help="offset/coupling ratio, a single value or start:stop:step")
-    sp.add_argument("--omega1-range", dest="omega1_range", help="start:stop:step sweep")
-    common(sp)
-
-    sp = sub.add_parser("evolve", help="simulate a pulse-sequence schedule file")
-    sp.add_argument("--schedule", help="sequence JSON document")
-    sp.add_argument("--t-end", dest="t_end", type=float, help="truncate output at this time")
-    common(sp)
-
-    sp = sub.add_parser("gate", help="synthesize and verify a gate")
-    sp.add_argument("name", choices=["phase", "hadamard", "not", "cphase", "cnot"])
-    sp.add_argument("--theta", type=float, help="tilt angle for the phase gate")
-    sp.add_argument("--loops", type=int, help="loop count for the phase gate")
-    sp.add_argument("--delta-over-j", dest="delta_over_j", type=float,
-                    help="offset/coupling ratio for cphase")
-    common(sp)
-
-    sp = sub.add_parser("compare-adiabatic",
-                        help="uncompensated vs compensated loop infidelity")
-    sp.add_argument("--theta", type=float, help="cone angle of the tracked eigenstate")
-    sp.add_argument("--gamma-range", dest="gamma_range",
-                    help="start:stop:step sweep of gamma in units of omega0")
-    common(sp)
     return parser
 
 
-_REQUIRED = {
-    "scurve": ["delta_over_j", "omega1_range"],
-    "evolve": ["schedule"],
-    "gate": [],
-    "compare-adiabatic": ["gamma_range"],
-}
-
-_DEFAULTS = {"format": "csv"}
-_UNCONFIGURABLE = ("command", "config")  # parser dests that are not run values
-_POSITIONALS = ("name",)  # run values the command line always sets
-
-
-def _effective_config(args: argparse.Namespace) -> RunConfig:
-    values = dict(_DEFAULTS)
+def _settings(args: argparse.Namespace) -> tuple[RunConfig, dict]:
+    """The header's configuration and the typed values of args.command's
+    options. Given values merge in the order defaults < CONEGATE_STEPS <
+    --config < flags; each given one is then read and checked by its row,
+    and the others take the row's default. The header shows the given
+    values: a flag's number as read, anything else as given."""
+    rows = [o for o in OPTIONS if args.command in o.commands]
+    given = {"format": "csv", "steps": 10_000}  # the defaults the header shows
     env_steps = os.environ.get("CONEGATE_STEPS")
     if env_steps is not None:
-        try:
-            values["steps"] = int(env_steps)
-        except ValueError as exc:
-            raise ConfigError(f"CONEGATE_STEPS must be an integer, got {env_steps!r}") from exc
-    else:
-        values["steps"] = DEFAULT_STEPS
-
-    if getattr(args, "config", None):
+        given["steps"] = _int_option(env_steps, "CONEGATE_STEPS")
+    if args.config:
         try:
             with open(args.config) as fh:
                 file_values = json.load(fh)
@@ -493,35 +504,31 @@ def _effective_config(args: argparse.Namespace) -> RunConfig:
             ) from exc
         if not isinstance(file_values, dict):
             raise ConfigError("config file must hold a JSON object")
-        # parse_args gives every option of the chosen subcommand a value
-        options = set(vars(args)) - set(_UNCONFIGURABLE) - set(_POSITIONALS)
-        unknown = sorted(set(file_values) - options)
+        unknown = sorted(set(file_values) - {o.dest for o in rows})
         if unknown:
             raise ConfigError(f"unknown config key(s) for {args.command}: "
                               + ", ".join(map(repr, unknown)))
-        values.update(file_values)
+        given.update(file_values)
+    flags = {o.dest: getattr(args, o.dest) for o in rows if getattr(args, o.dest) is not None}
+    given.update(flags)
 
-    for key, val in vars(args).items():
-        if key in _UNCONFIGURABLE:
+    values, shown = {}, {}
+    for option in rows:
+        if option.default is REQUIRED and given.get(option.dest) in (None, ""):
+            raise ConfigError(f"missing required option {option.flag}")
+        if option.dest not in given:
+            values[option.dest] = option.default
             continue
-        if val is not None:
-            values[key] = val
-
-    for key in _REQUIRED[args.command]:
-        if values.get(key) in (None, ""):
-            raise ConfigError(f"missing required option --{key.replace('_', '-')}")
-    for key in ("schedule", "out"):
-        if values.get(key) is not None and not isinstance(values[key], str):
-            raise ConfigError(f"--{key} must be a file path, got {values[key]!r}")
-    steps = _int_option(values["steps"], "--steps")
-    if steps < 1:
-        raise ConfigError("steps must be positive")
-    if steps > MAX_STEPS:  # a loop of one revolution would exceed the budget
-        raise ConfigError(f"--steps: step budget exceeded: {steps} steps requested, "
-                          f"at most {MAX_STEPS:,} allowed")
-    if values.get("seed") is not None:
-        _int_option(values["seed"], "--seed")
-    return RunConfig(command=args.command, values=values)
+        raw = given[option.dest]
+        values[option.dest] = value = option.parse(raw, option.flag)
+        problem = option.check and option.check(value)
+        if problem:
+            raise ConfigError(problem)
+        number = option.parse in (_int_option, _float_option)
+        shown[option.dest] = value if number and option.dest in flags else raw
+    if args.command == "gate":  # the positional, which a config file cannot set
+        values["name"] = shown["name"] = args.name
+    return RunConfig(command=args.command, values=shown), values
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -531,14 +538,10 @@ def main(argv: list[str] | None = None) -> int:
         # argparse exits with 2 on bad usage, matching the config-error code
         return int(exc.code or 0)
     try:
-        config = _effective_config(args)
-        if args.command == "scurve":
-            return cmd_scurve(config)
-        if args.command == "evolve":
-            return cmd_evolve(config)
-        if args.command == "gate":
-            return cmd_gate(config)
-        return cmd_compare_adiabatic(config)
+        config, values = _settings(args)
+        command = {"scurve": cmd_scurve, "evolve": cmd_evolve, "gate": cmd_gate,
+                   "compare-adiabatic": cmd_compare_adiabatic}[args.command]
+        return command(config, values)
     except (ConfigError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return CONFIG_ERROR

@@ -20,7 +20,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .propagation import _sampler
+from .propagation import _check_samples
 
 TWO_PI = 2 * np.pi
 
@@ -127,13 +127,14 @@ class PhaseDecomposition:
 def energy_expectations(traj) -> np.ndarray:
     """<psi(t)| H(t) |psi(t)> at every sample of a trajectory.
 
-    The accessor is sampled as the integrator samples a schedule: once on
-    the time array, per time only if it cannot take the array; its own
-    errors propagate."""
+    The accessor is called once, on the time array, as the integrator calls
+    a schedule, and must return the (n, d, d) stack; its own errors
+    propagate."""
     if traj.hamiltonian_at is None:
         raise ValueError("trajectory carries no Hamiltonian accessor")
-    h, _ = _sampler(traj.hamiltonian_at, traj.times)
-    return _expectations(traj.states, h)
+    n, d = traj.states.shape
+    h = np.asarray(traj.hamiltonian_at(traj.times), dtype=complex)
+    return _expectations(traj.states, _check_samples(h, n, d))
 
 
 def _expectations(states: np.ndarray, h: np.ndarray) -> np.ndarray:

@@ -556,29 +556,6 @@ def _prefix_products(kernel, elems: np.ndarray) -> np.ndarray:
     return elems
 
 
-def _sampler(schedule, t: np.ndarray):
-    """Samples of the schedule at t and a sampler for later time arrays.
-
-    Whether the schedule takes a time array is decided here, once: a
-    scalar-only callable shows itself by raising TypeError or ValueError on
-    the array or by returning the wrong shape, and is then called per time.
-    Any other error is the schedule's own and propagates.
-    """
-    try:
-        h = np.asarray(schedule(t), dtype=complex)
-        vectorised = h.ndim == 3 and h.shape[0] == t.size and h.shape[1] == h.shape[2]
-    except (TypeError, ValueError):
-        vectorised = False
-    if vectorised:
-        def sample(times):
-            return np.asarray(schedule(times), dtype=complex)
-    else:
-        def sample(times):
-            return np.stack([np.asarray(schedule(float(x)), dtype=complex) for x in times])
-        h = sample(t)
-    return h, sample
-
-
 def _check_samples(h: np.ndarray, m: int, d: int) -> np.ndarray:
     if h.shape != (m, d, d):
         raise ValueError(f"schedule returned shape {h.shape}, expected {(m, d, d)}")
@@ -614,9 +591,10 @@ def integrate(
     """Propagate under a time-dependent Hamiltonian by a product of exact
     midpoint exponentials.
 
-    schedule        t -> Hamiltonian; called with arrays of midpoints when
-                    it accepts them, per midpoint otherwise. A FieldSchedule
-                    is read as its components instead of being called.
+    schedule        t -> Hamiltonian stack: called with an array of m
+                    midpoints at a time, it returns their (m, d, d)
+                    Hamiltonians. A FieldSchedule is read as its components
+                    instead of being called.
     t_end           final time (>= 0)
     total_steps     step count (at least 1; no steps are taken when t_end is 0)
     psi0            initial state; defaults to the first basis vector
@@ -646,8 +624,9 @@ def integrate(
         d = 2
     else:
         # the first block doubles as the dimension probe (t = 0 without steps)
-        h, sample = _sampler(schedule, (np.arange(m) + 0.5) * dt)
-        d = h.shape[-1]
+        h = np.asarray(schedule((np.arange(m) + 0.5) * dt), dtype=complex)
+        d = h.shape[-1] if h.ndim == 3 else 2  # the shape check below refuses the rest
+        h = _check_samples(h, m, d)
     if psi0 is None:
         psi0 = np.zeros(d, dtype=complex)
         psi0[0] = 1.0
@@ -672,8 +651,8 @@ def integrate(
             elems = kernel.exp(kernel.field(schedule, start, stop, dt), stop - start, dt)
         else:
             if start:
-                h = sample((np.arange(start, stop) + 0.5) * dt)
-            h = _check_samples(h, stop - start, d)
+                h = np.asarray(schedule((np.arange(start, stop) + 0.5) * dt), dtype=complex)
+                h = _check_samples(h, stop - start, d)
             if d == 2:
                 c = 0.5 * (h[:, 0, 0].real + h[:, 1, 1].real)
                 elems = kernel.exp(kernel.samples(h, c), stop - start, dt)

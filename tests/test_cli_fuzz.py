@@ -102,7 +102,6 @@ def schedules(draw):
 # every option a command reads, with the values it may be given
 OPTIONS = {
     "steps": counts(2000),
-    "seed": counts(10),
     "format": mostly(st.sampled_from(["csv", "json"]), st.sampled_from(["xml", 5])),
     "theta": st.one_of(numbers(0.05, 1.5), numbers(-1, 4)),
     "loops": counts(4),
@@ -120,7 +119,7 @@ COMMANDS = {
     "gate": ["theta", "loops", "delta_over_j"],
     "compare-adiabatic": ["theta", "gamma_range"],
 }
-COMMON = ["steps", "seed", "format", "out"]
+COMMON = ["steps", "format", "out"]
 
 
 def as_text(value) -> str:
@@ -138,7 +137,7 @@ def invocations(draw):
     for key in COMMANDS[command] + COMMON:
         # an optional flag is mostly left out; a required one mostly given
         where = draw(st.sampled_from(["argv"] * 3 + ["config"] * 2 + ["neither"] * (
-            5 if key in ("out", "seed", "format") else 1)))
+            5 if key in ("out", "format") else 1)))
         if where == "neither":
             continue
         value = draw(OPTIONS[key])

@@ -204,15 +204,12 @@ class TestDynamicalPhase:
         assert abs(measured) > 0.1  # genuinely nonzero
         assert measured == pytest.approx(-integral, abs=1e-8)
 
-    def test_scalar_only_accessor_sampled_per_time(self):
+    @pytest.mark.parametrize("accessor", [lambda t: 0.5 * SIGMA_Z, lambda t: 0.5])
+    def test_accessor_not_a_stack_is_refused(self, accessor):
         times = np.linspace(0.0, 1.0, 5)
         states = np.tile(np.array([1.0, 0.0], dtype=complex), (5, 1))
-
-        def scalar_only(t):
-            return 0.5 * float(t) * SIGMA_Z  # float() refuses an array
-
-        values = energy_expectations(Trajectory(times, states, None, scalar_only))
-        assert np.array_equal(values, 0.5 * times)
+        with pytest.raises(ValueError, match=r"schedule returned shape \(.*\), expected \(5, 2, 2\)"):
+            energy_expectations(Trajectory(times, states, None, accessor))
 
     def test_accessor_errors_propagate(self):
         times = np.linspace(0.0, 1.0, 5)

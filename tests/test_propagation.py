@@ -1,4 +1,4 @@
-import cmath
+import re
 import tracemalloc
 
 import numpy as np
@@ -440,24 +440,25 @@ class TestChunkedIntegrator:
             tracemalloc.stop()
         assert peak < 4_000_000
 
-    def test_scalar_only_schedule_integrates(self):
-        p = FieldParams(0.7, 1.3, 0.9)
-        array_calls = []
+    @pytest.mark.parametrize(
+        "sample, shape",
+        [
+            (lambda t: SIGMA_Z, (2, 2)),  # one matrix, whatever the times
+            (lambda t: 0.5, ()),  # a scalar
+            (lambda t: np.ones((np.size(t), 2)), (5, 2)),  # one row per time
+            (lambda t: np.ones((np.size(t), 2, 3)), (5, 2, 3)),  # not square
+        ],
+    )
+    def test_first_sample_not_a_stack_is_refused(self, sample, shape):
+        calls = []
 
-        def scalar_only(t):
-            if isinstance(t, np.ndarray):
-                array_calls.append(t.size)
-            phase = p.gamma * t + p.phase0  # TypeError below for an array
-            return 0.5 * np.array(
-                [[p.omega0, p.omega1 * cmath.exp(-1j * phase)],
-                 [p.omega1 * cmath.exp(1j * phase), -p.omega0]]
-            )
+        def schedule(t):
+            calls.append(np.shape(t))
+            return sample(t)
 
-        n = 2 * BLOCK_STEPS + 5
-        traj = integrate(scalar_only, 1.5, total_steps=n, samples=9)
-        vectorised = integrate(lambda t: h_rotating(p, t), 1.5, total_steps=n, samples=9)
-        assert len(array_calls) == 1  # decided once, at the probe
-        assert np.max(np.abs(traj.propagators - vectorised.propagators)) < 1e-12
+        with pytest.raises(ValueError, match=rf"schedule returned shape {re.escape(str(shape))}"):
+            integrate(schedule, 1.0, total_steps=5)
+        assert calls == [(5,)]  # one call on the time array, no per-time retry
 
     def test_step_budget_is_a_value_error(self):
         calls = []
