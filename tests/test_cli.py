@@ -676,6 +676,65 @@ class TestSweepArrays:
         assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+class TestPinnedIntegratorBytes:
+    """Full stdout of integrator runs long enough to span several blocks of
+    the integrator: the gate reports and evolve rows at 20,000 steps per
+    loop. The digests were taken before the integrator evaluated several
+    blocks per pass and before simulate_sequence reused repeated loops."""
+
+    @pytest.mark.parametrize(
+        "gate, steps, digest",
+        [
+            (["phase", "--theta", "0.7"], 10_000,
+             "3e0e1f6d9c343dea0d2cde69820c5ad8919aabdcdec94dec8577218dc3387793"),
+            (["phase", "--theta", "0.7"], 100_000,
+             "758513ff020fd66309e88f993ea75498d3592d35db8aaad567ecb0194701518e"),
+            (["hadamard"], 10_000,
+             "c8b3eadb6fc3ab365421c9781f9901d82056d0ed0f87e891e884d8f9dbcdf7ef"),
+            (["hadamard"], 100_000,
+             "a5b33dc8639d0f3053e086602e04f0cb804d77f9358876c3bffe0934264efbbb"),
+            (["not"], 10_000,
+             "4ac485f53402d0c9cebf275cc8607f7dce9fd9cdafea8ba71876a90e2ef23dc9"),
+            (["not"], 100_000,
+             "d267c358e4782b61d2174792b99877cddaf2aa85982d603b52d39c49eef721db"),
+            (["cphase", "--delta-over-j", "1.8"], 10_000,
+             "16ce84d463cc91bc5fb4769c18867e27297cf0751d1b31dc336f50457888a965"),
+            (["cphase", "--delta-over-j", "1.8"], 100_000,
+             "86feada8e05a682f869a3a16043e2acfb2a98616d43a1f2ffaa2789a0c28b120"),
+            (["cnot"], 10_000,
+             "10917513cf7a3c795b1f069665a6e726f0ca8fd38c17aed61dec64f3cd7602f9"),
+            (["cnot"], 100_000,
+             "3384a3da98ec4ce9864a9606dd97051d283332e9894b31851f18aed48c71e486"),
+        ],
+    )
+    def test_pinned_gate_digest(self, gate, steps, digest, capsys, monkeypatch):
+        monkeypatch.delenv("CONEGATE_STEPS", raising=False)
+        code, out, _ = run_cli(["gate"] + gate + ["--steps", str(steps)], capsys)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+    @pytest.mark.parametrize(
+        "schedule, digest",
+        [
+            ("tilted", "1407d6ea1fa1ebff514a2d6418c8ee59dbedd5dc4fabe0ba8e4ffc0d9db1682b"),
+            ("conditional", "2dd980eb1e80972b33dbf6248c7474c1033fe61e7d4971c698be722b2f2c1a9e"),
+        ],
+    )
+    def test_pinned_evolve_digest(self, schedule, digest, tmp_path, capsys, monkeypatch):
+        from conegate.gates import phase_gate_recipe
+        from conegate.sequences import build_conditional_loop, sequence_to_dict
+
+        seq = (phase_gate_recipe(1.0).sequence if schedule == "tilted"
+               else build_conditional_loop(1.8, 1.0))
+        monkeypatch.delenv("CONEGATE_STEPS", raising=False)
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "schedule.json").write_text(json.dumps(sequence_to_dict(seq)))
+        code, out, _ = run_cli(["evolve", "--schedule", "schedule.json", "--steps", "20000"],
+                               capsys)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 def _grid_reference(delta_values, omega1_values) -> str:
     """The scurve CSV body of a grid, each value formatted on its own from
     whole repeat/tile columns: delta is the outer axis, omega1 the inner."""
