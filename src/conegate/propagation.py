@@ -284,9 +284,10 @@ def adiabatic_error(p: FieldParams) -> float:
 # ---------------------------------------------------------------------------
 # stepped integrator
 
-BLOCK_STEPS = 4096  # midpoints sampled, exponentiated and reduced at a time
+BLOCK_STEPS = 4096  # steps whose product one pairwise tree associates
+PASS_BLOCKS = 4  # whole blocks whose steps one pass samples, exponentiates and reduces
 MAX_STEPS = 50_000_000  # steps one integrate call may take, checked before allocation
-TRIG_TABLE = 64  # distinct step norms whose cos and sin a block evaluates once each
+TRIG_TABLE = 64  # distinct step norms whose cos and sin a pass evaluates once each
 
 
 class _SU2:
@@ -294,28 +295,30 @@ class _SU2:
     U = [[a, -conj(b)], [b, conj(a)]] in SU(2), stored as (..., 2) arrays of
     (a, b); the phase c (the half trace of h) is summed separately.
 
-    An instance is the workspace of one integrate call. A block's steps
+    An instance is the workspace of one integrate call. A pass's steps
     enter as the traceless part [[z, x], [conj(x), -z]] of h, negated: -z
     and the rows (-x.real, -x.imag) of a buffer. Their pairs and every
     temporary of the reductions are buffers too, written with out= in the
-    order of operations of a fresh-array evaluation; the views that a block
+    order of operations of a fresh-array evaluation; the views that a pass
     size or a reduction reads and writes are made once and then reused.
-    No complex product writes over one of its own operands: numpy runs a
-    strided in-place product through another, unfused loop, which rounds
-    apart."""
+    The reductions' temporaries share the memory of the real rows, which
+    hold nothing once exp has returned the pass's pairs. No complex product
+    writes over one of its own operands: numpy runs a strided in-place
+    product through another, unfused loop, which rounds apart."""
 
     identity = np.array([1.0, 0.0], dtype=complex)
 
     def __init__(self, m: int) -> None:
         self._pairs = np.empty((m, 2), dtype=complex)
         self._neg_x = np.empty((2, m))
-        self._real = np.empty((5, m))
-        self._bits = np.empty(m, dtype=np.int64)
-        self._temps = np.empty((5, m // 2 + 1), dtype=complex)
+        self._real = np.empty((5, m + m % 2))  # an even width views as complex
+        self._temps = self._real.view(complex)
+        self._steps = np.arange(m, dtype=float)
         self._spare = self._rows = np.empty((0, 2), dtype=complex)
         self._index = np.empty(0, dtype=np.intp)
         self._pad = np.empty(0, dtype=bool)
-        self._blocks: dict = {}  # steps in a block -> views of the buffers, reduction plan
+        self._blocks: dict = {}  # steps in a pass -> views of the buffers
+        self._plans: dict = {}  # (rows' shape, rows left) -> reduction plan
 
     def _block(self, m: int) -> SimpleNamespace:
         v = self._blocks.get(m)
@@ -323,10 +326,11 @@ class _SU2:
             neg_x, parts = self._neg_x[:, :m], self._pairs[:m].view(float)
             phase, r, rdt, sinc, cos = self._real[:, :m]
             v = self._blocks[m] = SimpleNamespace(
-                steps=np.arange(m, dtype=float), neg_x=neg_x, neg_x_swapped=neg_x[::-1],
+                steps=self._steps[:m], neg_x=neg_x, neg_x_swapped=neg_x[::-1],
                 neg_z=phase, phase=phase, r=r, rdt=rdt, sinc=sinc, cos=cos,
-                squares=self._real[2:4, :m], bits=self._bits[:m], pairs=self._pairs[:m],
-                a_re=parts[:, 0], a_im=parts[:, 1], b=parts[:, 2:].T, plan=None,
+                squares=self._real[2:4, :m], pairs=self._pairs[:m],
+                bits=rdt.view(np.int64),  # the table's indices, where rdt is not taken
+                a_re=parts[:, 0], a_im=parts[:, 1], b=parts[:, 2:].T,
             )
         return v
 
@@ -384,13 +388,13 @@ class _SU2:
             values_dt = values * dt
             table = np.sin(values_dt) / np.where(values == 0.0, 1.0, values)
             np.take(table, v.bits, out=sinc, mode="clip")
-            np.take(np.cos(values_dt), v.bits, out=v.a_re, mode="clip")
+            np.take(np.cos(values_dt), v.bits, out=v.cos, mode="clip")
         else:
             np.multiply(r, dt, out=v.rdt)
             np.sin(v.rdt, out=sinc)
             np.cos(v.rdt, out=v.cos)
             np.divide(sinc, r if r.all() else np.where(r == 0.0, 1.0, r), out=sinc)
-            v.a_re[...] = v.cos
+        v.a_re[...] = v.cos
         np.multiply(sinc, neg_z, out=v.a_im)
         np.multiply(sinc, v.neg_x_swapped, out=v.b)  # b = -i sinc conj(x)
         return v.pairs
@@ -403,7 +407,7 @@ class _SU2:
         n = math.prod(shape)
         if n > self._temps.shape[1]:
             self._temps = np.empty((5, n), dtype=complex)
-            self._blocks.clear()  # their plans read the old temporaries
+            self._plans.clear()  # they read the old temporaries
         temps = self._temps[:, :n].reshape((5,) + shape)
         return (later[..., 0], later[..., 1], earlier[..., 0], earlier[..., 1],
                 out[..., 0], out[..., 1], *temps)
@@ -424,13 +428,15 @@ class _SU2:
         self.run(*self.operands(later, earlier, out))
         return out
 
-    def plan(self, pairs: np.ndarray) -> list:
-        """_reduction_plan of a block's pairs as exp() returns them, made
-        once per block size: they are always the same buffer."""
-        v = self._block(len(pairs))
-        if v.plan is None:
-            v.plan = _reduction_plan(self, pairs)
-        return v.plan
+    def plan(self, rows: np.ndarray, stop: int) -> list:
+        """_reduction_plan of rows, made once per shape and stop: rows are
+        always exp()'s pairs or the gather buffer of rows(), one view of
+        either per shape."""
+        key = (rows.shape, stop)
+        plan = self._plans.get(key)
+        if plan is None:
+            plan = self._plans[key] = _reduction_plan(self, rows, stop)
+        return plan
 
     def rows(self, width: int, nseg: int) -> tuple:
         """Gather buffers for nseg runs of at most width steps: the rows
@@ -440,6 +446,7 @@ class _SU2:
             self._rows = np.empty((n, 2), dtype=complex)
             self._index = np.empty(n, dtype=np.intp)
             self._pad = np.empty(n, dtype=bool)
+            self._plans.clear()  # they read the old gather buffer
         shape = (width, nseg)
         return (self._rows[:n].reshape(shape + (2,)), self._index[:n].reshape(shape),
                 self._pad[:n].reshape(shape))
@@ -483,8 +490,8 @@ class _Dense:
 
     compose = run = staticmethod(np.matmul)
 
-    def plan(self, elems: np.ndarray) -> list:
-        return _reduction_plan(self, elems)
+    def plan(self, rows: np.ndarray, stop: int) -> list:
+        return _reduction_plan(self, rows, stop)
 
     def rows(self, width: int, nseg: int) -> tuple:
         shape = (width, nseg)
@@ -501,14 +508,14 @@ class _Dense:
     matrix = normalize  # the elements already are the matrices
 
 
-def _reduction_plan(kernel, rows: np.ndarray) -> list:
-    """Pairwise reduction of rows along their first axis, in place, as a
-    list of levels: the kernel's operands composing each pair into
-    the front of rows, and the (to, from) rows moving an odd last element
-    behind them."""
+def _reduction_plan(kernel, rows: np.ndarray, stop: int) -> list:
+    """Pairwise reduction of rows along their first axis, in place, down to
+    its first stop rows, as a list of levels: the kernel's operands
+    composing each pair into the front of rows, and the (to, from) rows
+    moving an odd last element behind them."""
     plan = []
     width = len(rows)
-    while width > 1:
+    while width > stop:
         half = width // 2
         pairs = kernel.operands(rows[1 : 2 * half : 2], rows[0 : 2 * half : 2], rows[:half])
         plan.append((pairs, (rows[half], rows[width - 1]) if width % 2 else None))
@@ -516,30 +523,35 @@ def _reduction_plan(kernel, rows: np.ndarray) -> list:
     return plan
 
 
-def _segment_products(kernel, elems: np.ndarray, cuts: np.ndarray) -> np.ndarray:
-    """Ordered products of the runs of elems between the cuts (offsets into
-    elems), as an (n_runs, ...) array, by pairwise reduction vectorised
-    across the runs. The reduction runs in place: in elems itself for one
-    run, else in the kernel's gather buffer, which holds step k of every
-    run in row k, the runs shorter than the longest padded with the
-    identity."""
-    if cuts.size == 0:
-        rows, plan = elems, kernel.plan(elems)
+def _segment_products(kernel, elems: np.ndarray, starts: np.ndarray) -> np.ndarray:
+    """Ordered products of the runs of elems that begin at starts (offsets
+    into elems, the first 0), as an (n_runs, ...) array, by pairwise
+    reduction vectorised across the runs.
+
+    The reduction runs in place in elems itself for one run, and for runs
+    of one power-of-two length: there a flat pairwise sweep that stops at
+    one product per run pairs the same steps, level by level, as each
+    run's own reduction. Other runs go to the kernel's gather buffer, which
+    holds step k of every run in row k, the runs shorter than the longest
+    padded with the identity."""
+    nseg = starts.size
+    lengths = np.diff(starts, append=len(elems))
+    width = int(lengths.max())
+    if nseg == 1 or (width == lengths.min() and width & (width - 1) == 0):
+        rows, stop, products = elems, nseg, elems[:nseg]
     else:
-        starts = np.concatenate(([0], cuts))
-        lengths = np.diff(starts, append=len(elems))
-        rows, index, pad = kernel.rows(int(lengths.max()), starts.size)
-        offsets = np.arange(len(rows))[:, None]
+        rows, index, pad = kernel.rows(width, nseg)
+        offsets = np.arange(width)[:, None]
         np.add(offsets, starts, out=index)
         np.take(elems, index, axis=0, out=rows, mode="clip")
         np.greater_equal(offsets, lengths, out=pad)
         rows[pad] = kernel.identity
-        plan = _reduction_plan(kernel, rows)
-    for pairs, move in plan:
+        stop, products = 1, rows[0]
+    for pairs, move in kernel.plan(rows, stop):
         kernel.run(*pairs)
         if move is not None:
             move[0][...] = move[1]
-    return rows[0] if cuts.size else rows[:1]
+    return products
 
 
 def _prefix_products(kernel, elems: np.ndarray) -> np.ndarray:
@@ -580,6 +592,14 @@ def _recorded_samples(samples: int, n_steps: int) -> int:
     return int(min(max(2, samples), n_steps + 1))
 
 
+def _passes(n_steps: int) -> list:
+    """(start, stop) of each pass over n_steps: PASS_BLOCKS whole blocks at
+    a time, then the whole blocks left, then the partial block on its own."""
+    whole = n_steps - n_steps % BLOCK_STEPS
+    edges = sorted({*range(0, whole, PASS_BLOCKS * BLOCK_STEPS), whole, n_steps})
+    return list(zip(edges[:-1], edges[1:]))
+
+
 def integrate(
     schedule: Callable[[np.ndarray], np.ndarray],
     t_end: float,
@@ -617,13 +637,14 @@ def integrate(
         )
 
     dt = t_end / n_steps if n_steps else 0.0
-    m = min(max(n_steps, 1), BLOCK_STEPS)
+    passes = _passes(n_steps)
+    m = passes[0][1] if passes else 1  # the first pass is the longest
     field = isinstance(schedule, FieldSchedule)
     if field:
         _check_field(schedule, t_end)
         d = 2
     else:
-        # the first block doubles as the dimension probe (t = 0 without steps)
+        # the first pass doubles as the dimension probe (t = 0 without steps)
         h = np.asarray(schedule((np.arange(m) + 0.5) * dt), dtype=complex)
         d = h.shape[-1] if h.ndim == 3 else 2  # the shape check below refuses the rest
         h = _check_samples(h, m, d)
@@ -644,8 +665,7 @@ def integrate(
     recorded[0] = kernel.identity
     recorded_phase = np.zeros(bounds.size)  # stays 0 where no phase is kept apart
     carry, carry_phase, done = kernel.identity, 0.0, 1
-    for start in range(0, n_steps, BLOCK_STEPS):
-        stop = min(start + BLOCK_STEPS, n_steps)
+    for start, stop in passes:
         c = None
         if field:
             elems = kernel.exp(kernel.field(schedule, start, stop, dt), stop - start, dt)
@@ -658,20 +678,29 @@ def integrate(
                 elems = kernel.exp(kernel.samples(h, c), stop - start, dt)
             else:
                 elems = kernel.exp_samples(h, dt)
+        # the runs between the recorded ends and the block edges in the pass
+        blocks = np.arange(start, stop, BLOCK_STEPS)
         first, last = np.searchsorted(ends, start, "right"), np.searchsorted(ends, stop)
-        cuts = ends[first:last] - start
-        segs = _segment_products(kernel, elems, cuts)
-        prefix = _prefix_products(kernel, segs)
-        total = kernel.compose(prefix, carry, out=prefix)
-        keep = cuts.size + int(ends[last] == stop)
-        recorded[done : done + keep] = total[:keep]
-        if c is not None:
-            seg_phase = np.add.reduceat(c, np.concatenate(([0], cuts)))
-            total_phase = carry_phase + dt * np.cumsum(seg_phase)
-            recorded_phase[done : done + keep] = total_phase[:keep]
-            carry_phase = total_phase[-1]
-        carry = kernel.normalize(total[-1])
-        done += keep
+        starts = np.sort(np.concatenate((ends[first:last], blocks))) - start
+        starts = starts[np.diff(starts, prepend=-1) > 0]  # an end on a block edge once
+        segs = _segment_products(kernel, elems, starts)
+        # each block's runs (from its first) and the recorded ends up to its stop
+        runs = np.searchsorted(starts, blocks - start).tolist() + [starts.size]
+        dones = (1 + np.searchsorted(ends, np.minimum(blocks + BLOCK_STEPS, stop),
+                                     "right")).tolist()
+        for k, upto in enumerate(dones):
+            prefix = _prefix_products(kernel, segs[runs[k] : runs[k + 1]])
+            total = kernel.compose(prefix, carry, out=prefix)
+            recorded[done:upto] = total[: upto - done]
+            if c is not None:
+                offset = blocks[k] - start
+                seg_phase = np.add.reduceat(c[offset : offset + BLOCK_STEPS],
+                                            starts[runs[k] : runs[k + 1]] - offset)
+                total_phase = carry_phase + dt * np.cumsum(seg_phase)
+                recorded_phase[done:upto] = total_phase[: upto - done]
+                carry_phase = total_phase[-1]
+            carry = kernel.normalize(total[-1])
+            done = upto
 
     phase = np.exp(-1j * recorded_phase)
     props = kernel.matrix(recorded) * phase[:, None, None]

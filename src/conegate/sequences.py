@@ -454,13 +454,23 @@ def simulate_sequence(
     """Compose the sequence with every field loop run through the stepped
     integrator instead of the closed form. Hard pulses stay exact; free
     evolutions have constant generators, for which the integrator is exact
-    anyway. A conditional loop runs as two 2x2 sectors."""
+    anyway. A conditional loop runs as two 2x2 sectors.
 
-    def integrated(step: FieldLoop) -> list:
-        _, runs, _ = _integrate_loop(step, dim, steps_per_loop, samples=2)
-        return [run.propagators[-1].ravel().tolist() for run in runs]
+    Each distinct loop is integrated once per call: a loop object that the
+    sequence lists several times (the Hadamard loop of NOT and CNOT) reuses
+    its blocks. Loops are told apart by identity, never by equality, which
+    would merge loops whose fields differ only in the sign of a zero."""
+    integrated: dict = {}  # id of a loop in seq -> its blocks
 
-    return _compose(seq, dim, integrated)
+    def loop_blocks(step: FieldLoop) -> list:
+        blocks = integrated.get(id(step))
+        if blocks is None:
+            _, runs, _ = _integrate_loop(step, dim, steps_per_loop, samples=2)
+            blocks = integrated[id(step)] = [run.propagators[-1].ravel().tolist()
+                                             for run in runs]
+        return blocks
+
+    return _compose(seq, dim, loop_blocks)
 
 
 def sequence_trajectory(
