@@ -318,7 +318,7 @@ class _SU2:
         self._index = np.empty(0, dtype=np.intp)
         self._pad = np.empty(0, dtype=bool)
         self._blocks: dict = {}  # steps in a pass -> views of the buffers
-        self._plans: dict = {}  # (rows' shape, rows left) -> reduction plan
+        self._plans: dict = {}  # (address, shape, rows left) -> reduction plan
 
     def _block(self, m: int) -> SimpleNamespace:
         v = self._blocks.get(m)
@@ -429,10 +429,11 @@ class _SU2:
         return out
 
     def plan(self, rows: np.ndarray, stop: int) -> list:
-        """_reduction_plan of rows, made once per shape and stop: rows are
-        always exp()'s pairs or the gather buffer of rows(), one view of
-        either per shape."""
-        key = (rows.shape, stop)
+        """_reduction_plan of rows, made once per buffer, shape and stop:
+        rows are exp()'s pairs or the gather buffer of rows(), reused from
+        pass to pass. A plan holds views of its buffer, so no other array
+        takes over the address while the plan is kept."""
+        key = (rows.__array_interface__["data"][0], rows.shape, stop)
         plan = self._plans.get(key)
         if plan is None:
             plan = self._plans[key] = _reduction_plan(self, rows, stop)
@@ -592,12 +593,22 @@ def _recorded_samples(samples: int, n_steps: int) -> int:
     return int(min(max(2, samples), n_steps + 1))
 
 
-def _passes(n_steps: int) -> list:
-    """(start, stop) of each pass over n_steps: PASS_BLOCKS whole blocks at
-    a time, then the whole blocks left, then the partial block on its own."""
-    whole = n_steps - n_steps % BLOCK_STEPS
-    edges = sorted({*range(0, whole, PASS_BLOCKS * BLOCK_STEPS), whole, n_steps})
-    return list(zip(edges[:-1], edges[1:]))
+def _passes(n_steps: int, ends: np.ndarray) -> list:
+    """(start, stop) of each pass over n_steps, ends the recorded step
+    counts: up to PASS_BLOCKS whole blocks in a row that no end falls
+    inside, whose runs reduce in one flat sweep, and every other block on
+    its own (one with an end inside, and the partial last block)."""
+    blocks = -(-n_steps // BLOCK_STEPS)
+    alone = set((ends[ends % BLOCK_STEPS > 0] // BLOCK_STEPS).tolist())
+    alone.add(n_steps // BLOCK_STEPS)  # the partial block, or the end if there is none
+    passes, first = [], 0
+    while first < blocks:
+        last = first + 1
+        while first not in alone and last not in alone and last < first + PASS_BLOCKS:
+            last += 1
+        passes.append((first * BLOCK_STEPS, min(last * BLOCK_STEPS, n_steps)))
+        first = last
+    return passes
 
 
 def integrate(
@@ -637,14 +648,17 @@ def integrate(
         )
 
     dt = t_end / n_steps if n_steps else 0.0
-    passes = _passes(n_steps)
-    m = passes[0][1] if passes else 1  # the first pass is the longest
+    bounds = np.round(np.linspace(0, n_steps, _recorded_samples(samples, n_steps))).astype(int)
+    bounds = bounds[np.diff(bounds, prepend=-1) > 0]  # ascending, so unique is a diff
+    ends = bounds[1:]
+    passes = _passes(n_steps, ends)
     field = isinstance(schedule, FieldSchedule)
     if field:
         _check_field(schedule, t_end)
         d = 2
     else:
         # the first pass doubles as the dimension probe (t = 0 without steps)
+        m = passes[0][1] if passes else 1
         h = np.asarray(schedule((np.arange(m) + 0.5) * dt), dtype=complex)
         d = h.shape[-1] if h.ndim == 3 else 2  # the shape check below refuses the rest
         h = _check_samples(h, m, d)
@@ -656,11 +670,7 @@ def integrate(
         eye = np.eye(d, dtype=complex)[None]
         return Trajectory(np.zeros(1), psi0[None, :], eye, schedule)
 
-    kernel = _SU2(m) if d == 2 else _Dense(d)
-    n_rec = _recorded_samples(samples, n_steps)
-    bounds = np.round(np.linspace(0, n_steps, n_rec)).astype(int)
-    bounds = bounds[np.diff(bounds, prepend=-1) > 0]  # ascending, so unique is a diff
-    ends = bounds[1:]
+    kernel = _SU2(max(stop - start for start, stop in passes)) if d == 2 else _Dense(d)
     recorded = np.empty((bounds.size,) + kernel.identity.shape, dtype=complex)
     recorded[0] = kernel.identity
     recorded_phase = np.zeros(bounds.size)  # stays 0 where no phase is kept apart

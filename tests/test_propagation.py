@@ -560,3 +560,118 @@ class TestFieldScheduleComponents:
     def test_zero_field_steps_are_the_identity(self):
         traj = integrate(FieldSchedule(0.0, 0.0, 1.0), 2.0, total_steps=10, samples=3)
         assert np.array_equal(traj.propagators, np.broadcast_to(np.eye(2), (3, 2, 2)))
+
+
+PASS_STEPS = propagation.PASS_BLOCKS * BLOCK_STEPS
+
+
+def _pass_schedules():
+    """(name, schedule, t_end): a field record, an equatorial uncompensated
+    loop (its z = 0 steps carry exact zeros), and callable 2x2 (with a
+    trace) and 4x4 schedules."""
+    p = FieldParams(0.7, 1.3, -0.9, omega_z=-0.9, phase0=0.4)
+    equatorial = FieldParams(0.0, 1.1, 1.7)
+    return [
+        ("record", FieldSchedule.of(p, True), 2.0 * loop_duration(p)),
+        ("equatorial", FieldSchedule.of(equatorial, False), loop_duration(equatorial)),
+        ("callable 2x2", lambda t: h_rotating(p, t) + 0.37 * np.eye(2), 2.5),
+        ("callable 4x4", lambda t: h_two_qubit_rotating(1.8, 1.0, 1.5, -3.6, t), 2.5),
+    ]
+
+
+class TestEvaluationPasses:
+    """A pass evaluates several association blocks at once; every recorded
+    bit is the one of a pass per block."""
+
+    @pytest.mark.parametrize("n", [PASS_STEPS - 1, PASS_STEPS, PASS_STEPS + 1,
+                                   2 * PASS_STEPS + 5])
+    @pytest.mark.parametrize("schedule", _pass_schedules(), ids=lambda s: s[0])
+    def test_passes_are_bitwise_one_block_per_pass(self, schedule, n, monkeypatch):
+        _, h, t_end = schedule
+        for samples in (2, 3, 257, n + 1):
+            default = integrate(h, t_end, total_steps=n, samples=samples)
+            monkeypatch.setattr(propagation, "PASS_BLOCKS", 1)
+            single = integrate(h, t_end, total_steps=n, samples=samples)
+            monkeypatch.undo()
+            for name in ("times", "propagators", "states"):
+                got, want = getattr(default, name), getattr(single, name)
+                assert got.tobytes() == want.tobytes(), (name, samples)
+
+    @pytest.mark.parametrize("n, inner, passes", [
+        (1, [], [(0, 1)]),
+        (BLOCK_STEPS, [], [(0, BLOCK_STEPS)]),
+        (PASS_STEPS - 1, [], [(0, PASS_STEPS - BLOCK_STEPS),
+                              (PASS_STEPS - BLOCK_STEPS, PASS_STEPS - 1)]),
+        (PASS_STEPS + BLOCK_STEPS, [], [(0, PASS_STEPS),
+                                        (PASS_STEPS, PASS_STEPS + BLOCK_STEPS)]),
+        (2 * PASS_STEPS + 5, [], [(0, PASS_STEPS), (PASS_STEPS, 2 * PASS_STEPS),
+                                  (2 * PASS_STEPS, 2 * PASS_STEPS + 5)]),
+        # an end inside a block leaves it alone; one on a block edge does not
+        (6 * BLOCK_STEPS, [BLOCK_STEPS + 7, 2 * BLOCK_STEPS],
+         [(0, BLOCK_STEPS), (BLOCK_STEPS, 2 * BLOCK_STEPS),
+          (2 * BLOCK_STEPS, 6 * BLOCK_STEPS)]),
+    ])
+    def test_pass_edges(self, n, inner, passes):
+        ends = np.array(inner + [n])
+        assert propagation._passes(n, ends) == passes
+
+    def test_equal_power_of_two_runs_reduce_in_place(self):
+        # the flat sweep over runs of one power-of-two length is each run's tree
+        kernel = propagation._SU2(64)
+        record = FieldSchedule(0.3, 1.2, 0.8, 0.1)
+        elems = kernel.exp(kernel.field(record, 0, 64, 0.05), 64, 0.05)
+        want = [propagation._segment_products(kernel, elems[8 * k : 8 * k + 8].copy(),
+                                              np.zeros(1, dtype=int)).copy()
+                for k in range(8)]
+        elems = kernel.exp(kernel.field(record, 0, 64, 0.05), 64, 0.05)
+        got = propagation._segment_products(kernel, elems, np.arange(0, 64, 8))
+        assert got.tobytes() == np.concatenate(want).tobytes()
+
+
+class TestLoopReuse:
+    """simulate_sequence integrates each distinct loop object once."""
+
+    @staticmethod
+    def counting(monkeypatch):
+        from conegate import sequences
+
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args[0])
+            return integrate(*args, **kwargs)
+
+        monkeypatch.setattr(sequences, "integrate", counted)
+        return calls
+
+    @staticmethod
+    def without_reuse(seq, dim, steps):
+        from conegate import sequences
+
+        def loop_blocks(step):
+            _, runs, _ = sequences._integrate_loop(step, dim, steps, samples=2)
+            return [run.propagators[-1].ravel().tolist() for run in runs]
+
+        return sequences._compose(seq, dim, loop_blocks)
+
+    @pytest.mark.parametrize("name, dim, calls", [("not", 2, 2), ("cnot", 4, 3)])
+    def test_repeated_hadamard_loop_is_integrated_once(self, name, dim, calls, monkeypatch):
+        from conegate.gates import cnot_recipe, not_recipe
+
+        seq = (not_recipe() if name == "not" else cnot_recipe()).sequence
+        reference = self.without_reuse(seq, dim, 3000)
+        made = self.counting(monkeypatch)
+        u = simulate_sequence(seq, dim, steps_per_loop=3000)
+        assert len(made) == calls
+        assert u.tobytes() == reference.tobytes()
+
+    def test_loops_differing_in_a_zero_sign_stay_apart(self, monkeypatch):
+        loops = [FieldLoop(FieldParams(0.0, 1.0, 1.3, phase0=zero), compensated=False)
+                 for zero in (0.0, -0.0)]
+        assert loops[0] == loops[1]  # equal as values, so equality must not be the key
+        seq = PulseSequence(tuple(loops))
+        reference = self.without_reuse(seq, 2, 2000)
+        made = self.counting(monkeypatch)
+        u = simulate_sequence(seq, 2, steps_per_loop=2000)
+        assert len(made) == 2
+        assert u.tobytes() == reference.tobytes()
