@@ -350,7 +350,12 @@ def _print_gate_report(config: RunConfig, target, parameters: dict, fid: float,
 def cmd_compare_adiabatic(config: RunConfig, v: dict) -> int:
     gammas = v["gamma_range"]
     omega0, omega1 = float(np.cos(v["theta"])), float(np.sin(v["theta"]))
-    uncompensated, compensated = loop_infidelities(omega0, omega1, gammas * omega0)
+    speeds = gammas * omega0
+    if not np.all(speeds != 0.0):  # both flags pass their checks, their product may not
+        g = float(gammas[speeds == 0.0][0])
+        raise ConfigError(f"--gamma-range and --theta give a zero loop speed: gamma {g!r} "
+                          f"times cos(theta) = {omega0!r} underflows to 0")
+    uncompensated, compensated = loop_infidelities(omega0, omega1, speeds)
     cols = {"gamma_over_omega0": gammas, "infidelity_uncompensated": uncompensated,
             "infidelity_compensated": compensated}
     _write_output(config, cols, v["out"], v["format"])

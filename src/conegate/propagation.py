@@ -302,18 +302,24 @@ class _SU2:
     order of operations of a fresh-array evaluation; the views that a pass
     size or a reduction reads and writes are made once and then reused.
     The reductions' temporaries share the memory of the real rows, which
-    hold nothing once exp has returned the pass's pairs. No complex product
+    hold nothing once exp has returned the pass's pairs, and these buffers
+    are views of one allocation: freed whole, it stays in malloc's heap for
+    the next call, where separate arrays of these sizes came back as fresh
+    pages, a minor fault per 4 KiB. No complex product
     writes over one of its own operands: numpy runs a strided in-place
     product through another, unfused loop, which rounds apart."""
 
     identity = np.array([1.0, 0.0], dtype=complex)
 
     def __init__(self, m: int) -> None:
-        self._pairs = np.empty((m, 2), dtype=complex)
-        self._neg_x = np.empty((2, m))
-        self._real = np.empty((5, m + m % 2))  # an even width views as complex
+        w = m + m % 2  # the real rows' width, even so that they view as complex
+        buffer = np.empty(7 * m + 5 * w)
+        self._pairs = buffer[: 4 * m].view(complex).reshape(m, 2)
+        self._neg_x = buffer[4 * m : 6 * m].reshape(2, m)
+        self._real = buffer[6 * m : 6 * m + 5 * w].reshape(5, w)
         self._temps = self._real.view(complex)
-        self._steps = np.arange(m, dtype=float)
+        self._steps = buffer[6 * m + 5 * w :]
+        self._steps[...] = np.arange(m)
         self._spare = self._rows = np.empty((0, 2), dtype=complex)
         self._index = np.empty(0, dtype=np.intp)
         self._pad = np.empty(0, dtype=bool)

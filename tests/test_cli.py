@@ -375,6 +375,14 @@ class TestCompareAdiabatic:
         )
         assert code == 2
 
+    def test_underflowing_speed_names_both_flags(self, capsys):
+        # each flag passes its own check; gamma cos(theta) rounds to 0
+        code, out, err = run_cli(["compare-adiabatic", "--theta", "1.5707963267948963",
+                                  "--gamma-range", "5e-309:5e-309:1"], capsys)
+        assert (code, out) == (2, "")
+        assert "--gamma-range" in err and "--theta" in err
+        assert "gamma 5e-309 times cos(theta)" in err
+
 
 class TestConfigPlumbing:
     def test_config_file_supplies_defaults(self, tmp_path, capsys):
