@@ -38,11 +38,23 @@ sampled at step midpoints (second-order Magnus). Every step is exactly
 unitary; accuracy is controlled solely by the step count, and the global
 defect shrinks quadratically under step halving.
 
-The midpoints are drawn in blocks of BLOCK_STEPS. Each block is
-exponentiated at once, its steps are multiplied pairwise within every
+Two sizes shape a run. The association block of BLOCK_STEPS fixes the
+order of every product: its steps are multiplied pairwise within every
 recorded interval (vectorised across the intervals), and the interval
 products are composed in order with the running product, so memory is
-O(block + samples) whatever the step count. 2x2 steps stay in
+O(pass + samples) whatever the step count. The evaluation pass is how
+many steps are sampled, exponentiated and reduced at once: up to
+PASS_BLOCKS whole blocks in a row that no recorded end falls inside,
+and any other block (one with an end inside, and the partial last
+block) on its own: a block with ends inside gathers its intervals into
+a padded buffer, and gathers over several blocks measured slower than
+one block at a time. A multi-block pass has one run per block, and since
+BLOCK_STEPS is a power of two, one flat pairwise sweep over the pass
+that stops at one product per block pairs, level by level, the same
+steps as each block's own tree. The prefix products, the composition
+with the running product, the phase sums and the projection below
+still go block by block, in the same order, so a pass changes no bit;
+it only spends fewer numpy calls per step. 2x2 steps stay in
 Cayley-Klein form (a, b) with their trace phase summed apart, and the
 running product is projected back onto SU(2) after every block, so
 rounding does not drift the norm. They are built from the components
@@ -50,7 +62,7 @@ rounding does not drift the norm. They are built from the components
 rotating-field run, as integrate_loop and the loops of sequences give
 it) yields them directly from the field's time and phase, any other
 schedule is called and its 2x2 samples are read back. Either way one
-workspace per call holds the block's components, its pairs and every
+workspace per call holds the pass's components, its pairs and every
 temporary of the reductions, and numpy writes into it with out= in the
 operation order of fresh arrays, so the bits do not depend on the
 path. Larger dimensions use an eigh exponential and matrix products on
@@ -342,7 +354,7 @@ class _SU2:
 
     def field(self, f: FieldSchedule, start: int, stop: int, dt: float) -> float:
         """Write the record's field at the midpoints of steps start..stop
-        into the block's -x rows and return -z.
+        into the pass's -x rows and return -z.
 
         x = omega1 / 2 exp(-i phase), and numpy's complex exp of -i phase
         is cos and sin of -phase; -phase is taken as (-gamma) s + (-phase0),
@@ -363,8 +375,8 @@ class _SU2:
         return -z if f.sign > 0 else z
 
     def samples(self, h: np.ndarray, c: np.ndarray) -> np.ndarray:
-        """Write a block of sampled 2x2 Hamiltonians with half traces c into
-        the block's -x rows and -z row; returns -z."""
+        """Write a pass of sampled 2x2 Hamiltonians with half traces c into
+        the pass's -x rows and -z row; returns -z."""
         v = self._block(len(h))
         np.negative(h[:, 0, 0].real - c, out=v.neg_z)
         np.negative(h[:, 0, 1].real, out=v.neg_x[0])
@@ -372,7 +384,7 @@ class _SU2:
         return v.neg_z
 
     def exp(self, neg_z, m: int, dt: float) -> np.ndarray:
-        """Pairs of the block's m steps exp(-i h dt), from its -x rows and
+        """Pairs of the pass's m steps exp(-i h dt), from its -x rows and
         -z (a float or an array).
 
         cos(r dt) and sin(r dt) / r are taken once per distinct r when r
@@ -676,7 +688,10 @@ def integrate(
         eye = np.eye(d, dtype=complex)[None]
         return Trajectory(np.zeros(1), psi0[None, :], eye, schedule)
 
-    kernel = _SU2(max(stop - start for start, stop in passes)) if d == 2 else _Dense(d)
+    # a multi-block pass takes a whole pass's workspace, so that gates of
+    # different lengths leave malloc one size to reuse
+    m = max(stop - start for start, stop in passes)
+    kernel = _SU2(PASS_BLOCKS * BLOCK_STEPS if m > BLOCK_STEPS else m) if d == 2 else _Dense(d)
     recorded = np.empty((bounds.size,) + kernel.identity.shape, dtype=complex)
     recorded[0] = kernel.identity
     recorded_phase = np.zeros(bounds.size)  # stays 0 where no phase is kept apart
