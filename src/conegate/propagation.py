@@ -336,7 +336,7 @@ class _SU2:
         self._index = np.empty(0, dtype=np.intp)
         self._pad = np.empty(0, dtype=bool)
         self._blocks: dict = {}  # steps in a pass -> views of the buffers
-        self._plans: dict = {}  # (address, shape, rows left) -> reduction plan
+        self._plans: dict = {}  # (shape, rows left) -> reduction plan
 
     def _block(self, m: int) -> SimpleNamespace:
         v = self._blocks.get(m)
@@ -447,11 +447,10 @@ class _SU2:
         return out
 
     def plan(self, rows: np.ndarray, stop: int) -> list:
-        """_reduction_plan of rows, made once per buffer, shape and stop:
-        rows are exp()'s pairs or the gather buffer of rows(), reused from
-        pass to pass. A plan holds views of its buffer, so no other array
-        takes over the address while the plan is kept."""
-        key = (rows.__array_interface__["data"][0], rows.shape, stop)
+        """_reduction_plan of rows, made once per shape and stop: rows are
+        always exp()'s pairs, (m, 2), or the gather buffer of rows(),
+        (width, nseg, 2), one view of either per shape."""
+        key = (rows.shape, stop)
         plan = self._plans.get(key)
         if plan is None:
             plan = self._plans[key] = _reduction_plan(self, rows, stop)

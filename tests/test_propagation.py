@@ -617,12 +617,13 @@ class TestEvaluationPasses:
 
     def test_equal_power_of_two_runs_reduce_in_place(self):
         # the flat sweep over runs of one power-of-two length is each run's tree
-        kernel = propagation._SU2(64)
         record = FieldSchedule(0.3, 1.2, 0.8, 0.1)
-        elems = kernel.exp(kernel.field(record, 0, 64, 0.05), 64, 0.05)
-        want = [propagation._segment_products(kernel, elems[8 * k : 8 * k + 8].copy(),
-                                              np.zeros(1, dtype=int)).copy()
-                for k in range(8)]
+        want = []
+        for k in range(8):  # each run in a workspace of its own
+            kernel = propagation._SU2(8)
+            elems = kernel.exp(kernel.field(record, 8 * k, 8 * k + 8, 0.05), 8, 0.05)
+            want.append(propagation._segment_products(kernel, elems, np.zeros(1, dtype=int)))
+        kernel = propagation._SU2(64)
         elems = kernel.exp(kernel.field(record, 0, 64, 0.05), 64, 0.05)
         got = propagation._segment_products(kernel, elems, np.arange(0, 64, 8))
         assert got.tobytes() == np.concatenate(want).tobytes()
