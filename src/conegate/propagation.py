@@ -297,7 +297,7 @@ def adiabatic_error(p: FieldParams) -> float:
 # stepped integrator
 
 BLOCK_STEPS = 4096  # steps whose product one pairwise tree associates
-PASS_BLOCKS = 4  # whole blocks whose steps one pass samples, exponentiates and reduces
+PASS_BLOCKS = 3  # whole blocks whose steps one pass samples, exponentiates and reduces
 MAX_STEPS = 50_000_000  # steps one integrate call may take, checked before allocation
 TRIG_TABLE = 64  # distinct step norms whose cos and sin a pass evaluates once each
 

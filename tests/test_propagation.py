@@ -607,9 +607,9 @@ class TestEvaluationPasses:
         (2 * PASS_STEPS + 5, [], [(0, PASS_STEPS), (PASS_STEPS, 2 * PASS_STEPS),
                                   (2 * PASS_STEPS, 2 * PASS_STEPS + 5)]),
         # an end inside a block leaves it alone; one on a block edge does not
-        (6 * BLOCK_STEPS, [BLOCK_STEPS + 7, 2 * BLOCK_STEPS],
+        (2 * BLOCK_STEPS + PASS_STEPS, [BLOCK_STEPS + 7, 2 * BLOCK_STEPS],
          [(0, BLOCK_STEPS), (BLOCK_STEPS, 2 * BLOCK_STEPS),
-          (2 * BLOCK_STEPS, 6 * BLOCK_STEPS)]),
+          (2 * BLOCK_STEPS, 2 * BLOCK_STEPS + PASS_STEPS)]),
     ])
     def test_pass_edges(self, n, inner, passes):
         ends = np.array(inner + [n])
