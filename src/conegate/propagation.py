@@ -555,7 +555,7 @@ def _segment_products(kernel, elems: np.ndarray, starts: np.ndarray) -> np.ndarr
     nseg = starts.size
     lengths = np.diff(starts, append=len(elems))
     width = int(lengths.max())
-    if nseg == 1 or (width == lengths.min() and width & (width - 1) == 0):
+    if nseg == 1 or (width & (width - 1) == 0 and width == lengths.min()):
         rows, stop, products = elems, nseg, elems[:nseg]
     else:
         rows, index, pad = kernel.rows(width, nseg)
@@ -616,8 +616,10 @@ def _passes(n_steps: int, ends: np.ndarray) -> list:
     inside, whose runs reduce in one flat sweep, and every other block on
     its own (one with an end inside, and the partial last block)."""
     blocks = -(-n_steps // BLOCK_STEPS)
-    alone = set((ends[ends % BLOCK_STEPS > 0] // BLOCK_STEPS).tolist())
-    alone.add(n_steps // BLOCK_STEPS)  # the partial block, or the end if there is none
+    lows = np.arange(blocks) * BLOCK_STEPS
+    inside = np.searchsorted(ends, lows + BLOCK_STEPS) > np.searchsorted(ends, lows, "right")
+    alone = set(np.flatnonzero(inside).tolist())  # the partial block has n_steps inside
+    alone.add(blocks)  # the end
     passes, first = [], 0
     while first < blocks:
         last = first + 1
@@ -687,10 +689,8 @@ def integrate(
         eye = np.eye(d, dtype=complex)[None]
         return Trajectory(np.zeros(1), psi0[None, :], eye, schedule)
 
-    # a multi-block pass takes a whole pass's workspace, so that gates of
-    # different lengths leave malloc one size to reuse
-    m = max(stop - start for start, stop in passes)
-    kernel = _SU2(PASS_BLOCKS * BLOCK_STEPS if m > BLOCK_STEPS else m) if d == 2 else _Dense(d)
+    # every call takes a whole pass's workspace, one size that malloc reuses
+    kernel = _SU2(PASS_BLOCKS * BLOCK_STEPS) if d == 2 else _Dense(d)
     recorded = np.empty((bounds.size,) + kernel.identity.shape, dtype=complex)
     recorded[0] = kernel.identity
     recorded_phase = np.zeros(bounds.size)  # stays 0 where no phase is kept apart
@@ -708,23 +708,24 @@ def integrate(
                 elems = kernel.exp(kernel.samples(h, c), stop - start, dt)
             else:
                 elems = kernel.exp_samples(h, dt)
-        # the runs between the recorded ends and the block edges in the pass
-        blocks = np.arange(start, stop, BLOCK_STEPS)
-        first, last = np.searchsorted(ends, start, "right"), np.searchsorted(ends, stop)
-        starts = np.sort(np.concatenate((ends[first:last], blocks))) - start
-        starts = starts[np.diff(starts, prepend=-1) > 0]  # an end on a block edge once
+        # the runs of the pass (their starts, and block k's are runs[k]:runs[k + 1])
+        if stop - start > BLOCK_STEPS:  # whole blocks with no end inside: a run each
+            starts = np.arange(0, stop - start, BLOCK_STEPS)
+            runs = range(starts.size + 1)
+        else:  # one block, cut at the ends inside it
+            inside = ends[np.searchsorted(ends, start, "right") : np.searchsorted(ends, stop)]
+            starts = np.concatenate(([0], inside - start))
+            runs = (0, starts.size)
         segs = _segment_products(kernel, elems, starts)
-        # each block's runs (from its first) and the recorded ends up to its stop
-        runs = np.searchsorted(starts, blocks - start).tolist() + [starts.size]
-        dones = (1 + np.searchsorted(ends, np.minimum(blocks + BLOCK_STEPS, stop),
-                                     "right")).tolist()
+        edges = [*range(start, stop, BLOCK_STEPS), stop]
+        dones = (1 + np.searchsorted(ends, edges[1:], "right")).tolist()  # recorded after each block
         for k, upto in enumerate(dones):
             prefix = _prefix_products(kernel, segs[runs[k] : runs[k + 1]])
             total = kernel.compose(prefix, carry, out=prefix)
             recorded[done:upto] = total[: upto - done]
             if c is not None:
-                offset = blocks[k] - start
-                seg_phase = np.add.reduceat(c[offset : offset + BLOCK_STEPS],
+                offset = edges[k] - start
+                seg_phase = np.add.reduceat(c[offset : edges[k + 1] - start],
                                             starts[runs[k] : runs[k + 1]] - offset)
                 total_phase = carry_phase + dt * np.cumsum(seg_phase)
                 recorded_phase[done:upto] = total_phase[: upto - done]
