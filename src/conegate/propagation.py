@@ -314,12 +314,13 @@ class _SU2:
     order of operations of a fresh-array evaluation; the views that a pass
     size or a reduction reads and writes are made once and then reused.
     The reductions' temporaries share the memory of the real rows, which
-    hold nothing once exp has returned the pass's pairs, and these buffers
-    are views of one allocation: freed whole, it stays in malloc's heap for
-    the next call, where separate arrays of these sizes came back as fresh
-    pages, a minor fault per 4 KiB. No complex product
-    writes over one of its own operands: numpy runs a strided in-place
-    product through another, unfused loop, which rounds apart."""
+    hold nothing once exp has returned the pass's pairs. These buffers are
+    views of one allocation, of one size for every call: freed whole, it
+    stays in malloc's heap for the next call, where separate arrays sized
+    by the call were mapped afresh at a minor fault per 4 KiB touched. No
+    complex product writes over one of its own operands: numpy runs a
+    strided in-place product through another, unfused loop, which rounds
+    apart."""
 
     identity = np.array([1.0, 0.0], dtype=complex)
 
@@ -689,8 +690,7 @@ def integrate(
         eye = np.eye(d, dtype=complex)[None]
         return Trajectory(np.zeros(1), psi0[None, :], eye, schedule)
 
-    # every call takes a whole pass's workspace, one size that malloc reuses
-    kernel = _SU2(PASS_BLOCKS * BLOCK_STEPS) if d == 2 else _Dense(d)
+    kernel = _SU2(PASS_BLOCKS * BLOCK_STEPS) if d == 2 else _Dense(d)  # whatever n_steps
     recorded = np.empty((bounds.size,) + kernel.identity.shape, dtype=complex)
     recorded[0] = kernel.identity
     recorded_phase = np.zeros(bounds.size)  # stays 0 where no phase is kept apart
