@@ -347,15 +347,21 @@ def _print_gate_report(config: RunConfig, target, parameters: dict, fid: float,
     _emit(["\n".join(lines) + "\n"], out)
 
 
-def cmd_compare_adiabatic(config: RunConfig, v: dict) -> int:
-    gammas = v["gamma_range"]
-    omega0, omega1 = float(np.cos(v["theta"])), float(np.sin(v["theta"]))
+def _loop_speeds(gammas: np.ndarray, omega0: float) -> np.ndarray:
+    """The sweep's speeds gamma omega0; each flag passes its own check, but
+    their product can underflow to a zero speed."""
     speeds = gammas * omega0
-    if not np.all(speeds != 0.0):  # both flags pass their checks, their product may not
+    if not np.all(speeds != 0.0):
         g = float(gammas[speeds == 0.0][0])
         raise ConfigError(f"--gamma-range and --theta give a zero loop speed: gamma {g!r} "
                           f"times cos(theta) = {omega0!r} underflows to 0")
-    uncompensated, compensated = loop_infidelities(omega0, omega1, speeds)
+    return speeds
+
+
+def cmd_compare_adiabatic(config: RunConfig, v: dict) -> int:
+    gammas = v["gamma_range"]
+    omega0, omega1 = float(np.cos(v["theta"])), float(np.sin(v["theta"]))
+    uncompensated, compensated = loop_infidelities(omega0, omega1, _loop_speeds(gammas, omega0))
     cols = {"gamma_over_omega0": gammas, "infidelity_uncompensated": uncompensated,
             "infidelity_compensated": compensated}
     _write_output(config, cols, v["out"], v["format"])

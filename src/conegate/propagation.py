@@ -316,8 +316,9 @@ class _SU2:
     The reductions' temporaries share the memory of the real rows, which
     hold nothing once exp has returned the pass's pairs. These buffers are
     views of one allocation, of one size for every call: freed whole, it
-    stays in malloc's heap for the next call, where separate arrays sized
-    by the call were mapped afresh at a minor fault per 4 KiB touched. No
+    has stayed in malloc's heap for the next call, where separate arrays
+    sized by the call were often mapped afresh, at a minor fault per 4 KiB
+    touched. No
     complex product writes over one of its own operands: numpy runs a
     strided in-place product through another, unfused loop, which rounds
     apart."""
@@ -326,13 +327,11 @@ class _SU2:
 
     def __init__(self, m: int) -> None:
         w = m + m % 2  # the real rows' width, even so that they view as complex
-        buffer = np.empty(7 * m + 5 * w)
+        buffer = np.empty(6 * m + 5 * w)
         self._pairs = buffer[: 4 * m].view(complex).reshape(m, 2)
         self._neg_x = buffer[4 * m : 6 * m].reshape(2, m)
-        self._real = buffer[6 * m : 6 * m + 5 * w].reshape(5, w)
+        self._real = buffer[6 * m :].reshape(5, w)
         self._temps = self._real.view(complex)
-        self._steps = buffer[6 * m + 5 * w :]
-        self._steps[...] = np.arange(m)
         self._spare = self._rows = np.empty((0, 2), dtype=complex)
         self._index = np.empty(0, dtype=np.intp)
         self._pad = np.empty(0, dtype=bool)
@@ -345,7 +344,7 @@ class _SU2:
             neg_x, parts = self._neg_x[:, :m], self._pairs[:m].view(float)
             phase, r, rdt, sinc, cos = self._real[:, :m]
             v = self._blocks[m] = SimpleNamespace(
-                steps=self._steps[:m], neg_x=neg_x, neg_x_swapped=neg_x[::-1],
+                steps=np.arange(m, dtype=float), neg_x=neg_x, neg_x_swapped=neg_x[::-1],
                 neg_z=phase, phase=phase, r=r, rdt=rdt, sinc=sinc, cos=cos,
                 squares=self._real[2:4, :m], pairs=self._pairs[:m],
                 bits=rdt.view(np.int64),  # the table's indices, where rdt is not taken
