@@ -707,7 +707,7 @@ def integrate(
                 elems = kernel.exp(kernel.samples(h, c), stop - start, dt)
             else:
                 elems = kernel.exp_samples(h, dt)
-        # the runs of the pass (their starts, and block k's are runs[k]:runs[k + 1])
+        # the pass's runs: their starts, and block k's runs are segs[runs[k] : runs[k + 1]]
         if stop - start > BLOCK_STEPS:  # whole blocks with no end inside: a run each
             starts = np.arange(0, stop - start, BLOCK_STEPS)
             runs = range(starts.size + 1)
@@ -717,7 +717,8 @@ def integrate(
             runs = (0, starts.size)
         segs = _segment_products(kernel, elems, starts)
         edges = [*range(start, stop, BLOCK_STEPS), stop]
-        dones = (1 + np.searchsorted(ends, edges[1:], "right")).tolist()  # recorded after each block
+        # the samples recorded once each block is composed
+        dones = (1 + np.searchsorted(ends, edges[1:], "right")).tolist()
         for k, upto in enumerate(dones):
             prefix = _prefix_products(kernel, segs[runs[k] : runs[k + 1]])
             total = kernel.compose(prefix, carry, out=prefix)
