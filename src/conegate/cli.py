@@ -34,7 +34,7 @@ from .gates import (
 )
 from .hamiltonians import FieldParams
 from .linalg import bloch_vector
-from .phases import cone_eigenstate, running_dynamical_phase
+from .phases import cone_eigenstate, running_dynamical_phase, two_qubit_loop_params
 from .propagation import MAX_STEPS, loop_infidelities
 from .sequences import (
     SINGLE_QUBIT,
@@ -400,6 +400,18 @@ def _steps_problem(steps: int) -> str | None:
     return None
 
 
+def _delta_over_j_problem(ratio: float) -> str | None:
+    """What keeps cphase's conditional loop (delta = ratio, j = 1) from
+    having a finite setting, or None."""
+    if not ratio > 1.0:
+        return f"--delta-over-j must exceed 1 (delta > j), got {ratio!r}"
+    try:
+        two_qubit_loop_params(ratio, 1.0)
+    except ValueError as exc:
+        return f"--delta-over-j: {exc}"
+    return None
+
+
 class Option(NamedTuple):
     """One run option: its dest, the subcommands that take it, how a
     command-line text or a config value is read (parse(value, flag)), its
@@ -445,9 +457,7 @@ OPTIONS = (
            lambda n: None if 1 <= n <= MAX_STEPS else
            f"--loops must be a positive integer of at most {MAX_STEPS:,}, got {n!r}",
            "loop count for the phase gate"),
-    Option("delta_over_j", ("gate",), _float_option, 1.058,
-           lambda d: None if d > 1.0 else
-           f"--delta-over-j must exceed 1 (delta > j), got {d!r}",
+    Option("delta_over_j", ("gate",), _float_option, 1.058, _delta_over_j_problem,
            "offset/coupling ratio for cphase"),
     Option("theta", ("compare-adiabatic",), _float_option, np.pi / 4,
            lambda x: None if 0 < x < np.pi / 2 else

@@ -15,6 +15,7 @@ gamma for omega0 > 0); its per-branch geometric phase is
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -96,17 +97,19 @@ def two_qubit_loop_params(delta: float, j: float) -> TwoQubitLoopSetting:
 
     The two sector conditions gamma cos(theta_pm) = -sqrt((delta+-j)^2 + omega1^2)
     are solved by omega1 = sqrt(delta^2 - j^2) and gamma = -2 delta, giving
-    cos(theta_pm) = sqrt((delta +- j) / (2 delta)).
+    cos(theta_pm) = sqrt((delta +- j) / (2 delta)). A setting that is not
+    finite (delta^2 overflows above about 1.34e154) is refused.
     """
     if j <= 0:
         raise ValueError("coupling j must be positive")
     if delta <= j:
         raise ValueError("conditional loop requires delta > j")
-    omega1 = float(np.sqrt(delta * delta - j * j))
-    gamma = -2.0 * delta
-    theta_plus = float(np.arccos(np.sqrt((delta + j) / (2 * delta))))
-    theta_minus = float(np.arccos(np.sqrt((delta - j) / (2 * delta))))
-    return TwoQubitLoopSetting(omega1, gamma, theta_plus, theta_minus)
+    omega1 = math.sqrt(delta * delta - j * j)  # IEEE square roots, as np.sqrt's
+    if not math.isfinite(omega1):  # then gamma and both angles are finite too
+        raise ValueError(f"no finite conditional loop setting for delta = {delta!r}, j = {j!r}")
+    theta_plus = float(np.arccos(math.sqrt((delta + j) / (2 * delta))))
+    theta_minus = float(np.arccos(math.sqrt((delta - j) / (2 * delta))))
+    return TwoQubitLoopSetting(omega1, -2.0 * delta, theta_plus, theta_minus)
 
 
 @dataclass(frozen=True)

@@ -10,16 +10,16 @@ every primitive addresses spin a; spin b is a sigma_z-conserved spectator.
 Sectors. In the two-qubit basis |b a> every primitive is block-diagonal in
 spin b: a hard pulse is the same 2x2 in both sectors, free evolution a
 rot_z-type diagonal with offset delta + j (b up) or delta - j (b down), and
-a conditional loop one single-spin field per sector (_loop_fields).
-apply_sequence and simulate_sequence share one loop (_compose) that keeps
-one 2x2 per sector, b-up first, as its entries (u00, u01, u10, u11) in
-Python complex, and builds the 4x4 block diagonal once, at the end
-(_block_diag); they differ only in where a loop's sector blocks come from,
-the closed form or the integrator. For a 2x2 this is several times cheaper
-than numpy calls. Python's complex products round without the fused
-multiply-adds of a BLAS product, so a composite can differ from a 4x4
-matmul of the same blocks in the last bits. sequence_trajectory builds its
-(n, dim, dim) stacks from the same sector blocks.
+a conditional loop one single-spin field per sector (_loop_fields). Each
+gives its blocks as entries (u00, u01, u10, u11) in Python complex: a hard
+pulse or free evolution by its _blocks method, a loop by the closed form
+(apply_sequence) or the integrator (simulate_sequence). One loop, _compose,
+multiplies them into a b-up and a b-down product, and _matrix builds the
+2x2 or block-diagonal 4x4 from those in one np.array call. For a 2x2 this
+is several times cheaper than numpy calls. Python's complex products round
+without the fused multiply-adds of a BLAS product, so a composite can
+differ from a 4x4 matmul of the same blocks in the last bits.
+sequence_trajectory builds its (n, dim, dim) stacks from the same blocks.
 """
 
 from __future__ import annotations
@@ -73,27 +73,29 @@ def _check_finite(value: float, name: str) -> None:
 
 
 @dataclass(frozen=True)
-class RotX:
+class _Rotation:
+    """A hard pulse: spin a turned by angle about one axis."""
+
     angle: float
 
     def __post_init__(self) -> None:
-        _check_finite(self.angle, "angle")
+        if not math.isfinite(self.angle):  # inline: eight per conditional-loop composite
+            raise ValueError("angle must be finite")
 
 
-@dataclass(frozen=True)
-class RotY:
-    angle: float
-
-    def __post_init__(self) -> None:
-        _check_finite(self.angle, "angle")
+class RotX(_Rotation):
+    def _blocks(self, dim: int) -> tuple:
+        return (_rot_x_entries(self.angle),)
 
 
-@dataclass(frozen=True)
-class RotZ:
-    angle: float
+class RotY(_Rotation):
+    def _blocks(self, dim: int) -> tuple:
+        return (_rot_y_entries(self.angle),)
 
-    def __post_init__(self) -> None:
-        _check_finite(self.angle, "angle")
+
+class RotZ(_Rotation):
+    def _blocks(self, dim: int) -> tuple:
+        return (_z_entries(-0.5 * self.angle),)
 
 
 @dataclass(frozen=True)
@@ -118,6 +120,10 @@ class FreeEvolve:
             raise ValueError("duration must be nonnegative")
         if self.sign not in (-1, 1):
             raise ValueError("sign must be +1 or -1")
+
+    def _blocks(self, dim: int) -> list:
+        half_t = -0.5 * (self.sign * self.duration)
+        return [_z_entries(half_t * e) for e in _sector_offsets(self, dim)]
 
 
 @dataclass(frozen=True)
@@ -171,7 +177,8 @@ class FieldLoop:
                 raise ValueError("uncompensated loop requires omega_z = 0")
 
 
-PulsePrimitive = Union[RotX, RotY, RotZ, FreeEvolve, FieldLoop]
+_PRIMITIVES = (RotX, RotY, RotZ, FreeEvolve, FieldLoop)
+PulsePrimitive = Union[_PRIMITIVES]
 
 
 @dataclass(frozen=True)
@@ -184,7 +191,7 @@ class PulseSequence:
             raise ValueError(f"unknown frame {self.frame!r}")
         object.__setattr__(self, "steps", tuple(self.steps))
         for step in self.steps:
-            if not isinstance(step, (RotX, RotY, RotZ, FreeEvolve, FieldLoop)):
+            if not isinstance(step, _PRIMITIVES):
                 raise ValueError(f"unknown pulse primitive {step!r}")
 
 
@@ -200,11 +207,19 @@ class SOpSolution:
     theta_minus: float
 
 
-def _solve_s_operation(delta, j: float, omega1):
-    """(t_c, phi_prime, theta_plus, theta_minus) from the arctan constraint
-    math, broadcast over delta and omega1; inputs unchecked."""
-    a_plus = np.arctan((delta + j) / omega1)
-    a_minus = np.arctan((delta - j) / omega1)
+def _check_s_operation(delta: float, j: float, omega1: float) -> None:
+    """Refuse inputs the preparation constraints have no solution for."""
+    if not (math.isfinite(delta) and math.isfinite(j) and math.isfinite(omega1)):
+        raise ValueError("delta, j and omega1 must be finite")
+    if omega1 <= 0:
+        raise ValueError("omega1 must be positive")
+    if j <= 0:
+        raise ValueError("coupling j must be positive")
+
+
+def _solve_s_operation(a_plus, a_minus, j: float) -> tuple:
+    """(t_c, phi_prime, theta_plus, theta_minus) from the angles
+    a_pm = arctan((delta +- j) / omega1), given as floats or as arrays."""
     j_tc = 0.5 * (a_plus - a_minus)
     phi_prime = 0.5 * (a_plus + a_minus)
     return j_tc / j, phi_prime, np.pi / 2 - a_plus, np.pi / 2 - a_minus
@@ -213,21 +228,19 @@ def _solve_s_operation(delta, j: float, omega1):
 def s_operation_angles(delta, j: float, omega1):
     """The preparation constraints solved over arrays: (t_c, phi_prime,
     theta_plus, theta_minus), each broadcast over delta and omega1."""
-    if np.any(np.asarray(omega1) <= 0):
-        raise ValueError("omega1 must be positive")
-    if j <= 0:
-        raise ValueError("coupling j must be positive")
-    return _solve_s_operation(delta, j, omega1)
+    # each condition is an interval, so the extremes decide; both keep a NaN
+    for extreme in (np.min, np.max):
+        _check_s_operation(extreme(delta, initial=1.0), j, extreme(omega1, initial=1.0))
+    return _solve_s_operation(np.arctan((delta + j) / omega1), np.arctan((delta - j) / omega1), j)
 
 
 def s_operation_params(delta: float, j: float, omega1: float) -> SOpSolution:
     """Solve the preparation constraints for the pulse timing t_c and the
     closing tilt angle phi_prime (the scalar case of s_operation_angles)."""
-    if omega1 <= 0:
-        raise ValueError("omega1 must be positive")
-    if j <= 0:
-        raise ValueError("coupling j must be positive")
-    return SOpSolution(*map(float, _solve_s_operation(delta, j, omega1)))
+    _check_s_operation(delta, j, omega1)
+    a_plus = float(np.arctan((delta + j) / omega1))  # Python floats round as float64s do
+    a_minus = float(np.arctan((delta - j) / omega1))
+    return SOpSolution(*map(float, _solve_s_operation(a_plus, a_minus, j)))
 
 
 def _check_solution(sol: SOpSolution, delta: float, j: float) -> float:
@@ -247,72 +260,59 @@ def _check_solution(sol: SOpSolution, delta: float, j: float) -> float:
     return float(w_plus)
 
 
+def _s_operation_steps(sol: SOpSolution, delta: float, j: float) -> tuple:
+    _check_solution(sol, delta, j)
+    return (RotY(np.pi / 2), FreeEvolve(sol.t_c, delta, j), RotZ(-delta * sol.t_c),
+            RotX(np.pi / 2), RotY(-sol.phi_prime))
+
+
 def build_s_operation(sol: SOpSolution, delta: float, j: float) -> PulseSequence:
     """Pulse sequence preparing the conditional cone eigenstate from spin-a
     up: a y pulse to the equator, coupled free evolution, an offset-z
     unwind, an x pulse into the xz plane, and the closing y tilt."""
-    _check_solution(sol, delta, j)
-    steps = (
-        RotY(np.pi / 2),
-        FreeEvolve(sol.t_c, delta, j),
-        RotZ(-delta * sol.t_c),
-        RotX(np.pi / 2),
-        RotY(-sol.phi_prime),
-    )
-    return PulseSequence(steps, frame=TWO_QUBIT)
+    return PulseSequence(_s_operation_steps(sol, delta, j), frame=TWO_QUBIT)
 
 
-def invert_sequence(seq: PulseSequence) -> PulseSequence:
-    """Exact inverse: reversed order, negated angles, negated-generator
-    evolutions. Involutive: invert(invert(seq)) == seq."""
+def _inverted(steps: tuple) -> tuple:
+    """The exact inverse of steps: reversed, with negated angles and generators."""
     inverted = []
-    for step in reversed(seq.steps):
+    for step in reversed(steps):
         if isinstance(step, FreeEvolve):
             inverted.append(FreeEvolve(step.duration, step.delta, step.j, -step.sign))
         elif isinstance(step, FieldLoop):
             inverted.append(FieldLoop(step.params, step.revolutions, step.compensated, -step.sign))
         else:
             inverted.append(type(step)(-step.angle))
-    return PulseSequence(tuple(inverted), frame=seq.frame)
+    return tuple(inverted)
 
 
-_IDENTITY = (1 + 0j, 0j, 0j, 1 + 0j)
-
-
-def _product(a, b) -> tuple:
-    """a @ b for two 2x2 given as their entries (u00, u01, u10, u11)."""
-    a00, a01, a10, a11 = a
-    b00, b01, b10, b11 = b
-    return (a00 * b00 + a01 * b10, a00 * b01 + a01 * b11,
-            a10 * b00 + a11 * b10, a10 * b01 + a11 * b11)
-
-
-def _per_sector(blocks, dim: int):
-    """One block per spin-b sector of dimension dim; a single block acts
-    alike in both sectors."""
-    if len(blocks) == dim // 2:
-        return blocks
-    if len(blocks) > dim // 2:
-        raise ValueError("a conditional loop needs dimension 4")
-    return [blocks[0]] * (dim // 2)
+def invert_sequence(seq: PulseSequence) -> PulseSequence:
+    """Exact inverse: reversed order, negated angles, negated-generator
+    evolutions. Involutive: invert(invert(seq)) == seq."""
+    return PulseSequence(_inverted(seq.steps), frame=seq.frame)
 
 
 def _block_diag(blocks, dim: int) -> np.ndarray:
     """Propagator of dimension dim from the (..., 2, 2) blocks of the spin-b
-    sectors."""
-    blocks = _per_sector(blocks, dim)
+    sectors; a single block acts alike in both."""
+    if len(blocks) > dim // 2:
+        raise ValueError("a conditional loop needs dimension 4")
     if dim == 2:
         return blocks[0]
-    up, down = blocks
-    out = np.zeros(up.shape[:-2] + (4, 4), dtype=complex)
-    out[..., :2, :2] = up
-    out[..., 2:, 2:] = down
+    out = np.zeros(blocks[0].shape[:-2] + (4, 4), dtype=complex)
+    out[..., :2, :2] = blocks[0]
+    out[..., 2:, 2:] = blocks[-1]
     return out
 
 
-def _operator(blocks: list, dim: int) -> np.ndarray:
+def _matrix(blocks, dim: int) -> np.ndarray:
     """The dim x dim matrix of sector blocks given as entry 4-tuples."""
-    return _block_diag(np.array(blocks, dtype=complex).reshape(-1, 2, 2), dim)
+    u00, u01, u10, u11 = blocks[0]
+    if dim == 2:
+        return np.array(((u00, u01), (u10, u11)), dtype=complex)
+    d00, d01, d10, d11 = blocks[-1]
+    return np.array(((u00, u01, 0j, 0j), (u10, u11, 0j, 0j),
+                     (0j, 0j, d00, d01), (0j, 0j, d10, d11)), dtype=complex)
 
 
 def _sector_offsets(step: FreeEvolve, dim: int) -> list:
@@ -328,22 +328,9 @@ def _free_evolution_unitaries(step: FreeEvolve, dim: int, durations) -> np.ndarr
     """Diagonal unitaries of the free evolution run for each of durations
     (the step's own duration ignored), as a (len(durations), dim, dim) stack:
     in each sector diag(exp(i a), exp(-i a)) with the half-angle a = -t e / 2,
-    e the sector's offset, in _pulse_blocks' operation order."""
+    e the sector's offset, in FreeEvolve._blocks' operation order."""
     half_t = -0.5 * (step.sign * np.asarray(durations, dtype=float))
     return _block_diag([_z_stack(half_t * e) for e in _sector_offsets(step, dim)], dim)
-
-
-def _pulse_blocks(step: PulsePrimitive, dim: int) -> list:
-    """A hard pulse or a free evolution as its 2x2 blocks (entry 4-tuples):
-    one for a hard pulse, one per sector for a free evolution."""
-    if isinstance(step, RotX):
-        return [_rot_x_entries(step.angle)]
-    if isinstance(step, RotY):
-        return [_rot_y_entries(step.angle)]
-    if isinstance(step, RotZ):
-        return [_z_entries(-0.5 * step.angle)]
-    half_t = -0.5 * (step.sign * step.duration)
-    return [_z_entries(half_t * e) for e in _sector_offsets(step, dim)]
 
 
 def _loop_fields(step: FieldLoop) -> list[tuple]:
@@ -359,7 +346,11 @@ def _loop_fields(step: FieldLoop) -> list[tuple]:
 
 
 def _loop_duration(step: FieldLoop, gamma: float) -> float:
-    return step.revolutions * (2 * np.pi / abs(gamma))
+    duration = step.revolutions * (2 * np.pi / abs(gamma))
+    if not math.isfinite(duration):
+        raise ValueError(f"a loop of {step.revolutions:g} revolutions at gamma = {gamma:g} "
+                         "lasts longer than the float range")
+    return duration
 
 
 def _loop_closed_form(step: FieldLoop) -> list:
@@ -433,13 +424,21 @@ def _check_frame_dim(seq: PulseSequence, dim: int) -> None:
 def _compose(seq: PulseSequence, dim: int, loop_blocks) -> np.ndarray:
     """The sequence as one unitary, composed per spin-b sector in listed
     order (the first primitive acts first); loop_blocks(step) gives a field
-    loop's blocks."""
+    loop's blocks. At dimension 2 the b-down product goes unused."""
     _check_frame_dim(seq, dim)
-    sectors = [_IDENTITY] * (dim // 2)
+    u00 = d00 = u11 = d11 = 1 + 0j
+    u01 = d01 = u10 = d10 = 0j
     for step in seq.steps:
-        blocks = loop_blocks(step) if isinstance(step, FieldLoop) else _pulse_blocks(step, dim)
-        sectors = [_product(u, v) for u, v in zip(_per_sector(blocks, dim), sectors)]
-    return _operator(sectors, dim)
+        blocks = loop_blocks(step) if type(step) is FieldLoop else step._blocks(dim)
+        if len(blocks) > dim // 2:
+            raise ValueError("a conditional loop needs dimension 4")
+        a00, a01, a10, a11 = blocks[0]
+        u00, u01, u10, u11 = (a00 * u00 + a01 * u10, a00 * u01 + a01 * u11,
+                              a10 * u00 + a11 * u10, a10 * u01 + a11 * u11)
+        a00, a01, a10, a11 = blocks[-1]
+        d00, d01, d10, d11 = (a00 * d00 + a01 * d10, a00 * d01 + a01 * d11,
+                              a10 * d00 + a11 * d10, a10 * d01 + a11 * d11)
+    return _matrix(((u00, u01, u10, u11), (d00, d01, d10, d11)), dim)
 
 
 def apply_sequence(seq: PulseSequence, dim: int) -> np.ndarray:
@@ -510,7 +509,7 @@ def sequence_trajectory(
             now += step.duration
         else:
             times.append(np.array([now]))
-            props.append((_operator(_pulse_blocks(step, dim), dim) @ u)[None])
+            props.append((_matrix(step._blocks(dim), dim) @ u)[None])
 
     def hamiltonian_at(t):
         t_arr = np.asarray(t, dtype=float)
@@ -557,9 +556,8 @@ def build_conditional_loop(delta: float, j: float) -> PulseSequence:
     each spectator sector."""
     loop = FieldLoop(ConditionalLoop(delta, j), revolutions=1.0, compensated=True)
     sol = s_operation_params(delta, j, loop.params.setting.omega1)
-    s_seq = build_s_operation(sol, delta, j)
-    steps = s_seq.steps + (loop,) + invert_sequence(s_seq).steps
-    return PulseSequence(steps, frame=TWO_QUBIT)
+    s_steps = _s_operation_steps(sol, delta, j)
+    return PulseSequence(s_steps + (loop,) + _inverted(s_steps), frame=TWO_QUBIT)
 
 
 # ---------------------------------------------------------------------------

@@ -995,6 +995,10 @@ class TestScheduleSchema:
             ({"steps": [{"op": "loop", "loop": {"omega0": 1, "omega1": 1, "gamma": -2}}]},
              "steps[0]: compensated loop requires omega_z = gamma"),
             ({"frame": "three-qubit", "steps": []}, "frame: unknown frame 'three-qubit'"),
+            ({"frame": "two-qubit-rotating",
+              "steps": [{"op": "rot_y", "angle": 1.0},
+                        {"op": "loop", "loop": {"delta": 1e200, "j": 1}}]},
+             "steps[1]: no finite conditional loop setting for delta = 1e+200, j = 1.0"),
         ],
     )
     def test_malformed_schedule_exits_2_naming_the_field(self, doc, message, tmp_path, capsys):
@@ -1113,3 +1117,12 @@ class TestFieldNamingErrors:
         assert code == 2
         assert out == ""
         assert "--delta-over-j" in err
+
+    @pytest.mark.parametrize("value", ["1e200", "1.4e154"])
+    def test_overflowing_delta_over_j_names_the_flag(self, value, capsys):
+        # finite, but delta^2 overflows and the loop setting is not finite
+        code, out, err = run_cli(["gate", "cphase", "--delta-over-j", value], capsys)
+        assert code == 2
+        assert out == ""
+        assert err == (f"error: --delta-over-j: no finite conditional loop setting "
+                       f"for delta = {float(value)!r}, j = 1.0\n")

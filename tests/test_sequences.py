@@ -118,6 +118,25 @@ class TestSOperationParams:
         with pytest.raises(ValueError, match="omega1 must be positive"):
             s_operation_angles(np.ones(3), 1.0, np.array([0.5, 0.0, 1.0]))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_both_front_ends_refuse_non_finite_inputs(self, bad):
+        for args in ((bad, 1.0, 1.0), (1.0, bad, 1.0), (1.0, 1.0, bad)):
+            with pytest.raises(ValueError, match="must be finite|must be positive"):
+                s_operation_params(*args)
+        grid = np.array([0.5, 1.0, 2.0])
+        for position in (0, 2):
+            for k in range(3):
+                args = [grid.copy(), 1.0, grid.copy()]
+                args[position][k] = bad
+                with pytest.raises(ValueError, match="must be finite|must be positive"):
+                    s_operation_angles(*args)
+        with pytest.raises(ValueError, match="must be finite|must be positive"):
+            s_operation_angles(grid, bad, grid)
+
+    def test_grid_of_no_points_is_solved(self):
+        empty = np.zeros(0)
+        assert all(a.size == 0 for a in s_operation_angles(empty, 1.0, empty))
+
 
 class TestBuildSOperation:
     def test_prepares_conditional_eigenstates(self):
@@ -368,6 +387,24 @@ class TestSectorComposition:
         monkeypatch.setattr(sequences, "two_qubit_loop_params", counting)
         apply_sequence(build_conditional_loop(1.4, 1.0), 4)
         assert calls == [(1.4, 1.0)]
+
+    def test_overflowing_conditional_loop_names_delta_and_j(self):
+        message = r"no finite conditional loop setting for delta = 1e\+200, j = 1.0"
+        with pytest.raises(ValueError, match=message):
+            two_qubit_loop_params(1e200, 1.0)
+        with pytest.raises(ValueError, match=message):
+            apply_sequence(build_conditional_loop(1e200, 1.0), 4)
+        with pytest.raises(ValueError, match="no finite conditional loop setting"):
+            two_qubit_loop_params(2.0, np.nan)
+
+    @pytest.mark.parametrize("compose", [
+        lambda seq: apply_sequence(seq, 2),
+        lambda seq: simulate_sequence(seq, 2, steps_per_loop=100),
+    ])
+    def test_overflowing_loop_duration_names_the_loop(self, compose):
+        loop = FieldLoop(FieldParams(1.0, 0.5, 2.0, 2.0), 1e308)
+        with pytest.raises(ValueError, match="a loop of 1e[+]308 revolutions at gamma = 2 "):
+            compose(PulseSequence((loop,)))
 
     def test_conditional_loop_rejects_nonfinite_offsets(self):
         with pytest.raises(ValueError, match="delta must be finite"):
