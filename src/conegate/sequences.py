@@ -307,12 +307,12 @@ def _block_diag(blocks, dim: int) -> np.ndarray:
 
 def _matrix(blocks, dim: int) -> np.ndarray:
     """The dim x dim matrix of sector blocks given as entry 4-tuples."""
-    u00, u01, u10, u11 = blocks[0]
     if dim == 2:
-        return np.array(((u00, u01), (u10, u11)), dtype=complex)
+        return np.array(blocks[0], dtype=complex).reshape(2, 2)
+    u00, u01, u10, u11 = blocks[0]
     d00, d01, d10, d11 = blocks[-1]
-    return np.array(((u00, u01, 0j, 0j), (u10, u11, 0j, 0j),
-                     (0j, 0j, d00, d01), (0j, 0j, d10, d11)), dtype=complex)
+    return np.array((u00, u01, 0j, 0j, u10, u11, 0j, 0j,
+                     0j, 0j, d00, d01, 0j, 0j, d10, d11), dtype=complex).reshape(4, 4)
 
 
 def _sector_offsets(step: FreeEvolve, dim: int) -> list:
