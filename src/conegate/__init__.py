@@ -32,7 +32,6 @@ from .propagation import (
     Trajectory,
     adiabatic_error,
     integrate,
-    integrate_loop,
     loop_duration,
     propagator_compensated,
     propagator_uncompensated,
@@ -49,6 +48,7 @@ from .sequences import (
     apply_sequence,
     build_conditional_loop,
     build_s_operation,
+    integrate_loop,
     invert_sequence,
     s_operation_params,
     sequence_trajectory,

@@ -54,10 +54,6 @@ CONFIG_ERROR = 2
 VERIFICATION_ERROR = 3
 
 
-class ConfigError(ValueError):
-    pass
-
-
 @dataclass
 class RunConfig:
     command: str
@@ -76,16 +72,16 @@ def _fmt(x: float) -> str:
 
 def _parse_range(text: str, flag: str) -> np.ndarray:
     if not isinstance(text, str):
-        raise ConfigError(f"{flag} must look like start:stop:step, got {text!r}")
+        raise ValueError(f"{flag} must look like start:stop:step, got {text!r}")
     try:
         start_s, stop_s, step_s = text.split(":")
         start, stop, step = float(start_s), float(stop_s), float(step_s)
     except ValueError as exc:
-        raise ConfigError(f"{flag} must look like start:stop:step, got {text!r}") from exc
+        raise ValueError(f"{flag} must look like start:stop:step, got {text!r}") from exc
     if not np.all(np.isfinite([start, stop, step])):
-        raise ConfigError(f"{flag}: start, stop and step must be finite, got {text!r}")
+        raise ValueError(f"{flag}: start, stop and step must be finite, got {text!r}")
     if step <= 0 or stop < start:
-        raise ConfigError(f"{flag}: empty or descending range {text!r}")
+        raise ValueError(f"{flag}: empty or descending range {text!r}")
     count = np.floor((stop - start) / step + 1e-9) + 1
     _check_points(count, flag)
     return start + step * np.arange(int(count))
@@ -95,18 +91,18 @@ def _check_points(count: float, what: str) -> None:
     """Refuse a sweep or a trajectory before its arrays are allocated."""
     if count > MAX_SWEEP_POINTS:
         shown = count if isinstance(count, int) else f"{count:.0f}"  # an int may pass 1e308
-        raise ConfigError(f"{what} asks for {shown} points, "
+        raise ValueError(f"{what} asks for {shown} points, "
                           f"more than the {MAX_SWEEP_POINTS} a sweep or trajectory may hold")
 
 
 def _int_option(value, flag: str) -> int:
     """value as an integer; a non-integral number or a bool is refused."""
     if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
-        raise ConfigError(f"{flag} must be an integer, got {value!r}")
+        raise ValueError(f"{flag} must be an integer, got {value!r}")
     try:
         return int(value)
     except (TypeError, ValueError) as exc:
-        raise ConfigError(f"{flag} must be an integer, got {value!r}") from exc
+        raise ValueError(f"{flag} must be an integer, got {value!r}") from exc
 
 
 def _float_option(value, flag: str) -> float:
@@ -117,7 +113,7 @@ def _float_option(value, flag: str) -> float:
     except (TypeError, ValueError, OverflowError):
         number = math.nan
     if isinstance(value, bool) or not math.isfinite(number):
-        raise ConfigError(f"{flag} must be a finite number, got {value!r}")
+        raise ValueError(f"{flag} must be a finite number, got {value!r}")
     return number
 
 
@@ -130,7 +126,7 @@ def _emit(chunks, out: str | None) -> None:
         with open(out, "w") as fh:
             fh.writelines(chunks)
     except OSError as exc:
-        raise ConfigError(f"cannot write --out {out!r}: {exc.strerror or exc}") from exc
+        raise ValueError(f"cannot write --out {out!r}: {exc.strerror or exc}") from exc
 
 
 def _axis_texts(values: np.ndarray) -> list[str]:
@@ -216,16 +212,16 @@ def _initial_state(doc: dict, seq) -> np.ndarray:
     if "initial_state" in doc:
         pairs = doc["initial_state"]
         if not isinstance(pairs, list) or len(pairs) != dim:
-            raise ConfigError(f"initial_state: expected {dim} [re, im] pairs")
+            raise ValueError(f"initial_state: expected {dim} [re, im] pairs")
         psi = np.empty(dim, dtype=complex)
         for k, pair in enumerate(pairs):
             where = f"initial_state[{k}]"
             if not (isinstance(pair, list) and len(pair) == 2):
-                raise ConfigError(f"{where}: expected a [re, im] pair")
+                raise ValueError(f"{where}: expected a [re, im] pair")
             psi[k] = complex(_finite(pair[0], where + "[0]"), _finite(pair[1], where + "[1]"))
         norm = np.linalg.norm(psi)
         if norm == 0:
-            raise ConfigError("initial_state must be a nonzero vector")
+            raise ValueError("initial_state must be a nonzero vector")
         return psi / norm
     for step in seq.steps:
         if isinstance(step, FieldLoop) and isinstance(step.params, FieldParams):
@@ -244,9 +240,9 @@ def cmd_evolve(config: RunConfig, v: dict) -> int:
         with open(v["schedule"]) as fh:
             doc = json.load(fh)
     except OSError as exc:
-        raise ConfigError(f"cannot read schedule: {exc}") from exc
+        raise ValueError(f"cannot read schedule: {exc}") from exc
     except json.JSONDecodeError as exc:
-        raise ConfigError(
+        raise ValueError(
             f"schedule parse error at line {exc.lineno} column {exc.colno}: {exc.msg}"
         ) from exc
     seq = sequence_from_dict(doc)
@@ -353,7 +349,7 @@ def _loop_speeds(gammas: np.ndarray, omega0: float) -> np.ndarray:
     speeds = gammas * omega0
     if not np.all(speeds != 0.0):
         g = float(gammas[speeds == 0.0][0])
-        raise ConfigError(f"--gamma-range and --theta give a zero loop speed: gamma {g!r} "
+        raise ValueError(f"--gamma-range and --theta give a zero loop speed: gamma {g!r} "
                           f"times cos(theta) = {omega0!r} underflows to 0")
     return speeds
 
@@ -381,13 +377,13 @@ def _scurve_deltas(value, flag: str) -> np.ndarray:
 
 def _path(value, flag: str) -> str:
     if not isinstance(value, str):
-        raise ConfigError(f"{flag} must be a file path, got {value!r}")
+        raise ValueError(f"{flag} must be a file path, got {value!r}")
     return value
 
 
 def _format(value, flag: str) -> str:
     if value not in ("csv", "json"):
-        raise ConfigError(f"{flag} must be csv or json, got {value!r}")
+        raise ValueError(f"{flag} must be csv or json, got {value!r}")
     return value
 
 
@@ -518,16 +514,16 @@ def _settings(args: argparse.Namespace) -> tuple[RunConfig, dict]:
             with open(args.config) as fh:
                 file_values = json.load(fh)
         except OSError as exc:
-            raise ConfigError(f"cannot read config file: {exc}") from exc
+            raise ValueError(f"cannot read config file: {exc}") from exc
         except json.JSONDecodeError as exc:
-            raise ConfigError(
+            raise ValueError(
                 f"config parse error at line {exc.lineno} column {exc.colno}: {exc.msg}"
             ) from exc
         if not isinstance(file_values, dict):
-            raise ConfigError("config file must hold a JSON object")
+            raise ValueError("config file must hold a JSON object")
         unknown = sorted(set(file_values) - {o.dest for o in rows})
         if unknown:
-            raise ConfigError(f"unknown config key(s) for {args.command}: "
+            raise ValueError(f"unknown config key(s) for {args.command}: "
                               + ", ".join(map(repr, unknown)))
         given.update(file_values)
     flags = {o.dest: getattr(args, o.dest) for o in rows if getattr(args, o.dest) is not None}
@@ -536,7 +532,7 @@ def _settings(args: argparse.Namespace) -> tuple[RunConfig, dict]:
     values, shown = {}, {}
     for option in rows:
         if option.default is REQUIRED and given.get(option.dest) in (None, ""):
-            raise ConfigError(f"missing required option {option.flag}")
+            raise ValueError(f"missing required option {option.flag}")
         if option.dest not in given:
             values[option.dest] = option.default
             continue
@@ -544,7 +540,7 @@ def _settings(args: argparse.Namespace) -> tuple[RunConfig, dict]:
         values[option.dest] = value = option.parse(raw, option.flag)
         problem = option.check and option.check(value)
         if problem:
-            raise ConfigError(problem)
+            raise ValueError(problem)
         number = option.parse in (_int_option, _float_option)
         shown[option.dest] = value if number and option.dest in flags else raw
     if args.command == "gate":  # the positional, which a config file cannot set
@@ -563,7 +559,7 @@ def main(argv: list[str] | None = None) -> int:
         command = {"scurve": cmd_scurve, "evolve": cmd_evolve, "gate": cmd_gate,
                    "compare-adiabatic": cmd_compare_adiabatic}[args.command]
         return command(config, values)
-    except (ConfigError, ValueError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return CONFIG_ERROR
 

@@ -56,28 +56,13 @@ class FieldParams:
             raise ValueError("omega1 must be nonnegative")
 
 
-def _field_hamiltonian(omega_vert, omega1, phase) -> np.ndarray:
-    phase = np.asarray(phase, dtype=float)
-    omega_vert = np.broadcast_to(np.asarray(omega_vert, dtype=float), phase.shape)
-    h = np.zeros(phase.shape + (2, 2), dtype=complex)
-    h[..., 0, 0] = 0.5 * omega_vert
-    h[..., 1, 1] = -0.5 * omega_vert
-    h[..., 0, 1] = 0.5 * omega1 * np.exp(-1j * phase)
-    h[..., 1, 0] = np.conj(h[..., 0, 1])
-    return h
-
-
-def h_rotating(p: FieldParams, t: float | np.ndarray) -> np.ndarray:
-    """Bare rotating-field Hamiltonian (no compensation term)."""
-    return _field_hamiltonian(p.omega0, p.omega1, p.gamma * np.asarray(t) + p.phase0)
-
-
-def _require_compensation(p: FieldParams) -> None:
-    if p.omega_z != p.gamma:
-        raise ValueError(
-            "compensation misconfigured: omega_z must equal gamma "
-            f"(got omega_z={p.omega_z}, gamma={p.gamma})"
-        )
+def _check_omega_z(p: FieldParams, compensated: bool) -> None:
+    """Refuse p unless its vertical field omega_z is the compensation field
+    (omega_z = gamma, compensated) or off (omega_z = 0, uncompensated)."""
+    if compensated and p.omega_z != p.gamma:
+        raise ValueError("compensated loop requires omega_z = gamma")
+    if not compensated and p.omega_z != 0.0:
+        raise ValueError("uncompensated loop requires omega_z = 0")
 
 
 def h_compensated(p: FieldParams, t: float | np.ndarray) -> np.ndarray:
@@ -86,10 +71,7 @@ def h_compensated(p: FieldParams, t: float | np.ndarray) -> np.ndarray:
     Requires omega_z == gamma: the compensation field must track the
     rotation speed exactly.
     """
-    _require_compensation(p)
-    return _field_hamiltonian(
-        p.omega0 + p.gamma, p.omega1, p.gamma * np.asarray(t) + p.phase0
-    )
+    return FieldSchedule.of(p, True)(t)
 
 
 @dataclass(frozen=True)
@@ -102,8 +84,8 @@ class FieldSchedule:
 
     with v the vertical field and s = t, or s = t_end - t when sign = -1
     (the inverse run: the negated Hamiltonian traversed backwards).
-    Called, it returns the matrices of h_compensated / h_rotating bit for
-    bit (of(p, compensated) builds the record of either).
+    of(p, compensated) builds the record of the compensated field (v =
+    omega0 + gamma) or of the bare one (v = omega0).
     """
 
     vertical: float
@@ -115,14 +97,19 @@ class FieldSchedule:
 
     @classmethod
     def of(cls, p: FieldParams, compensated: bool) -> "FieldSchedule":
-        if not compensated:
-            return cls(p.omega0, p.omega1, p.gamma, p.phase0)
-        _require_compensation(p)
-        return cls(p.omega0 + p.gamma, p.omega1, p.gamma, p.phase0)
+        _check_omega_z(p, compensated)
+        return cls(p.omega0 + p.gamma if compensated else p.omega0, p.omega1, p.gamma,
+                   p.phase0)
 
     def __call__(self, t: float | np.ndarray) -> np.ndarray:
         s = np.asarray(t) if self.sign > 0 else self.t_end - np.asarray(t)
-        h = _field_hamiltonian(self.vertical, self.omega1, self.gamma * s + self.phase0)
+        phase = np.asarray(self.gamma * s + self.phase0, dtype=float)
+        vertical = np.broadcast_to(np.asarray(self.vertical, dtype=float), phase.shape)
+        h = np.zeros(phase.shape + (2, 2), dtype=complex)
+        h[..., 0, 0] = 0.5 * vertical
+        h[..., 1, 1] = -0.5 * vertical
+        h[..., 0, 1] = 0.5 * self.omega1 * np.exp(-1j * phase)
+        h[..., 1, 0] = np.conj(h[..., 0, 1])
         return h if self.sign > 0 else -h
 
 
@@ -141,9 +128,9 @@ def h_two_qubit_rotating(
     Block-diagonal in the spin-b sectors; sector b-up (b-down) sees the
     single-spin Hamiltonian with vertical offset delta + j (delta - j).
     simulate_sequence and sequence_trajectory use that split: they
-    integrate each sector as a 2x2 h_compensated / h_rotating field and
-    assemble the block diagonal, so this 4x4 form serves as the frame
-    oracle the sector split is tested against.
+    integrate each sector as a 2x2 FieldSchedule and assemble the block
+    diagonal, so this 4x4 form serves as the frame oracle the sector split
+    is tested against.
     """
     t = np.asarray(t, dtype=float)
     phase = gamma * t + phase0

@@ -34,11 +34,6 @@ def canonical_phase(x: float) -> float:
     return float(y)
 
 
-def phase_distance(a: float, b: float) -> float:
-    """Distance between two angles modulo 2 pi."""
-    return abs(canonical_phase(a - b))
-
-
 @dataclass(frozen=True)
 class ConeGeometry:
     """One eigenstate branch of the frozen field Hamiltonian.
@@ -58,6 +53,9 @@ def cone_eigenstate(omega0: float, omega1: float, branch: str = "upper") -> Cone
     if omega1 < 0:
         raise ValueError("omega1 must be nonnegative")
     magnitude = np.hypot(omega0, omega1)
+    if not np.isfinite(magnitude):  # a NaN or infinite input, or an overflow
+        raise ValueError(f"no finite field for omega0 = {float(omega0)!r}, "
+                         f"omega1 = {float(omega1)!r}")
     if magnitude == 0.0:
         raise ValueError("zero field has no cone eigenstate")
     theta = float(np.arctan2(omega1, omega0))
@@ -81,7 +79,11 @@ def compensation_gamma(omega0: float, omega1: float) -> float:
     """
     if omega0 == 0.0:
         raise ValueError("no finite compensation speed exists for omega0 = 0")
-    return -(omega0 * omega0 + omega1 * omega1) / omega0
+    gamma = -(omega0 * omega0 + omega1 * omega1) / omega0
+    if not math.isfinite(gamma):  # a NaN or infinite input, or an overflow
+        raise ValueError(f"no finite compensation speed for omega0 = {float(omega0)!r}, "
+                         f"omega1 = {float(omega1)!r}")
+    return gamma
 
 
 class TwoQubitLoopSetting(NamedTuple):

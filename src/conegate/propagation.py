@@ -59,13 +59,12 @@ Cayley-Klein form (a, b) with their trace phase summed apart, and the
 running product is projected back onto SU(2) after every block, so
 rounding does not drift the norm. They are built from the components
 (z, x) of the traceless part of the Hamiltonian: a FieldSchedule (a
-rotating-field run, as integrate_loop and the loops of sequences give
-it) yields them directly from the field's time and phase, any other
-schedule is called and its 2x2 samples are read back. Either way one
-workspace per call holds the pass's components, its pairs and every
-temporary of the reductions, and numpy writes into it with out= in the
-operation order of fresh arrays, so the bits do not depend on the
-path. Larger dimensions use an eigh exponential and matrix products on
+rotating-field run, as the loops of sequences give it) yields them
+directly from the field's time and phase, any other schedule is called
+and its 2x2 samples are read back. Either way one workspace per call
+holds the pass's components, its pairs and every temporary of the
+reductions, and numpy writes into it with out= in the operation order
+of fresh arrays, so the bits do not depend on the path. Larger dimensions use an eigh exponential and matrix products on
 fresh arrays. Callers with block-diagonal 4x4 propagators (the
 conditional loop of sequences) integrate each 2x2 block on its own.
 """
@@ -79,7 +78,7 @@ from typing import Callable
 
 import numpy as np
 
-from .hamiltonians import FieldParams, FieldSchedule
+from .hamiltonians import FieldParams, FieldSchedule, _check_omega_z
 from .linalg import require_finite
 
 
@@ -219,8 +218,7 @@ def _propagator_entries(omega0: float, omega1: float, gamma: float, phase0: floa
 
 def propagator_uncompensated(p: FieldParams, t: float) -> np.ndarray:
     """Evolution operator of the bare rotating field (no compensation)."""
-    if p.omega_z != 0.0:
-        raise ValueError("uncompensated propagator requires omega_z = 0")
+    _check_omega_z(p, False)
     u_static = _static_propagator(p.omega0 - p.gamma, p.omega1, p.phase0, t)
     return rot_z(p.gamma * t) @ u_static
 
@@ -232,8 +230,7 @@ def propagator_compensated(p: FieldParams, t: float) -> np.ndarray:
     the instantaneous eigenstate at every time; after one full revolution
     the state returns to itself up to a phase, exactly.
     """
-    if p.omega_z != p.gamma:
-        raise ValueError("compensated propagator requires omega_z = gamma")
+    _check_omega_z(p, True)
     u_static = _static_propagator(p.omega0, p.omega1, p.phase0, t)
     return rot_z(p.gamma * t) @ u_static
 
@@ -287,8 +284,7 @@ def loop_infidelities(
 def adiabatic_error(p: FieldParams) -> float:
     """Infidelity 1 - |<psi0| U(tau) |psi0>|^2 of the uncompensated loop,
     psi0 the upper eigenstate of the frozen field Hamiltonian."""
-    if p.omega_z != 0.0:
-        raise ValueError("adiabatic_error is defined for the uncompensated field")
+    _check_omega_z(p, False)
     uncompensated, _ = loop_infidelities(p.omega0, p.omega1, [p.gamma], p.phase0)
     return float(uncompensated[0])
 
@@ -740,22 +736,3 @@ def integrate(
     times[-1] = t_end
     return Trajectory(times, states, props, schedule)
 
-
-def integrate_loop(
-    p: FieldParams,
-    compensated: bool,
-    steps_per_loop: int = 10_000,
-    revolutions: float = 1.0,
-    *,
-    psi0: np.ndarray | None = None,
-    samples: int = 257,
-) -> Trajectory:
-    """Integrator run over `revolutions` full revolutions of the field."""
-    t_end = revolutions * loop_duration(p)
-    return integrate(
-        FieldSchedule.of(p, compensated),
-        t_end,
-        total_steps=max(1, int(round(steps_per_loop * revolutions))),
-        psi0=psi0,
-        samples=samples,
-    )

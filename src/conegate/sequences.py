@@ -31,7 +31,7 @@ from typing import Union
 
 import numpy as np
 
-from .hamiltonians import SIGMA_ZA, SIGMA_ZZ, FieldParams, FieldSchedule
+from .hamiltonians import SIGMA_ZA, SIGMA_ZZ, FieldParams, FieldSchedule, _check_omega_z
 from .linalg import SIGMA_Z
 from .phases import two_qubit_loop_params
 from .propagation import (
@@ -41,7 +41,6 @@ from .propagation import (
     _z_entries,
     _z_stack,
     integrate,
-    rot_z,  # the z rotation, exported beside rot_x and rot_y
 )
 
 SINGLE_QUBIT = "single-qubit"
@@ -57,14 +56,6 @@ def _rot_x_entries(angle: float) -> tuple:
 def _rot_y_entries(angle: float) -> tuple:
     c, s = math.cos(angle / 2), math.sin(angle / 2)
     return (complex(c), complex(-s), complex(s), complex(c))
-
-
-def rot_x(angle: float) -> np.ndarray:
-    return np.array(_rot_x_entries(angle)).reshape(2, 2)
-
-
-def rot_y(angle: float) -> np.ndarray:
-    return np.array(_rot_y_entries(angle)).reshape(2, 2)
 
 
 def _check_finite(value: float, name: str) -> None:
@@ -171,10 +162,7 @@ class FieldLoop:
         if isinstance(self.params, FieldParams):
             if self.params.gamma == 0.0:
                 raise ValueError("a field loop needs a nonzero rotation speed")
-            if self.compensated and self.params.omega_z != self.params.gamma:
-                raise ValueError("compensated loop requires omega_z = gamma")
-            if not self.compensated and self.params.omega_z != 0.0:
-                raise ValueError("uncompensated loop requires omega_z = 0")
+            _check_omega_z(self.params, self.compensated)
 
 
 _PRIMITIVES = (RotX, RotY, RotZ, FreeEvolve, FieldLoop)
@@ -390,8 +378,10 @@ def _free_samples(samples_per_loop: int) -> int:
     return max(2, samples_per_loop // 4)
 
 
-def _integrate_loop(step: FieldLoop, dim: int, steps_per_loop: int, samples: int):
-    """Integrator run of one field-loop segment, each 2x2 block on its own.
+def _integrate_loop(step: FieldLoop, dim: int, steps_per_loop: int, samples: int,
+                    psi0: np.ndarray | None = None):
+    """Integrator run of one field-loop segment, each 2x2 block on its own
+    (from psi0 when given).
 
     Returns (duration, one Trajectory per field, Hamiltonian accessor of
     dimension dim); sign = -1 runs the negated Hamiltonian backwards.
@@ -404,12 +394,29 @@ def _integrate_loop(step: FieldLoop, dim: int, steps_per_loop: int, samples: int
         for omega0, omega1, gamma, phase0 in fields
     ]
     n = _loop_steps(step, steps_per_loop)
-    runs = [integrate(s, duration, total_steps=n, samples=samples) for s in schedules]
+    runs = [integrate(s, duration, total_steps=n, psi0=psi0, samples=samples)
+            for s in schedules]
 
     def hamiltonian_at(t):
         return _block_diag([s(t) for s in schedules], dim)
 
     return duration, runs, hamiltonian_at
+
+
+def integrate_loop(
+    p: FieldParams,
+    compensated: bool,
+    steps_per_loop: int = 10_000,
+    revolutions: float = 1.0,
+    *,
+    psi0: np.ndarray | None = None,
+    samples: int = 257,
+) -> Trajectory:
+    """Integrator run over `revolutions` full revolutions of the field: the
+    run of FieldLoop(p, revolutions, compensated), whose rules it takes."""
+    _, runs, _ = _integrate_loop(FieldLoop(p, revolutions, compensated), 2, steps_per_loop,
+                                 samples, psi0)
+    return runs[0]
 
 
 def _check_frame_dim(seq: PulseSequence, dim: int) -> None:
@@ -565,36 +572,16 @@ def build_conditional_loop(delta: float, j: float) -> PulseSequence:
 
 
 def _step_to_dict(step: PulsePrimitive) -> dict:
-    if isinstance(step, RotX):
-        return {"op": "rot_x", "angle": step.angle}
-    if isinstance(step, RotY):
-        return {"op": "rot_y", "angle": step.angle}
-    if isinstance(step, RotZ):
-        return {"op": "rot_z", "angle": step.angle}
+    """The document of one step, written from the tables _step_from_dict reads."""
+    if isinstance(step, _Rotation):
+        op = next(op for op, kind in _ROTATIONS.items() if kind is type(step))
+        return {"op": op, "angle": step.angle}
     if isinstance(step, FreeEvolve):
-        return {
-            "op": "free",
-            "duration": step.sign * step.duration,
-            "delta": step.delta,
-            "j": step.j,
-        }
-    if isinstance(step.params, FieldParams):
-        p = step.params
-        loop = {
-            "omega0": p.omega0,
-            "omega1": p.omega1,
-            "gamma": p.gamma,
-            "omega_z": p.omega_z,
-            "phase0": p.phase0,
-        }
-    else:
-        loop = {"delta": step.params.delta, "j": step.params.j, "phase0": step.params.phase0}
-    return {
-        "op": "loop",
-        "revolutions": step.sign * step.revolutions,
-        "compensated": step.compensated,
-        "loop": loop,
-    }
+        return {"op": "free", "duration": step.sign * step.duration, "delta": step.delta,
+                "j": step.j}
+    loop = {key: getattr(step.params, key) for key, _ in _LOOP_KEYS[type(step.params)]}
+    return {"op": "loop", "revolutions": step.sign * step.revolutions,
+            "compensated": step.compensated, "loop": loop}
 
 
 def _finite(value, where: str) -> float:
@@ -627,7 +614,8 @@ def _object(value, path: str) -> dict:
 
 
 _ROTATIONS = {"rot_x": RotX, "rot_y": RotY, "rot_z": RotZ}
-# a loop document's keys in constructor order, with their defaults (None: required)
+# a loop document's keys in constructor order, with their defaults (None: required);
+# _step_to_dict writes them in this order
 _LOOP_KEYS = {
     ConditionalLoop: (("delta", None), ("j", None), ("phase0", 0.0)),
     FieldParams: (("omega0", None), ("omega1", None), ("gamma", None), ("omega_z", 0.0),
@@ -685,7 +673,3 @@ def sequence_from_dict(d: dict) -> PulseSequence:
 
 def to_json(seq: PulseSequence, indent: int | None = None) -> str:
     return json.dumps(sequence_to_dict(seq), indent=indent)
-
-
-def from_json(text: str) -> PulseSequence:
-    return sequence_from_dict(json.loads(text))

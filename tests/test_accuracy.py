@@ -17,6 +17,7 @@ mp = pytest.importorskip("mpmath")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from conegate.propagation import loop_infidelities  # noqa: E402
+from conegate.sequences import s_operation_angles  # noqa: E402
 
 mp.mp.dps = 40
 
@@ -74,3 +75,33 @@ def test_loop_infidelities_digits(theta, phase0, speeds):
                     UNCOMPENSATED_ABS_DIGITS + float(mp.log10(ref_un)))
         assert significant_digits(un, ref_un) >= floor, (theta, phase0, g, un, ref_un)
         assert abs(mp.mpf(co) - ref_co) < COMPENSATED_ABS_ERROR, (theta, phase0, g, co, ref_co)
+
+
+# scurve's columns J t_c = (a+ - a-) / 2 and phi' = (a+ + a-) / 2, with
+# a+- = atan((delta +- J) / omega1) at J = 1, over |delta| / J < 10 (a fifth
+# of the draws scaled down to 1e-8) and 1e-2 <= omega1 / J <= 1e2. On 80,000
+# seeded draws the worst absolute errors were 2.6e-16 (J t_c) and 2.3e-16
+# (phi'); the floor leaves about a factor 2. Both columns are differences
+# or sums of angles near +-pi/2, so their correct significant digits are at
+# least 15.3 + log10(value): J t_c falls below the 12 printed digits when
+# delta / J >> omega1 / J (11.x digits at delta / J = 10, omega1 / J = 0.01),
+# phi' near delta = 0 (5.4 digits at delta / J = 3e-10).
+SCURVE_ABS_ERROR = 5e-16
+
+
+@settings(max_examples=60, derandomize=True, deadline=None, database=None)
+@given(deltas=st.lists(st.tuples(st.floats(-10.0, 10.0), st.booleans(), st.floats(-8.0, 0.0)),
+                       min_size=1, max_size=4),
+       omega1_exponents=st.lists(st.floats(-2.0, 2.0), min_size=1, max_size=4))
+def test_scurve_columns_digits(deltas, omega1_exponents):
+    delta = np.array([d * (10.0**e if small else 1.0) for d, small, e in deltas])
+    omega1 = 10.0 ** np.array(omega1_exponents)
+    # the grid as scurve evaluates it: delta the outer axis, omega1 the inner one
+    t_c, phi_prime, _, _ = s_operation_angles(delta[:, None], 1.0, omega1)
+    for i, d in enumerate(delta.tolist()):
+        for k, w in enumerate(omega1.tolist()):
+            a_plus = mp.atan((mp.mpf(d) + 1) / mp.mpf(w))
+            a_minus = mp.atan((mp.mpf(d) - 1) / mp.mpf(w))
+            for got, ref in ((t_c[i, k], (a_plus - a_minus) / 2),
+                             (phi_prime[i, k], (a_plus + a_minus) / 2)):
+                assert abs(mp.mpf(float(got)) - ref) < SCURVE_ABS_ERROR, (d, w, got, ref)

@@ -3,8 +3,8 @@ import pytest
 
 from conegate.hamiltonians import (
     FieldParams,
+    FieldSchedule,
     h_compensated,
-    h_rotating,
     h_two_qubit_rotating,
 )
 from conegate.linalg import IDENTITY_2, SIGMA_X, SIGMA_Y, SIGMA_Z
@@ -24,33 +24,33 @@ class TestRotatingField:
     def test_vertical_only(self):
         p = FieldParams(1.0, 0.0, 3.7)
         for t in (0.0, 0.4, 12.0):
-            assert np.allclose(h_rotating(p, t), 0.5 * SIGMA_Z)
+            assert np.allclose(FieldSchedule.of(p, False)(t), 0.5 * SIGMA_Z)
 
     def test_quarter_turn_gives_sigma_y(self):
         p = FieldParams(0.0, 1.0, 2.0)
         t = (np.pi / 2) / 2.0  # gamma * t = pi/2
-        assert np.allclose(h_rotating(p, t), 0.5 * SIGMA_Y, atol=1e-15)
+        assert np.allclose(FieldSchedule.of(p, False)(t), 0.5 * SIGMA_Y, atol=1e-15)
 
     def test_off_diagonal_phase(self):
         p = FieldParams(1.0, 1.0, 0.5)
-        h = h_rotating(p, 1.0)
+        h = FieldSchedule.of(p, False)(1.0)
         assert h[0, 1] == pytest.approx(0.5 * np.exp(-0.5j))
         assert h[1, 0] == pytest.approx(0.5 * np.exp(0.5j))
 
     def test_vectorized_over_time(self):
         p = FieldParams(0.7, 1.3, -2.0, phase0=0.3)
         ts = np.linspace(0, 5, 11)
-        stacked = h_rotating(p, ts)
+        stacked = FieldSchedule.of(p, False)(ts)
         assert stacked.shape == (11, 2, 2)
         for k, t in enumerate(ts):
-            assert np.allclose(stacked[k], h_rotating(p, float(t)))
+            assert np.allclose(stacked[k], FieldSchedule.of(p, False)(float(t)))
 
 
 class TestCompensatedField:
     def test_gamma_zero_matches_bare(self):
         p = FieldParams(1.0, 1.0, 0.0)
         for t in (0.0, 0.7, 3.0):
-            assert np.allclose(h_compensated(p, t), h_rotating(p, t))
+            assert np.allclose(h_compensated(p, t), FieldSchedule.of(p, False)(t))
 
     def test_symmetric_point(self):
         p = FieldParams(1.0, 1.0, -2.0, omega_z=-2.0)
@@ -77,7 +77,7 @@ class TestCompensatedField:
             )
             p_u = FieldParams(p_c.omega0, p_c.omega1, gamma)
             t = rng.uniform(0, 10)
-            diff = h_compensated(p_c, t) - h_rotating(p_u, t)
+            diff = h_compensated(p_c, t) - FieldSchedule.of(p_u, False)(t)
             assert np.max(np.abs(diff - 0.5 * gamma * SIGMA_Z)) < 1e-15
 
 

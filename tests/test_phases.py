@@ -7,7 +7,7 @@ import pytest
 
 import conegate
 
-from conegate.hamiltonians import FieldParams, h_compensated, h_rotating
+from conegate.hamiltonians import FieldParams, FieldSchedule, h_compensated
 from conegate.linalg import SIGMA_X, SIGMA_Z, bloch_vector
 from conegate.phases import (
     _simpson,
@@ -18,16 +18,15 @@ from conegate.phases import (
     energy_expectations,
     geometric_phase_cone,
     phase_decomposition,
-    phase_distance,
     two_qubit_loop_params,
 )
 from conegate.propagation import (
     Trajectory,
-    integrate_loop,
     loop_duration,
     propagator_compensated,
     propagator_uncompensated,
 )
+from conegate.sequences import integrate_loop
 
 from conftest import random_field_draws
 
@@ -83,6 +82,16 @@ class TestConeEigenstate:
         with pytest.raises(ValueError):
             cone_eigenstate(0.0, 0.0)
 
+    @pytest.mark.parametrize("omega0, omega1, shown", [
+        (np.nan, 1.0, "omega0 = nan, omega1 = 1.0"),
+        (np.inf, 1.0, "omega0 = inf, omega1 = 1.0"),
+        (1.0, np.nan, "omega0 = 1.0, omega1 = nan"),
+        (-np.inf, np.inf, "omega0 = -inf, omega1 = inf"),
+    ])
+    def test_non_finite_field_rejected(self, omega0, omega1, shown):
+        with pytest.raises(ValueError, match=f"^no finite field for {shown}$"):
+            cone_eigenstate(omega0, omega1)
+
 
 class TestCompensationGamma:
     def test_symmetric_value(self):
@@ -94,6 +103,17 @@ class TestCompensationGamma:
     def test_zero_vertical_rejected(self):
         with pytest.raises(ValueError):
             compensation_gamma(0.0, 1.0)
+
+    @pytest.mark.parametrize("omega0, omega1, shown", [
+        (1.0, np.inf, "omega0 = 1.0, omega1 = inf"),
+        (np.nan, 1.0, "omega0 = nan, omega1 = 1.0"),
+        (np.inf, 1.0, "omega0 = inf, omega1 = 1.0"),
+        (1e-310, 1.0, "omega0 = 1e-310, omega1 = 1.0"),  # 1 / 1e-310 overflows
+        (1e200, 1.0, "omega0 = 1e[+]200, omega1 = 1.0"),  # omega0 squared overflows
+    ])
+    def test_non_finite_speed_rejected(self, omega0, omega1, shown):
+        with pytest.raises(ValueError, match=f"^no finite compensation speed for {shown}$"):
+            compensation_gamma(omega0, omega1)
 
     def test_nulls_energy_expectation(self, rng):
         for omega0, omega1 in random_field_draws(rng, 20):
@@ -179,7 +199,7 @@ class TestDynamicalPhase:
         times = np.linspace(0, tau, 4001)
         props = np.stack([propagator_uncompensated(p, float(t)) for t in times])
         states = np.einsum("kij,j->ki", props, geom.psi0)
-        traj = Trajectory(times, states, props, lambda t: h_rotating(p, t))
+        traj = Trajectory(times, states, props, FieldSchedule.of(p, False))
         measured = dynamical_phase(traj)
 
         # independent closed-form integral: <psi|H|psi> = <H1> + (gamma/2) z(t),
@@ -287,7 +307,7 @@ sys.meta_path.insert(0, BlockScipy())
 import conegate, conegate.cli
 from conegate.hamiltonians import FieldParams
 from conegate.phases import cone_eigenstate, phase_decomposition
-from conegate.propagation import integrate_loop
+from conegate.sequences import integrate_loop
 
 geom = cone_eigenstate(1.0, 1.0)
 traj = integrate_loop(FieldParams(1.0, 1.0, -2.0, omega_z=-2.0), compensated=True,
@@ -325,7 +345,7 @@ class TestPhaseDecomposition:
         p = FieldParams(1.0, 1.0, -2.0, omega_z=-2.0)
         dec = phase_decomposition(closed_form_loop_trajectory(p))
         expected = geometric_phase_cone(np.pi / 4)
-        assert phase_distance(dec.geometric, expected) < 1e-9
+        assert abs(canonical_phase(dec.geometric - expected)) < 1e-9
 
     def test_simulated_loop_geometric_phase(self):
         p = FieldParams(1.0, 1.0, -2.0, omega_z=-2.0)
@@ -334,7 +354,7 @@ class TestPhaseDecomposition:
             p, compensated=True, steps_per_loop=30_000, psi0=geom.psi0, samples=2001
         )
         dec = phase_decomposition(traj)
-        assert phase_distance(dec.geometric, geometric_phase_cone(geom.theta)) < 1e-7
+        assert abs(canonical_phase(dec.geometric - geometric_phase_cone(geom.theta))) < 1e-7
 
     def test_static_field_gives_zero_geometric(self):
         omega0, omega1, t_end = 0.9, 1.2, 4.0
@@ -347,14 +367,14 @@ class TestPhaseDecomposition:
         traj = Trajectory(times, states, None,
                           lambda t: np.broadcast_to(h0, np.shape(t) + (2, 2)).copy())
         dec = phase_decomposition(traj)
-        assert phase_distance(dec.geometric, 0.0) < 1e-10
+        assert abs(canonical_phase(dec.geometric)) < 1e-10
         assert dec.total == pytest.approx(dec.dynamical + dec.geometric)
 
     def test_decomposition_identity_mod_2pi(self):
         p = FieldParams(1.3, 0.8, compensation_gamma(1.3, 0.8),
                         omega_z=compensation_gamma(1.3, 0.8))
         dec = phase_decomposition(closed_form_loop_trajectory(p))
-        assert phase_distance(dec.total, dec.dynamical + dec.geometric) < 1e-12
+        assert abs(canonical_phase(dec.total - (dec.dynamical + dec.geometric))) < 1e-12
 
     def test_two_qubit_sector_phases(self):
         setting = two_qubit_loop_params(CNOT_DELTA, 1.0)
@@ -365,7 +385,7 @@ class TestPhaseDecomposition:
                 omega_z=setting.gamma,
             )
             dec = phase_decomposition(closed_form_loop_trajectory(p))
-            assert phase_distance(dec.geometric, geometric_phase_cone(theta)) < 1e-9
+            assert abs(canonical_phase(dec.geometric - geometric_phase_cone(theta))) < 1e-9
             phases[sign] = geometric_phase_cone(theta)
         assert phases[+1] == pytest.approx(phases[-1] - np.pi / 2, abs=1e-12)
 
@@ -375,7 +395,7 @@ class TestPhaseDecomposition:
         times = np.linspace(0, loop_duration(p), 101)
         props = np.stack([propagator_uncompensated(p, float(t)) for t in times])
         states = np.einsum("kij,j->ki", props, geom.psi0)
-        traj = Trajectory(times, states, props, lambda t: h_rotating(p, t))
+        traj = Trajectory(times, states, props, FieldSchedule.of(p, False))
         with pytest.raises(ValueError, match="defect"):
             phase_decomposition(traj)
 
@@ -387,7 +407,7 @@ class TestGeometricPhaseCone:
     def test_degenerate_cone(self):
         value = geometric_phase_cone(0.0)
         assert value == pytest.approx(-2 * np.pi)
-        assert phase_distance(value, 0.0) < 1e-15
+        assert abs(canonical_phase(value)) < 1e-15
 
     def test_cnot_point_value(self):
         setting = two_qubit_loop_params(CNOT_DELTA, 1.0)

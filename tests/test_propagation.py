@@ -10,7 +10,6 @@ from conegate.hamiltonians import (
     FieldParams,
     FieldSchedule,
     h_compensated,
-    h_rotating,
     h_two_qubit_rotating,
 )
 from conegate.linalg import SIGMA_X, SIGMA_Z
@@ -24,7 +23,6 @@ from conegate.propagation import (
     Trajectory,
     adiabatic_error,
     integrate,
-    integrate_loop,
     _propagator_entries,
     _static_propagator,
     loop_duration,
@@ -38,6 +36,7 @@ from conegate.sequences import (
     ConditionalLoop,
     FieldLoop,
     PulseSequence,
+    integrate_loop,
     sequence_trajectory,
     simulate_sequence,
 )
@@ -69,6 +68,38 @@ class TestUncompensatedPropagator:
         p = FieldParams(1.0, 1.0, 0.3, omega_z=0.3)
         with pytest.raises(ValueError):
             propagator_uncompensated(p, 1.0)
+
+
+class TestOmegaZRule:
+    """Every caller of a field loop refuses an omega_z that is not gamma
+    (compensated) or 0 (uncompensated), with the same message."""
+
+    BARE = FieldParams(1.0, 0.5, -1.25)
+    TRACKED = FieldParams(1.0, 0.5, -1.25, omega_z=-1.25)
+
+    @pytest.mark.parametrize("call", [
+        lambda p: h_compensated(p, 0.0),
+        lambda p: propagator_compensated(p, 1.0),
+        lambda p: FieldSchedule.of(p, True),
+        lambda p: FieldLoop(p, compensated=True),
+        lambda p: integrate_loop(p, True, steps_per_loop=10),
+    ])
+    def test_compensated_callers(self, call):
+        with pytest.raises(ValueError, match="^compensated loop requires omega_z = gamma$"):
+            call(self.BARE)
+        call(self.TRACKED)
+
+    @pytest.mark.parametrize("call", [
+        lambda p: propagator_uncompensated(p, 1.0),
+        lambda p: adiabatic_error(p),
+        lambda p: FieldSchedule.of(p, False),
+        lambda p: FieldLoop(p, compensated=False),
+        lambda p: integrate_loop(p, False, steps_per_loop=10),
+    ])
+    def test_uncompensated_callers(self, call):
+        with pytest.raises(ValueError, match="^uncompensated loop requires omega_z = 0$"):
+            call(self.TRACKED)
+        call(self.BARE)
 
 
 class TestCompensatedPropagator:
@@ -389,7 +420,7 @@ class TestChunkedIntegrator:
         samples = n + 1 if samples is None else samples
         if dim == 2:
             p = FieldParams(0.7, 1.3, 0.9)
-            schedule = lambda t: h_rotating(p, t) + 0.37 * np.eye(2)  # nonzero trace
+            schedule = lambda t: FieldSchedule.of(p, False)(t) + 0.37 * np.eye(2)  # nonzero trace
         else:
             schedule = lambda t: h_two_qubit_rotating(1.8, 1.0, 1.5, -3.6, t)
         t_end = 2.5
@@ -485,7 +516,7 @@ class TestFieldScheduleComponents:
     @pytest.mark.parametrize("compensated", [True, False])
     @pytest.mark.parametrize("sign", [1, -1])
     def test_component_path_is_the_callable_path(self, compensated, sign, rng):
-        h = h_compensated if compensated else h_rotating
+        h = h_compensated if compensated else lambda p, t: FieldSchedule.of(p, False)(t)
         for n in (1, 7, BLOCK_STEPS - 1, BLOCK_STEPS, BLOCK_STEPS + 1, 2 * BLOCK_STEPS + 5):
             gamma = rng.choice([-1.0, 1.0]) * rng.uniform(0.2, 3.0)
             p = FieldParams(rng.uniform(-2, 2), rng.uniform(0.1, 2), gamma,
@@ -521,7 +552,7 @@ class TestFieldScheduleComponents:
         assert np.array_equal(backwards(t), -h_compensated(p, 2.0 - t))
 
     def test_record_checks_compensation(self):
-        with pytest.raises(ValueError, match="compensation misconfigured"):
+        with pytest.raises(ValueError, match="compensated loop requires omega_z = gamma"):
             FieldSchedule.of(FieldParams(1.0, 1.0, -2.0), compensated=True)
 
     def test_non_finite_phase_is_refused(self):
@@ -571,10 +602,11 @@ def _pass_schedules():
     trace) and 4x4 schedules."""
     p = FieldParams(0.7, 1.3, -0.9, omega_z=-0.9, phase0=0.4)
     equatorial = FieldParams(0.0, 1.1, 1.7)
+    bare = FieldSchedule(p.omega0, p.omega1, p.gamma, p.phase0)  # p without its omega_z
     return [
         ("record", FieldSchedule.of(p, True), 2.0 * loop_duration(p)),
         ("equatorial", FieldSchedule.of(equatorial, False), loop_duration(equatorial)),
-        ("callable 2x2", lambda t: h_rotating(p, t) + 0.37 * np.eye(2), 2.5),
+        ("callable 2x2", lambda t: bare(t) + 0.37 * np.eye(2), 2.5),
         ("callable 4x4", lambda t: h_two_qubit_rotating(1.8, 1.0, 1.5, -3.6, t), 2.5),
     ]
 

@@ -1,4 +1,5 @@
 import hashlib
+import json
 from dataclasses import replace
 
 import numpy as np
@@ -7,12 +8,11 @@ import pytest
 from conegate import sequences
 from conegate.hamiltonians import FieldParams
 from conegate.linalg import IDENTITY_2, bloch_vector, fidelity
-from conegate.propagation import propagator_compensated
+from conegate.propagation import propagator_compensated, rot_z
 from conegate.phases import (
     canonical_phase,
     cone_eigenstate,
     geometric_phase_cone,
-    phase_distance,
     two_qubit_loop_params,
 )
 from conegate.sequences import (
@@ -30,12 +30,10 @@ from conegate.sequences import (
     build_conditional_loop,
     build_s_operation,
     _free_evolution_unitaries,
-    from_json,
+    integrate_loop,
     invert_sequence,
-    rot_x,
-    rot_y,
-    rot_z,
     s_operation_angles,
+    sequence_from_dict,
     s_operation_params,
     sequence_trajectory,
     simulate_sequence,
@@ -303,18 +301,20 @@ def seeded_angles(rng, n):
                            rng.uniform(-20, 20, n)])
 
 
-# primitive, public matrix and oracle of each hard pulse
-PULSES = {"rot_x": (RotX, rot_x, rot_x_oracle), "rot_y": (RotY, rot_y, rot_y_oracle),
-          "rot_z": (RotZ, rot_z, rot_z_oracle)}
+# primitive and oracle of each hard pulse
+PULSES = {"rot_x": (RotX, rot_x_oracle), "rot_y": (RotY, rot_y_oracle),
+          "rot_z": (RotZ, rot_z_oracle)}
 
 
 class TestSectorComposition:
     @pytest.mark.parametrize("rot", list(PULSES))
     def test_hard_pulse_matches_kronecker_oracle(self, rot, rng):
-        kind, matrix, oracle = PULSES[rot]
+        kind, oracle = PULSES[rot]
         for angle in seeded_angles(rng, 300).tolist():
             u2 = oracle(angle)
-            assert np.array_equal(matrix(angle), u2)
+            assert np.array_equal(np.array(kind(angle)._blocks(2)[0]).reshape(2, 2), u2)
+            if kind is RotZ:
+                assert np.array_equal(rot_z(angle), u2)
             assert np.array_equal(apply_sequence(PulseSequence((kind(angle),)), 2), u2)
             assert np.array_equal(apply_sequence(PulseSequence((kind(angle),), TWO_QUBIT), 4),
                                   np.kron(IDENTITY_2, u2))
@@ -433,6 +433,44 @@ class TestPrimitiveValidation:
             FieldLoop(FieldParams(1, 1, -2.0, omega_z=-2.0), compensated=False)
 
 
+class TestIntegrateLoop:
+    """integrate_loop is the run of FieldLoop(p, revolutions, compensated)
+    and refuses what the loop refuses, naming the field."""
+
+    def test_uncompensated_run_refuses_a_vertical_field(self):
+        p = FieldParams(1.0, 0.5, -1.25, omega_z=0.3)
+        with pytest.raises(ValueError, match="^uncompensated loop requires omega_z = 0$"):
+            integrate_loop(p, False, steps_per_loop=100)
+
+    def test_compensated_run_refuses_a_mismatched_field(self):
+        p = FieldParams(1.0, 0.5, -1.25, omega_z=0.3)
+        with pytest.raises(ValueError, match="^compensated loop requires omega_z = gamma$"):
+            integrate_loop(p, True, steps_per_loop=100)
+
+    @pytest.mark.parametrize("revolutions, message", [
+        (np.nan, "^revolutions must be finite$"),
+        (np.inf, "^revolutions must be finite$"),
+        (-np.inf, "^revolutions must be finite$"),
+        (-1.0, "^revolutions must be positive$"),
+        (0.0, "^revolutions must be positive$"),
+        (1e308, "^a loop of 1e[+]308 revolutions at gamma = -1.25 lasts longer"),
+    ])
+    @pytest.mark.parametrize("compensated", [True, False])
+    def test_bad_revolutions_are_refused(self, revolutions, message, compensated):
+        p = FieldParams(1.0, 0.5, -1.25, omega_z=-1.25 if compensated else 0.0)
+        with pytest.raises(ValueError, match=message):
+            integrate_loop(p, compensated, steps_per_loop=100, revolutions=revolutions)
+
+    def test_overflowing_step_count_names_the_revolutions(self):
+        p = FieldParams(1.0, 0.5, -1e10)  # a loop this fast lasts about 6e-10 per turn
+        with pytest.raises(ValueError, match="^a loop of 1e[+]305 revolutions at 10000 per "):
+            integrate_loop(p, False, revolutions=1e305)
+
+    def test_zero_speed_is_refused(self):
+        with pytest.raises(ValueError, match="nonzero rotation speed"):
+            integrate_loop(FieldParams(1.0, 0.5, 0.0), False)
+
+
 class TestConditionalLoopSequence:
     def test_composite_is_diagonal(self):
         seq = build_conditional_loop(CNOT_DELTA, 1.0)
@@ -447,13 +485,13 @@ class TestConditionalLoopSequence:
         u = apply_sequence(build_conditional_loop(CNOT_DELTA, 1.0), 4)
         expected = (g_plus, -g_plus, g_minus, -g_minus)
         for k in range(4):
-            assert phase_distance(np.angle(u[k, k]), expected[k]) < 1e-10
+            assert abs(canonical_phase(np.angle(u[k, k]) - expected[k])) < 1e-10
 
     def test_phase_antisymmetry(self):
         u = apply_sequence(build_conditional_loop(1.8, 1.0), 4)
         angles = np.angle(np.diag(u))
-        assert phase_distance(angles[0], -angles[1]) < 1e-10
-        assert phase_distance(angles[2], -angles[3]) < 1e-10
+        assert abs(canonical_phase(angles[0] + angles[1])) < 1e-10
+        assert abs(canonical_phase(angles[2] + angles[3])) < 1e-10
 
     def test_simulated_composite_matches_target(self):
         from conegate.gates import conditional_phase_diag
@@ -528,25 +566,26 @@ class TestSerialization:
     def test_round_trip_is_bit_exact(self):
         seq = self.build_reference()
         text = to_json(seq)
-        assert to_json(from_json(text)) == text
-        assert from_json(text) == seq
+        assert to_json(sequence_from_dict(json.loads(text))) == text
+        assert sequence_from_dict(json.loads(text)) == seq
 
     def test_single_qubit_loop_round_trip(self):
         p = FieldParams(0.123456789012345, 1.0, -2.25, omega_z=-2.25, phase0=0.7)
         seq = PulseSequence((RotZ(-0.1), FieldLoop(p, revolutions=3.0), RotZ(0.1)))
         text = to_json(seq)
-        assert to_json(from_json(text)) == text
+        assert to_json(sequence_from_dict(json.loads(text))) == text
 
     def test_inverse_primitives_round_trip(self):
         seq = invert_sequence(self.build_reference())
         text = to_json(seq)
-        assert from_json(text) == seq
+        assert sequence_from_dict(json.loads(text)) == seq
 
     def test_malformed_step_reports_index(self):
         with pytest.raises(ValueError, match=r"^steps\[1\]\.angle: missing field$"):
-            from_json('{"frame": "single-qubit", "steps": '
-                      '[{"op": "rot_x", "angle": 1.0}, {"op": "rot_y"}]}')
+            sequence_from_dict(json.loads('{"frame": "single-qubit", "steps": '
+                                          '[{"op": "rot_x", "angle": 1.0}, {"op": "rot_y"}]}'))
 
     def test_unknown_op_rejected(self):
         with pytest.raises(ValueError, match="unknown op"):
-            from_json('{"frame": "single-qubit", "steps": [{"op": "warp", "angle": 1}]}')
+            sequence_from_dict(json.loads(
+                '{"frame": "single-qubit", "steps": [{"op": "warp", "angle": 1}]}'))
