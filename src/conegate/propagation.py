@@ -64,9 +64,10 @@ directly from the field's time and phase, any other schedule is called
 and its 2x2 samples are read back. Either way one workspace per call
 holds the pass's components, its pairs and every temporary of the
 reductions, and numpy writes into it with out= in the operation order
-of fresh arrays, so the bits do not depend on the path. Larger dimensions use an eigh exponential and matrix products on
-fresh arrays. Callers with block-diagonal 4x4 propagators (the
-conditional loop of sequences) integrate each 2x2 block on its own.
+of fresh arrays, so the bits do not depend on the path. Larger
+dimensions use an eigh exponential and matrix products on fresh arrays.
+Callers with block-diagonal 4x4 propagators (the conditional loop of
+sequences) integrate each 2x2 block on its own.
 """
 
 from __future__ import annotations

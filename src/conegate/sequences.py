@@ -1,6 +1,7 @@
 """Pulse-sequence intermediate representation, the conditional eigenstate
-preparation sequence with its constraint solver, and the conditional
-geometric loop built from it.
+preparation sequence with its constraint solver, the conditional
+geometric loop built from it, and integrate_loop, the integrator run of
+one field loop under FieldLoop's rules.
 
 Rotation convention: R_n(beta) = exp(-i beta (n.sigma) / 2), so free
 evolution under (omega/2) sigma_z turns the Bloch vector by +omega*t
