@@ -2,7 +2,9 @@
 gate synthesis reports, and speed-vs-accuracy comparisons.
 
 Exit codes: 0 on success, 2 on parse/config errors, 3 when a gate fails
-its fidelity gate. Numeric output is deterministic: fixed 12-significant-
+its fidelity gate, and 141 when the reader of stdout closes it before the
+output ends (`conegate ... | head`), the code a shell reports for a writer
+that SIGPIPE ends. Numeric output is deterministic: fixed 12-significant-
 digit formatting and a '#'-prefixed header echoing the effective
 configuration and tool version. Each option is declared once, as a row of
 OPTIONS that gives its parser, default, check and help.
@@ -35,7 +37,7 @@ from .gates import (
 from .hamiltonians import FieldParams
 from .linalg import bloch_vector
 from .phases import cone_eigenstate, running_dynamical_phase, two_qubit_loop_params
-from .propagation import MAX_STEPS, loop_infidelities
+from .propagation import MAX_STEPS, _check_step_budget, loop_infidelities
 from .sequences import (
     SINGLE_QUBIT,
     FieldLoop,
@@ -121,6 +123,7 @@ def _emit(chunks, out: str | None) -> None:
     """Write the strings of chunks, in order, to out or to stdout."""
     if not out:
         sys.stdout.writelines(chunks)
+        sys.stdout.flush()  # a closed pipe then raises here, not at exit
         return
     try:
         with open(out, "w") as fh:
@@ -279,26 +282,16 @@ def cmd_evolve(config: RunConfig, v: dict) -> int:
 
 
 def _trajectory_columns(traj, dim: int, mask=slice(None)) -> dict:
-    cols: dict = {"t": []}
-    for k in range(dim):
-        cols[f"re_amp{k}"] = []
-        cols[f"im_amp{k}"] = []
-    if dim == 2:
-        cols["bloch_x"] = []
-        cols["bloch_y"] = []
-        cols["bloch_z"] = []
-    cols["dynamical_phase"] = []
-    if traj is None:
-        return cols
-    times = traj.times[mask]
-    states = traj.states[mask]
-    cols["t"] = times
+    """The evolve columns of traj's rows under mask; without traj, empty."""
+    times = np.zeros(0) if traj is None else traj.times[mask]
+    states = np.zeros((0, dim), dtype=complex) if traj is None else traj.states[mask]
+    cols = {"t": times}
     for k in range(dim):
         cols[f"re_amp{k}"] = states[:, k].real
         cols[f"im_amp{k}"] = states[:, k].imag
     if dim == 2:
         cols["bloch_x"], cols["bloch_y"], cols["bloch_z"] = bloch_vector(states).T
-    cols["dynamical_phase"] = running_dynamical_phase(traj, mask)
+    cols["dynamical_phase"] = times if traj is None else running_dynamical_phase(traj, mask)
     return cols
 
 
@@ -390,9 +383,10 @@ def _format(value, flag: str) -> str:
 def _steps_problem(steps: int) -> str | None:
     if steps < 1:
         return "steps must be positive"
-    if steps > MAX_STEPS:  # a loop of one revolution would exceed the budget
-        return (f"--steps: step budget exceeded: {steps} steps requested, "
-                f"at most {MAX_STEPS:,} allowed")
+    try:  # a loop of one revolution would exceed the budget
+        _check_step_budget(steps)
+    except ValueError as exc:
+        return f"--steps: {exc}"
     return None
 
 
@@ -562,6 +556,11 @@ def main(argv: list[str] | None = None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return CONFIG_ERROR
+    except BrokenPipeError:
+        # the rest of the output is unwanted; with stdout on devnull the
+        # flush at exit has nothing left to fail on
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
 
 
 if __name__ == "__main__":

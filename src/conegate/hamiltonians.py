@@ -18,12 +18,11 @@ All constructors broadcast over a time array and then return a stacked
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import IDENTITY_2, SIGMA_Z
+from .linalg import IDENTITY_2, SIGMA_Z, check_finite
 
 SIGMA_ZA = np.kron(IDENTITY_2, SIGMA_Z)  # acts on spin a (low-order factor)
 SIGMA_ZZ = np.kron(SIGMA_Z, SIGMA_Z)
@@ -50,10 +49,14 @@ class FieldParams:
 
     def __post_init__(self) -> None:
         for name in ("omega0", "omega1", "gamma", "omega_z", "phase0"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"FieldParams.{name} must be finite")
-        if self.omega1 < 0:
-            raise ValueError("omega1 must be nonnegative")
+            check_finite(getattr(self, name), "FieldParams." + name)
+        _check_omega1(self.omega1)
+
+
+def _check_omega1(omega1: float) -> None:
+    """Refuse a negative RF amplitude: the field's azimuth carries its sign."""
+    if omega1 < 0:
+        raise ValueError("omega1 must be nonnegative")
 
 
 def _check_omega_z(p: FieldParams, compensated: bool) -> None:

@@ -10,6 +10,8 @@ of the propagators and the integrator's steps in propagation.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
@@ -24,6 +26,13 @@ def require_finite(a: np.ndarray, name: str = "array") -> np.ndarray:
     if not np.all(np.isfinite(a)):
         raise ValueError(f"{name} contains NaN or Inf entries")
     return a
+
+
+def check_finite(value: float, name: str) -> None:
+    """Refuse one number that is NaN or infinite, naming it; Python's math,
+    as a numpy call on one float costs several times more."""
+    if not math.isfinite(value):
+        raise ValueError(f"{name} must be finite")
 
 
 def fidelity(u: np.ndarray, v: np.ndarray) -> float:

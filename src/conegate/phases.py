@@ -16,11 +16,13 @@ gamma for omega0 > 0); its per-branch geometric phase is
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
+from .hamiltonians import _check_omega1
 from .propagation import _check_samples
 
 TWO_PI = 2 * np.pi
@@ -50,8 +52,7 @@ class ConeGeometry:
 
 def cone_eigenstate(omega0: float, omega1: float, branch: str = "upper") -> ConeGeometry:
     """Eigenstate of (omega0 sigma_z + omega1 sigma_x)/2 on its cone."""
-    if omega1 < 0:
-        raise ValueError("omega1 must be nonnegative")
+    _check_omega1(omega1)
     magnitude = np.hypot(omega0, omega1)
     if not np.isfinite(magnitude):  # a NaN or infinite input, or an overflow
         raise ValueError(f"no finite field for omega0 = {float(omega0)!r}, "
@@ -86,6 +87,11 @@ def compensation_gamma(omega0: float, omega1: float) -> float:
     return gamma
 
 
+def _check_coupling(j: float) -> None:
+    if j <= 0:
+        raise ValueError("coupling j must be positive")
+
+
 class TwoQubitLoopSetting(NamedTuple):
     omega1: float
     gamma: float
@@ -100,15 +106,20 @@ def two_qubit_loop_params(delta: float, j: float) -> TwoQubitLoopSetting:
     The two sector conditions gamma cos(theta_pm) = -sqrt((delta+-j)^2 + omega1^2)
     are solved by omega1 = sqrt(delta^2 - j^2) and gamma = -2 delta, giving
     cos(theta_pm) = sqrt((delta +- j) / (2 delta)). A setting that is not
-    finite (delta^2 overflows above about 1.34e154) is refused.
+    finite (delta^2 overflows above about 1.34e154) is refused, and so is
+    one whose omega1^2 = delta^2 - j^2 underflows below the smallest normal
+    float (every delta below about 1.49e-154): omega1 would keep few bits or
+    none, while the cone angles stay those of a nonzero field.
     """
-    if j <= 0:
-        raise ValueError("coupling j must be positive")
+    _check_coupling(j)
     if delta <= j:
         raise ValueError("conditional loop requires delta > j")
-    omega1 = math.sqrt(delta * delta - j * j)  # IEEE square roots, as np.sqrt's
-    if not math.isfinite(omega1):  # then gamma and both angles are finite too
+    square = delta * delta - j * j
+    if not math.isfinite(square):  # then gamma and both angles are finite too
         raise ValueError(f"no finite conditional loop setting for delta = {delta!r}, j = {j!r}")
+    if square < sys.float_info.min:
+        raise ValueError(f"conditional loop setting underflows for delta = {delta!r}, j = {j!r}")
+    omega1 = math.sqrt(square)  # IEEE square roots, as np.sqrt's
     theta_plus = float(np.arccos(math.sqrt((delta + j) / (2 * delta))))
     theta_minus = float(np.arccos(math.sqrt((delta - j) / (2 * delta))))
     return TwoQubitLoopSetting(omega1, -2.0 * delta, theta_plus, theta_minus)

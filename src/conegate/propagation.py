@@ -80,7 +80,7 @@ from typing import Callable
 import numpy as np
 
 from .hamiltonians import FieldParams, FieldSchedule, _check_omega_z
-from .linalg import require_finite
+from .linalg import check_finite, require_finite
 
 
 @dataclass(frozen=True)
@@ -194,8 +194,8 @@ def _static_propagator(omega0, omega1: float, phase0: float, t) -> np.ndarray:
     and t: one point (omega0 and t Python or numpy floats) as
     _static_entries, anything else as _static_stack, with the same bits."""
     scalar = isinstance(omega0, (int, float)) and isinstance(t, (int, float))
-    if not (math.isfinite(t) if scalar else np.isfinite(t).all()):
-        raise ValueError("duration must be finite")
+    # a NaN or an infinity among the times carries through the max
+    check_finite(t if scalar else float(np.max(np.abs(t), initial=0.0)), "duration")
     if scalar:
         return np.array(_static_entries(float(omega0), omega1, phase0, float(t))).reshape(2, 2)
     return _static_stack(np.asarray(omega0, dtype=float), omega1, phase0, np.asarray(t))
@@ -236,11 +236,18 @@ def propagator_compensated(p: FieldParams, t: float) -> np.ndarray:
     return rot_z(p.gamma * t) @ u_static
 
 
+def _revolution_time(gamma):
+    """2 pi / |gamma|, the time of one field revolution, of one speed (on
+    Python floats) or of an array of speeds; a zero speed makes no loop."""
+    zero = (gamma == 0.0).any() if isinstance(gamma, np.ndarray) else gamma == 0.0
+    if zero:
+        raise ValueError("no loop is defined for gamma = 0")
+    return 2 * math.pi / abs(gamma)
+
+
 def loop_duration(p: FieldParams) -> float:
     """Time of one full field revolution, 2 pi / |gamma|."""
-    if p.gamma == 0.0:
-        raise ValueError("no loop is defined for gamma = 0")
-    return 2 * np.pi / abs(p.gamma)
+    return _revolution_time(p.gamma)
 
 
 LOOP_BLOCK = 4096  # speeds whose propagator stacks loop_infidelities holds at once
@@ -262,8 +269,6 @@ def loop_infidelities(
     and each column keeps its own so that printed sweeps stay byte-stable.
     """
     gamma = np.asarray(gamma, dtype=float)
-    if np.any(gamma == 0.0):
-        raise ValueError("no loop is defined for gamma = 0")
     theta = np.arctan2(omega1, omega0)
     psi0 = np.array([np.cos(theta / 2), np.sin(theta / 2) * np.exp(1j * phase0)])
     uncompensated = np.empty(gamma.shape)
@@ -271,7 +276,7 @@ def loop_infidelities(
     for start in range(0, gamma.size, LOOP_BLOCK):
         block = slice(start, start + LOOP_BLOCK)
         g = gamma[block]
-        tau = 2 * np.pi / np.abs(g)
+        tau = _revolution_time(g)
         frame = rot_z(g * tau)
         u_un = frame @ _static_propagator(omega0 - g, omega1, phase0, tau)
         u_co = frame @ _static_propagator(omega0, omega1, phase0, tau)
@@ -583,11 +588,15 @@ def _prefix_products(kernel, elems: np.ndarray) -> np.ndarray:
     return elems
 
 
+def _check_sampled(finite: bool) -> None:
+    if not finite:
+        raise ValueError("schedule produced a non-finite Hamiltonian sample")
+
+
 def _check_samples(h: np.ndarray, m: int, d: int) -> np.ndarray:
     if h.shape != (m, d, d):
         raise ValueError(f"schedule returned shape {h.shape}, expected {(m, d, d)}")
-    if not np.all(np.isfinite(h)):
-        raise ValueError("schedule produced a non-finite Hamiltonian sample")
+    _check_sampled(np.all(np.isfinite(h)))
     return h
 
 
@@ -597,8 +606,21 @@ def _check_field(f: FieldSchedule, t_end: float) -> None:
     and the other components are bounded by the fields."""
     ends = (0.0, t_end) if f.sign > 0 else (f.t_end - t_end, f.t_end)
     phases = tuple(f.gamma * s + f.phase0 for s in ends)
-    if not all(map(math.isfinite, (f.vertical, f.omega1, f.gamma, f.phase0) + phases)):
-        raise ValueError("schedule produced a non-finite Hamiltonian sample")
+    _check_sampled(all(map(math.isfinite, (f.vertical, f.omega1, f.gamma, f.phase0) + phases)))
+
+
+def _check_step_budget(n_steps: int) -> None:
+    """Refuse more than MAX_STEPS steps before anything is allocated. The
+    count is shown in full up to 10**12 and beyond that as %.3g shows it,
+    taken from integers, so that a count past the float range shows too."""
+    if n_steps > MAX_STEPS:
+        shown = str(n_steps)
+        if n_steps > 10**12:
+            lead = round(n_steps / 10 ** (len(shown) - 3))  # 3 digits, or 1000 rounded up
+            up = lead == 1000
+            shown = f"{lead / 10 ** (2 + up):g}e+{len(shown) - 1 + up}"
+        raise ValueError(f"step budget exceeded: {shown} steps requested, "
+                         f"at most {MAX_STEPS:,} allowed")
 
 
 def _recorded_samples(samples: int, n_steps: int) -> int:
@@ -658,10 +680,7 @@ def integrate(
         n_steps = int(total_steps)
         if n_steps < 1:
             raise ValueError("total_steps must be at least 1")
-    if n_steps > MAX_STEPS:
-        raise ValueError(
-            f"step budget exceeded: {n_steps} steps requested, at most {MAX_STEPS:,} allowed"
-        )
+    _check_step_budget(n_steps)
 
     dt = t_end / n_steps if n_steps else 0.0
     bounds = np.round(np.linspace(0, n_steps, _recorded_samples(samples, n_steps))).astype(int)

@@ -28,17 +28,18 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from typing import Union
+from typing import NamedTuple, Union
 
 import numpy as np
 
 from .hamiltonians import SIGMA_ZA, SIGMA_ZZ, FieldParams, FieldSchedule, _check_omega_z
-from .linalg import SIGMA_Z
-from .phases import two_qubit_loop_params
+from .linalg import SIGMA_Z, check_finite
+from .phases import _check_coupling, two_qubit_loop_params
 from .propagation import (
     Trajectory,
     _propagator_entries,
     _recorded_samples,
+    _revolution_time,
     _z_entries,
     _z_stack,
     integrate,
@@ -49,19 +50,9 @@ TWO_QUBIT = "two-qubit-rotating"
 SAMPLES_PER_LOOP = 257  # samples sequence_trajectory records per revolution
 
 
-def _rot_x_entries(angle: float) -> tuple:
-    c, s = math.cos(angle / 2), math.sin(angle / 2)
-    return (complex(c), complex(0.0, -s), complex(0.0, -s), complex(c))
-
-
-def _rot_y_entries(angle: float) -> tuple:
-    c, s = math.cos(angle / 2), math.sin(angle / 2)
-    return (complex(c), complex(-s), complex(s), complex(c))
-
-
-def _check_finite(value: float, name: str) -> None:
-    if not math.isfinite(value):
-        raise ValueError(f"{name} must be finite")
+def _check_sign(sign: int) -> None:
+    if sign not in (-1, 1):
+        raise ValueError("sign must be +1 or -1")
 
 
 @dataclass(frozen=True)
@@ -71,18 +62,19 @@ class _Rotation:
     angle: float
 
     def __post_init__(self) -> None:
-        if not math.isfinite(self.angle):  # inline: eight per conditional-loop composite
-            raise ValueError("angle must be finite")
+        check_finite(self.angle, "angle")
 
 
 class RotX(_Rotation):
     def _blocks(self, dim: int) -> tuple:
-        return (_rot_x_entries(self.angle),)
+        c, s = math.cos(self.angle / 2), math.sin(self.angle / 2)
+        return ((complex(c), complex(0.0, -s), complex(0.0, -s), complex(c)),)
 
 
 class RotY(_Rotation):
     def _blocks(self, dim: int) -> tuple:
-        return (_rot_y_entries(self.angle),)
+        c, s = math.cos(self.angle / 2), math.sin(self.angle / 2)
+        return ((complex(c), complex(-s), complex(s), complex(c)),)
 
 
 class RotZ(_Rotation):
@@ -105,13 +97,12 @@ class FreeEvolve:
     sign: int = 1
 
     def __post_init__(self) -> None:
-        _check_finite(self.duration, "duration")
-        _check_finite(self.delta, "delta")
-        _check_finite(self.j, "j")
+        check_finite(self.duration, "duration")
+        check_finite(self.delta, "delta")
+        check_finite(self.j, "j")
         if self.duration < 0:
             raise ValueError("duration must be nonnegative")
-        if self.sign not in (-1, 1):
-            raise ValueError("sign must be +1 or -1")
+        _check_sign(self.sign)
 
     def _blocks(self, dim: int) -> list:
         half_t = -0.5 * (self.sign * self.duration)
@@ -132,9 +123,9 @@ class ConditionalLoop:
     phase0: float = 0.0
 
     def __post_init__(self) -> None:
-        _check_finite(self.delta, "delta")
-        _check_finite(self.j, "j")
-        _check_finite(self.phase0, "phase0")
+        check_finite(self.delta, "delta")
+        check_finite(self.j, "j")
+        check_finite(self.phase0, "phase0")
         # solved once per loop (validating delta > j > 0); not a field
         object.__setattr__(self, "setting", two_qubit_loop_params(self.delta, self.j))
 
@@ -155,11 +146,10 @@ class FieldLoop:
     def __post_init__(self) -> None:
         if not isinstance(self.params, (FieldParams, ConditionalLoop)):
             raise ValueError("params must be FieldParams or ConditionalLoop")
-        _check_finite(self.revolutions, "revolutions")
+        check_finite(self.revolutions, "revolutions")
         if self.revolutions <= 0:
             raise ValueError("revolutions must be positive")
-        if self.sign not in (-1, 1):
-            raise ValueError("sign must be +1 or -1")
+        _check_sign(self.sign)
         if isinstance(self.params, FieldParams):
             if self.params.gamma == 0.0:
                 raise ValueError("a field loop needs a nonzero rotation speed")
@@ -184,8 +174,7 @@ class PulseSequence:
                 raise ValueError(f"unknown pulse primitive {step!r}")
 
 
-@dataclass(frozen=True)
-class SOpSolution:
+class SOpSolution(NamedTuple):
     """Timing and angles solving the eigenstate-preparation constraints:
     tan(phi_prime +- j t_c) = (delta +- j) / omega1, with the prepared
     cone angles theta_pm = pi/2 - (phi_prime +- j t_c)."""
@@ -202,8 +191,7 @@ def _check_s_operation(delta: float, j: float, omega1: float) -> None:
         raise ValueError("delta, j and omega1 must be finite")
     if omega1 <= 0:
         raise ValueError("omega1 must be positive")
-    if j <= 0:
-        raise ValueError("coupling j must be positive")
+    _check_coupling(j)
 
 
 def _solve_s_operation(a_plus, a_minus, j: float) -> tuple:
@@ -250,7 +238,6 @@ def _check_solution(sol: SOpSolution, delta: float, j: float) -> float:
 
 
 def _s_operation_steps(sol: SOpSolution, delta: float, j: float) -> tuple:
-    _check_solution(sol, delta, j)
     return (RotY(np.pi / 2), FreeEvolve(sol.t_c, delta, j), RotZ(-delta * sol.t_c),
             RotX(np.pi / 2), RotY(-sol.phi_prime))
 
@@ -259,6 +246,7 @@ def build_s_operation(sol: SOpSolution, delta: float, j: float) -> PulseSequence
     """Pulse sequence preparing the conditional cone eigenstate from spin-a
     up: a y pulse to the equator, coupled free evolution, an offset-z
     unwind, an x pulse into the xz plane, and the closing y tilt."""
+    _check_solution(sol, delta, j)
     return PulseSequence(_s_operation_steps(sol, delta, j), frame=TWO_QUBIT)
 
 
@@ -284,8 +272,6 @@ def invert_sequence(seq: PulseSequence) -> PulseSequence:
 def _block_diag(blocks, dim: int) -> np.ndarray:
     """Propagator of dimension dim from the (..., 2, 2) blocks of the spin-b
     sectors; a single block acts alike in both."""
-    if len(blocks) > dim // 2:
-        raise ValueError("a conditional loop needs dimension 4")
     if dim == 2:
         return blocks[0]
     out = np.zeros(blocks[0].shape[:-2] + (4, 4), dtype=complex)
@@ -307,8 +293,6 @@ def _matrix(blocks, dim: int) -> np.ndarray:
 def _sector_offsets(step: FreeEvolve, dim: int) -> list:
     """Vertical offset of spin a in each spin-b sector."""
     if dim == 2:
-        if step.j != 0.0:
-            raise ValueError("j-coupled free evolution needs the two-qubit frame")
         return [step.delta]
     return [step.delta + step.j, step.delta - step.j]
 
@@ -335,7 +319,7 @@ def _loop_fields(step: FieldLoop) -> list[tuple]:
 
 
 def _loop_duration(step: FieldLoop, gamma: float) -> float:
-    duration = step.revolutions * (2 * np.pi / abs(gamma))
+    duration = step.revolutions * _revolution_time(gamma)
     if not math.isfinite(duration):
         raise ValueError(f"a loop of {step.revolutions:g} revolutions at gamma = {gamma:g} "
                          "lasts longer than the float range")
@@ -421,12 +405,17 @@ def integrate_loop(
 
 
 def _check_frame_dim(seq: PulseSequence, dim: int) -> None:
+    """Refuse a sequence that cannot run at dim before any of it runs: at
+    dimension 2 no step may act on spin b."""
     if dim not in (2, 4):
         raise ValueError("dim must be 2 or 4")
-    if dim == 2 and seq.frame != SINGLE_QUBIT:
-        raise ValueError(f"frame {seq.frame!r} cannot be applied at dimension 2")
-    if dim == 4 and seq.frame != TWO_QUBIT:
-        raise ValueError(f"frame {seq.frame!r} cannot be applied at dimension 4")
+    if seq.frame != (SINGLE_QUBIT if dim == 2 else TWO_QUBIT):
+        raise ValueError(f"frame {seq.frame!r} cannot be applied at dimension {dim}")
+    for step in seq.steps if dim == 2 else ():
+        if isinstance(step, FieldLoop) and isinstance(step.params, ConditionalLoop):
+            raise ValueError("a conditional loop needs dimension 4")
+        if isinstance(step, FreeEvolve) and step.j != 0.0:
+            raise ValueError("j-coupled free evolution needs the two-qubit frame")
 
 
 def _compose(seq: PulseSequence, dim: int, loop_blocks) -> np.ndarray:
@@ -438,8 +427,6 @@ def _compose(seq: PulseSequence, dim: int, loop_blocks) -> np.ndarray:
     u01 = d01 = u10 = d10 = 0j
     for step in seq.steps:
         blocks = loop_blocks(step) if type(step) is FieldLoop else step._blocks(dim)
-        if len(blocks) > dim // 2:
-            raise ValueError("a conditional loop needs dimension 4")
         a00, a01, a10, a11 = blocks[0]
         u00, u01, u10, u11 = (a00 * u00 + a01 * u10, a00 * u01 + a01 * u11,
                               a10 * u00 + a11 * u10, a10 * u01 + a11 * u11)
@@ -599,13 +586,17 @@ def _finite(value, where: str) -> float:
     return value
 
 
+def _required(doc: dict, key: str, path: str):
+    if key not in doc:
+        raise ValueError(f"{path}.{key}: missing field")
+    return doc[key]
+
+
 def _number(doc: dict, key: str, path: str, default: float | None = None) -> float:
     """doc[key] as a finite float (default when absent, if one is given)."""
-    if key not in doc:
-        if default is None:
-            raise ValueError(f"{path}.{key}: missing field")
+    if default is not None and key not in doc:
         return default
-    return _finite(doc[key], f"{path}.{key}")
+    return _finite(_required(doc, key, path), f"{path}.{key}")
 
 
 def _object(value, path: str) -> dict:
@@ -627,9 +618,7 @@ _LOOP_KEYS = {
 def _step_from_dict(d: dict, index: int) -> PulsePrimitive:
     path = f"steps[{index}]"
     d = _object(d, path)
-    if "op" not in d:
-        raise ValueError(f"{path}.op: missing field")
-    op = d["op"]
+    op = _required(d, "op", path)
     if not isinstance(op, str) or op not in (*_ROTATIONS, "free", "loop"):
         raise ValueError(f"{path}.op: unknown op {op!r}")
     if op in _ROTATIONS:
@@ -642,10 +631,8 @@ def _step_from_dict(d: dict, index: int) -> PulsePrimitive:
     compensated = d.get("compensated", True)
     if not isinstance(compensated, bool):
         raise ValueError(f"{path}.compensated: expected true or false")
-    if "loop" not in d:
-        raise ValueError(f"{path}.loop: missing field")
     where = f"{path}.loop"
-    loop = _object(d["loop"], where)
+    loop = _object(_required(d, "loop", path), where)
     kind = ConditionalLoop if "delta" in loop else FieldParams
     values = [_number(loop, key, where, default) for key, default in _LOOP_KEYS[kind]]
     try:

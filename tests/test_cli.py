@@ -1,9 +1,13 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import conegate
 from conegate import cli
 from conegate.cli import CSV_CHUNK_ROWS, MAX_SWEEP_POINTS, RunConfig, _write_output, main
 from conegate.phases import cone_eigenstate
@@ -908,6 +912,21 @@ class TestOutputErrors:
         assert out == ""
         assert str(target) in err
         assert "Traceback" not in err
+
+    def test_a_closed_stdout_ends_quietly(self, tmp_path):
+        # about 900 KB of CSV, so the writer is still writing when the
+        # reader closes the pipe: a pipe holds 64 KiB
+        src = os.path.dirname(os.path.dirname(os.path.abspath(conegate.__file__)))
+        argv = [sys.executable, "-m", "conegate", "compare-adiabatic", "--theta", "0.6",
+                "--gamma-range", "0.01:2:0.0001"]
+        with open(tmp_path / "stderr", "wb") as err:
+            proc = subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=err,
+                                    env=dict(os.environ, PYTHONPATH=src))
+            first = proc.stdout.readline()
+            proc.stdout.close()
+            assert proc.wait(timeout=60) == 141
+        assert first == f"# conegate {conegate.__version__}\n".encode()
+        assert (tmp_path / "stderr").read_bytes() == b""
 
 
 class TestConfigIntegers:

@@ -1,5 +1,5 @@
-"""Byte identity of the sector composition and of the two constraint
-solvers against frozen reference copies.
+"""Byte identity of the sector composition, of the two constraint solvers
+and of the sequence builders against frozen reference copies.
 
 The references below are the composition loop (sector blocks kept as
 Python-complex entry tuples, multiplied in listed order, the 4x4 block
@@ -7,10 +7,15 @@ diagonal built from them at the end) and the scalar solvers as they were
 written before the single-loop composition, copied here so that any
 rewrite of `sequences._compose`, `s_operation_params` or
 `two_qubit_loop_params` must reproduce their bits: composites compared by
-`tobytes()`, solver outputs by `float.hex`.
+`tobytes()`, solver outputs by `float.hex`. The builders
+`build_conditional_loop`, `build_s_operation` and `invert_sequence` are
+copied as they were before their re-checks of package-made values were
+removed; every field of every step they build is compared by `float.hex`.
 """
 
+import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -28,14 +33,17 @@ from conegate.phases import two_qubit_loop_params
 from conegate.sequences import (
     SINGLE_QUBIT,
     TWO_QUBIT,
+    ConditionalLoop,
     FieldLoop,
     FreeEvolve,
     PulseSequence,
     RotX,
     RotY,
     RotZ,
+    SOpSolution,
     apply_sequence,
     build_conditional_loop,
+    build_s_operation,
     invert_sequence,
     s_operation_params,
     simulate_sequence,
@@ -280,3 +288,143 @@ class TestSolverBits:
                 continue
             got = two_qubit_loop_params(d, jj)
             assert hexes(got) == hexes(ref_two_qubit_loop_params(d, jj)), (d, jj)
+
+
+# ---------------------------------------------------------------------------
+# builders
+
+
+def ref_check_solution(sol, delta, j):
+    j_tc = j * sol.t_c
+    if abs(sol.theta_plus - (math.pi / 2 - (sol.phi_prime + j_tc))) > 1e-9 or abs(
+        sol.theta_minus - (math.pi / 2 - (sol.phi_prime - j_tc))
+    ) > 1e-9:
+        raise ValueError("solution record angles are internally inconsistent")
+    w_plus = (delta + j) * math.tan(sol.theta_plus)
+    w_minus = (delta - j) * math.tan(sol.theta_minus)
+    if not (math.isfinite(w_plus) and w_plus > 0):
+        raise ValueError("solution record inconsistent with (delta, j)")
+    if abs(w_plus - w_minus) > 1e-9 * max(1.0, abs(w_plus)):
+        raise ValueError("solution record inconsistent with (delta, j)")
+
+
+def ref_s_operation_steps(sol, delta, j):
+    ref_check_solution(sol, delta, j)
+    return (RotY(np.pi / 2), FreeEvolve(sol.t_c, delta, j), RotZ(-delta * sol.t_c),
+            RotX(np.pi / 2), RotY(-sol.phi_prime))
+
+
+def ref_inverted(steps):
+    inverted = []
+    for step in reversed(steps):
+        if isinstance(step, FreeEvolve):
+            inverted.append(FreeEvolve(step.duration, step.delta, step.j, -step.sign))
+        elif isinstance(step, FieldLoop):
+            inverted.append(FieldLoop(step.params, step.revolutions, step.compensated, -step.sign))
+        else:
+            inverted.append(type(step)(-step.angle))
+    return tuple(inverted)
+
+
+def ref_build_conditional_loop(delta, j):
+    loop = FieldLoop(ConditionalLoop(delta, j), revolutions=1.0, compensated=True)
+    omega1 = ref_two_qubit_loop_params(delta, j)[0]
+    sol = SOpSolution(*ref_s_operation_params(delta, j, omega1))
+    s_steps = ref_s_operation_steps(sol, delta, j)
+    return PulseSequence(s_steps + (loop,) + ref_inverted(s_steps), frame=TWO_QUBIT)
+
+
+def fields_hex(obj):
+    """The type and every field of a step or of its loop parameters, floats
+    as float.hex; a conditional loop's solved setting included."""
+    out = [type(obj).__name__]
+    for f in dataclasses.fields(obj):
+        value = getattr(obj, f.name)
+        if dataclasses.is_dataclass(value):
+            out.append(fields_hex(value))
+        else:
+            out.append(value.hex() if isinstance(value, float) else repr(value))
+    if isinstance(obj, ConditionalLoop):
+        out.append(hexes(obj.setting))
+    return out
+
+
+def assert_same_steps(got, want):
+    assert got.frame == want.frame
+    assert [fields_hex(s) for s in got.steps] == [fields_hex(s) for s in want.steps]
+
+
+def mixed_programs(rng, n, frame):
+    """n programs of every primitive at drawn and signed-zero angles, loops
+    with phase0 of +-0.0 and both signs included."""
+    def zeros_and_draws():
+        return float(rng.choice([0.0, -0.0, rng.uniform(-9, 9)]))
+
+    for _ in range(n):
+        steps = []
+        for _ in range(int(rng.integers(0, 9))):
+            kind = int(rng.integers(0, 6))
+            if kind < 3:
+                steps.append((RotX, RotY, RotZ)[kind](zeros_and_draws()))
+            elif kind == 3:
+                j = zeros_and_draws() if frame == TWO_QUBIT else 0.0
+                steps.append(FreeEvolve(abs(zeros_and_draws()), zeros_and_draws(), j,
+                                        int(rng.choice([-1, 1]))))
+            elif kind == 4 or frame == SINGLE_QUBIT:
+                gamma = float(rng.uniform(0.5, 3.0)) * float(rng.choice([-1, 1]))
+                compensated = bool(rng.integers(0, 2))
+                p = FieldParams(zeros_and_draws(), abs(zeros_and_draws()), gamma,
+                                gamma if compensated else 0.0, zeros_and_draws())
+                steps.append(FieldLoop(p, float(rng.uniform(0.25, 3.0)), compensated,
+                                       int(rng.choice([-1, 1]))))
+            else:
+                j = float(rng.uniform(0.1, 2.0))
+                loop = ConditionalLoop(j * float(rng.uniform(1.01, 5.0)), j, zeros_and_draws())
+                steps.append(FieldLoop(loop, sign=int(rng.choice([-1, 1]))))
+        yield PulseSequence(tuple(steps), frame)
+
+
+class TestBuilderSteps:
+    N = 1_000
+
+    def test_build_conditional_loop(self):
+        rng = np.random.default_rng(1701)
+        ratio = 1.0 + 10.0 ** rng.uniform(-9.0, math.log10(999.0), size=self.N)
+        ratio[:2] = 1.0 + 1e-9, 1e3
+        j = 10.0 ** rng.uniform(-1.0, 1.0, size=self.N)
+        for r, jj in zip(ratio.tolist(), j.tolist()):
+            want = ref_build_conditional_loop(r * jj, jj)
+            got = build_conditional_loop(r * jj, jj)
+            assert_same_steps(got, want)
+            assert_same_steps(invert_sequence(got), PulseSequence(ref_inverted(want.steps),
+                                                                   frame=want.frame))
+
+    def test_build_s_operation(self):
+        rng = np.random.default_rng(1702)
+        delta = log_uniform(rng, -3, 3, self.N) * rng.choice([-1.0, 1.0], self.N)
+        delta[:4] = 0.0, -0.0, 1.0, 1.058
+        j = log_uniform(rng, -3, 3, self.N)
+        omega1 = log_uniform(rng, -3, 3, self.N)
+        built = 0
+        for d, jj, w in zip(delta.tolist(), j.tolist(), omega1.tolist()):
+            sol = s_operation_params(d, jj, w)
+            try:
+                want = PulseSequence(ref_s_operation_steps(sol, d, jj), frame=TWO_QUBIT)
+            except ValueError as exc:  # a record the check refuses stays refused
+                with pytest.raises(ValueError, match=re.escape(str(exc))):
+                    build_s_operation(sol, d, jj)
+                continue
+            got = build_s_operation(sol, d, jj)
+            assert_same_steps(got, want)
+            assert_same_steps(invert_sequence(got), PulseSequence(ref_inverted(want.steps),
+                                                                   frame=want.frame))
+            built += 1
+        assert built >= 0.9 * self.N
+
+    @pytest.mark.parametrize("frame", [SINGLE_QUBIT, TWO_QUBIT])
+    def test_invert_sequence(self, frame):
+        rng = np.random.default_rng(1703 + (frame == TWO_QUBIT))
+        for seq in mixed_programs(rng, self.N, frame):
+            want = PulseSequence(ref_inverted(seq.steps), frame=frame)
+            assert_same_steps(invert_sequence(seq), want)
+            assert_same_steps(invert_sequence(invert_sequence(seq)), seq)
