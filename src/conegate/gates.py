@@ -231,7 +231,11 @@ def not_recipe(loops: int = 1) -> GateRecipe:
 def conditional_phase_diag(delta: float, j: float) -> np.ndarray:
     """Target of the conditional loop: diag(e^{i G+}, e^{-i G+}, e^{i G-},
     e^{-i G-}) in the |b a> basis."""
-    setting = two_qubit_loop_params(delta, j)
+    return _sector_phase_diag(two_qubit_loop_params(delta, j))
+
+
+def _sector_phase_diag(setting) -> np.ndarray:
+    """conditional_phase_diag of a solved conditional-loop setting."""
     g_plus = geometric_phase_cone(setting.theta_plus)
     g_minus = geometric_phase_cone(setting.theta_minus)
     return np.diag(
@@ -239,13 +243,19 @@ def conditional_phase_diag(delta: float, j: float) -> np.ndarray:
     ).astype(complex)
 
 
+def _loop_setting(seq: PulseSequence):
+    """The setting solved for the conditional loop of seq, which
+    build_conditional_loop made."""
+    return next(step.params.setting for step in seq.steps if isinstance(step, FieldLoop))
+
+
 def conditional_recipe(delta: float, j: float = 1.0) -> GateRecipe:
     """Recipe for the bare conditional geometric phase gate."""
-    setting = two_qubit_loop_params(delta, j)
     sol_seq = build_conditional_loop(delta, j)
+    setting = _loop_setting(sol_seq)
     return GateRecipe(
         name="cphase",
-        target=conditional_phase_diag(delta, j),
+        target=_sector_phase_diag(setting),
         sequence=sol_seq,
         parameters={
             "delta": float(delta),
@@ -283,11 +293,11 @@ def cnot_recipe(j: float = 1.0) -> GateRecipe:
     sandwich converts that into the conditional bit flip.
     """
     delta = CNOT_DELTA_FACTOR * j
-    setting = two_qubit_loop_params(delta, j)
+    conditional = build_conditional_loop(delta, j)
+    setting = _loop_setting(conditional)
     g_minus = geometric_phase_cone(setting.theta_minus)
     hadamard = hadamard_recipe()
     correction = RotZ(2.0 * g_minus)  # = I_b (x) diag(e^{-i G-}, e^{i G-}) up to phase
-    conditional = build_conditional_loop(delta, j)
     steps = (
         hadamard.sequence.steps
         + (correction,)

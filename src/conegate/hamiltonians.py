@@ -131,9 +131,9 @@ def h_two_qubit_rotating(
     Block-diagonal in the spin-b sectors; sector b-up (b-down) sees the
     single-spin Hamiltonian with vertical offset delta + j (delta - j).
     simulate_sequence and sequence_trajectory use that split: they
-    integrate each sector as a 2x2 FieldSchedule and assemble the block
-    diagonal, so this 4x4 form serves as the frame oracle the sector split
-    is tested against.
+    integrate the sectors as 2x2 FieldSchedules, stacked in one run, and
+    assemble the block diagonal, so this 4x4 form serves as the frame
+    oracle the sector split is tested against.
     """
     t = np.asarray(t, dtype=float)
     phase = gamma * t + phase0

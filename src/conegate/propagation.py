@@ -64,10 +64,23 @@ directly from the field's time and phase, any other schedule is called
 and its 2x2 samples are read back. Either way one workspace per call
 holds the pass's components, its pairs and every temporary of the
 reductions, and numpy writes into it with out= in the operation order
-of fresh arrays, so the bits do not depend on the path. Larger
-dimensions use an eigh exponential and matrix products on fresh arrays.
-Callers with block-diagonal 4x4 propagators (the conditional loop of
-sequences) integrate each 2x2 block on its own.
+of fresh arrays, so the bits do not depend on the path. The workspace's
+memory outlives the call: it is one allocation, sized for two records,
+that calls take from a free list and put back. Larger dimensions use an
+eigh exponential and matrix products on fresh arrays.
+
+Field records that differ only in their vertical field share the field's
+phase at every step. integrate_fields runs such records as one stacked
+run: the two spin-b sectors of a conditional loop, the 2x2 blocks of its
+block-diagonal 4x4 propagator. The phase, its cos and sin, the passes and
+the reduction plans are made once. Each record's pairs go to one stacked
+buffer, all records' runs reduce in one call, and the prefix products, the
+composition with the running products and the projection each run once on
+(runs, records, 2) stacks. Each record keeps the bytes of a run of its own:
+the stack changes which numpy calls carry an operation, never the
+operation. numpy's complex product is a fused multiply-add, except that it
+rounds unfused where one-element operands of different ranks broadcast, so
+a record run alone keeps its rank-one shapes (_by_run).
 """
 
 from __future__ import annotations
@@ -100,15 +113,7 @@ class Trajectory:
     hamiltonian_at: Callable[[np.ndarray], np.ndarray] | None = None
 
     def __post_init__(self) -> None:
-        times = np.asarray(self.times, dtype=float)
-        states = np.asarray(self.states, dtype=complex)
-        if times.ndim != 1 or states.ndim != 2 or states.shape[0] != times.shape[0]:
-            raise ValueError("times and states must have matching leading length")
-        if times.size and np.any(np.diff(times) < 0):
-            raise ValueError("times must be ascending")
-        norms = np.linalg.norm(states, axis=1)
-        if norms.size and np.max(np.abs(norms - 1.0)) > 1e-10:
-            raise ValueError("trajectory states must stay normalized within 1e-10")
+        times, states = _checked_samples(self.times, self.states)
         if self.propagators is not None:
             props = np.asarray(self.propagators, dtype=complex)
             replay = np.einsum("kij,j->ki", props, states[0])
@@ -118,9 +123,38 @@ class Trajectory:
         object.__setattr__(self, "times", times)
         object.__setattr__(self, "states", states)
 
+    @classmethod
+    def _of_run(cls, times, states, propagators, hamiltonian_at) -> "Trajectory":
+        """The trajectory of an integrator run, whose states are its
+        propagators applied to the initial state: the replay of
+        __post_init__ could only differ in the sign of a zero, so it is
+        skipped, and the time and norm checks are kept."""
+        self = object.__new__(cls)
+        times, states = _checked_samples(times, states)
+        object.__setattr__(self, "times", times)
+        object.__setattr__(self, "states", states)
+        object.__setattr__(self, "propagators", propagators)
+        object.__setattr__(self, "hamiltonian_at", hamiltonian_at)
+        return self
+
     @property
     def duration(self) -> float:
         return float(self.times[-1]) if self.times.size else 0.0
+
+
+def _checked_samples(times, states) -> tuple:
+    """times and states as float and complex arrays, refused unless the
+    times ascend and every state is normalized."""
+    times = np.asarray(times, dtype=float)
+    states = np.asarray(states, dtype=complex)
+    if times.ndim != 1 or states.ndim != 2 or states.shape[0] != times.shape[0]:
+        raise ValueError("times and states must have matching leading length")
+    if times.size and np.any(np.diff(times) < 0):
+        raise ValueError("times must be ascending")
+    norms = np.linalg.norm(states, axis=1)
+    if norms.size and np.max(np.abs(norms - 1.0)) > 1e-10:
+        raise ValueError("trajectory states must stay normalized within 1e-10")
+    return times, states
 
 
 def _z_entries(alpha: float) -> tuple:
@@ -302,6 +336,8 @@ BLOCK_STEPS = 4096  # steps whose product one pairwise tree associates
 PASS_BLOCKS = 3  # whole blocks whose steps one pass samples, exponentiates and reduces
 MAX_STEPS = 50_000_000  # steps one integrate call may take, checked before allocation
 TRIG_TABLE = 64  # distinct step norms whose cos and sin a pass evaluates once each
+POOL_RECORDS = 2  # records a kept workspace stacks: the two spin-b sectors of a conditional loop
+_POOL: list = []  # allocations of _SU2 workspaces between calls
 
 
 class _SU2:
@@ -309,58 +345,78 @@ class _SU2:
     U = [[a, -conj(b)], [b, conj(a)]] in SU(2), stored as (..., 2) arrays of
     (a, b); the phase c (the half trace of h) is summed separately.
 
-    An instance is the workspace of one integrate call. A pass's steps
-    enter as the traceless part [[z, x], [conj(x), -z]] of h, negated: -z
-    and the rows (-x.real, -x.imag) of a buffer. Their pairs and every
-    temporary of the reductions are buffers too, written with out= in the
-    order of operations of a fresh-array evaluation; the views that a pass
-    size or a reduction reads and writes are made once and then reused.
-    The reductions' temporaries share the memory of the real rows, which
-    hold nothing once exp has returned the pass's pairs. These buffers are
-    views of one allocation, of one size for every call: freed whole, it
-    has stayed in malloc's heap for the next call, where separate arrays
-    sized by the call were often mapped afresh, at a minor fault per 4 KiB
-    touched. No
-    complex product writes over one of its own operands: numpy runs a
-    strided in-place product through another, unfused loop, which rounds
-    apart."""
+    An instance is the workspace of one integrate call, which runs one or
+    more records at once. A pass's steps enter as the traceless part
+    [[z, x], [conj(x), -z]] of h, negated: the rows (-x.real, -x.imag) of
+    a buffer, which stacked field records share, and each record's -z. The
+    records' pairs are stacked in one buffer, record s's m steps from row
+    s m on. Every temporary of the reductions is a buffer too, written with
+    out= in the order of operations of a fresh-array evaluation; the views
+    that a pass size or a reduction reads and writes are made once per
+    call and then reused. The reductions' temporaries share the memory of
+    the real rows, which hold nothing once exp has returned the pass's
+    pairs; they are as wide as every record's pairs, so that one flat
+    sweep reduces them all. These buffers are views of one allocation of
+    (9 POOL_RECORDS + 2) PASS_BLOCKS BLOCK_STEPS floats (1.97 MB), which
+    outlives the call: it is taken from _POOL and put back by release(),
+    so a call touches memory that earlier calls have faulted in, and a
+    schedule that calls integrate itself gets another. A call that stacks
+    more than POOL_RECORDS records allocates its own. No complex product
+    writes over one of its own operands: numpy runs a strided in-place
+    product through another, unfused loop, which rounds apart."""
 
     identity = np.array([1.0, 0.0], dtype=complex)
 
-    def __init__(self, m: int) -> None:
-        w = m + m % 2  # the real rows' width, even so that they view as complex
-        buffer = np.empty(6 * m + 5 * w)
-        self._pairs = buffer[: 4 * m].view(complex).reshape(m, 2)
-        self._neg_x = buffer[4 * m : 6 * m].reshape(2, m)
-        self._real = buffer[6 * m :].reshape(5, w)
+    def __init__(self, records: int) -> None:
+        m = PASS_BLOCKS * BLOCK_STEPS
+        self._pooled = records <= POOL_RECORDS
+        size = (9 * max(records, POOL_RECORDS) + 2) * m
+        kept = _POOL.pop() if self._pooled and _POOL else None
+        self._buffer = kept if kept is not None and len(kept) == size else np.empty(size)
+        w = records * m  # the real rows' width: a flat sweep over every record's pairs
+        self._pairs = self._buffer[: 4 * w].view(complex).reshape(w, 2)
+        self._neg_x = self._buffer[4 * w : 4 * w + 2 * m].reshape(2, m)
+        self._real = self._buffer[4 * w + 2 * m : 9 * w + 2 * m].reshape(5, w)
         self._temps = self._real.view(complex)
-        self._spare = self._rows = np.empty((0, 2), dtype=complex)
+        self._rows = np.empty((0, 2), dtype=complex)
+        # the prefix products' buffer, shaped as _by_run shapes the runs
+        self._spare = np.empty((0, records, 2) if records > 1 else (0, 2), dtype=complex)
         self._index = np.empty(0, dtype=np.intp)
         self._pad = np.empty(0, dtype=bool)
         self._blocks: dict = {}  # steps in a pass -> views of the buffers
-        self._plans: dict = {}  # (shape, rows left) -> reduction plan
+        self._plans: dict = {}  # (allocation, shape, rows left) -> reduction plan
+        self.records = records
+
+    def release(self) -> None:
+        """Put the workspace's allocation back for the next call."""
+        if self._pooled:
+            _POOL.append(self._buffer)
 
     def _block(self, m: int) -> SimpleNamespace:
         v = self._blocks.get(m)
         if v is None:
-            neg_x, parts = self._neg_x[:, :m], self._pairs[:m].view(float)
+            neg_x = self._neg_x[:, :m]
             phase, r, rdt, sinc, cos = self._real[:, :m]
+            pairs = self._pairs[: self.records * m]
+            parts = [p.view(float) for p in pairs.reshape(self.records, m, 2)]
             v = self._blocks[m] = SimpleNamespace(
                 steps=np.arange(m, dtype=float), neg_x=neg_x, neg_x_swapped=neg_x[::-1],
                 neg_z=phase, phase=phase, r=r, rdt=rdt, sinc=sinc, cos=cos,
-                squares=self._real[2:4, :m], pairs=self._pairs[:m],
+                squares=self._real[2:4, :m], pairs=pairs,
                 bits=rdt.view(np.int64),  # the table's indices, where rdt is not taken
-                a_re=parts[:, 0], a_im=parts[:, 1], b=parts[:, 2:].T,
+                out=[(p[:, 0], p[:, 1], p[:, 2:].T) for p in parts],  # each record's a, b
             )
         return v
 
-    def field(self, f: FieldSchedule, start: int, stop: int, dt: float) -> float:
-        """Write the record's field at the midpoints of steps start..stop
-        into the pass's -x rows and return -z.
+    def field(self, fields: tuple, start: int, stop: int, dt: float) -> list:
+        """Write the records' field at the midpoints of steps start..stop
+        into the pass's -x rows and return each record's -z.
 
         x = omega1 / 2 exp(-i phase), and numpy's complex exp of -i phase
         is cos and sin of -phase; -phase is taken as (-gamma) s + (-phase0),
-        which rounds to exactly -(gamma s + phase0)."""
+        which rounds to exactly -(gamma s + phase0). The records share x,
+        which is read from the first."""
+        f = fields[0]
         v = self._block(stop - start)
         phase, neg_x = v.phase, v.neg_x
         np.add(v.steps, start + 0.5, out=phase)
@@ -373,21 +429,21 @@ class _SU2:
         np.sin(phase, out=neg_x[1])
         half = 0.5 * f.omega1
         np.multiply(-half if f.sign > 0 else half, neg_x, out=neg_x)
-        z = 0.5 * f.vertical
-        return -z if f.sign > 0 else z
+        halves = [0.5 * g.vertical for g in fields]
+        return [-z for z in halves] if f.sign > 0 else halves
 
-    def samples(self, h: np.ndarray, c: np.ndarray) -> np.ndarray:
+    def samples(self, h: np.ndarray, c: np.ndarray) -> list:
         """Write a pass of sampled 2x2 Hamiltonians with half traces c into
-        the pass's -x rows and -z row; returns -z."""
+        the pass's -x rows and -z row; returns [-z]."""
         v = self._block(len(h))
         np.negative(h[:, 0, 0].real - c, out=v.neg_z)
         np.negative(h[:, 0, 1].real, out=v.neg_x[0])
         np.negative(h[:, 0, 1].imag, out=v.neg_x[1])
-        return v.neg_z
+        return [v.neg_z]
 
-    def exp(self, neg_z, m: int, dt: float) -> np.ndarray:
-        """Pairs of the pass's m steps exp(-i h dt), from its -x rows and
-        -z (a float or an array).
+    def exp(self, neg_zs: list, m: int, dt: float) -> np.ndarray:
+        """Stacked pairs of the pass's m steps exp(-i h dt) of each record,
+        from the -x rows and the record's -z (a float or an array).
 
         cos(r dt) and sin(r dt) / r are taken once per distinct r when r
         spans at most TRIG_TABLE floats, as it does along a field loop
@@ -396,27 +452,28 @@ class _SU2:
         in bit patterns indexes a table of the values in between."""
         v = self._block(m)
         r, sinc = v.r, v.sinc
-        np.multiply(v.neg_x, v.neg_x, out=v.squares)
-        np.add(neg_z * neg_z, v.squares[0], out=r)
-        np.add(r, v.squares[1], out=r)
-        np.sqrt(r, out=r)
-        bits = r.view(np.int64)
-        low, high = int(bits.min()), int(bits.max())
-        if high - low < TRIG_TABLE:
-            np.subtract(bits, low, out=v.bits)
-            values = np.arange(low, high + 1, dtype=np.int64).view(float)
-            values_dt = values * dt
-            table = np.sin(values_dt) / np.where(values == 0.0, 1.0, values)
-            np.take(table, v.bits, out=sinc, mode="clip")
-            np.take(np.cos(values_dt), v.bits, out=v.cos, mode="clip")
-        else:
-            np.multiply(r, dt, out=v.rdt)
-            np.sin(v.rdt, out=sinc)
-            np.cos(v.rdt, out=v.cos)
-            np.divide(sinc, r if r.all() else np.where(r == 0.0, 1.0, r), out=sinc)
-        v.a_re[...] = v.cos
-        np.multiply(sinc, neg_z, out=v.a_im)
-        np.multiply(sinc, v.neg_x_swapped, out=v.b)  # b = -i sinc conj(x)
+        for neg_z, (a_re, a_im, b) in zip(neg_zs, v.out):
+            np.multiply(v.neg_x, v.neg_x, out=v.squares)
+            np.add(neg_z * neg_z, v.squares[0], out=r)
+            np.add(r, v.squares[1], out=r)
+            np.sqrt(r, out=r)
+            bits = r.view(np.int64)
+            low, high = int(bits.min()), int(bits.max())
+            if high - low < TRIG_TABLE:
+                np.subtract(bits, low, out=v.bits)
+                values = np.arange(low, high + 1, dtype=np.int64).view(float)
+                values_dt = values * dt
+                table = np.sin(values_dt) / np.where(values == 0.0, 1.0, values)
+                np.take(table, v.bits, out=sinc, mode="clip")
+                np.take(np.cos(values_dt), v.bits, out=v.cos, mode="clip")
+            else:
+                np.multiply(r, dt, out=v.rdt)
+                np.sin(v.rdt, out=sinc)
+                np.cos(v.rdt, out=v.cos)
+                np.divide(sinc, r if r.all() else np.where(r == 0.0, 1.0, r), out=sinc)
+            a_re[...] = v.cos
+            np.multiply(sinc, neg_z, out=a_im)
+            np.multiply(sinc, v.neg_x_swapped, out=b)  # b = -i sinc conj(x)
         return v.pairs
 
     def operands(self, later: np.ndarray, earlier: np.ndarray, out: np.ndarray) -> tuple:
@@ -449,10 +506,11 @@ class _SU2:
         return out
 
     def plan(self, rows: np.ndarray, stop: int) -> list:
-        """_reduction_plan of rows, made once per shape and stop: rows are
-        always exp()'s pairs, (m, 2), or the gather buffer of rows(),
-        (width, nseg, 2), one view of either per shape."""
-        key = (rows.shape, stop)
+        """_reduction_plan of rows, made once per buffer, shape and stop:
+        rows are always a view from the start of exp()'s stacked pairs or of
+        the gather buffer of rows(), so the key tells the two apart by the
+        allocation they view even where their shapes agree."""
+        key = (id(rows.base), rows.shape, stop)
         plan = self._plans.get(key)
         if plan is None:
             plan = self._plans[key] = _reduction_plan(self, rows, stop)
@@ -473,7 +531,7 @@ class _SU2:
 
     def spare(self, n: int) -> np.ndarray:
         if n > len(self._spare):
-            self._spare = np.empty((n, 2), dtype=complex)
+            self._spare = np.empty((n,) + self._spare.shape[1:], dtype=complex)
         return self._spare[:n]
 
     @staticmethod
@@ -520,6 +578,9 @@ class _Dense:
 
     def spare(self, n: int) -> np.ndarray:
         return np.empty((n,) + self.identity.shape, dtype=complex)
+
+    def release(self) -> None:
+        pass
 
     @staticmethod
     def normalize(u: np.ndarray) -> np.ndarray:
@@ -649,6 +710,26 @@ def _passes(n_steps: int, ends: np.ndarray) -> list:
     return passes
 
 
+def _step_count(t_end: float, total_steps) -> int:
+    """The steps of a run over [0, t_end]: total_steps, an integer of at
+    least 1, or none when t_end is 0."""
+    if not np.isfinite(t_end) or t_end < 0:
+        raise ValueError("t_end must be finite and nonnegative")
+    if isinstance(total_steps, bool) or not isinstance(total_steps, (int, np.integer)):
+        raise ValueError(f"total_steps must be an integer step count, got {total_steps!r}")
+    if t_end == 0.0:
+        return 0
+    if total_steps < 1:
+        raise ValueError("total_steps must be at least 1")
+    _check_step_budget(int(total_steps))
+    return int(total_steps)
+
+
+def _phase_schedule(f: FieldSchedule) -> tuple:
+    """What fixes a record's field phase at every step, bit for bit."""
+    return tuple(float(x).hex() for x in (f.omega1, f.gamma, f.phase0, f.sign, f.t_end))
+
+
 def integrate(
     schedule: Callable[[np.ndarray], np.ndarray],
     t_end: float,
@@ -665,36 +746,57 @@ def integrate(
                     Hamiltonians. A FieldSchedule is read as its components
                     instead of being called.
     t_end           final time (>= 0)
-    total_steps     step count (at least 1; no steps are taken when t_end is 0)
+    total_steps     step count, an integer (at least 1; no steps are taken
+                    when t_end is 0)
     psi0            initial state; defaults to the first basis vector
     samples         number of recorded sample points (capped by the step count)
 
     Returns a Trajectory carrying states and propagators at the sample
     points, with hamiltonian_at = schedule.
     """
-    if not np.isfinite(t_end) or t_end < 0:
-        raise ValueError("t_end must be finite and nonnegative")
-    if t_end == 0.0:
-        n_steps = 0
-    else:
-        n_steps = int(total_steps)
-        if n_steps < 1:
-            raise ValueError("total_steps must be at least 1")
-    _check_step_budget(n_steps)
+    return _integrate((schedule,), t_end, total_steps, psi0, samples)[0]
 
+
+def integrate_fields(
+    fields,
+    t_end: float,
+    *,
+    total_steps: int,
+    psi0: np.ndarray | None = None,
+    samples: int = 257,
+) -> list:
+    """integrate of each FieldSchedule in fields, with the same bytes, as a
+    list of Trajectories.
+
+    Records that share omega1, gamma, phase0, sign and t_end (the two spin-b
+    sectors of a conditional loop, which differ only in their vertical
+    field) share the field's phase at every step, and run as one stacked
+    run: one phase per step, one pass loop and one reduction per pass for
+    all of them. Records that do not share it run one after another."""
+    fields = tuple(fields)
+    if len({_phase_schedule(f) for f in fields}) == 1:
+        return _integrate(fields, t_end, total_steps, psi0, samples)
+    return [_integrate((f,), t_end, total_steps, psi0, samples)[0] for f in fields]
+
+
+def _integrate(schedules: tuple, t_end: float, total_steps, psi0, samples: int) -> list:
+    """The run of integrate: of one callable, or stacked over FieldSchedules
+    that share their phase schedule, one Trajectory each."""
+    n_steps = _step_count(t_end, total_steps)
     dt = t_end / n_steps if n_steps else 0.0
     bounds = np.round(np.linspace(0, n_steps, _recorded_samples(samples, n_steps))).astype(int)
     bounds = bounds[np.diff(bounds, prepend=-1) > 0]  # ascending, so unique is a diff
     ends = bounds[1:]
     passes = _passes(n_steps, ends)
-    field = isinstance(schedule, FieldSchedule)
+    field = isinstance(schedules[0], FieldSchedule)
     if field:
-        _check_field(schedule, t_end)
+        for f in schedules:
+            _check_field(f, t_end)
         d = 2
     else:
         # the first pass doubles as the dimension probe (t = 0 without steps)
         m = passes[0][1] if passes else 1
-        h = np.asarray(schedule((np.arange(m) + 0.5) * dt), dtype=complex)
+        h = np.asarray(schedules[0]((np.arange(m) + 0.5) * dt), dtype=complex)
         d = h.shape[-1] if h.ndim == 3 else 2  # the shape check below refuses the rest
         h = _check_samples(h, m, d)
     if psi0 is None:
@@ -703,56 +805,77 @@ def integrate(
     psi0 = require_finite(np.asarray(psi0, dtype=complex), "psi0")
     if n_steps == 0:
         eye = np.eye(d, dtype=complex)[None]
-        return Trajectory(np.zeros(1), psi0[None, :], eye, schedule)
+        return [Trajectory._of_run(np.zeros(1), psi0[None, :], eye, s) for s in schedules]
 
-    kernel = _SU2(PASS_BLOCKS * BLOCK_STEPS) if d == 2 else _Dense(d)  # whatever n_steps
-    recorded = np.empty((bounds.size,) + kernel.identity.shape, dtype=complex)
-    recorded[0] = kernel.identity
+    k = len(schedules)
+    kernel = _SU2(k) if d == 2 else _Dense(d)  # whatever n_steps
+    # record s's propagators at the bounds are rows s n_bounds on
+    recorded = np.empty((k * bounds.size,) + kernel.identity.shape, dtype=complex)
+    recorded[:: bounds.size] = kernel.identity
+    by_bound = _by_run(recorded, k)
     recorded_phase = np.zeros(bounds.size)  # stays 0 where no phase is kept apart
     carry, carry_phase, done = kernel.identity, 0.0, 1
-    for start, stop in passes:
-        c = None
-        if field:
-            elems = kernel.exp(kernel.field(schedule, start, stop, dt), stop - start, dt)
-        else:
-            if start:
-                h = np.asarray(schedule((np.arange(start, stop) + 0.5) * dt), dtype=complex)
-                h = _check_samples(h, stop - start, d)
-            if d == 2:
-                c = 0.5 * (h[:, 0, 0].real + h[:, 1, 1].real)
-                elems = kernel.exp(kernel.samples(h, c), stop - start, dt)
+    try:
+        for start, stop in passes:
+            c = None
+            if field:
+                elems = kernel.exp(kernel.field(schedules, start, stop, dt), stop - start, dt)
             else:
-                elems = kernel.exp_samples(h, dt)
-        # the pass's runs: their starts, and block k's runs are segs[runs[k] : runs[k + 1]]
-        if stop - start > BLOCK_STEPS:  # whole blocks with no end inside: a run each
-            starts = np.arange(0, stop - start, BLOCK_STEPS)
-            runs = range(starts.size + 1)
-        else:  # one block, cut at the ends inside it
-            inside = ends[np.searchsorted(ends, start, "right") : np.searchsorted(ends, stop)]
-            starts = np.concatenate(([0], inside - start))
-            runs = (0, starts.size)
-        segs = _segment_products(kernel, elems, starts)
-        edges = [*range(start, stop, BLOCK_STEPS), stop]
-        # the samples recorded once each block is composed
-        dones = (1 + np.searchsorted(ends, edges[1:], "right")).tolist()
-        for k, upto in enumerate(dones):
-            prefix = _prefix_products(kernel, segs[runs[k] : runs[k + 1]])
-            total = kernel.compose(prefix, carry, out=prefix)
-            recorded[done:upto] = total[: upto - done]
-            if c is not None:
-                offset = edges[k] - start
-                seg_phase = np.add.reduceat(c[offset : edges[k + 1] - start],
-                                            starts[runs[k] : runs[k + 1]] - offset)
-                total_phase = carry_phase + dt * np.cumsum(seg_phase)
-                recorded_phase[done:upto] = total_phase[: upto - done]
-                carry_phase = total_phase[-1]
-            carry = kernel.normalize(total[-1])
-            done = upto
+                if start:
+                    h = np.asarray(schedules[0]((np.arange(start, stop) + 0.5) * dt),
+                                   dtype=complex)
+                    h = _check_samples(h, stop - start, d)
+                if d == 2:
+                    c = 0.5 * (h[:, 0, 0].real + h[:, 1, 1].real)
+                    elems = kernel.exp(kernel.samples(h, c), stop - start, dt)
+                else:
+                    elems = kernel.exp_samples(h, dt)
+            # the pass's runs: their starts, and block b's runs are segs[runs[b] : runs[b + 1]]
+            if stop - start > BLOCK_STEPS:  # whole blocks with no end inside: a run each
+                starts = np.arange(0, stop - start, BLOCK_STEPS)
+                runs = range(starts.size + 1)
+            else:  # one block, cut at the ends inside it
+                inside = ends[np.searchsorted(ends, start, "right") : np.searchsorted(ends, stop)]
+                starts = np.concatenate(([0], inside - start))
+                runs = (0, starts.size)
+            # record s's runs start at s m + starts in the stacked elements
+            stacked = starts if k == 1 else np.add.outer(np.arange(k) * (stop - start), starts)
+            segs = _by_run(_segment_products(kernel, elems, stacked.ravel()), k)
+            edges = [*range(start, stop, BLOCK_STEPS), stop]
+            # the samples recorded once each block is composed
+            dones = (1 + np.searchsorted(ends, edges[1:], "right")).tolist()
+            for b, upto in enumerate(dones):
+                prefix = _prefix_products(kernel, segs[runs[b] : runs[b + 1]])
+                total = kernel.compose(prefix, carry, out=prefix)
+                by_bound[done:upto] = total[: upto - done]
+                if c is not None:
+                    offset = edges[b] - start
+                    seg_phase = np.add.reduceat(c[offset : edges[b + 1] - start],
+                                                starts[runs[b] : runs[b + 1]] - offset)
+                    total_phase = carry_phase + dt * np.cumsum(seg_phase)
+                    recorded_phase[done:upto] = total_phase[: upto - done]
+                    carry_phase = total_phase[-1]
+                carry = kernel.normalize(total[-1])
+                done = upto
+    finally:
+        kernel.release()
 
     phase = np.exp(-1j * recorded_phase)
-    props = kernel.matrix(recorded) * phase[:, None, None]
-    states = np.einsum("kij,j->ki", props, psi0)
+    props = (kernel.matrix(recorded.reshape((k, bounds.size) + kernel.identity.shape))
+             * phase[:, None, None])
     times = bounds * dt
     times[-1] = t_end
-    return Trajectory(times, states, props, schedule)
+    runs = []
+    for s, schedule in enumerate(schedules):
+        states = np.einsum("kij,j->ki", props[s], psi0)
+        runs.append(Trajectory._of_run(times if s == 0 else times.copy(), states, props[s],
+                                       schedule))
+    return runs
 
+
+def _by_run(stack: np.ndarray, k: int) -> np.ndarray:
+    """The rows of k records, stacked record after record, indexed (row,
+    record, ...); one record's rows stay (row, ...). numpy takes
+    one-dimensional operands through its fastest loops, and a record run
+    alone keeps the shapes, so the loops and the bits, of its products."""
+    return stack if k == 1 else stack.reshape((k, -1) + stack.shape[1:]).swapaxes(0, 1)

@@ -14,7 +14,8 @@ rot_z-type diagonal with offset delta + j (b up) or delta - j (b down), and
 a conditional loop one single-spin field per sector (_loop_fields). Each
 gives its blocks as entries (u00, u01, u10, u11) in Python complex: a hard
 pulse or free evolution by its _blocks method, a loop by the closed form
-(apply_sequence) or the integrator (simulate_sequence). One loop, _compose,
+(apply_sequence) or the integrator (simulate_sequence), which runs a
+conditional loop's two sectors as one stacked run. One loop, _compose,
 multiplies them into a b-up and a b-down product, and _matrix builds the
 2x2 or block-diagonal 4x4 from those in one np.array call. For a 2x2 this
 is several times cheaper than numpy calls. Python's complex products round
@@ -43,6 +44,7 @@ from .propagation import (
     _z_entries,
     _z_stack,
     integrate,
+    integrate_fields,
 )
 
 SINGLE_QUBIT = "single-qubit"
@@ -363,24 +365,29 @@ def _free_samples(samples_per_loop: int) -> int:
     return max(2, samples_per_loop // 4)
 
 
-def _integrate_loop(step: FieldLoop, dim: int, steps_per_loop: int, samples: int,
-                    psi0: np.ndarray | None = None):
-    """Integrator run of one field-loop segment, each 2x2 block on its own
-    (from psi0 when given).
-
-    Returns (duration, one Trajectory per field, Hamiltonian accessor of
-    dimension dim); sign = -1 runs the negated Hamiltonian backwards.
-    """
+def _loop_schedules(step: FieldLoop) -> tuple:
+    """(duration, one FieldSchedule per field) of a field-loop segment;
+    sign = -1 runs the negated Hamiltonian backwards."""
     fields = _loop_fields(step)
     duration = _loop_duration(step, fields[0][2])
-    schedules = [
+    return duration, [
         FieldSchedule(omega0 + gamma if step.compensated else omega0, omega1, gamma, phase0,
                       step.sign, duration)
         for omega0, omega1, gamma, phase0 in fields
     ]
-    n = _loop_steps(step, steps_per_loop)
-    runs = [integrate(s, duration, total_steps=n, psi0=psi0, samples=samples)
-            for s in schedules]
+
+
+def _integrate_loop(step: FieldLoop, dim: int, steps_per_loop: int, samples: int):
+    """Integrator run of one field-loop segment, all its fields in one
+    integrate_fields call: a conditional loop's two spin-b sectors share
+    the field's phase, so they run stacked.
+
+    Returns (duration, one Trajectory per field, Hamiltonian accessor of
+    dimension dim).
+    """
+    duration, schedules = _loop_schedules(step)
+    runs = integrate_fields(schedules, duration, total_steps=_loop_steps(step, steps_per_loop),
+                            samples=samples)
 
     def hamiltonian_at(t):
         return _block_diag([s(t) for s in schedules], dim)
@@ -399,9 +406,10 @@ def integrate_loop(
 ) -> Trajectory:
     """Integrator run over `revolutions` full revolutions of the field: the
     run of FieldLoop(p, revolutions, compensated), whose rules it takes."""
-    _, runs, _ = _integrate_loop(FieldLoop(p, revolutions, compensated), 2, steps_per_loop,
-                                 samples, psi0)
-    return runs[0]
+    step = FieldLoop(p, revolutions, compensated)
+    duration, (schedule,) = _loop_schedules(step)
+    return integrate(schedule, duration, total_steps=_loop_steps(step, steps_per_loop),
+                     psi0=psi0, samples=samples)
 
 
 def _check_frame_dim(seq: PulseSequence, dim: int) -> None:
@@ -448,7 +456,8 @@ def simulate_sequence(
     """Compose the sequence with every field loop run through the stepped
     integrator instead of the closed form. Hard pulses stay exact; free
     evolutions have constant generators, for which the integrator is exact
-    anyway. A conditional loop runs as two 2x2 sectors.
+    anyway. A conditional loop runs as its two 2x2 sectors, stacked in one
+    integrator run.
 
     Each distinct loop is integrated once per call: a loop object that the
     sequence lists several times (the Hadamard loop of NOT and CNOT) reuses

@@ -300,3 +300,26 @@ class TestUnverifiedBuilders:
         monkeypatch.setattr(gates, "verify_gate", lambda *a, **k: pytest.fail("verified"))
         for recipe in (hadamard_recipe(), not_recipe(), cnot_recipe()):
             assert recipe.fidelity is None
+
+
+class TestSettingSolvedOnce:
+    """A conditional-loop recipe solves its loop setting once and passes it
+    on, to the loop, the target and the parameters."""
+
+    @pytest.mark.parametrize("build", [lambda: conditional_recipe(1.8), lambda: cnot_recipe()])
+    def test_one_solve_per_recipe(self, build, monkeypatch):
+        from conegate import phases, sequences
+
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return phases.two_qubit_loop_params(*args)
+
+        monkeypatch.setattr(sequences, "two_qubit_loop_params", counting)
+        monkeypatch.setattr(gates, "two_qubit_loop_params", counting)
+        recipe = build()
+        assert len(calls) == 1
+        setting = phases.two_qubit_loop_params(*calls[0])
+        assert recipe.parameters["omega1"] == setting.omega1
+        assert recipe.parameters["gamma"] == setting.gamma

@@ -23,6 +23,7 @@ from conegate.propagation import (
     Trajectory,
     adiabatic_error,
     integrate,
+    integrate_fields,
     _propagator_entries,
     _static_propagator,
     loop_duration,
@@ -569,8 +570,8 @@ class TestFieldScheduleComponents:
         if schedule == "record":
             record = FieldSchedule.of(p, True)
             args = (record, 1500.0)  # long steps: neighbouring norms differ in cos and sin
-            kernel = propagation._SU2(BLOCK_STEPS)
-            kernel.exp(kernel.field(record, 0, BLOCK_STEPS, 1500.0 / n), BLOCK_STEPS, 1500.0 / n)
+            kernel = propagation._SU2(1)
+            kernel.exp(kernel.field((record,), 0, BLOCK_STEPS, 1500.0 / n), BLOCK_STEPS, 1500.0 / n)
             assert np.unique(kernel._block(BLOCK_STEPS).r).size > 1
         else:
             def ramped(t):  # speed 1.7 + 0.8 t, tracked by the compensation field
@@ -652,11 +653,11 @@ class TestEvaluationPasses:
         record = FieldSchedule(0.3, 1.2, 0.8, 0.1)
         want = []
         for k in range(8):  # each run in a workspace of its own
-            kernel = propagation._SU2(8)
-            elems = kernel.exp(kernel.field(record, 8 * k, 8 * k + 8, 0.05), 8, 0.05)
+            kernel = propagation._SU2(1)
+            elems = kernel.exp(kernel.field((record,), 8 * k, 8 * k + 8, 0.05), 8, 0.05)
             want.append(propagation._segment_products(kernel, elems, np.zeros(1, dtype=int)))
-        kernel = propagation._SU2(64)
-        elems = kernel.exp(kernel.field(record, 0, 64, 0.05), 64, 0.05)
+        kernel = propagation._SU2(1)
+        elems = kernel.exp(kernel.field((record,), 0, 64, 0.05), 64, 0.05)
         got = propagation._segment_products(kernel, elems, np.arange(0, 64, 8))
         assert got.tobytes() == np.concatenate(want).tobytes()
 
@@ -672,9 +673,9 @@ class TestLoopReuse:
 
         def counted(*args, **kwargs):
             calls.append(args[0])
-            return integrate(*args, **kwargs)
+            return integrate_fields(*args, **kwargs)
 
-        monkeypatch.setattr(sequences, "integrate", counted)
+        monkeypatch.setattr(sequences, "integrate_fields", counted)
         return calls
 
     @staticmethod
@@ -687,7 +688,7 @@ class TestLoopReuse:
 
         return sequences._compose(seq, dim, loop_blocks)
 
-    @pytest.mark.parametrize("name, dim, calls", [("not", 2, 2), ("cnot", 4, 3)])
+    @pytest.mark.parametrize("name, dim, calls", [("not", 2, 2), ("cnot", 4, 2)])
     def test_repeated_hadamard_loop_is_integrated_once(self, name, dim, calls, monkeypatch):
         from conegate.gates import cnot_recipe, not_recipe
 

@@ -13,6 +13,8 @@ alike. A message that formats the caught exception itself (`f"{path}:
 
 import ast
 import json
+import math
+import re
 from pathlib import Path
 
 import numpy as np
@@ -20,9 +22,9 @@ import pytest
 
 import conegate
 from conegate import cli, sequences
-from conegate.hamiltonians import FieldParams
+from conegate.hamiltonians import FieldParams, FieldSchedule
 from conegate.phases import two_qubit_loop_params
-from conegate.propagation import MAX_STEPS, integrate
+from conegate.propagation import MAX_STEPS, integrate, integrate_fields
 from conegate.sequences import (
     SINGLE_QUBIT,
     ConditionalLoop,
@@ -163,9 +165,9 @@ def _counting_integrate(monkeypatch) -> list:
 
     def counting(*args, **kwargs):
         calls.append(args)
-        return integrate(*args, **kwargs)
+        return integrate_fields(*args, **kwargs)
 
-    monkeypatch.setattr(sequences, "integrate", counting)
+    monkeypatch.setattr(sequences, "integrate_fields", counting)
     return calls
 
 
@@ -264,3 +266,31 @@ class TestStepBudget:
         assert err == ("error: --steps: step budget exceeded: 1e+400 steps requested, "
                        f"at most {MAX_STEPS:,} allowed\n")
         assert len(err) < 120
+
+
+class TestStepCount:
+    """integrate takes an integer step count and refuses anything else with
+    one message, owned by the function that counts the steps."""
+
+    RECORD = FieldSchedule(1.0, 0.5, -1.0)
+
+    @pytest.mark.parametrize("steps", [math.inf, math.nan, 1.5, "7", 7.0, True, None])
+    def test_a_count_that_is_no_integer(self, steps):
+        message = f"^total_steps must be an integer step count, got {re.escape(repr(steps))}$"
+        with pytest.raises(ValueError, match=message):
+            integrate(self.RECORD, 1.0, total_steps=steps)
+        with pytest.raises(ValueError, match=message):
+            integrate(lambda t: np.zeros((len(t), 2, 2)), 1.0, total_steps=steps)
+        with pytest.raises(ValueError, match=message):
+            integrate_fields((self.RECORD, FieldSchedule(-1.0, 0.5, -1.0)), 1.0,
+                             total_steps=steps)
+
+    def test_the_count_has_one_owner(self):
+        owners = [owners for pattern, owners in _owned_messages().items()
+                  if _text(pattern).startswith("total_steps must be")]
+        assert owners == [{"propagation._step_count"}] * 2
+
+    def test_numpy_integers_count(self):
+        want = integrate(self.RECORD, 1.0, total_steps=7)
+        got = integrate(self.RECORD, 1.0, total_steps=np.int64(7))
+        assert got.propagators.tobytes() == want.propagators.tobytes()

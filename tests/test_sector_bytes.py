@@ -4,17 +4,23 @@ The reference below is `sequences._integrate_loop` as it was written
 before the two spin-b sectors of a conditional loop ran as one stacked
 integrator run: one `integrate` call per sector, each on its own
 `FieldSchedule`. It is copied here so that any rewrite must reproduce its
-bytes: times, states and propagators compared by `tobytes()`.
+bytes: times, states and propagators compared by `tobytes()`. A
+conditional loop cannot give exact zeros (its compensated verticals are
+both nonzero), so `integrate_fields` is also run directly on records whose
+zeros are exact, against `integrate` of each record alone.
 """
 
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
-from conegate import sequences
+from conegate import propagation, sequences
 from conegate.hamiltonians import FieldSchedule
-from conegate.propagation import integrate
+from conegate.propagation import integrate, integrate_fields
 from conegate.sequences import ConditionalLoop, FieldLoop
 
 STEPS = (1, 7, 4095, 4096, 4097, 12287, 12289, 24581)
@@ -104,3 +110,111 @@ def test_conditional_loop_is_the_reference(seed):
         assert duration == want_duration
         assert got[0].times.size == min(samples, steps + 1)
         assert_same_runs(got, want, (steps, samples))
+
+
+# ---------------------------------------------------------------------------
+# the stacked function on records, where exact zeros reach every sign
+
+
+def alone(fields, t_end, steps, samples, psi0=None):
+    return [integrate(f, t_end, total_steps=steps, psi0=psi0, samples=samples) for f in fields]
+
+
+def zero_pairs(rng, sign, t_end):
+    """Pairs of records that share their phase: vertical +0.0 and -0.0
+    under a field, and zero fields (omega1 = 0) with a vertical of +-0.0 or
+    drawn, their speed and phase0 signed zeros or drawn."""
+    gamma = rng.uniform(0.2, 3.0) * (1, -1)[int(rng.integers(2))]
+    phase0 = (0.0, -0.0, rng.uniform(-4, 4))[int(rng.integers(3))]
+    zeros = (0.0, -0.0)[int(rng.integers(2))]
+    return [
+        (FieldSchedule(0.0, 1.3, gamma, phase0, sign, t_end),
+         FieldSchedule(-0.0, 1.3, gamma, phase0, sign, t_end)),
+        (FieldSchedule(-0.0, 0.0, gamma, phase0, sign, t_end),
+         FieldSchedule(rng.uniform(-2, 2), 0.0, gamma, phase0, sign, t_end)),
+        (FieldSchedule(0.0, 0.0, zeros, -zeros, sign, t_end),
+         FieldSchedule(-0.0, 0.0, zeros, -zeros, sign, t_end)),
+    ]
+
+
+@pytest.mark.parametrize("steps", STEPS)
+def test_records_with_exact_zeros_stack_as_they_run_alone(steps):
+    rng = np.random.default_rng(1900 + steps)
+    for k, samples in enumerate((2, 3, 257, steps + 1)):
+        sign, t_end = (1, -1)[k % 2], rng.uniform(0.5, 20.0)
+        for fields in zero_pairs(rng, sign, t_end):
+            got = integrate_fields(fields, t_end, total_steps=steps, samples=samples)
+            assert_same_runs(got, alone(fields, t_end, steps, samples), (steps, samples, fields))
+            if fields[0].omega1 == 0.0 and fields[0].vertical == 0.0:  # no field at all
+                assert np.array_equal(got[0].propagators,
+                                      np.broadcast_to(np.eye(2), got[0].propagators.shape))
+
+
+def test_records_that_do_not_share_their_phase_run_alone():
+    rng = np.random.default_rng(1950)
+    psi = rng.normal(size=2) + 1j * rng.normal(size=2)
+    psi0 = psi / np.linalg.norm(psi)
+    t_end = 7.3
+    shared = [FieldSchedule(rng.uniform(-2, 2), 0.9, -1.1, 0.4, -1, t_end) for _ in range(3)]
+    apart = [FieldSchedule(0.3, 0.9, -1.1, 0.4), FieldSchedule(0.3, 0.9, -1.2, 0.4),
+             FieldSchedule(0.3, 0.9, -1.1, -0.0), FieldSchedule(0.3, 0.9, -1.1, 0.0)]
+    for fields in (shared, apart, shared[:1]):
+        for steps, samples in ((4097, 3), (12289, 257)):
+            got = integrate_fields(fields, t_end, total_steps=steps, psi0=psi0, samples=samples)
+            want = alone(fields, t_end, steps, samples, psi0)
+            assert_same_runs(got, want, (len(fields), steps))
+    assert integrate_fields((), t_end, total_steps=10) == []
+
+
+def test_three_records_stack_in_a_workspace_of_their_own():
+    fields = [FieldSchedule(v, 1.1, 0.7, 0.2) for v in (0.3, -0.4, 1.5)]
+    propagation._POOL.clear()
+    got = integrate_fields(fields, 5.0, total_steps=9000, samples=5)
+    assert propagation._POOL == []  # sized for three records, it is not kept
+    assert_same_runs(got, alone(fields, 5.0, 9000, 5), "three")
+    assert len(propagation._POOL) == 1
+
+
+class TestWorkspace:
+    """The workspace's allocation outlives the call, one per call in
+    flight, at most 2 MB."""
+
+    def test_one_allocation_is_kept_and_reused(self):
+        record = FieldSchedule(0.4, 1.2, 0.9)
+        integrate(record, 3.0, total_steps=100)
+        kept = list(propagation._POOL)
+        assert len(kept) >= 1 and all(b.nbytes <= 2_000_000 for b in kept)
+        integrate_fields((record, FieldSchedule(-0.4, 1.2, 0.9)), 3.0, total_steps=5000)
+        assert len(propagation._POOL) == len(kept)
+        assert all(any(a is b for b in kept) for a in propagation._POOL)
+
+    def test_a_schedule_that_integrates_gets_a_workspace_of_its_own(self):
+        record = FieldSchedule(0.4, 1.2, 0.9)
+        inner = []
+
+        def schedule(t):
+            inner.append(integrate(record, 1.0, total_steps=50, samples=2).propagators[-1])
+            return record(t)
+
+        propagation._POOL.clear()
+        got = integrate(schedule, 2.0, total_steps=5000, samples=9)
+        want = integrate(record.__call__, 2.0, total_steps=5000, samples=9)
+        assert got.propagators.tobytes() == want.propagators.tobytes()
+        assert all(u.tobytes() == inner[0].tobytes() for u in inner)
+        assert len(propagation._POOL) == 2
+
+    def test_nothing_is_allocated_at_import(self):
+        code = "import conegate, conegate.propagation as p; print(len(p._POOL))"
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             check=True, env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)})
+        assert out.stdout == "0\n"
+
+    def test_plans_tell_buffers_of_one_shape_apart(self):
+        kernel = propagation._SU2(1)
+        pairs = kernel._block(8).pairs
+        rows = kernel.rows(16, 1)[0].reshape(16, 2)[:8]
+        assert pairs.shape == rows.shape
+        for view in (pairs, rows):
+            (later, *_, a, b, _aa, _bb, _ba, _ab, _conj), _move = kernel.plan(view, 1)[0]
+            assert np.shares_memory(a, view) and np.shares_memory(later, view)
+        kernel.release()
