@@ -371,8 +371,16 @@ class _SU2:
         m = PASS_BLOCKS * BLOCK_STEPS
         self._pooled = records <= POOL_RECORDS
         size = (9 * max(records, POOL_RECORDS) + 2) * m
-        kept = _POOL.pop() if self._pooled and _POOL else None
-        self._buffer = kept if kept is not None and len(kept) == size else np.empty(size)
+        try:  # pop and see, as another thread may take the last one after a look
+            kept = _POOL.pop() if self._pooled else None
+        except IndexError:
+            kept = None
+        if kept is None or len(kept) != size:
+            # from a 64-byte boundary: a vector load of a row then never
+            # straddles two cache lines, whatever address malloc returned
+            raw = np.empty(size + 7)
+            kept = raw[-raw.ctypes.data % 64 // 8 :][:size]
+        self._buffer = kept
         w = records * m  # the real rows' width: a flat sweep over every record's pairs
         self._pairs = self._buffer[: 4 * w].view(complex).reshape(w, 2)
         self._neg_x = self._buffer[4 * w : 4 * w + 2 * m].reshape(2, m)
@@ -725,11 +733,6 @@ def _step_count(t_end: float, total_steps) -> int:
     return int(total_steps)
 
 
-def _phase_schedule(f: FieldSchedule) -> tuple:
-    """What fixes a record's field phase at every step, bit for bit."""
-    return tuple(float(x).hex() for x in (f.omega1, f.gamma, f.phase0, f.sign, f.t_end))
-
-
 def integrate(
     schedule: Callable[[np.ndarray], np.ndarray],
     t_end: float,
@@ -757,14 +760,8 @@ def integrate(
     return _integrate((schedule,), t_end, total_steps, psi0, samples)[0]
 
 
-def integrate_fields(
-    fields,
-    t_end: float,
-    *,
-    total_steps: int,
-    psi0: np.ndarray | None = None,
-    samples: int = 257,
-) -> list:
+def integrate_fields(fields, t_end: float, *, total_steps: int,
+                     psi0: np.ndarray | None = None, samples: int = 257) -> list:
     """integrate of each FieldSchedule in fields, with the same bytes, as a
     list of Trajectories.
 
@@ -774,7 +771,10 @@ def integrate_fields(
     run: one phase per step, one pass loop and one reduction per pass for
     all of them. Records that do not share it run one after another."""
     fields = tuple(fields)
-    if len({_phase_schedule(f) for f in fields}) == 1:
+    # what fixes each record's phase, bit for bit
+    phases = {tuple(map(float.hex, map(float, (f.omega1, f.gamma, f.phase0, f.sign, f.t_end))))
+              for f in fields}
+    if len(phases) == 1:
         return _integrate(fields, t_end, total_steps, psi0, samples)
     return [_integrate((f,), t_end, total_steps, psi0, samples)[0] for f in fields]
 

@@ -14,6 +14,7 @@ import math
 import os
 import subprocess
 import sys
+import threading
 
 import numpy as np
 import pytest
@@ -202,6 +203,32 @@ class TestWorkspace:
         assert got.propagators.tobytes() == want.propagators.tobytes()
         assert all(u.tobytes() == inner[0].tobytes() for u in inner)
         assert len(propagation._POOL) == 2
+
+    def test_threads_never_share_a_workspace(self):
+        records = [(FieldSchedule(0.3 * k, 1.1, 0.7), FieldSchedule(-0.2 * k, 1.1, 0.7))
+                   for k in range(4)]
+        want = [integrate_fields(pair, 4.0, total_steps=5000, samples=9) for pair in records]
+        bad, done = [], []
+
+        def work(k):
+            for _ in range(6):
+                got = integrate_fields(records[k], 4.0, total_steps=5000, samples=9)
+                bad.extend(k for a, b in zip(got, want[k])
+                           if a.propagators.tobytes() != b.propagators.tobytes())
+                done.append(k)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(k,)) for k in range(4)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert bad == [] and len(done) == 24
 
     def test_nothing_is_allocated_at_import(self):
         code = "import conegate, conegate.propagation as p; print(len(p._POOL))"
