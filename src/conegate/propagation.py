@@ -865,12 +865,9 @@ def _integrate(schedules: tuple, t_end: float, total_steps, psi0, samples: int) 
              * phase[:, None, None])
     times = bounds * dt
     times[-1] = t_end
-    runs = []
-    for s, schedule in enumerate(schedules):
-        states = np.einsum("kij,j->ki", props[s], psi0)
-        runs.append(Trajectory._of_run(times if s == 0 else times.copy(), states, props[s],
-                                       schedule))
-    return runs
+    return [Trajectory._of_run(times if s == 0 else times.copy(),
+                               np.einsum("kij,j->ki", u, psi0), u, schedule)
+            for s, (schedule, u) in enumerate(zip(schedules, props))]
 
 
 def _by_run(stack: np.ndarray, k: int) -> np.ndarray:

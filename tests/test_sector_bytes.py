@@ -185,6 +185,7 @@ class TestWorkspace:
         integrate(record, 3.0, total_steps=100)
         kept = list(propagation._POOL)
         assert len(kept) >= 1 and all(b.nbytes <= 2_000_000 for b in kept)
+        assert all(b.ctypes.data % 64 == 0 for b in kept)  # on a cache-line boundary
         integrate_fields((record, FieldSchedule(-0.4, 1.2, 0.9)), 3.0, total_steps=5000)
         assert len(propagation._POOL) == len(kept)
         assert all(any(a is b for b in kept) for a in propagation._POOL)
