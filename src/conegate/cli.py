@@ -37,7 +37,7 @@ from .gates import (
 from .hamiltonians import FieldParams
 from .linalg import bloch_vector
 from .phases import cone_eigenstate, running_dynamical_phase, two_qubit_loop_params
-from .propagation import MAX_STEPS, _check_step_budget, loop_infidelities
+from .propagation import MAX_STEPS, _check_step_budget, _count_text, loop_infidelities
 from .sequences import (
     SINGLE_QUBIT,
     FieldLoop,
@@ -92,8 +92,7 @@ def _parse_range(text: str, flag: str) -> np.ndarray:
 def _check_points(count: float, what: str) -> None:
     """Refuse a sweep or a trajectory before its arrays are allocated."""
     if count > MAX_SWEEP_POINTS:
-        shown = count if isinstance(count, int) else f"{count:.0f}"  # an int may pass 1e308
-        raise ValueError(f"{what} asks for {shown} points, "
+        raise ValueError(f"{what} asks for {_count_text(count)} points, "
                           f"more than the {MAX_SWEEP_POINTS} a sweep or trajectory may hold")
 
 
@@ -445,7 +444,8 @@ OPTIONS = (
            "tilt angle for the phase gate"),
     Option("loops", ("gate",), _int_option, 1,  # a loop takes at least one step
            lambda n: None if 1 <= n <= MAX_STEPS else
-           f"--loops must be a positive integer of at most {MAX_STEPS:,}, got {n!r}",
+           f"--loops must be a positive integer of at most {MAX_STEPS:,}, "
+           f"got {_count_text(n)}",
            "loop count for the phase gate"),
     Option("delta_over_j", ("gate",), _float_option, 1.058, _delta_over_j_problem,
            "offset/coupling ratio for cphase"),

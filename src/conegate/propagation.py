@@ -64,10 +64,10 @@ directly from the field's time and phase, any other schedule is called
 and its 2x2 samples are read back. Either way one workspace per call
 holds the pass's components, its pairs and every temporary of the
 reductions, and numpy writes into it with out= in the operation order
-of fresh arrays, so the bits do not depend on the path. The workspace's
-memory outlives the call: it is one allocation, sized for two records,
-that calls take from a free list and put back. Larger dimensions use an
-eigh exponential and matrix products on fresh arrays.
+of fresh arrays, so the bits do not depend on the path. The workspace
+is one allocation, sized from the records the call stacks, and is freed
+when the call returns. Larger dimensions use an eigh exponential and
+matrix products on fresh arrays.
 
 Field records that differ only in their vertical field share the field's
 phase at every step. integrate_fields runs such records as one stacked
@@ -125,9 +125,9 @@ class Trajectory:
 
     @classmethod
     def _of_run(cls, times, states, propagators, hamiltonian_at) -> "Trajectory":
-        """The trajectory of an integrator run, whose states are its
-        propagators applied to the initial state: the replay of
-        __post_init__ could only differ in the sign of a zero, so it is
+        """The trajectory of a run whose states are its propagators applied
+        to the initial state, as an integrator run or a simulated sequence
+        builds them: the replay of __post_init__ cannot fail there, so it is
         skipped, and the time and norm checks are kept."""
         self = object.__new__(cls)
         times, states = _checked_samples(times, states)
@@ -336,8 +336,6 @@ BLOCK_STEPS = 4096  # steps whose product one pairwise tree associates
 PASS_BLOCKS = 3  # whole blocks whose steps one pass samples, exponentiates and reduces
 MAX_STEPS = 50_000_000  # steps one integrate call may take, checked before allocation
 TRIG_TABLE = 64  # distinct step norms whose cos and sin a pass evaluates once each
-POOL_RECORDS = 2  # records a kept workspace stacks: the two spin-b sectors of a conditional loop
-_POOL: list = []  # allocations of _SU2 workspaces between calls
 
 
 class _SU2:
@@ -357,30 +355,20 @@ class _SU2:
     the real rows, which hold nothing once exp has returned the pass's
     pairs; they are as wide as every record's pairs, so that one flat
     sweep reduces them all. These buffers are views of one allocation of
-    (9 POOL_RECORDS + 2) PASS_BLOCKS BLOCK_STEPS floats (1.97 MB), which
-    outlives the call: it is taken from _POOL and put back by release(),
-    so a call touches memory that earlier calls have faulted in, and a
-    schedule that calls integrate itself gets another. A call that stacks
-    more than POOL_RECORDS records allocates its own. No complex product
-    writes over one of its own operands: numpy runs a strided in-place
-    product through another, unfused loop, which rounds apart."""
+    (9 records + 2) PASS_BLOCKS BLOCK_STEPS floats (1.08 MB for one
+    record, 1.97 MB for two), made per call and freed with it. No complex
+    product writes over one of its own operands: numpy runs a strided
+    in-place product through another, unfused loop, which rounds apart."""
 
     identity = np.array([1.0, 0.0], dtype=complex)
 
     def __init__(self, records: int) -> None:
         m = PASS_BLOCKS * BLOCK_STEPS
-        self._pooled = records <= POOL_RECORDS
-        size = (9 * max(records, POOL_RECORDS) + 2) * m
-        try:  # pop and see, as another thread may take the last one after a look
-            kept = _POOL.pop() if self._pooled else None
-        except IndexError:
-            kept = None
-        if kept is None or len(kept) != size:
-            # from a 64-byte boundary: a vector load of a row then never
-            # straddles two cache lines, whatever address malloc returned
-            raw = np.empty(size + 7)
-            kept = raw[-raw.ctypes.data % 64 // 8 :][:size]
-        self._buffer = kept
+        size = (9 * records + 2) * m
+        # from a 64-byte boundary: a vector load of a row then never
+        # straddles two cache lines, whatever address malloc returned
+        raw = np.empty(size + 7)
+        self._buffer = raw[-raw.ctypes.data % 64 // 8 :][:size]
         w = records * m  # the real rows' width: a flat sweep over every record's pairs
         self._pairs = self._buffer[: 4 * w].view(complex).reshape(w, 2)
         self._neg_x = self._buffer[4 * w : 4 * w + 2 * m].reshape(2, m)
@@ -394,11 +382,6 @@ class _SU2:
         self._blocks: dict = {}  # steps in a pass -> views of the buffers
         self._plans: dict = {}  # (allocation, shape, rows left) -> reduction plan
         self.records = records
-
-    def release(self) -> None:
-        """Put the workspace's allocation back for the next call."""
-        if self._pooled:
-            _POOL.append(self._buffer)
 
     def _block(self, m: int) -> SimpleNamespace:
         v = self._blocks.get(m)
@@ -587,9 +570,6 @@ class _Dense:
     def spare(self, n: int) -> np.ndarray:
         return np.empty((n,) + self.identity.shape, dtype=complex)
 
-    def release(self) -> None:
-        pass
-
     @staticmethod
     def normalize(u: np.ndarray) -> np.ndarray:
         return u
@@ -678,17 +658,28 @@ def _check_field(f: FieldSchedule, t_end: float) -> None:
     _check_sampled(all(map(math.isfinite, (f.vertical, f.omega1, f.gamma, f.phase0) + phases)))
 
 
+def _count_text(count) -> str:
+    """A count as a refusal shows it: in full up to 10**12 in magnitude and
+    beyond that as %.3g shows it, taken from integers, so that a count past
+    the float range shows too. A float count is shown as its integer part,
+    and an infinite one as inf."""
+    if isinstance(count, float):
+        if math.isinf(count):
+            return f"{count:g}"
+        count = int(count)
+    size = abs(count)
+    shown = str(size)
+    if size > 10**12:
+        lead = round(size / 10 ** (len(shown) - 3))  # 3 digits, or 1000 rounded up
+        up = lead == 1000
+        shown = f"{lead / 10 ** (2 + up):g}e+{len(shown) - 1 + up}"
+    return "-" * (count < 0) + shown
+
+
 def _check_step_budget(n_steps: int) -> None:
-    """Refuse more than MAX_STEPS steps before anything is allocated. The
-    count is shown in full up to 10**12 and beyond that as %.3g shows it,
-    taken from integers, so that a count past the float range shows too."""
+    """Refuse more than MAX_STEPS steps before anything is allocated."""
     if n_steps > MAX_STEPS:
-        shown = str(n_steps)
-        if n_steps > 10**12:
-            lead = round(n_steps / 10 ** (len(shown) - 3))  # 3 digits, or 1000 rounded up
-            up = lead == 1000
-            shown = f"{lead / 10 ** (2 + up):g}e+{len(shown) - 1 + up}"
-        raise ValueError(f"step budget exceeded: {shown} steps requested, "
+        raise ValueError(f"step budget exceeded: {_count_text(n_steps)} steps requested, "
                          f"at most {MAX_STEPS:,} allowed")
 
 
@@ -815,50 +806,46 @@ def _integrate(schedules: tuple, t_end: float, total_steps, psi0, samples: int) 
     by_bound = _by_run(recorded, k)
     recorded_phase = np.zeros(bounds.size)  # stays 0 where no phase is kept apart
     carry, carry_phase, done = kernel.identity, 0.0, 1
-    try:
-        for start, stop in passes:
-            c = None
-            if field:
-                elems = kernel.exp(kernel.field(schedules, start, stop, dt), stop - start, dt)
+    for start, stop in passes:
+        c = None
+        if field:
+            elems = kernel.exp(kernel.field(schedules, start, stop, dt), stop - start, dt)
+        else:
+            if start:
+                h = np.asarray(schedules[0]((np.arange(start, stop) + 0.5) * dt), dtype=complex)
+                h = _check_samples(h, stop - start, d)
+            if d == 2:
+                c = 0.5 * (h[:, 0, 0].real + h[:, 1, 1].real)
+                elems = kernel.exp(kernel.samples(h, c), stop - start, dt)
             else:
-                if start:
-                    h = np.asarray(schedules[0]((np.arange(start, stop) + 0.5) * dt),
-                                   dtype=complex)
-                    h = _check_samples(h, stop - start, d)
-                if d == 2:
-                    c = 0.5 * (h[:, 0, 0].real + h[:, 1, 1].real)
-                    elems = kernel.exp(kernel.samples(h, c), stop - start, dt)
-                else:
-                    elems = kernel.exp_samples(h, dt)
-            # the pass's runs: their starts, and block b's runs are segs[runs[b] : runs[b + 1]]
-            if stop - start > BLOCK_STEPS:  # whole blocks with no end inside: a run each
-                starts = np.arange(0, stop - start, BLOCK_STEPS)
-                runs = range(starts.size + 1)
-            else:  # one block, cut at the ends inside it
-                inside = ends[np.searchsorted(ends, start, "right") : np.searchsorted(ends, stop)]
-                starts = np.concatenate(([0], inside - start))
-                runs = (0, starts.size)
-            # record s's runs start at s m + starts in the stacked elements
-            stacked = starts if k == 1 else np.add.outer(np.arange(k) * (stop - start), starts)
-            segs = _by_run(_segment_products(kernel, elems, stacked.ravel()), k)
-            edges = [*range(start, stop, BLOCK_STEPS), stop]
-            # the samples recorded once each block is composed
-            dones = (1 + np.searchsorted(ends, edges[1:], "right")).tolist()
-            for b, upto in enumerate(dones):
-                prefix = _prefix_products(kernel, segs[runs[b] : runs[b + 1]])
-                total = kernel.compose(prefix, carry, out=prefix)
-                by_bound[done:upto] = total[: upto - done]
-                if c is not None:
-                    offset = edges[b] - start
-                    seg_phase = np.add.reduceat(c[offset : edges[b + 1] - start],
-                                                starts[runs[b] : runs[b + 1]] - offset)
-                    total_phase = carry_phase + dt * np.cumsum(seg_phase)
-                    recorded_phase[done:upto] = total_phase[: upto - done]
-                    carry_phase = total_phase[-1]
-                carry = kernel.normalize(total[-1])
-                done = upto
-    finally:
-        kernel.release()
+                elems = kernel.exp_samples(h, dt)
+        # the pass's runs: their starts, and block b's runs are segs[runs[b] : runs[b + 1]]
+        if stop - start > BLOCK_STEPS:  # whole blocks with no end inside: a run each
+            starts = np.arange(0, stop - start, BLOCK_STEPS)
+            runs = range(starts.size + 1)
+        else:  # one block, cut at the ends inside it
+            inside = ends[np.searchsorted(ends, start, "right") : np.searchsorted(ends, stop)]
+            starts = np.concatenate(([0], inside - start))
+            runs = (0, starts.size)
+        # record s's runs start at s m + starts in the stacked elements
+        stacked = starts if k == 1 else np.add.outer(np.arange(k) * (stop - start), starts)
+        segs = _by_run(_segment_products(kernel, elems, stacked.ravel()), k)
+        edges = [*range(start, stop, BLOCK_STEPS), stop]
+        # the samples recorded once each block is composed
+        dones = (1 + np.searchsorted(ends, edges[1:], "right")).tolist()
+        for b, upto in enumerate(dones):
+            prefix = _prefix_products(kernel, segs[runs[b] : runs[b + 1]])
+            total = kernel.compose(prefix, carry, out=prefix)
+            by_bound[done:upto] = total[: upto - done]
+            if c is not None:
+                offset = edges[b] - start
+                seg_phase = np.add.reduceat(c[offset : edges[b + 1] - start],
+                                            starts[runs[b] : runs[b + 1]] - offset)
+                total_phase = carry_phase + dt * np.cumsum(seg_phase)
+                recorded_phase[done:upto] = total_phase[: upto - done]
+                carry_phase = total_phase[-1]
+            carry = kernel.normalize(total[-1])
+            done = upto
 
     phase = np.exp(-1j * recorded_phase)
     props = (kernel.matrix(recorded.reshape((k, bounds.size) + kernel.identity.shape))

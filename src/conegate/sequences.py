@@ -525,7 +525,7 @@ def sequence_trajectory(
         return out
 
     props = np.concatenate(props)
-    return Trajectory(np.concatenate(times), props @ psi, props, hamiltonian_at)
+    return Trajectory._of_run(np.concatenate(times), props @ psi, props, hamiltonian_at)
 
 
 def trajectory_rows(seq: PulseSequence, steps_per_loop: int) -> int:

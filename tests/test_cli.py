@@ -1051,6 +1051,30 @@ class TestStepBudget:
         assert out == ""
         assert err.startswith(f"error: {flag}")
 
+    @pytest.mark.parametrize(
+        "argv, flag, shown",
+        [
+            (["gate", "phase", "--loops", str(10**400)], "--loops", "got 1e+400"),
+            (["gate", "phase", "--loops", str(-(10**400))], "--loops", "got -1e+400"),
+            (["evolve", "--schedule", "{loop}", "--steps", "10000"], "--schedule",
+             "for 2.57e+202 points"),
+            (["scurve", "--delta-over-j", "1.0", "--omega1-range", "0:1e300:1e-3"],
+             "--omega1-range", "for 1e+303 points"),
+            (["compare-adiabatic", "--gamma-range", "1:1e308:1e-300"], "--gamma-range",
+             "for inf points"),
+        ],
+    )
+    def test_long_counts_print_a_short_line(self, argv, flag, shown, tmp_path, capsys):
+        doc = loop_schedule_doc()
+        doc["steps"][0]["revolutions"] = 1e200
+        (tmp_path / "loop.json").write_text(json.dumps(doc))
+        argv = [a.format(loop=tmp_path / "loop.json") for a in argv]
+        code, out, err = run_cli(argv, capsys)
+        assert code == 2
+        assert out == ""
+        assert err.startswith(f"error: {flag}") and shown in err
+        assert len(err) < 120 and err.count("\n") == 1
+
 
 class TestParserReuse:
     """main builds its parser once; nothing of one call leaks into the next."""
