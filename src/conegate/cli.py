@@ -36,7 +36,7 @@ from .gates import (
 )
 from .hamiltonians import FieldParams
 from .linalg import bloch_vector
-from .phases import cone_eigenstate, running_dynamical_phase, two_qubit_loop_params
+from .phases import cone_eigenstate, running_dynamical_phase
 from .propagation import MAX_STEPS, _check_step_budget, _count_text, loop_infidelities
 from .sequences import (
     SINGLE_QUBIT,
@@ -97,13 +97,18 @@ def _check_points(count: float, what: str) -> None:
 
 
 def _int_option(value, flag: str) -> int:
-    """value as an integer; a non-integral number or a bool is refused."""
-    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
-        raise ValueError(f"{flag} must be an integer, got {value!r}")
-    try:
-        return int(value)
-    except (TypeError, ValueError) as exc:
-        raise ValueError(f"{flag} must be an integer, got {value!r}") from exc
+    """value as an integer; a non-integral number or a bool is refused. A
+    refused text too long to echo (int() reads at most 4,300 digits) is
+    shown as its length and first characters."""
+    if not (isinstance(value, bool) or (isinstance(value, float) and not value.is_integer())):
+        try:
+            return int(value)
+        except (TypeError, ValueError):
+            pass
+    shown = repr(value)
+    if len(shown) > 40:
+        shown = f"a text of {len(str(value)):,} characters, {shown[:16]}..."
+    raise ValueError(f"{flag} must be an integer, got {shown}")
 
 
 def _float_option(value, flag: str) -> float:
@@ -307,7 +312,10 @@ def cmd_gate(config: RunConfig, v: dict) -> int:
             return 0
         recipe = phase_gate_recipe(theta, loops)
     elif name == "cphase":
-        recipe = conditional_recipe(v["delta_over_j"])
+        try:  # the one solve of the loop setting
+            recipe = conditional_recipe(v["delta_over_j"])
+        except ValueError as exc:
+            raise ValueError(f"--delta-over-j: {exc}") from exc
     else:
         recipe = {"hadamard": hadamard_recipe, "not": not_recipe, "cnot": cnot_recipe}[name]()
 
@@ -391,13 +399,10 @@ def _steps_problem(steps: int) -> str | None:
 
 def _delta_over_j_problem(ratio: float) -> str | None:
     """What keeps cphase's conditional loop (delta = ratio, j = 1) from
-    having a finite setting, or None."""
+    existing, or None. Whether its setting is finite shows where cmd_gate
+    solves it, once per command."""
     if not ratio > 1.0:
         return f"--delta-over-j must exceed 1 (delta > j), got {ratio!r}"
-    try:
-        two_qubit_loop_params(ratio, 1.0)
-    except ValueError as exc:
-        return f"--delta-over-j: {exc}"
     return None
 
 

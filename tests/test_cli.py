@@ -1062,6 +1062,9 @@ class TestStepBudget:
              "--omega1-range", "for 1e+303 points"),
             (["compare-adiabatic", "--gamma-range", "1:1e308:1e-300"], "--gamma-range",
              "for inf points"),
+            # past the 4,300 digits int() reads from a text
+            (["gate", "phase", "--steps", "1" * 5000], "--steps",
+             "got a text of 5,000 characters, '111111111111111..."),
         ],
     )
     def test_long_counts_print_a_short_line(self, argv, flag, shown, tmp_path, capsys):

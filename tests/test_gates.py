@@ -1,3 +1,5 @@
+import sys
+
 import numpy as np
 import pytest
 
@@ -323,3 +325,21 @@ class TestSettingSolvedOnce:
         setting = phases.two_qubit_loop_params(*calls[0])
         assert recipe.parameters["omega1"] == setting.omega1
         assert recipe.parameters["gamma"] == setting.gamma
+
+    def test_one_solve_per_cphase_command(self, monkeypatch, capsys):
+        from conegate import cli, phases
+
+        calls = []
+        solve = phases.two_qubit_loop_params
+
+        def counting(*args):
+            calls.append(args)
+            return solve(*args)
+
+        # every module of the package that holds the name, so that no solve escapes
+        for module in [m for name, m in sys.modules.items() if name.startswith("conegate")]:
+            if getattr(module, "two_qubit_loop_params", None) is solve:
+                monkeypatch.setattr(module, "two_qubit_loop_params", counting)
+        assert cli.main(["gate", "cphase", "--delta-over-j", "1.8", "--steps", "200"]) == 0
+        assert "cphase" in capsys.readouterr().out
+        assert calls == [(1.8, 1.0)]
