@@ -38,7 +38,7 @@ sampled at step midpoints (second-order Magnus). Every step is exactly
 unitary; accuracy is controlled solely by the step count, and the global
 defect shrinks quadratically under step halving.
 
-Two sizes shape a run. The association block of BLOCK_STEPS fixes the
+Three sizes shape a run. The association block of BLOCK_STEPS fixes the
 order of every product: its steps are multiplied pairwise within every
 recorded interval (vectorised across the intervals), and the interval
 products are composed in order with the running product, so memory is
@@ -51,33 +51,44 @@ a padded buffer, and gathers over several blocks measured slower than
 one block at a time. A multi-block pass has one run per block, and since
 BLOCK_STEPS is a power of two, one flat pairwise sweep over the pass
 that stops at one product per block pairs, level by level, the same
-steps as each block's own tree. The prefix products, the composition
-with the running product, the phase sums and the projection below
-still go block by block, in the same order, so a pass changes no bit;
-it only spends fewer numpy calls per step. 2x2 steps stay in
-Cayley-Klein form (a, b) with their trace phase summed apart, and the
-running product is projected back onto SU(2) after every block, so
-rounding does not drift the norm. They are built from the components
-(z, x) of the traceless part of the Hamiltonian: a FieldSchedule (a
-rotating-field run, as the loops of sequences give it) yields them
-directly from the field's time and phase, any other schedule is called
-and its 2x2 samples are read back. Either way one workspace per call
-holds the pass's components, its pairs and every temporary of the
-reductions, and numpy writes into it with out= in the operation order
-of fresh arrays, so the bits do not depend on the path. The workspace
-is one allocation, sized from the records the call stacks, and is freed
-when the call returns. Larger dimensions use an eigh exponential and
-matrix products on fresh arrays.
+steps as each block's own tree. The window is how many blocks' interval
+products are carried at once: blocks in a row, sized from the recorded
+bounds before it fills, whose intervals, each block's padded at its end
+with the identity to the most that any of them holds, number at most
+PASS_BLOCKS BLOCK_STEPS. A full window's (intervals, blocks) stack takes
+its prefix products in one doubling, and then one carry loop, in block
+order, composes each block's prefixes with the running product, takes
+the phase sums, records the samples that end in the block and projects
+the running product back. Padding at the end of a block's column never
+enters a kept prefix, and every product keeps its operands and their
+order, so neither a pass nor a window changes a bit; they only spend
+fewer numpy calls per step, and a window's memory stays of the order of
+a pass's whatever the samples.
+
+2x2 steps stay in Cayley-Klein form (a, b) with their trace phase summed
+apart, and the running product is projected back onto SU(2) after every
+block, so rounding does not drift the norm. They are built from the
+components (z, x) of the traceless part of the Hamiltonian: a
+FieldSchedule (a rotating-field run, as the loops of sequences give it)
+yields them directly from the field's time and phase, any other schedule
+is called and its 2x2 samples are read back. Either way one workspace
+per call holds the pass's components, its pairs and every temporary of
+the reductions, and numpy writes into it with out= in the operation
+order of fresh arrays, so the bits do not depend on the path. The
+workspace is one allocation, sized from the records the call stacks, and
+is freed when the call returns. Larger dimensions use an eigh
+exponential and matrix products on fresh arrays.
 
 Field records that differ only in their vertical field share the field's
 phase at every step. integrate_fields runs such records as one stacked
 run: the two spin-b sectors of a conditional loop, the 2x2 blocks of its
 block-diagonal 4x4 propagator. The phase, its cos and sin, the passes and
 the reduction plans are made once. Each record's pairs go to one stacked
-buffer, all records' runs reduce in one call, and the prefix products, the
-composition with the running products and the projection each run once on
-(runs, records, 2) stacks. Each record keeps the bytes of a run of its own:
-the stack changes which numpy calls carry an operation, never the
+buffer, all records' runs reduce in one call, the window's prefix
+products double once over its (runs, blocks, records, 2) stack, and the
+composition with the running products and the projection each run once
+on (runs, records, 2) stacks. Each record keeps the bytes of a run of its
+own: the stack changes which numpy calls carry an operation, never the
 operation. numpy's complex product is a fused multiply-add, except that it
 rounds unfused where one-element operands of different ranks broadcast, so
 a record run alone keeps its rank-one shapes (_by_run).
@@ -358,7 +369,11 @@ class _SU2:
     (9 records + 2) PASS_BLOCKS BLOCK_STEPS floats (1.08 MB for one
     record, 1.97 MB for two), made per call and freed with it. No complex
     product writes over one of its own operands: numpy runs a strided
-    in-place product through another, unfused loop, which rounds apart."""
+    in-place product through another, unfused loop, which rounds apart.
+    The -x rows that samples() writes stay contiguous: numpy 2.4.6's float64
+    np.negative writes wrong values when its input and its out are both
+    strided (np.negative(h[:, 0, 1].real, out=x[::2]) reads the input as
+    if it were contiguous)."""
 
     identity = np.array([1.0, 0.0], dtype=complex)
 
@@ -375,8 +390,6 @@ class _SU2:
         self._real = self._buffer[4 * w + 2 * m : 9 * w + 2 * m].reshape(5, w)
         self._temps = self._real.view(complex)
         self._rows = np.empty((0, 2), dtype=complex)
-        # the prefix products' buffer, shaped as _by_run shapes the runs
-        self._spare = np.empty((0, records, 2) if records > 1 else (0, 2), dtype=complex)
         self._index = np.empty(0, dtype=np.intp)
         self._pad = np.empty(0, dtype=bool)
         self._blocks: dict = {}  # steps in a pass -> views of the buffers
@@ -520,11 +533,6 @@ class _SU2:
         return (self._rows[:n].reshape(shape + (2,)), self._index[:n].reshape(shape),
                 self._pad[:n].reshape(shape))
 
-    def spare(self, n: int) -> np.ndarray:
-        if n > len(self._spare):
-            self._spare = np.empty((n,) + self._spare.shape[1:], dtype=complex)
-        return self._spare[:n]
-
     @staticmethod
     def normalize(ck: np.ndarray) -> np.ndarray:
         """Project back onto SU(2), dropping the norm drift of rounding."""
@@ -567,14 +575,14 @@ class _Dense:
         return (np.empty(shape + self.identity.shape, dtype=complex),
                 np.empty(shape, dtype=np.intp), np.empty(shape, dtype=bool))
 
-    def spare(self, n: int) -> np.ndarray:
-        return np.empty((n,) + self.identity.shape, dtype=complex)
-
     @staticmethod
     def normalize(u: np.ndarray) -> np.ndarray:
-        return u
+        """u itself as a fresh array: the window that holds it is reused."""
+        return u.copy()
 
-    matrix = normalize  # the elements already are the matrices
+    @staticmethod
+    def matrix(u: np.ndarray) -> np.ndarray:
+        return u  # the elements already are the matrices
 
 
 def _reduction_plan(kernel, rows: np.ndarray, stop: int) -> list:
@@ -624,15 +632,17 @@ def _segment_products(kernel, elems: np.ndarray, starts: np.ndarray) -> np.ndarr
 
 
 def _prefix_products(kernel, elems: np.ndarray) -> np.ndarray:
-    """Running products elems[k] @ ... @ elems[0] for every k, by doubling
-    between elems and the kernel's spare buffer; returns the one holding
-    them."""
-    spare = kernel.spare(len(elems))
+    """Running products elems[k] @ ... @ elems[0] along the first axis, for
+    every k, in place, by doubling: at each level every element from shift
+    on takes its product with the element shift before it. The level reads
+    all its operands before it writes: _SU2 composes into temporaries
+    first, and numpy copies a matmul's operands that overlap its output.
+    An element's products reach back to elems[0] and no further forward
+    than itself, so the identity padding behind a window's blocks never
+    enters a kept product."""
     shift = 1
     while shift < len(elems):
-        spare[:shift] = elems[:shift]
-        kernel.compose(elems[shift:], elems[:-shift], out=spare[shift:])
-        elems, spare = spare, elems
+        kernel.compose(elems[shift:], elems[:-shift], out=elems[shift:])
         shift *= 2
     return elems
 
@@ -709,6 +719,21 @@ def _passes(n_steps: int, ends: np.ndarray) -> list:
     return passes
 
 
+def _windows(runs: list) -> list:
+    """(first, stop, width) of each window over the blocks, runs the runs of
+    each block: blocks in a row whose runs, each block's padded to the
+    width of the most any of them holds, number at most PASS_BLOCKS
+    BLOCK_STEPS, so that a window's prefix products take memory of the
+    order of a pass's whatever the samples."""
+    windows, first, width = [], 0, 0
+    for b, n in enumerate(runs):
+        if (b + 1 - first) * max(width, n) > PASS_BLOCKS * BLOCK_STEPS:
+            windows.append((first, b, width))
+            first, width = b, 0
+        width = max(width, n)
+    return windows + [(first, len(runs), width)]
+
+
 def _step_count(t_end: float, total_steps) -> int:
     """The steps of a run over [0, t_end]: total_steps, an integer of at
     least 1, or none when t_end is 0."""
@@ -772,14 +797,30 @@ def integrate_fields(fields, t_end: float, *, total_steps: int,
 
 def _integrate(schedules: tuple, t_end: float, total_steps, psi0, samples: int) -> list:
     """The run of integrate: of one callable, or stacked over FieldSchedules
-    that share their phase schedule, one Trajectory each."""
+    that share their phase schedule, one Trajectory each.
+
+    The pass loop (_block_products) hands over each block's run products,
+    which go into the window's (runs, blocks, ...) stack, each block's
+    column padded at its end with the identity. Once a window is full,
+    _prefix_products doubles over its stack once, and the carry loop
+    composes each block's prefixes with the running product in block
+    order, records the samples that end inside the block, and projects the
+    running product back. Every product keeps its operands and their order
+    of the block-by-block carry, so the bytes do not depend on the window."""
     n_steps = _step_count(t_end, total_steps)
     dt = t_end / n_steps if n_steps else 0.0
     bounds = np.round(np.linspace(0, n_steps, _recorded_samples(samples, n_steps))).astype(int)
     bounds = bounds[np.diff(bounds, prepend=-1) > 0]  # ascending, so unique is a diff
     ends = bounds[1:]
+    lows = np.arange(0, n_steps, BLOCK_STEPS)
+    highs = np.minimum(lows + BLOCK_STEPS, n_steps)
+    # each block's runs: one, and one more at each recorded end inside it
+    runs = (1 + np.searchsorted(ends, highs) - np.searchsorted(ends, lows, "right")).tolist()
+    # the samples recorded once each block is composed
+    dones = (1 + np.searchsorted(ends, highs, "right")).tolist()
     passes = _passes(n_steps, ends)
     field = isinstance(schedules[0], FieldSchedule)
+    h = None
     if field:
         for f in schedules:
             _check_field(f, t_end)
@@ -800,48 +841,36 @@ def _integrate(schedules: tuple, t_end: float, total_steps, psi0, samples: int) 
 
     k = len(schedules)
     kernel = _SU2(k) if d == 2 else _Dense(d)  # whatever n_steps
+    traced = not field and d == 2  # a 2x2 callable's trace phase is summed apart
     # record s's propagators at the bounds are rows s n_bounds on
     recorded = np.empty((k * bounds.size,) + kernel.identity.shape, dtype=complex)
     recorded[:: bounds.size] = kernel.identity
     by_bound = _by_run(recorded, k)
     recorded_phase = np.zeros(bounds.size)  # stays 0 where no phase is kept apart
+    windows = _windows(runs)
+    # one window's products, shaped as _by_run shapes a block's runs
+    stack = np.empty((max(w * (stop - first) for first, stop, w in windows),)
+                     + (k,) * (k > 1) + kernel.identity.shape, dtype=complex)
+    blocks = _block_products(kernel, schedules, h, passes, ends, dt)
     carry, carry_phase, done = kernel.identity, 0.0, 1
-    for start, stop in passes:
-        c = None
-        if field:
-            elems = kernel.exp(kernel.field(schedules, start, stop, dt), stop - start, dt)
-        else:
-            if start:
-                h = np.asarray(schedules[0]((np.arange(start, stop) + 0.5) * dt), dtype=complex)
-                h = _check_samples(h, stop - start, d)
-            if d == 2:
-                c = 0.5 * (h[:, 0, 0].real + h[:, 1, 1].real)
-                elems = kernel.exp(kernel.samples(h, c), stop - start, dt)
-            else:
-                elems = kernel.exp_samples(h, dt)
-        # the pass's runs: their starts, and block b's runs are segs[runs[b] : runs[b + 1]]
-        if stop - start > BLOCK_STEPS:  # whole blocks with no end inside: a run each
-            starts = np.arange(0, stop - start, BLOCK_STEPS)
-            runs = range(starts.size + 1)
-        else:  # one block, cut at the ends inside it
-            inside = ends[np.searchsorted(ends, start, "right") : np.searchsorted(ends, stop)]
-            starts = np.concatenate(([0], inside - start))
-            runs = (0, starts.size)
-        # record s's runs start at s m + starts in the stacked elements
-        stacked = starts if k == 1 else np.add.outer(np.arange(k) * (stop - start), starts)
-        segs = _by_run(_segment_products(kernel, elems, stacked.ravel()), k)
-        edges = [*range(start, stop, BLOCK_STEPS), stop]
-        # the samples recorded once each block is composed
-        dones = (1 + np.searchsorted(ends, edges[1:], "right")).tolist()
-        for b, upto in enumerate(dones):
-            prefix = _prefix_products(kernel, segs[runs[b] : runs[b + 1]])
-            total = kernel.compose(prefix, carry, out=prefix)
+    for first, stop, width in windows:
+        prefix = stack[: width * (stop - first)].reshape((width, stop - first) + stack.shape[1:])
+        prefix[...] = kernel.identity
+        phases = np.zeros(prefix.shape[:2]) if traced else None
+        for b in range(stop - first):
+            products, phase = next(blocks)
+            prefix[: len(products), b] = products
+            if traced:
+                phases[: len(products), b] = phase
+        prefix = _prefix_products(kernel, prefix)
+        if traced:
+            phases = dt * np.cumsum(phases, axis=0)
+        for b, (n, upto) in enumerate(zip(runs[first:stop], dones[first:stop])):
+            column = prefix[:n, b]
+            total = kernel.compose(column, carry, out=column)
             by_bound[done:upto] = total[: upto - done]
-            if c is not None:
-                offset = edges[b] - start
-                seg_phase = np.add.reduceat(c[offset : edges[b + 1] - start],
-                                            starts[runs[b] : runs[b + 1]] - offset)
-                total_phase = carry_phase + dt * np.cumsum(seg_phase)
+            if traced:
+                total_phase = carry_phase + phases[:n, b]
                 recorded_phase[done:upto] = total_phase[: upto - done]
                 carry_phase = total_phase[-1]
             carry = kernel.normalize(total[-1])
@@ -855,6 +884,44 @@ def _integrate(schedules: tuple, t_end: float, total_steps, psi0, samples: int) 
     return [Trajectory._of_run(times if s == 0 else times.copy(),
                                np.einsum("kij,j->ki", u, psi0), u, schedule)
             for s, (schedule, u) in enumerate(zip(schedules, props))]
+
+
+def _block_products(kernel, schedules: tuple, h, passes: list, ends: np.ndarray, dt: float):
+    """The pass loop: each block's run products, indexed as _by_run indexes
+    them, and the sums of a 2x2 callable's half trace c over the same runs
+    (None for the other kernels), block after block. Each pass's steps are
+    sampled, exponentiated and reduced at once, h holding the first pass's
+    samples of a callable (the kernel's identity tells its dimension); a
+    block's products stay valid until the next one is asked for."""
+    k = len(schedules)
+    for start, stop in passes:
+        c = None
+        if isinstance(schedules[0], FieldSchedule):
+            elems = kernel.exp(kernel.field(schedules, start, stop, dt), stop - start, dt)
+        else:
+            if start:
+                h = np.asarray(schedules[0]((np.arange(start, stop) + 0.5) * dt), dtype=complex)
+                h = _check_samples(h, stop - start, kernel.identity.shape[-1])
+            if isinstance(kernel, _SU2):
+                c = 0.5 * (h[:, 0, 0].real + h[:, 1, 1].real)
+                elems = kernel.exp(kernel.samples(h, c), stop - start, dt)
+            else:
+                elems = kernel.exp_samples(h, dt)
+        # the pass's runs: their starts, and block b's runs are segs[cuts[b] : cuts[b + 1]]
+        if stop - start > BLOCK_STEPS:  # whole blocks with no end inside: a run each
+            starts = np.arange(0, stop - start, BLOCK_STEPS)
+            cuts = range(starts.size + 1)
+        else:  # one block, cut at the ends inside it
+            inside = ends[np.searchsorted(ends, start, "right") : np.searchsorted(ends, stop)]
+            starts = np.concatenate(([0], inside - start))
+            cuts = (0, starts.size)
+        # record s's runs start at s m + starts in the stacked elements
+        stacked = starts if k == 1 else np.add.outer(np.arange(k) * (stop - start), starts)
+        segs = _by_run(_segment_products(kernel, elems, stacked.ravel()), k)
+        phase = None if c is None else np.add.reduceat(c, starts)
+        for b in range(len(cuts) - 1):
+            cut = slice(cuts[b], cuts[b + 1])
+            yield segs[cut], None if phase is None else phase[cut]
 
 
 def _by_run(stack: np.ndarray, k: int) -> np.ndarray:

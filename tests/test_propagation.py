@@ -492,6 +492,16 @@ class TestChunkedIntegrator:
             integrate(schedule, 1.0, total_steps=5)
         assert calls == [(5,)]  # one call on the time array, no per-time retry
 
+    @pytest.mark.parametrize("first, later", [(2, 4), (4, 2)])
+    def test_a_later_pass_keeps_the_first_dimension(self, first, later):
+        def schedule(t):
+            d = first if t[0] < 1.0 else later
+            return np.broadcast_to(np.eye(d, dtype=complex), (len(t), d, d))
+
+        shape = (4096, later, later)
+        with pytest.raises(ValueError, match=rf"schedule returned shape {re.escape(str(shape))}"):
+            integrate(schedule, 10.0, total_steps=20_000, samples=2)
+
     def test_step_budget_is_a_value_error(self):
         calls = []
         with pytest.raises(ValueError, match="60000000 steps requested, at most 50,000,000"):
