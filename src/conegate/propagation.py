@@ -631,7 +631,7 @@ def _segment_products(kernel, elems: np.ndarray, starts: np.ndarray) -> np.ndarr
     return products
 
 
-def _prefix_products(kernel, elems: np.ndarray) -> np.ndarray:
+def _prefix_products(kernel, elems: np.ndarray) -> None:
     """Running products elems[k] @ ... @ elems[0] along the first axis, for
     every k, in place, by doubling: at each level every element from shift
     on takes its product with the element shift before it. The level reads
@@ -644,7 +644,6 @@ def _prefix_products(kernel, elems: np.ndarray) -> np.ndarray:
     while shift < len(elems):
         kernel.compose(elems[shift:], elems[:-shift], out=elems[shift:])
         shift *= 2
-    return elems
 
 
 def _check_sampled(finite: bool) -> None:
@@ -862,7 +861,7 @@ def _integrate(schedules: tuple, t_end: float, total_steps, psi0, samples: int) 
             prefix[: len(products), b] = products
             if traced:
                 phases[: len(products), b] = phase
-        prefix = _prefix_products(kernel, prefix)
+        _prefix_products(kernel, prefix)
         if traced:
             phases = dt * np.cumsum(phases, axis=0)
         for b, (n, upto) in enumerate(zip(runs[first:stop], dones[first:stop])):
