@@ -36,8 +36,8 @@ from .gates import (
 )
 from .hamiltonians import FieldParams
 from .linalg import bloch_vector
-from .phases import cone_eigenstate, running_dynamical_phase
-from .propagation import MAX_STEPS, _check_step_budget, _count_text, loop_infidelities
+from .phases import _cyclic_overlap, cone_eigenstate, running_dynamical_phase
+from .propagation import MAX_STEPS, Trajectory, _check_step_budget, _count_text, loop_infidelities
 from .sequences import (
     SINGLE_QUBIT,
     FieldLoop,
@@ -123,6 +123,19 @@ def _float_option(value, flag: str) -> float:
     return number
 
 
+def _read_json(path: str, what: str):
+    """The JSON document in the file at path; what names the file in the
+    refusals, and its first word names it in a parse error's."""
+    try:
+        with open(path) as fh:
+            return json.load(fh)
+    except OSError as exc:
+        raise ValueError(f"cannot read {what}: {exc}") from exc
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"{what.split()[0]} parse error at line {exc.lineno} "
+                         f"column {exc.colno}: {exc.msg}") from exc
+
+
 def _emit(chunks, out: str | None) -> None:
     """Write the strings of chunks, in order, to out or to stdout."""
     if not out:
@@ -180,23 +193,42 @@ def _csv_chunks(config: RunConfig, columns: dict, grid: dict | None = None):
             yield template % tuple(chunk.ravel().tolist())
 
 
+def _json_chunks(config: RunConfig, columns: dict, grid: dict | None = None):
+    """The text of json.dumps(doc, indent=2, sort_keys=True) and a newline
+    for the run's document, one column at a time and CSV_CHUNK_ROWS values
+    at a time, so memory stays bounded at any row count.
+
+    The document is dumped with every column empty. "columns" sorts before
+    the other keys, so the first len(columns) texts '": []' of the dump are
+    the columns' own, in sorted order. Each is filled with json.dumps of
+    its chunks' lists, laid out as indent=2 lays out a list. A grid's axes
+    (see _csv_chunks) are read through views of the whole columns, inner
+    axis fastest, so neither is repeated into memory."""
+    cols = {name: np.asarray(c, dtype=float) for name, c in columns.items()}
+    if grid:
+        (inner_name, inner), (outer_name, outer) = grid.items()
+        shape = (len(outer), len(inner))
+        cols[inner_name] = np.broadcast_to(np.asarray(inner, dtype=float), shape)
+        cols[outer_name] = np.broadcast_to(np.asarray(outer, dtype=float)[:, None], shape)
+    doc = {"tool": f"conegate {__version__}", "command": config.command,
+           "config": config.values, "columns": dict.fromkeys(cols, [])}
+    text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    head, *tails = text.split('": []', len(cols))
+    yield head
+    for name, tail in zip(sorted(cols), tails):
+        col = cols[name]
+        yield '": ['
+        for start in range(0, col.size, CSV_CHUNK_ROWS):
+            values = json.dumps(col.flat[start : start + CSV_CHUNK_ROWS].tolist())[1:-1]
+            yield "\n      " if start == 0 else ",\n      "
+            yield values.replace(", ", ",\n      ")
+        yield ("\n    ]" if col.size else "]") + tail
+
+
 def _write_output(config: RunConfig, columns: dict, out: str | None, fmt: str,
                   grid: dict | None = None) -> None:
-    if fmt == "csv":
-        chunks = _csv_chunks(config, columns, grid)
-    else:  # json; _settings has checked the format
-        if grid:  # the axes as whole columns, inner axis fastest
-            (inner_name, inner), (outer_name, outer) = grid.items()
-            columns = {inner_name: np.tile(inner, outer.size),
-                       outer_name: np.repeat(outer, inner.size), **columns}
-        doc = {
-            "tool": f"conegate {__version__}",
-            "command": config.command,
-            "config": config.values,
-            "columns": {name: [float(v) for v in vals] for name, vals in columns.items()},
-        }
-        chunks = [json.dumps(doc, indent=2, sort_keys=True) + "\n"]
-    _emit(chunks, out)
+    # _settings has checked the format
+    _emit((_csv_chunks if fmt == "csv" else _json_chunks)(config, columns, grid), out)
 
 
 # ---------------------------------------------------------------------------
@@ -243,59 +275,41 @@ def _initial_state(doc: dict, seq) -> np.ndarray:
 
 
 def cmd_evolve(config: RunConfig, v: dict) -> int:
-    try:
-        with open(v["schedule"]) as fh:
-            doc = json.load(fh)
-    except OSError as exc:
-        raise ValueError(f"cannot read schedule: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ValueError(
-            f"schedule parse error at line {exc.lineno} column {exc.colno}: {exc.msg}"
-        ) from exc
+    doc = _read_json(v["schedule"], "schedule")
     seq = sequence_from_dict(doc)
     dim = 2 if seq.frame == SINGLE_QUBIT else 4
-
-    if not seq.steps:
-        _write_output(config, _trajectory_columns(None, dim), v["out"], v["format"])
-        return 0
-
-    steps = v["steps"]
-    _check_points(trajectory_rows(seq, steps), f"--schedule at --steps {steps}")
-    psi0 = _initial_state(doc, seq)
-    traj = sequence_trajectory(seq, dim, psi0, steps_per_loop=steps)
+    traj = Trajectory(np.zeros(0), np.zeros((0, dim)))  # an empty schedule has no rows
+    if seq.steps:
+        steps = v["steps"]
+        _check_points(trajectory_rows(seq, steps), f"--schedule at --steps {steps}")
+        traj = sequence_trajectory(seq, dim, _initial_state(doc, seq), steps_per_loop=steps)
 
     mask = slice(None)
     if v["t_end"] is not None:
         mask = traj.times <= v["t_end"] + 1e-15
 
-    has_loop = any(isinstance(s, FieldLoop) for s in seq.steps)
-    if has_loop:
+    if any(isinstance(s, FieldLoop) for s in seq.steps):
         # the first and last rows of the whole schedule, whatever precedes
         # or follows its loops
-        overlap = abs(complex(traj.states[0].conj() @ traj.states[-1]))
-        defect = abs(1.0 - overlap)
+        defect = _cyclic_overlap(traj)[1]
         if defect > 1e-6:
-            print(
-                f"warning: schedule is not cyclic: final-state overlap defect {defect:.3e}",
-                file=sys.stderr,
-            )
+            print(f"warning: schedule is not cyclic: final-state overlap defect {defect:.3e}",
+                  file=sys.stderr)
 
-    cols = _trajectory_columns(traj, dim, mask)
-    _write_output(config, cols, v["out"], v["format"])
+    _write_output(config, _trajectory_columns(traj, mask), v["out"], v["format"])
     return 0
 
 
-def _trajectory_columns(traj, dim: int, mask=slice(None)) -> dict:
-    """The evolve columns of traj's rows under mask; without traj, empty."""
-    times = np.zeros(0) if traj is None else traj.times[mask]
-    states = np.zeros((0, dim), dtype=complex) if traj is None else traj.states[mask]
+def _trajectory_columns(traj, mask) -> dict:
+    """The evolve columns of traj's rows under mask."""
+    times, states = traj.times[mask], traj.states[mask]
     cols = {"t": times}
-    for k in range(dim):
+    for k in range(states.shape[1]):
         cols[f"re_amp{k}"] = states[:, k].real
         cols[f"im_amp{k}"] = states[:, k].imag
-    if dim == 2:
+    if states.shape[1] == 2:
         cols["bloch_x"], cols["bloch_y"], cols["bloch_z"] = bloch_vector(states).T
-    cols["dynamical_phase"] = times if traj is None else running_dynamical_phase(traj, mask)
+    cols["dynamical_phase"] = running_dynamical_phase(traj, mask)
     return cols
 
 
@@ -425,11 +439,11 @@ class Option(NamedTuple):
 
 
 REQUIRED = object()
-SUBCOMMANDS = {
-    "scurve": "preparation timing and tilt versus RF amplitude",
-    "evolve": "simulate a pulse-sequence schedule file",
-    "gate": "synthesize and verify a gate",
-    "compare-adiabatic": "uncompensated vs compensated loop infidelity",
+SUBCOMMANDS = {  # each subcommand's run and help
+    "scurve": (cmd_scurve, "preparation timing and tilt versus RF amplitude"),
+    "evolve": (cmd_evolve, "simulate a pulse-sequence schedule file"),
+    "gate": (cmd_gate, "synthesize and verify a gate"),
+    "compare-adiabatic": (cmd_compare_adiabatic, "uncompensated vs compensated loop infidelity"),
 }
 _ALL = tuple(SUBCOMMANDS)
 
@@ -486,7 +500,7 @@ def _parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"conegate {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-    for command, text in SUBCOMMANDS.items():
+    for command, (_, text) in SUBCOMMANDS.items():
         sp = sub.add_parser(command, help=text)
         if command == "gate":
             sp.add_argument("name", choices=["phase", "hadamard", "not", "cphase", "cnot"])
@@ -509,15 +523,7 @@ def _settings(args: argparse.Namespace) -> tuple[RunConfig, dict]:
     if env_steps is not None:
         given["steps"] = _int_option(env_steps, "CONEGATE_STEPS")
     if args.config:
-        try:
-            with open(args.config) as fh:
-                file_values = json.load(fh)
-        except OSError as exc:
-            raise ValueError(f"cannot read config file: {exc}") from exc
-        except json.JSONDecodeError as exc:
-            raise ValueError(
-                f"config parse error at line {exc.lineno} column {exc.colno}: {exc.msg}"
-            ) from exc
+        file_values = _read_json(args.config, "config file")
         if not isinstance(file_values, dict):
             raise ValueError("config file must hold a JSON object")
         unknown = sorted(set(file_values) - {o.dest for o in rows})
@@ -555,9 +561,7 @@ def main(argv: list[str] | None = None) -> int:
         return int(exc.code or 0)
     try:
         config, values = _settings(args)
-        command = {"scurve": cmd_scurve, "evolve": cmd_evolve, "gate": cmd_gate,
-                   "compare-adiabatic": cmd_compare_adiabatic}[args.command]
-        return command(config, values)
+        return SUBCOMMANDS[args.command][0](config, values)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return CONFIG_ERROR

@@ -624,6 +624,14 @@ _LOOP_KEYS = {
 }
 
 
+def _check_keys(doc: dict, keys, path: str) -> None:
+    """Refuse the first key of doc that is not one of keys, naming it by its
+    path: path, a dot and the key, or the key alone at the top level."""
+    for key in doc:
+        if key not in keys:
+            raise ValueError(f"{path}.{key}: unknown field" if path else f"{key}: unknown field")
+
+
 def _step_from_dict(d: dict, index: int) -> PulsePrimitive:
     path = f"steps[{index}]"
     d = _object(d, path)
@@ -631,11 +639,14 @@ def _step_from_dict(d: dict, index: int) -> PulsePrimitive:
     if not isinstance(op, str) or op not in (*_ROTATIONS, "free", "loop"):
         raise ValueError(f"{path}.op: unknown op {op!r}")
     if op in _ROTATIONS:
+        _check_keys(d, ("op", "angle"), path)
         return _ROTATIONS[op](_number(d, "angle", path))
     if op == "free":
+        _check_keys(d, ("op", "duration", "delta", "j"), path)
         duration = _number(d, "duration", path)
         delta, j = _number(d, "delta", path), _number(d, "j", path, 0.0)
         return FreeEvolve(abs(duration), delta, j, -1 if duration < 0 else 1)
+    _check_keys(d, ("op", "revolutions", "compensated", "loop"), path)
     rev = _number(d, "revolutions", path, 1.0)
     compensated = d.get("compensated", True)
     if not isinstance(compensated, bool):
@@ -643,6 +654,7 @@ def _step_from_dict(d: dict, index: int) -> PulsePrimitive:
     where = f"{path}.loop"
     loop = _object(_required(d, "loop", path), where)
     kind = ConditionalLoop if "delta" in loop else FieldParams
+    _check_keys(loop, [key for key, _ in _LOOP_KEYS[kind]], where)
     values = [_number(loop, key, where, default) for key, default in _LOOP_KEYS[kind]]
     try:
         return FieldLoop(kind(*values), abs(rev), compensated, -1 if rev < 0 else 1)
@@ -655,10 +667,12 @@ def sequence_to_dict(seq: PulseSequence) -> dict:
 
 
 def sequence_from_dict(d: dict) -> PulseSequence:
-    """The sequence of a schedule document. Every malformed field raises
-    ValueError naming its path, such as steps[3].angle."""
+    """The sequence of a schedule document. Every malformed field, and every
+    key the document's schema does not hold, raises ValueError naming its
+    path, such as steps[3].angle."""
     if not isinstance(d, dict) or "steps" not in d:
         raise ValueError("sequence document must be an object with a 'steps' list")
+    _check_keys(d, ("frame", "steps", "initial_state"), "")
     if not isinstance(d["steps"], list):
         raise ValueError("steps: expected a list")
     steps = tuple(_step_from_dict(s, i) for i, s in enumerate(d["steps"]))

@@ -929,6 +929,136 @@ class TestOutputErrors:
         assert (tmp_path / "stderr").read_bytes() == b""
 
 
+def _whole_document(config: RunConfig, columns: dict, grid: dict | None = None) -> str:
+    """The JSON document of a run as one json.dumps of Python float lists, a
+    grid's axes repeated into whole columns: the text the streamed writer
+    must give."""
+    if grid:
+        (inner_name, inner), (outer_name, outer) = grid.items()
+        columns = {inner_name: np.tile(inner, outer.size),
+                   outer_name: np.repeat(outer, inner.size), **columns}
+    doc = {"tool": f"conegate {conegate.__version__}", "command": config.command,
+           "config": config.values,
+           "columns": {name: [float(v) for v in vals] for name, vals in columns.items()}}
+    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+
+class TestJsonWriter:
+    """--format json is written one column at a time and CSV_CHUNK_ROWS
+    values at a time, and its text is json.dumps(doc, indent=2,
+    sort_keys=True) of the whole document."""
+
+    @pytest.mark.parametrize("frame, width", [("single-qubit", 9), ("two-qubit-rotating", 10)])
+    def test_empty_schedule_has_empty_columns(self, frame, width, tmp_path, capsys):
+        path = tmp_path / "empty.json"
+        path.write_text(json.dumps({"frame": frame, "steps": []}))
+        code, out, _ = run_cli(["evolve", "--schedule", str(path), "--format", "json"], capsys)
+        assert code == 0
+        doc = json.loads(out)
+        assert list(doc["columns"].values()) == [[]] * width
+        assert out == json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+    def test_grid_with_a_long_inner_axis(self, capsys):
+        omegas, deltas = CSV_CHUNK_ROWS + 4, 3  # the inner axis spans two chunks
+        code, out, _ = run_cli(["scurve", "--delta-over-j", _range_text(0.5, 0.2, deltas),
+                                "--omega1-range", _range_text(0.05, 0.001, omegas),
+                                "--format", "json"], capsys)
+        assert code == 0
+        omega1, delta = 0.05 + 0.001 * np.arange(omegas), 0.5 + 0.2 * np.arange(deltas)
+        t_c, phi_prime, _, _ = s_operation_angles(delta[:, None], 1.0, omega1)
+        config = RunConfig("scurve", json.loads(out)["config"])
+        assert out == _whole_document(
+            config, {"J_tc": t_c.ravel(), "phi_prime_rad": phi_prime.ravel()},
+            {"omega1_over_J": omega1, "delta_over_J": delta})
+
+    @pytest.mark.parametrize("rows", [CSV_CHUNK_ROWS, CSV_CHUNK_ROWS + 1, 2 * CSV_CHUNK_ROWS + 3])
+    def test_chunk_seams_and_non_finite_values(self, rows, capsys):
+        rng = np.random.default_rng(rows)
+        values = rng.normal(size=rows) * 10.0 ** rng.integers(-300, 300, size=rows)
+        values[[0, 1, 2, 3, CSV_CHUNK_ROWS - 1, -1]] = [np.nan, np.inf, -np.inf, -0.0, np.nan, -np.inf]
+        columns = {"b": values, "a": list(values[::-1]), "c": np.arange(float(rows))}
+        config = RunConfig("test", {"k": "50%s"})
+        _write_output(config, columns, None, "json")
+        assert capsys.readouterr().out == _whole_document(config, columns)
+
+    def test_config_values_that_hold_an_empty_column_text(self, capsys):
+        # the writer fills the first '": []' texts of the dump, which are the
+        # columns' own: the config sorts after them
+        config = RunConfig("test", {"schedule": 's": [].json', "z": {"x": []}, "a": [[]]})
+        columns = {"t": [0.5, 1.5], "x": np.zeros(0)}
+        _write_output(config, columns, None, "json")
+        assert capsys.readouterr().out == _whole_document(config, columns)
+
+    def test_a_closed_stdout_ends_quietly(self, tmp_path):
+        # about 1.4 MB of JSON, written in chunks: the reader closes the
+        # pipe after 10 bytes, while the writer is still writing
+        src = os.path.dirname(os.path.dirname(os.path.abspath(conegate.__file__)))
+        argv = [sys.executable, "-m", "conegate", "compare-adiabatic", "--theta", "0.6",
+                "--gamma-range", "0.01:2:0.0001", "--format", "json"]
+        with open(tmp_path / "stderr", "wb") as err:
+            proc = subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=err,
+                                    env=dict(os.environ, PYTHONPATH=src))
+            first = proc.stdout.read(10)
+            proc.stdout.close()
+            assert proc.wait(timeout=60) == 141
+        assert first == b'{\n  "colum'
+        assert (tmp_path / "stderr").read_bytes() == b""
+
+    def test_writer_memory_does_not_grow_with_rows(self, tmp_path):
+        import tracemalloc
+
+        # every chunk holds the same values, so each run's chunks cost alike
+        chunk = np.random.default_rng(5).normal(size=CSV_CHUNK_ROWS)
+        peaks = []
+        for rows in (50_000, 200_000):
+            columns = {name: np.resize(chunk, rows) for name in ("a", "b", "c")}
+            tracemalloc.start()
+            try:
+                _write_output(RunConfig("test", {}), columns, str(tmp_path / "o.json"), "json")
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+            assert len(json.loads((tmp_path / "o.json").read_text())["columns"]["a"]) == rows
+        # the whole document as Python floats would take over 20 MB more; the
+        # peak moves by a few hundred bytes from run to run at any row count
+        assert peaks[1] <= peaks[0] + 4096
+
+
+class TestUnknownScheduleKeys:
+    """A key that a schedule document's schema does not hold is refused,
+    never dropped: a misspelled initial_state would otherwise start the
+    run from the default state."""
+
+    LOOP = {"omega0": 1.0, "omega1": 1.0, "gamma": -2.0, "omega_z": -2.0}
+
+    @pytest.mark.parametrize(
+        "doc, message",
+        [
+            ({"frame": "single-qubit", "initial_sate": [[0, 0], [1, 0]],
+              "steps": [{"op": "rot_x", "angle": 0.5}]}, "initial_sate: unknown field"),
+            ({"steps": [{"op": "rot_x", "angle": 0.5, "duration": 3}]},
+             "steps[0].duration: unknown field"),
+            ({"steps": [{"op": "rot_z", "angle": 0.5}, {"op": "free", "duration": 1.0,
+                                                        "delta": 1.0, "angle": 0.5}]},
+             "steps[1].angle: unknown field"),
+            ({"steps": [{"op": "loop", "loop": LOOP, "omega0": 1.0}]},
+             "steps[0].omega0: unknown field"),
+            ({"steps": [{"op": "loop", "loop": dict(LOOP, omega_x=1.0)}]},
+             "steps[0].loop.omega_x: unknown field"),
+            ({"frame": "two-qubit-rotating",
+              "steps": [{"op": "loop", "loop": {"delta": 1.8, "j": 1.0, "omega0": 1.0}}]},
+             "steps[0].loop.omega0: unknown field"),
+        ],
+    )
+    def test_unknown_key_exits_2_naming_its_path(self, doc, message, tmp_path, capsys):
+        path = tmp_path / "schedule.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run_cli(["evolve", "--schedule", str(path), "--steps", "100"], capsys)
+        assert code == 2
+        assert out == ""
+        assert err == f"error: {message}\n"
+
+
 class TestConfigIntegers:
     @pytest.mark.parametrize(
         "doc, argv, field",
