@@ -34,16 +34,13 @@ from .gates import (
     phase_gate_recipe,
     verify_gate,
 )
-from .hamiltonians import FieldParams
 from .linalg import bloch_vector
-from .phases import _cyclic_overlap, cone_eigenstate, running_dynamical_phase
+from .phases import CYCLIC_TOL, _cyclic_overlap, running_dynamical_phase
 from .propagation import MAX_STEPS, Trajectory, _check_step_budget, _count_text, loop_infidelities
 from .sequences import (
-    SINGLE_QUBIT,
     FieldLoop,
-    _finite,
     s_operation_angles,
-    sequence_from_dict,
+    schedule_from_dict,
     sequence_trajectory,
     trajectory_rows,
 )
@@ -246,43 +243,13 @@ def cmd_scurve(config: RunConfig, v: dict) -> int:
     return 0
 
 
-def _initial_state(doc: dict, seq) -> np.ndarray:
-    dim = 2 if seq.frame == SINGLE_QUBIT else 4
-    if "initial_state" in doc:
-        pairs = doc["initial_state"]
-        if not isinstance(pairs, list) or len(pairs) != dim:
-            raise ValueError(f"initial_state: expected {dim} [re, im] pairs")
-        psi = np.empty(dim, dtype=complex)
-        for k, pair in enumerate(pairs):
-            where = f"initial_state[{k}]"
-            if not (isinstance(pair, list) and len(pair) == 2):
-                raise ValueError(f"{where}: expected a [re, im] pair")
-            psi[k] = complex(_finite(pair[0], where + "[0]"), _finite(pair[1], where + "[1]"))
-        norm = np.linalg.norm(psi)
-        if norm == 0:
-            raise ValueError("initial_state must be a nonzero vector")
-        return psi / norm
-    for step in seq.steps:
-        if isinstance(step, FieldLoop) and isinstance(step.params, FieldParams):
-            geom = cone_eigenstate(step.params.omega0, step.params.omega1)
-            psi2 = geom.psi0 * np.array([1.0, np.exp(1j * step.params.phase0)])
-            if dim == 2:
-                return psi2
-            return np.kron(np.array([1.0, 0.0]), psi2)
-    psi = np.zeros(dim, dtype=complex)
-    psi[0] = 1.0
-    return psi
-
-
 def cmd_evolve(config: RunConfig, v: dict) -> int:
-    doc = _read_json(v["schedule"], "schedule")
-    seq = sequence_from_dict(doc)
-    dim = 2 if seq.frame == SINGLE_QUBIT else 4
-    traj = Trajectory(np.zeros(0), np.zeros((0, dim)))  # an empty schedule has no rows
+    seq, psi0 = schedule_from_dict(_read_json(v["schedule"], "schedule"))
+    traj = Trajectory(np.zeros(0), np.zeros((0, psi0.size)))  # an empty schedule has no rows
     if seq.steps:
         steps = v["steps"]
         _check_points(trajectory_rows(seq, steps), f"--schedule at --steps {steps}")
-        traj = sequence_trajectory(seq, dim, _initial_state(doc, seq), steps_per_loop=steps)
+        traj = sequence_trajectory(seq, psi0.size, psi0, steps_per_loop=steps)
 
     mask = slice(None)
     if v["t_end"] is not None:
@@ -292,7 +259,7 @@ def cmd_evolve(config: RunConfig, v: dict) -> int:
         # the first and last rows of the whole schedule, whatever precedes
         # or follows its loops
         defect = _cyclic_overlap(traj)[1]
-        if defect > 1e-6:
+        if defect > CYCLIC_TOL:
             print(f"warning: schedule is not cyclic: final-state overlap defect {defect:.3e}",
                   file=sys.stderr)
 

@@ -36,6 +36,9 @@ from .sequences import (
 
 HADAMARD = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
 NOT_TARGET = np.array([[0, 1], [1, 0]], dtype=complex)
+# how close hadamard_recipe's closed-form phase sandwich must come to the
+# Hadamard before any simulation; the gate command's own threshold on the
+# simulated fidelity is cli.GATE_FIDELITY_GATE
 FIDELITY_ACCEPT = 1.0 - 1e-6
 
 
@@ -44,7 +47,8 @@ class GateRecipe:
     """A target unitary together with the pulse program that realizes it.
 
     fidelity is filled by verify_gate (global-phase-invariant, against
-    target); a recipe is only considered good above 1 - 1e-6.
+    target); the gate command fails a recipe whose fidelity is below
+    1 - 1e-5 (cli.GATE_FIDELITY_GATE).
     """
 
     name: str

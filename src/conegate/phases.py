@@ -26,6 +26,8 @@ from .hamiltonians import _check_omega1
 from .propagation import _check_samples
 
 TWO_PI = 2 * np.pi
+# the largest overlap defect |1 - |<psi(0)|psi(T)>|| of an evolution counted cyclic
+CYCLIC_TOL = 1e-6
 
 
 def canonical_phase(x: float) -> float:
@@ -234,15 +236,15 @@ def _cyclic_overlap(traj) -> tuple[complex, float]:
     return overlap, abs(1.0 - abs(overlap))
 
 
-def phase_decomposition(traj, cyclic_tol: float = 1e-6) -> PhaseDecomposition:
+def phase_decomposition(traj) -> PhaseDecomposition:
     """Split the phase of a cyclic evolution into dynamical and geometric
     parts. Raises if the trajectory is not cyclic, naming the overlap
     defect."""
     overlap, defect = _cyclic_overlap(traj)
-    if defect > cyclic_tol:
+    if defect > CYCLIC_TOL:
         raise ValueError(
             f"trajectory is not cyclic: overlap modulus defect {defect:.3e} "
-            f"exceeds {cyclic_tol:.1e}"
+            f"exceeds {CYCLIC_TOL:.1e}"
         )
     total = float(np.angle(overlap))
     dyn = dynamical_phase(traj)

@@ -35,7 +35,7 @@ import numpy as np
 
 from .hamiltonians import SIGMA_ZA, SIGMA_ZZ, FieldParams, FieldSchedule, _check_omega_z
 from .linalg import SIGMA_Z, check_finite
-from .phases import _check_coupling, two_qubit_loop_params
+from .phases import _check_coupling, cone_eigenstate, two_qubit_loop_params
 from .propagation import (
     Trajectory,
     _propagator_entries,
@@ -669,7 +669,8 @@ def sequence_to_dict(seq: PulseSequence) -> dict:
 def sequence_from_dict(d: dict) -> PulseSequence:
     """The sequence of a schedule document. Every malformed field, and every
     key the document's schema does not hold, raises ValueError naming its
-    path, such as steps[3].angle."""
+    path, such as steps[3].angle. The value of initial_state is read by
+    schedule_from_dict."""
     if not isinstance(d, dict) or "steps" not in d:
         raise ValueError("sequence document must be an object with a 'steps' list")
     _check_keys(d, ("frame", "steps", "initial_state"), "")
@@ -680,6 +681,41 @@ def sequence_from_dict(d: dict) -> PulseSequence:
     if frame not in (SINGLE_QUBIT, TWO_QUBIT):
         raise ValueError(f"frame: unknown frame {frame!r}")
     return PulseSequence(steps, frame=frame)
+
+
+def schedule_from_dict(d: dict) -> tuple[PulseSequence, np.ndarray]:
+    """The sequence of a schedule document and the state its run starts
+    from, the document read whole as sequence_from_dict reads it.
+
+    initial_state holds one [re, im] pair per amplitude of the frame (2 or
+    4), and is normalized. Without it, the run starts in the cone
+    eigenstate of the first single-spin loop, at that loop's azimuth
+    phase0 (with spin b up in the two-qubit frame), or in spin up when the
+    schedule has no such loop."""
+    seq = sequence_from_dict(d)
+    dim = 2 if seq.frame == SINGLE_QUBIT else 4
+    if "initial_state" in d:
+        pairs = d["initial_state"]
+        if not isinstance(pairs, list) or len(pairs) != dim:
+            raise ValueError(f"initial_state: expected {dim} [re, im] pairs")
+        psi = np.empty(dim, dtype=complex)
+        for k, pair in enumerate(pairs):
+            where = f"initial_state[{k}]"
+            if not (isinstance(pair, list) and len(pair) == 2):
+                raise ValueError(f"{where}: expected a [re, im] pair")
+            psi[k] = complex(_finite(pair[0], where + "[0]"), _finite(pair[1], where + "[1]"))
+        norm = np.linalg.norm(psi)
+        if norm == 0:
+            raise ValueError("initial_state must be a nonzero vector")
+        return seq, psi / norm
+    for step in seq.steps:
+        if isinstance(step, FieldLoop) and isinstance(step.params, FieldParams):
+            geom = cone_eigenstate(step.params.omega0, step.params.omega1)
+            psi2 = geom.psi0 * np.array([1.0, np.exp(1j * step.params.phase0)])
+            return seq, psi2 if dim == 2 else np.kron(np.array([1.0, 0.0]), psi2)
+    psi = np.zeros(dim, dtype=complex)
+    psi[0] = 1.0
+    return seq, psi
 
 
 def to_json(seq: PulseSequence, indent: int | None = None) -> str:

@@ -1237,10 +1237,14 @@ class TestFieldNamingErrors:
             ([[1, 0], [0, True]], "initial_state[1][1]: expected a finite number"),
             ([["1", 0], [0, 0]], "initial_state[0][0]: expected a finite number"),
             ({"re": 1}, "initial_state: expected 2 [re, im] pairs"),
+            # read even where no run starts from it
+            pytest.param("x", "initial_state: expected 2 [re, im] pairs", id="empty-steps"),
         ],
     )
-    def test_malformed_initial_state(self, initial_state, message, tmp_path, capsys):
+    def test_malformed_initial_state(self, initial_state, message, request, tmp_path, capsys):
         doc = loop_schedule_doc()
+        if request.node.callspec.id == "empty-steps":
+            doc["steps"] = []
         doc["initial_state"] = initial_state
         path = tmp_path / "schedule.json"
         path.write_text(json.dumps(doc))
