@@ -49,7 +49,6 @@ from .sequences import (
     build_conditional_loop,
     build_s_operation,
     integrate_loop,
-    invert_sequence,
     s_operation_params,
     sequence_trajectory,
     simulate_sequence,
@@ -58,7 +57,6 @@ from .sequences import (
 from .gates import (
     GateRecipe,
     cnot_recipe,
-    conditional_phase_diag,
     conditional_recipe,
     hadamard_recipe,
     not_recipe,

@@ -387,6 +387,18 @@ def _delta_over_j_problem(ratio: float) -> str | None:
     return None
 
 
+GATE_OPTIONS = {"theta": "phase", "loops": "phase", "delta_over_j": "cphase"}  # dest: its gate
+
+
+def _check_gate_options(name: str, given: dict) -> None:
+    """Refuse, before its value is read, an option given by flag or by config
+    to a gate that does not take it."""
+    for dest, gate in GATE_OPTIONS.items():
+        if dest in given and gate != name:
+            raise ValueError(f"--{dest.replace('_', '-')} applies only to gate {gate}, "
+                             f"not to gate {name}")
+
+
 class Option(NamedTuple):
     """One run option: its dest, the subcommands that take it, how a
     command-line text or a config value is read (parse(value, flag)), its
@@ -481,9 +493,10 @@ def _parser() -> argparse.ArgumentParser:
 def _settings(args: argparse.Namespace) -> tuple[RunConfig, dict]:
     """The header's configuration and the typed values of args.command's
     options. Given values merge in the order defaults < CONEGATE_STEPS <
-    --config < flags; each given one is then read and checked by its row,
-    and the others take the row's default. The header shows the given
-    values: a flag's number as read, anything else as given."""
+    --config < flags; a gate option given to another gate is refused, each
+    given one is then read and checked by its row, and the others take the
+    row's default. The header shows the given values: a flag's number as
+    read, anything else as given."""
     rows = [o for o in OPTIONS if args.command in o.commands]
     given = {"format": "csv", "steps": 10_000}  # the defaults the header shows
     env_steps = os.environ.get("CONEGATE_STEPS")
@@ -502,6 +515,9 @@ def _settings(args: argparse.Namespace) -> tuple[RunConfig, dict]:
     given.update(flags)
 
     values, shown = {}, {}
+    if args.command == "gate":
+        _check_gate_options(args.name, given)
+        values["name"] = shown["name"] = args.name  # no config file sets the positional
     for option in rows:
         if option.default is REQUIRED and given.get(option.dest) in (None, ""):
             raise ValueError(f"missing required option {option.flag}")
@@ -515,8 +531,6 @@ def _settings(args: argparse.Namespace) -> tuple[RunConfig, dict]:
             raise ValueError(problem)
         number = option.parse in (_int_option, _float_option)
         shown[option.dest] = value if number and option.dest in flags else raw
-    if args.command == "gate":  # the positional, which a config file cannot set
-        values["name"] = shown["name"] = args.name
     return RunConfig(command=args.command, values=shown), values
 
 

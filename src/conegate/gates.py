@@ -17,11 +17,7 @@ import numpy as np
 
 from .hamiltonians import FieldParams
 from .linalg import fidelity
-from .phases import (
-    compensation_gamma,
-    geometric_phase_cone,
-    two_qubit_loop_params,
-)
+from .phases import compensation_gamma, geometric_phase_cone
 from .sequences import (
     SINGLE_QUBIT,
     TWO_QUBIT,
@@ -95,16 +91,10 @@ def phase_gate(theta0: float, loops: int = 1) -> np.ndarray:
     return np.diag([np.exp(-1j * x), np.exp(1j * x)]).astype(complex)
 
 
-def _tilted_loop(theta: float, revolutions: float = 1.0, phase0: float = 0.0) -> FieldLoop:
+def _tilted_loop(theta: float, revolutions: float = 1.0) -> FieldLoop:
     """One compensated revolution about z with the field tilted by theta."""
     gamma = compensation_gamma(np.cos(theta), np.sin(theta))
-    p = FieldParams(
-        omega0=float(np.cos(theta)),
-        omega1=float(np.sin(theta)),
-        gamma=gamma,
-        omega_z=gamma,
-        phase0=phase0,
-    )
+    p = FieldParams(float(np.cos(theta)), float(np.sin(theta)), gamma, omega_z=gamma)
     return FieldLoop(p, revolutions=revolutions, compensated=True)
 
 
@@ -205,16 +195,13 @@ def hadamard_recipe() -> GateRecipe:
     )
 
 
-def not_recipe(loops: int = 1) -> GateRecipe:
-    """NOT gate as a phase gate conjugated by two Hadamards, not yet verified.
-
-    Solves loops pi cos(theta0) = pi/2 for the tilt, so the conjugated gate
-    is sigma_x up to global phase: cos(theta0) = 1/2 for one loop, 1/4 for
-    two.
-    """
-    theta0 = _bisect(lambda th: loops * np.pi * np.cos(th) - np.pi / 2, 1e-9, np.pi / 2)
+def not_recipe() -> GateRecipe:
+    """NOT gate as a one-loop phase gate conjugated by two Hadamards, not
+    yet verified: the tilt solves pi cos(theta0) = pi/2, so the conjugated
+    gate is sigma_x up to global phase."""
+    theta0 = _bisect(lambda th: np.pi * np.cos(th) - np.pi / 2, 1e-9, np.pi / 2)
     hadamard = hadamard_recipe()
-    phase = phase_gate_recipe(theta0, loops=loops)
+    phase = phase_gate_recipe(theta0)
     seq = PulseSequence(
         hadamard.sequence.steps + phase.sequence.steps + hadamard.sequence.steps,
         frame=SINGLE_QUBIT,
@@ -225,21 +212,16 @@ def not_recipe(loops: int = 1) -> GateRecipe:
         sequence=seq,
         parameters={
             "theta0": float(theta0),
-            "loops": int(loops),
+            "loops": 1,
             "relative_winding": 1,  # the report names its convention: one winding per loop
             "hadamard_theta0": hadamard.parameters["theta0"],
         },
     )
 
 
-def conditional_phase_diag(delta: float, j: float) -> np.ndarray:
-    """Target of the conditional loop: diag(e^{i G+}, e^{-i G+}, e^{i G-},
-    e^{-i G-}) in the |b a> basis."""
-    return _sector_phase_diag(two_qubit_loop_params(delta, j))
-
-
 def _sector_phase_diag(setting) -> np.ndarray:
-    """conditional_phase_diag of a solved conditional-loop setting."""
+    """Target of the conditional loop of a solved setting: diag(e^{i G+},
+    e^{-i G+}, e^{i G-}, e^{-i G-}) in the |b a> basis."""
     g_plus = geometric_phase_cone(setting.theta_plus)
     g_minus = geometric_phase_cone(setting.theta_minus)
     return np.diag(
@@ -287,17 +269,16 @@ CNOT_TARGET = np.array(
 )
 
 
-def cnot_recipe(j: float = 1.0) -> GateRecipe:
+def cnot_recipe() -> GateRecipe:
     """Controlled-NOT on spin a (control b up), up to the -i conditional
     phase: Hadamard on a, diagonal phase correction, the conditional loop,
     and a closing Hadamard on a.
 
-    At delta = (4/sqrt7) j the two sector phases differ by exactly pi/2,
-    which the correction turns into diag(-i, i, 1, 1); the Hadamard
-    sandwich converts that into the conditional bit flip.
+    At delta = (4/sqrt7) j, with j = 1, the two sector phases differ by
+    exactly pi/2, which the correction turns into diag(-i, i, 1, 1); the
+    Hadamard sandwich converts that into the conditional bit flip.
     """
-    delta = CNOT_DELTA_FACTOR * j
-    conditional = build_conditional_loop(delta, j)
+    conditional = build_conditional_loop(CNOT_DELTA_FACTOR, 1.0)
     setting = _loop_setting(conditional)
     g_minus = geometric_phase_cone(setting.theta_minus)
     hadamard = hadamard_recipe()
@@ -308,20 +289,19 @@ def cnot_recipe(j: float = 1.0) -> GateRecipe:
         + conditional.steps
         + hadamard.sequence.steps
     )
-    recipe = GateRecipe(
+    return GateRecipe(
         name="cnot",
         target=CNOT_TARGET.copy(),
         sequence=PulseSequence(steps, frame=TWO_QUBIT),
         parameters={
             "delta_over_j": float(CNOT_DELTA_FACTOR),
-            "j": float(j),
+            "j": 1.0,
             "omega1": setting.omega1,
             "gamma": setting.gamma,
             "gamma_minus_phase": g_minus,
             "hadamard_theta0": hadamard.parameters["theta0"],
         },
     )
-    return recipe
 
 
 def verify_gate(recipe: GateRecipe, steps_per_loop: int = 10_000) -> float:
@@ -337,11 +317,9 @@ def apply_recipe(recipe: GateRecipe) -> np.ndarray:
     return apply_sequence(recipe.sequence, recipe.dim)
 
 
-def format_matrix(u: np.ndarray, precision: int = 6) -> str:
-    """Aligned text rendering of a complex matrix."""
+def format_matrix(u: np.ndarray) -> str:
+    """Aligned text rendering of a complex matrix, six decimals per part."""
     u = np.asarray(u, dtype=complex)
-    cells = [
-        [f"{z.real:+.{precision}f}{z.imag:+.{precision}f}j" for z in row] for row in u
-    ]
+    cells = [[f"{z.real:+.6f}{z.imag:+.6f}j" for z in row] for row in u]
     width = max(len(c) for row in cells for c in row)
     return "\n".join("  ".join(c.rjust(width) for c in row) for row in cells)

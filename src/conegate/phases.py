@@ -40,10 +40,10 @@ def canonical_phase(x: float) -> float:
 
 @dataclass(frozen=True)
 class ConeGeometry:
-    """One eigenstate branch of the frozen field Hamiltonian.
+    """The upper eigenstate branch of the frozen field Hamiltonian.
 
     theta       cone half-angle of the branch, in [0, pi]
-    eigenvalue  +-sqrt(omega0^2 + omega1^2)/2
+    eigenvalue  +sqrt(omega0^2 + omega1^2)/2
     psi0        the eigenstate, azimuth 0
     """
 
@@ -52,8 +52,8 @@ class ConeGeometry:
     psi0: np.ndarray
 
 
-def cone_eigenstate(omega0: float, omega1: float, branch: str = "upper") -> ConeGeometry:
-    """Eigenstate of (omega0 sigma_z + omega1 sigma_x)/2 on its cone."""
+def cone_eigenstate(omega0: float, omega1: float) -> ConeGeometry:
+    """Upper eigenstate of (omega0 sigma_z + omega1 sigma_x)/2 on its cone."""
     _check_omega1(omega1)
     magnitude = np.hypot(omega0, omega1)
     if not np.isfinite(magnitude):  # a NaN or infinite input, or an overflow
@@ -62,15 +62,8 @@ def cone_eigenstate(omega0: float, omega1: float, branch: str = "upper") -> Cone
     if magnitude == 0.0:
         raise ValueError("zero field has no cone eigenstate")
     theta = float(np.arctan2(omega1, omega0))
-    if branch == "upper":
-        psi0 = np.array([np.cos(theta / 2), np.sin(theta / 2)], dtype=complex)
-        return ConeGeometry(theta, 0.5 * magnitude, psi0)
-    if branch == "lower":
-        psi0 = np.array([np.sin(theta / 2), -np.cos(theta / 2)], dtype=complex)
-        if theta == 0.0:
-            psi0 = np.array([0.0, 1.0], dtype=complex)
-        return ConeGeometry(float(np.pi - theta), -0.5 * magnitude, psi0)
-    raise ValueError("branch must be 'upper' or 'lower'")
+    psi0 = np.array([np.cos(theta / 2), np.sin(theta / 2)], dtype=complex)
+    return ConeGeometry(theta, 0.5 * magnitude, psi0)
 
 
 def compensation_gamma(omega0: float, omega1: float) -> float:

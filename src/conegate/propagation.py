@@ -29,9 +29,9 @@ on Python floats: numpy's abs of a complex array rounds apart from hypot,
 and its array square is a product where the uncompensated column takes
 pow, so the printed sweeps would lose their bytes.
 The ndarray propagators keep the frame product a BLAS matmul, whose fused
-multiply-adds Python cannot reproduce; _propagator_entries takes it in
-Python for callers that compose in Python (sequences) and can round an
-entry one ulp apart.
+multiply-adds Python cannot reproduce; sequences._loop_closed_form takes
+it in Python, for its composition in Python, and can round an entry one
+ulp apart.
 
 The integrator multiplies per-step exact exponentials of the Hamiltonian
 sampled at step midpoints (second-order Magnus). Every step is exactly
@@ -148,10 +148,6 @@ class Trajectory:
         object.__setattr__(self, "hamiltonian_at", hamiltonian_at)
         return self
 
-    @property
-    def duration(self) -> float:
-        return float(self.times[-1]) if self.times.size else 0.0
-
 
 def _checked_samples(times, states) -> tuple:
     """times and states as float and complex arrays, refused unless the
@@ -244,22 +240,6 @@ def _static_propagator(omega0, omega1: float, phase0: float, t) -> np.ndarray:
     if scalar:
         return np.array(_static_entries(float(omega0), omega1, phase0, float(t))).reshape(2, 2)
     return _static_stack(np.asarray(omega0, dtype=float), omega1, phase0, np.asarray(t))
-
-
-def _propagator_entries(omega0: float, omega1: float, gamma: float, phase0: float, t: float,
-                        compensated: bool) -> tuple:
-    """propagator_compensated (or propagator_uncompensated) of the field
-    (omega0, omega1, gamma, phase0) at one time as its entries (u00, u01,
-    u10, u11), for callers that compose in Python.
-
-    The frame product rot_z(gamma t) @ exp(-i H t) is taken in Python
-    complex here; the ndarray propagators take it with BLAS, whose fused
-    multiply-adds can round an entry one ulp apart."""
-    if not compensated:
-        omega0 = omega0 - gamma
-    s00, s01, s10, s11 = _static_entries(omega0, omega1, phase0, t)
-    r0, _, _, r1 = _z_entries(-0.5 * (gamma * t))
-    return (r0 * s00, r0 * s01, r1 * s10, r1 * s11)
 
 
 def propagator_uncompensated(p: FieldParams, t: float) -> np.ndarray:

@@ -38,9 +38,9 @@ from .linalg import SIGMA_Z, check_finite
 from .phases import _check_coupling, cone_eigenstate, two_qubit_loop_params
 from .propagation import (
     Trajectory,
-    _propagator_entries,
     _recorded_samples,
     _revolution_time,
+    _static_entries,
     _z_entries,
     _z_stack,
     integrate,
@@ -253,7 +253,8 @@ def build_s_operation(sol: SOpSolution, delta: float, j: float) -> PulseSequence
 
 
 def _inverted(steps: tuple) -> tuple:
-    """The exact inverse of steps: reversed, with negated angles and generators."""
+    """The exact inverse of steps: reversed, with negated angles and
+    generators. Involutive: _inverted(_inverted(steps)) == steps."""
     inverted = []
     for step in reversed(steps):
         if isinstance(step, FreeEvolve):
@@ -263,12 +264,6 @@ def _inverted(steps: tuple) -> tuple:
         else:
             inverted.append(type(step)(-step.angle))
     return tuple(inverted)
-
-
-def invert_sequence(seq: PulseSequence) -> PulseSequence:
-    """Exact inverse: reversed order, negated angles, negated-generator
-    evolutions. Involutive: invert(invert(seq)) == seq."""
-    return PulseSequence(_inverted(seq.steps), frame=seq.frame)
 
 
 def _block_diag(blocks, dim: int) -> np.ndarray:
@@ -329,12 +324,20 @@ def _loop_duration(step: FieldLoop, gamma: float) -> float:
 
 
 def _loop_closed_form(step: FieldLoop) -> list:
-    """Closed-form blocks of a field loop (entry 4-tuples), one per field;
-    sign = -1 takes the adjoint."""
+    """Closed-form blocks of a field loop (entry 4-tuples), one per field,
+    with the frame product rot_z(gamma t) @ exp(-i H t) taken in Python
+    complex (an entry can round one ulp apart from BLAS's). Every field
+    turns at one speed, so t and the frame factor are taken once; sign =
+    -1 takes the adjoint."""
+    fields = _loop_fields(step)
+    gamma = fields[0][2]
+    t = _loop_duration(step, gamma)
+    r0, _, _, r1 = _z_entries(-0.5 * (gamma * t))
     blocks = []
-    for omega0, omega1, gamma, phase0 in _loop_fields(step):
-        u00, u01, u10, u11 = _propagator_entries(
-            omega0, omega1, gamma, phase0, _loop_duration(step, gamma), step.compensated)
+    for omega0, omega1, _, phase0 in fields:
+        s00, s01, s10, s11 = _static_entries(omega0 if step.compensated else omega0 - gamma,
+                                             omega1, phase0, t)
+        u00, u01, u10, u11 = r0 * s00, r0 * s01, r1 * s10, r1 * s11
         if step.sign < 0:
             u00, u01, u10, u11 = (u00.conjugate(), u10.conjugate(),
                                   u01.conjugate(), u11.conjugate())

@@ -1124,6 +1124,40 @@ class TestConfigTypes:
         assert "Traceback" not in err
 
 
+class TestGateOptions:
+    """--theta and --loops belong to the phase gate and --delta-over-j to
+    cphase; any other gate given one, by flag or by config, exits 2 naming
+    the flag and the gate, before the value is read."""
+
+    CASES = [(gate, flag, owner)
+             for gate in ("hadamard", "not", "cnot")
+             for flag, owner in (("--theta", "phase"), ("--loops", "phase"),
+                                 ("--delta-over-j", "cphase"))]
+    CASES += [("phase", "--delta-over-j", "cphase"), ("cphase", "--theta", "phase"),
+              ("cphase", "--loops", "phase")]
+
+    @pytest.mark.parametrize("gate, flag, owner", CASES)
+    def test_a_flag_of_another_gate(self, gate, flag, owner, capsys):
+        # a value the flag's own parser would refuse: it is never read
+        code, out, err = run_cli(["gate", gate, flag, "abc"], capsys)
+        assert (code, out) == (2, "")
+        assert err == f"error: {flag} applies only to gate {owner}, not to gate {gate}\n"
+
+    @pytest.mark.parametrize("gate, flag, owner", CASES)
+    def test_a_config_key_of_another_gate(self, gate, flag, owner, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({flag[2:].replace("-", "_"): 2}))
+        code, out, err = run_cli(["gate", gate, "--config", str(cfg)], capsys)
+        assert (code, out) == (2, "")
+        assert err == f"error: {flag} applies only to gate {owner}, not to gate {gate}\n"
+
+    def test_the_first_of_several_is_named(self, capsys):
+        code, out, err = run_cli(["gate", "hadamard", "--loops", "3", "--theta", "0.5",
+                                  "--delta-over-j", "2.0"], capsys)
+        assert (code, out) == (2, "")
+        assert err == "error: --theta applies only to gate phase, not to gate hadamard\n"
+
+
 class TestScheduleSchema:
     @pytest.mark.parametrize(
         "doc, message",

@@ -8,7 +8,7 @@ written before the single-loop composition, copied here so that any
 rewrite of `sequences._compose`, `s_operation_params` or
 `two_qubit_loop_params` must reproduce their bits: composites compared by
 `tobytes()`, solver outputs by `float.hex`. The builders
-`build_conditional_loop`, `build_s_operation` and `invert_sequence` are
+`build_conditional_loop`, `build_s_operation` and `sequences._inverted` are
 copied as they were before their re-checks of package-made values were
 removed; every field of every step they build is compared by `float.hex`.
 """
@@ -44,7 +44,6 @@ from conegate.sequences import (
     apply_sequence,
     build_conditional_loop,
     build_s_operation,
-    invert_sequence,
     s_operation_params,
     simulate_sequence,
 )
@@ -136,6 +135,11 @@ def simulate_both(seq, dim, monkeypatch):
     return got, ref_compose(seq, dim, loop_blocks)
 
 
+def inverted(seq):
+    """The exact inverse of seq, its steps as sequences._inverted builds them."""
+    return PulseSequence(sequences._inverted(seq.steps), frame=seq.frame)
+
+
 def assert_same_bytes(got, want):
     assert got.dtype == want.dtype and got.shape == want.shape
     assert got.tobytes() == want.tobytes()
@@ -168,7 +172,7 @@ class TestCompositeBytes:
 
     def test_both_loop_signs(self, monkeypatch):
         for seq in conditional_loops(np.random.default_rng(1403), 200):
-            inverse = invert_sequence(seq)
+            inverse = inverted(seq)
             assert inverse.steps[5].sign == -seq.steps[5].sign == -1
             for s in (seq, inverse):
                 assert_same_bytes(apply_sequence(s, 4), ref_apply(s, 4))
@@ -186,7 +190,7 @@ class TestCompositeBytes:
     def test_every_gate_recipe(self, build, monkeypatch):
         recipe = build()
         seq, dim = recipe.sequence, recipe.dim
-        for s in (seq, invert_sequence(seq)):
+        for s in (seq, inverted(seq)):
             assert_same_bytes(apply_sequence(s, dim), ref_apply(s, dim))
             assert_same_bytes(*simulate_both(s, dim, monkeypatch))
 
@@ -396,7 +400,7 @@ class TestBuilderSteps:
             want = ref_build_conditional_loop(r * jj, jj)
             got = build_conditional_loop(r * jj, jj)
             assert_same_steps(got, want)
-            assert_same_steps(invert_sequence(got), PulseSequence(ref_inverted(want.steps),
+            assert_same_steps(inverted(got), PulseSequence(ref_inverted(want.steps),
                                                                    frame=want.frame))
 
     def test_build_s_operation(self):
@@ -416,7 +420,7 @@ class TestBuilderSteps:
                 continue
             got = build_s_operation(sol, d, jj)
             assert_same_steps(got, want)
-            assert_same_steps(invert_sequence(got), PulseSequence(ref_inverted(want.steps),
+            assert_same_steps(inverted(got), PulseSequence(ref_inverted(want.steps),
                                                                    frame=want.frame))
             built += 1
         assert built >= 0.9 * self.N
@@ -426,5 +430,5 @@ class TestBuilderSteps:
         rng = np.random.default_rng(1703 + (frame == TWO_QUBIT))
         for seq in mixed_programs(rng, self.N, frame):
             want = PulseSequence(ref_inverted(seq.steps), frame=frame)
-            assert_same_steps(invert_sequence(seq), want)
-            assert_same_steps(invert_sequence(invert_sequence(seq)), seq)
+            assert_same_steps(inverted(seq), want)
+            assert_same_steps(inverted(inverted(seq)), seq)

@@ -11,8 +11,8 @@ from conegate.gates import (
     GateRecipe,
     _conjugated_loop_gate,
     apply_recipe,
+    _sector_phase_diag,
     cnot_recipe,
-    conditional_phase_diag,
     conditional_recipe,
     hadamard_recipe,
     not_recipe,
@@ -176,12 +176,6 @@ class TestSolveHadamard:
 
 
 class TestSolveNot:
-    def test_doubled_convention_tilt(self):
-        # two single-winding loops land where one doubled winding did
-        recipe = verified(not_recipe(loops=2))
-        assert np.cos(recipe.parameters["theta0"]) == pytest.approx(0.25, abs=1e-9)
-        assert recipe.fidelity >= 1 - 1e-6
-
     def test_single_winding_tilt(self):
         recipe = verified(not_recipe())
         assert np.cos(recipe.parameters["theta0"]) == pytest.approx(0.5, abs=1e-9)
@@ -202,7 +196,7 @@ class TestConditionalPhase:
         delta = CNOT_DELTA_FACTOR
         setting = two_qubit_loop_params(delta, 1.0)
         g_minus = geometric_phase_cone(setting.theta_minus)
-        product = conditional_phase_diag(delta, 1.0) @ correction(g_minus)
+        product = _sector_phase_diag(setting) @ correction(g_minus)
         assert np.max(np.abs(product - np.diag([-1j, 1j, 1, 1]))) < 1e-12
 
     def test_simulated_correction(self):
@@ -260,7 +254,7 @@ class TestCnot:
 
     def test_gates_unitary(self):
         assert is_unitary(CNOT_TARGET)
-        assert is_unitary(conditional_phase_diag(1.8, 1.0))
+        assert is_unitary(_sector_phase_diag(two_qubit_loop_params(1.8, 1.0)))
         assert is_unitary(apply_recipe(cnot_recipe()), atol=1e-10)
 
 
@@ -319,7 +313,6 @@ class TestSettingSolvedOnce:
             return phases.two_qubit_loop_params(*args)
 
         monkeypatch.setattr(sequences, "two_qubit_loop_params", counting)
-        monkeypatch.setattr(gates, "two_qubit_loop_params", counting)
         recipe = build()
         assert len(calls) == 1
         setting = phases.two_qubit_loop_params(*calls[0])

@@ -64,13 +64,6 @@ class TestConeEigenstate:
         assert geom.eigenvalue == pytest.approx(values[1], abs=1e-14)
         assert np.max(np.abs(geom.psi0 - upper)) < 1e-12
 
-    def test_lower_branch(self):
-        geom = cone_eigenstate(1.0, 1.0, branch="lower")
-        assert geom.theta == pytest.approx(3 * np.pi / 4)
-        assert geom.eigenvalue == pytest.approx(-np.sqrt(2) / 2)
-        upper = cone_eigenstate(1.0, 1.0)
-        assert abs(upper.psi0.conj() @ geom.psi0) < 1e-14
-
     def test_eigenstate_property(self, rng):
         for omega0, omega1 in random_field_draws(rng, 20):
             geom = cone_eigenstate(omega0, omega1)

@@ -24,7 +24,6 @@ from conegate.propagation import (
     adiabatic_error,
     integrate,
     integrate_fields,
-    _propagator_entries,
     _static_propagator,
     loop_duration,
     loop_infidelities,
@@ -37,6 +36,8 @@ from conegate.sequences import (
     ConditionalLoop,
     FieldLoop,
     PulseSequence,
+    _loop_closed_form,
+    _loop_duration,
     integrate_loop,
     sequence_trajectory,
     simulate_sequence,
@@ -320,11 +321,12 @@ class TestStackedClosedForms:
             t = np.concatenate([[0.0], rng.uniform(0, 20, 499)])
             stacked = propagator(p, t)
             assert np.array_equal(np.array([propagator(p, x) for x in t.tolist()]), stacked)
-            entries = np.array([
-                _propagator_entries(p.omega0, p.omega1, p.gamma, p.phase0, x, compensated)
-                for x in t.tolist()])
-            # the same closed form with the frame product taken in Python
-            assert np.max(np.abs(entries.reshape(-1, 2, 2) - stacked)) <= 4.5e-16
+            # the same closed form with the frame product taken in Python, as a
+            # loop of t[k] / loop_duration(p) revolutions composes it
+            loops = [FieldLoop(p, x / loop_duration(p), compensated) for x in t[1:].tolist()]
+            durations = np.array([_loop_duration(loop, p.gamma) for loop in loops])
+            entries = np.array([_loop_closed_form(loop) for loop in loops])
+            assert np.max(np.abs(entries.reshape(-1, 2, 2) - propagator(p, durations))) <= 4.5e-16
 
     def test_scalar_rot_z_is_the_stacked_one(self, rng):
         angles = np.concatenate([[0.0, -0.0, 1e-300, 1e6], rng.uniform(-50, 50, 996)])
