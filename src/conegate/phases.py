@@ -143,9 +143,13 @@ def energy_expectations(traj) -> np.ndarray:
     propagate."""
     if traj.hamiltonian_at is None:
         raise ValueError("trajectory carries no Hamiltonian accessor")
-    n, d = traj.states.shape
-    h = np.asarray(traj.hamiltonian_at(traj.times), dtype=complex)
-    return _expectations(traj.states, _check_samples(h, n, d))
+    return _energies(traj.states, traj.hamiltonian_at, traj.times)
+
+
+def _energies(states: np.ndarray, hamiltonian_at, t: np.ndarray) -> np.ndarray:
+    """<psi|H|psi> of each state, with H the accessor's stack at times t."""
+    h = np.asarray(hamiltonian_at(t), dtype=complex)
+    return _expectations(states, _check_samples(h, *states.shape))
 
 
 def _expectations(states: np.ndarray, h: np.ndarray) -> np.ndarray:
@@ -209,17 +213,20 @@ def dynamical_phase(traj) -> float:
     """Accumulated dynamical phase -integral of <psi|H|psi> dt, by
     composite Simpson quadrature over the stored samples.
 
-    The rule is of high order only where <psi|H|psi> is smooth, as over one
-    field loop (integrate_loop). A multi-segment sequence_trajectory jumps
-    in <psi|H|psi> at its segment edges, and panels that straddle an edge
-    make the result first order in the sample spacing: about -1.2e-3 for
-    build_conditional_loop(1.8, 1.0) at 2,000 steps and 257 samples per
-    loop, where running_dynamical_phase, which pairs each interval with the
-    segment that covers it, reads -3.3e-7."""
+    A piecewise run (sequence_trajectory) jumps in <psi|H|psi> where one
+    segment ends and the next begins, so each timed segment is integrated
+    on its own samples, with its own Hamiltonian accessor, and the results
+    are summed; a segment of two samples takes the trapezoid."""
     if traj.times.size < 3:
         raise ValueError("dynamical phase needs at least 3 trajectory samples")
-    values = energy_expectations(traj)
-    return -_simpson(values, traj.times)
+    if not traj._segments:
+        return -_simpson(energy_expectations(traj), traj.times)
+    total = 0.0
+    for t0, _, h_at, first, count in traj._segments:
+        times = traj.times[first:first + count]
+        values = _energies(traj.states[first:first + count], h_at, times - t0)
+        total += _simpson(values, times) if count > 2 else np.trapezoid(values, times)
+    return -total
 
 
 def _cyclic_overlap(traj) -> tuple[complex, float]:

@@ -116,12 +116,17 @@ class Trajectory:
     propagators    optional (n, d, d) array with states[k] = propagators[k] @ states[0]
     hamiltonian_at optional accessor t -> (d, d) Hamiltonian used to
                    generate the evolution (vectorized over t where possible)
+
+    A piecewise run (sequence_trajectory) also keeps its timed segments in
+    _segments, each as (start time, end time, the segment's own accessor
+    of the time since its start, first sample, sample count).
     """
 
     times: np.ndarray
     states: np.ndarray
     propagators: np.ndarray | None = None
     hamiltonian_at: Callable[[np.ndarray], np.ndarray] | None = None
+    _segments = ()  # not a field: one smooth run has none
 
     def __post_init__(self) -> None:
         times, states = _checked_samples(self.times, self.states)
@@ -135,7 +140,7 @@ class Trajectory:
         object.__setattr__(self, "states", states)
 
     @classmethod
-    def _of_run(cls, times, states, propagators, hamiltonian_at) -> "Trajectory":
+    def _of_run(cls, times, states, propagators, hamiltonian_at, segments=()) -> "Trajectory":
         """The trajectory of a run whose states are its propagators applied
         to the initial state, as an integrator run or a simulated sequence
         builds them: the replay of __post_init__ cannot fail there, so it is
@@ -146,6 +151,7 @@ class Trajectory:
         object.__setattr__(self, "states", states)
         object.__setattr__(self, "propagators", propagators)
         object.__setattr__(self, "hamiltonian_at", hamiltonian_at)
+        object.__setattr__(self, "_segments", tuple(segments))
         return self
 
 

@@ -57,6 +57,17 @@ def _check_sign(sign: int) -> None:
         raise ValueError("sign must be +1 or -1")
 
 
+def _made(cls, **fields):
+    """A frozen primitive or sequence holding fields, built without its
+    __init__ and __post_init__, as Trajectory._of_run builds a trajectory:
+    only for values the package derives from ones it has just checked,
+    where no check of __post_init__ can fail. Its only callers are the
+    primitives' _inverse methods and build_conditional_loop."""
+    self = object.__new__(cls)
+    self.__dict__.update(fields)
+    return self
+
+
 @dataclass(frozen=True)
 class _Rotation:
     """A hard pulse: spin a turned by angle about one axis."""
@@ -66,17 +77,27 @@ class _Rotation:
     def __post_init__(self) -> None:
         check_finite(self.angle, "angle")
 
+    def _inverse(self) -> "_Rotation":
+        return _made(type(self), angle=-self.angle)
+
+    def __reduce__(self) -> tuple:
+        # rebuilt from the angle alone: a pulse _kept holds its blocks in
+        # functions, which do not pickle
+        return type(self), (self.angle,)
+
 
 class RotX(_Rotation):
     def _blocks(self, dim: int) -> tuple:
-        c, s = math.cos(self.angle / 2), math.sin(self.angle / 2)
-        return ((complex(c), complex(0.0, -s), complex(0.0, -s), complex(c)),)
+        half = self.angle / 2
+        c, s = complex(math.cos(half)), complex(0.0, -math.sin(half))
+        return ((c, s, s, c),)
 
 
 class RotY(_Rotation):
     def _blocks(self, dim: int) -> tuple:
-        c, s = math.cos(self.angle / 2), math.sin(self.angle / 2)
-        return ((complex(c), complex(-s), complex(s), complex(c)),)
+        half = self.angle / 2
+        c, s = complex(math.cos(half)), math.sin(half)
+        return ((c, complex(-s), complex(s), c),)
 
 
 class RotZ(_Rotation):
@@ -106,9 +127,15 @@ class FreeEvolve:
             raise ValueError("duration must be nonnegative")
         _check_sign(self.sign)
 
-    def _blocks(self, dim: int) -> list:
-        half_t = -0.5 * (self.sign * self.duration)
-        return [_z_entries(half_t * e) for e in _sector_offsets(self, dim)]
+    def _inverse(self) -> "FreeEvolve":
+        return _made(FreeEvolve, duration=self.duration, delta=self.delta, j=self.j,
+                     sign=-self.sign)
+
+    def _blocks(self, dim: int) -> tuple:
+        half_t, d, j = -0.5 * (self.sign * self.duration), self.delta, self.j
+        if dim == 2:
+            return (_z_entries(half_t * d),)
+        return _z_entries(half_t * (d + j)), _z_entries(half_t * (d - j))
 
 
 @dataclass(frozen=True)
@@ -156,6 +183,10 @@ class FieldLoop:
             if self.params.gamma == 0.0:
                 raise ValueError("a field loop needs a nonzero rotation speed")
             _check_omega_z(self.params, self.compensated)
+
+    def _inverse(self) -> "FieldLoop":
+        return _made(FieldLoop, params=self.params, revolutions=self.revolutions,
+                     compensated=self.compensated, sign=-self.sign)
 
 
 _PRIMITIVES = (RotX, RotY, RotZ, FreeEvolve, FieldLoop)
@@ -239,9 +270,24 @@ def _check_solution(sol: SOpSolution, delta: float, j: float) -> float:
     return float(w_plus)
 
 
+def _kept(pulse: _Rotation) -> _Rotation:
+    """pulse and its inverse, each with its blocks taken once (a hard
+    pulse's blocks are the same at either dimension) and each the other's
+    _inverse."""
+    inverse = pulse._inverse()
+    for p, q in ((pulse, inverse), (inverse, pulse)):
+        vars(p).update(_blocks=lambda dim, blocks=p._blocks(2): blocks, _inverse=lambda q=q: q)
+    return pulse
+
+
+# the quarter turns of every preparation and their inverses, built once per
+# process (frozen, so shared)
+_QUARTER_Y, _QUARTER_X = _kept(RotY(np.pi / 2)), _kept(RotX(np.pi / 2))
+
+
 def _s_operation_steps(sol: SOpSolution, delta: float, j: float) -> tuple:
-    return (RotY(np.pi / 2), FreeEvolve(sol.t_c, delta, j), RotZ(-delta * sol.t_c),
-            RotX(np.pi / 2), RotY(-sol.phi_prime))
+    return (_QUARTER_Y, FreeEvolve(sol.t_c, delta, j), RotZ(-delta * sol.t_c), _QUARTER_X,
+            RotY(-sol.phi_prime))
 
 
 def build_s_operation(sol: SOpSolution, delta: float, j: float) -> PulseSequence:
@@ -253,17 +299,11 @@ def build_s_operation(sol: SOpSolution, delta: float, j: float) -> PulseSequence
 
 
 def _inverted(steps: tuple) -> tuple:
-    """The exact inverse of steps: reversed, with negated angles and
-    generators. Involutive: _inverted(_inverted(steps)) == steps."""
-    inverted = []
-    for step in reversed(steps):
-        if isinstance(step, FreeEvolve):
-            inverted.append(FreeEvolve(step.duration, step.delta, step.j, -step.sign))
-        elif isinstance(step, FieldLoop):
-            inverted.append(FieldLoop(step.params, step.revolutions, step.compensated, -step.sign))
-        else:
-            inverted.append(type(step)(-step.angle))
-    return tuple(inverted)
+    """The exact inverse of steps: reversed, each step's _inverse with its
+    angle or generator negated. Involutive: _inverted(_inverted(steps)) ==
+    steps. The steps are checked primitives, so a negated angle is finite,
+    a flipped sign valid and every other field kept: none is checked again."""
+    return tuple([step._inverse() for step in reversed(steps)])
 
 
 def _block_diag(blocks, dim: int) -> np.ndarray:
@@ -287,32 +327,25 @@ def _matrix(blocks, dim: int) -> np.ndarray:
                      0j, 0j, d00, d01, 0j, 0j, d10, d11), dtype=complex).reshape(4, 4)
 
 
-def _sector_offsets(step: FreeEvolve, dim: int) -> list:
-    """Vertical offset of spin a in each spin-b sector."""
-    if dim == 2:
-        return [step.delta]
-    return [step.delta + step.j, step.delta - step.j]
-
-
 def _free_evolution_unitaries(step: FreeEvolve, dim: int, durations) -> np.ndarray:
     """Diagonal unitaries of the free evolution run for each of durations
     (the step's own duration ignored), as a (len(durations), dim, dim) stack:
     in each sector diag(exp(i a), exp(-i a)) with the half-angle a = -t e / 2,
     e the sector's offset, in FreeEvolve._blocks' operation order."""
     half_t = -0.5 * (step.sign * np.asarray(durations, dtype=float))
-    return _block_diag([_z_stack(half_t * e) for e in _sector_offsets(step, dim)], dim)
+    offsets = (step.delta,) if dim == 2 else (step.delta + step.j, step.delta - step.j)
+    return _block_diag([_z_stack(half_t * e) for e in offsets], dim)
 
 
-def _loop_fields(step: FieldLoop) -> list[tuple]:
-    """Single-spin field (omega0, omega1, gamma, phase0) of each 2x2 block of
-    a loop: the loop's own field, or for a conditional loop one per spin-b
-    sector (b-up first), each seeing the vertical offset delta + j or
-    delta - j."""
+def _loop_fields(step: FieldLoop) -> tuple:
+    """(omega1, gamma, phase0, offsets) of the single-spin field of each 2x2
+    block of a loop: the loop's own field, with the one offset omega0, or
+    for a conditional loop one field per spin-b sector (b-up first), each
+    seeing the vertical offset delta + j or delta - j."""
     p = step.params
-    if isinstance(p, FieldParams):
-        return [(p.omega0, p.omega1, p.gamma, p.phase0)]
-    s = p.setting
-    return [(p.delta + sgn * p.j, s.omega1, s.gamma, p.phase0) for sgn in (+1, -1)]
+    if type(p) is ConditionalLoop:
+        return p.setting.omega1, p.setting.gamma, p.phase0, (p.delta + p.j, p.delta - p.j)
+    return p.omega1, p.gamma, p.phase0, (p.omega0,)
 
 
 def _loop_duration(step: FieldLoop, gamma: float) -> float:
@@ -329,19 +362,16 @@ def _loop_closed_form(step: FieldLoop) -> list:
     complex (an entry can round one ulp apart from BLAS's). Every field
     turns at one speed, so t and the frame factor are taken once; sign =
     -1 takes the adjoint."""
-    fields = _loop_fields(step)
-    gamma = fields[0][2]
+    omega1, gamma, phase0, offsets = _loop_fields(step)
     t = _loop_duration(step, gamma)
     r0, _, _, r1 = _z_entries(-0.5 * (gamma * t))
     blocks = []
-    for omega0, omega1, _, phase0 in fields:
+    for omega0 in offsets:
         s00, s01, s10, s11 = _static_entries(omega0 if step.compensated else omega0 - gamma,
                                              omega1, phase0, t)
         u00, u01, u10, u11 = r0 * s00, r0 * s01, r1 * s10, r1 * s11
-        if step.sign < 0:
-            u00, u01, u10, u11 = (u00.conjugate(), u10.conjugate(),
-                                  u01.conjugate(), u11.conjugate())
-        blocks.append((u00, u01, u10, u11))
+        blocks.append((u00.conjugate(), u10.conjugate(), u01.conjugate(), u11.conjugate())
+                      if step.sign < 0 else (u00, u01, u10, u11))
     return blocks
 
 
@@ -371,12 +401,12 @@ def _free_samples(samples_per_loop: int) -> int:
 def _loop_schedules(step: FieldLoop) -> tuple:
     """(duration, one FieldSchedule per field) of a field-loop segment;
     sign = -1 runs the negated Hamiltonian backwards."""
-    fields = _loop_fields(step)
-    duration = _loop_duration(step, fields[0][2])
+    omega1, gamma, phase0, offsets = _loop_fields(step)
+    duration = _loop_duration(step, gamma)
     return duration, [
         FieldSchedule(omega0 + gamma if step.compensated else omega0, omega1, gamma, phase0,
                       step.sign, duration)
-        for omega0, omega1, gamma, phase0 in fields
+        for omega0 in offsets
     ]
 
 
@@ -495,40 +525,42 @@ def sequence_trajectory(
     psi = np.asarray(psi0, dtype=complex)
     times = [np.zeros(1)]
     props = [np.eye(dim, dtype=complex)[None]]
-    segments = []  # (t_start, t_end, Hamiltonian accessor)
-    now = 0.0
+    segments = []  # as Trajectory._segments holds them
+    now, rows = 0.0, 1
     for step in seq.steps:
         u = props[-1][-1]
         if isinstance(step, FieldLoop):
             m = _loop_samples(step, samples_per_loop)
             duration, runs, h_at = _integrate_loop(step, dim, steps_per_loop, m)
             seg_u = _block_diag([run.propagators for run in runs], dim)
-            segments.append((now, now + duration, h_at))
+            segments.append((now, now + duration, h_at, rows - 1, runs[0].times.size))
             times.append(now + runs[0].times[1:])
             props.append(seg_u[1:] @ u)
             now += duration
         elif isinstance(step, FreeEvolve) and step.duration > 0:
             h_free = _free_evolution_hamiltonian(step, dim)
-            segments.append((now, now + step.duration, lambda t, h=h_free: _const(h, t)))
             seg_t = step.duration * np.linspace(0, 1, _free_samples(samples_per_loop))[1:]
+            segments.append((now, now + step.duration, lambda t, h=h_free: _const(h, t), rows - 1,
+                             seg_t.size + 1))
             times.append(now + seg_t)
             props.append(_free_evolution_unitaries(step, dim, seg_t) @ u)
             now += step.duration
         else:
             times.append(np.array([now]))
             props.append((_matrix(step._blocks(dim), dim) @ u)[None])
+        rows += times[-1].size
 
     def hamiltonian_at(t):
         t_arr = np.asarray(t, dtype=float)
         out = np.zeros(t_arr.shape + (dim, dim), dtype=complex)
-        for t0, t1, h_at in segments:
+        for t0, t1, h_at, _, _ in segments:
             mask = (t_arr >= t0) & (t_arr <= t1)
             if np.any(mask):
                 out[mask] = h_at(t_arr[mask] - t0)
         return out
 
     props = np.concatenate(props)
-    return Trajectory._of_run(np.concatenate(times), props @ psi, props, hamiltonian_at)
+    return Trajectory._of_run(np.concatenate(times), props @ psi, props, hamiltonian_at, segments)
 
 
 def trajectory_rows(seq: PulseSequence, steps_per_loop: int) -> int:
@@ -561,10 +593,11 @@ def build_conditional_loop(delta: float, j: float) -> PulseSequence:
     """Preparation, one compensated conditional revolution, then the exact
     inverse preparation. The composite is diagonal with opposite phases in
     each spectator sector."""
-    loop = FieldLoop(ConditionalLoop(delta, j), revolutions=1.0, compensated=True)
-    sol = s_operation_params(delta, j, loop.params.setting.omega1)
-    s_steps = _s_operation_steps(sol, delta, j)
-    return PulseSequence(s_steps + (loop,) + _inverted(s_steps), frame=TWO_QUBIT)
+    params = ConditionalLoop(delta, j)
+    # a checked setting, one literal revolution and sign; the steps are primitives
+    loop = _made(FieldLoop, params=params, revolutions=1.0, compensated=True, sign=1)
+    s_steps = _s_operation_steps(s_operation_params(delta, j, params.setting.omega1), delta, j)
+    return _made(PulseSequence, steps=s_steps + (loop,) + _inverted(s_steps), frame=TWO_QUBIT)
 
 
 # ---------------------------------------------------------------------------

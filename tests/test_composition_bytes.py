@@ -11,11 +11,17 @@ rewrite of `sequences._compose`, `s_operation_params` or
 `build_conditional_loop`, `build_s_operation` and `sequences._inverted` are
 copied as they were before their re-checks of package-made values were
 removed; every field of every step they build is compared by `float.hex`.
+The steps the builders now make without their checks are rebuilt through
+their public constructors, which must accept them unchanged.
 """
 
+import ast
 import dataclasses
+import json
 import math
+import pickle
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -432,3 +438,103 @@ class TestBuilderSteps:
             want = PulseSequence(ref_inverted(seq.steps), frame=frame)
             assert_same_steps(inverted(seq), want)
             assert_same_steps(inverted(inverted(seq)), seq)
+
+
+# ---------------------------------------------------------------------------
+# steps built without their checks
+
+
+def references(name: str) -> set:
+    """Each scope of the package that refers to name, as a bare name or as
+    an attribute: module.class.function, or the module alone for its
+    top-level code. A def of that name is not a reference."""
+    found = set()
+
+    def visit(node, scope: tuple) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, scope + (child.name,))
+                continue
+            if (isinstance(child, ast.Name) and child.id == name
+                    or isinstance(child, ast.Attribute) and child.attr == name):
+                found.add(".".join(scope))
+            visit(child, scope)
+
+    for path in sorted(Path(sequences.__file__).resolve().parent.glob("*.py")):
+        visit(ast.parse(path.read_text()), (path.stem,))
+    return found
+
+
+def block_bytes(step, dim):
+    """The bytes of a step's sector blocks at dim; a loop's closed form."""
+    blocks = sequences._loop_closed_form(step) if isinstance(step, FieldLoop) else step._blocks(dim)
+    return np.array(blocks, dtype=complex).tobytes()
+
+
+class TestTrustedSteps:
+    """build_conditional_loop builds its loop, its sequence and, through
+    _inverted, its inverse preparation with sequences._made, which runs no
+    __post_init__; the two quarter turns of the preparation are shared and
+    keep their blocks. Rebuilt through its public constructor
+    (dataclasses.replace runs __post_init__ again), each such step must
+    pass every check and compare equal, with the same blocks."""
+
+    N = 1_000
+
+    @staticmethod
+    def draws(n):
+        """(delta, J) with delta/J from just above 1 to about 1e15, at
+        couplings J from 0.1 to 10 other than 1."""
+        rng = np.random.default_rng(1801)
+        ratio = 1.0 + 10.0 ** rng.uniform(-9.0, 15.0, size=n)
+        ratio[:2] = 1.0 + 1e-9, 1e15
+        j = 10.0 ** rng.uniform(-1.0, 1.0, size=n)
+        assert not np.any(j == 1.0)
+        return list(zip((ratio * j).tolist(), j.tolist()))
+
+    def test_rebuilt_steps_pass_their_checks(self):
+        for delta, j in self.draws(self.N):
+            seq = build_conditional_loop(delta, j)
+            for s in (seq, inverted(seq)):
+                assert dataclasses.replace(s) == s
+                for step in s.steps:
+                    rebuilt = dataclasses.replace(step)
+                    assert rebuilt == step and fields_hex(rebuilt) == fields_hex(step)
+                    for dim in (2, 4):
+                        assert block_bytes(rebuilt, dim) == block_bytes(step, dim)
+
+    def test_sequences_read_back_from_their_documents(self):
+        for delta, j in self.draws(self.N):
+            seq = build_conditional_loop(delta, j)
+            for s in (seq, inverted(seq)):
+                back = sequences.sequence_from_dict(json.loads(sequences.to_json(s)))
+                assert back == s
+                assert_same_steps(back, s)
+
+    def test_the_quarter_turns_are_shared_with_their_inverses(self):
+        seq = build_conditional_loop(1.8, 1.0)
+        assert seq.steps[0] is sequences._QUARTER_Y and seq.steps[3] is sequences._QUARTER_X
+        for quarter, kind in ((sequences._QUARTER_Y, RotY), (sequences._QUARTER_X, RotX)):
+            inverse = quarter._inverse()
+            assert inverse._inverse() is quarter
+            assert inverse == kind(-np.pi / 2) and quarter == kind(np.pi / 2)
+            for pulse in (quarter, inverse):
+                assert block_bytes(pulse, 4) == block_bytes(kind(pulse.angle), 4)
+        # a pickled sequence comes back as freshly built pulses
+        back = pickle.loads(pickle.dumps(seq))
+        assert back == seq and back.steps[0] is not sequences._QUARTER_Y
+        assert [block_bytes(s, 4) for s in back.steps] == [block_bytes(s, 4) for s in seq.steps]
+
+    def test_only_the_builders_skip_the_checks(self):
+        # _made is reached only from build_conditional_loop and from the
+        # _inverse methods, which negate an already checked angle or sign;
+        # _inverse is reached only from _inverted and _kept, and _inverted
+        # only from build_conditional_loop. So neither the schedule reader
+        # nor a public constructor hands an outside value to _made.
+        assert references("_made") == {"sequences._Rotation._inverse",
+                                       "sequences.FreeEvolve._inverse",
+                                       "sequences.FieldLoop._inverse",
+                                       "sequences.build_conditional_loop"}
+        assert references("_inverse") == {"sequences._inverted", "sequences._kept"}
+        assert references("_inverted") == {"sequences.build_conditional_loop"}
+        assert references("_kept") == {"sequences"}

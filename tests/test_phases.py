@@ -18,6 +18,7 @@ from conegate.phases import (
     energy_expectations,
     geometric_phase_cone,
     phase_decomposition,
+    running_dynamical_phase,
     two_qubit_loop_params,
 )
 from conegate.propagation import (
@@ -26,7 +27,15 @@ from conegate.propagation import (
     propagator_compensated,
     propagator_uncompensated,
 )
-from conegate.sequences import integrate_loop
+from conegate.sequences import (
+    FieldLoop,
+    FreeEvolve,
+    PulseSequence,
+    RotX,
+    build_conditional_loop,
+    integrate_loop,
+    sequence_trajectory,
+)
 
 from conftest import random_field_draws
 
@@ -245,6 +254,44 @@ class TestDynamicalPhase:
                           lambda t: np.broadcast_to(SIGMA_Z, np.shape(t) + (2, 2)).copy())
         with pytest.raises(ValueError):
             dynamical_phase(traj)
+
+
+class TestPiecewiseDynamicalPhase:
+    """dynamical_phase of a sequence_trajectory: Simpson within each timed
+    segment, with that segment's own Hamiltonian, summed."""
+
+    @pytest.mark.parametrize("steps", [2_000, 20_000])
+    def test_conditional_loop_meets_the_running_phase(self, steps):
+        # from |0000>, <psi|H|psi> is nearly constant along each segment, so
+        # Simpson and the trapezoid of running_dynamical_phase agree closely
+        # (-3.3e-7 at 2,000 steps, -3.3e-9 at 20,000; Simpson across the
+        # segment edges read -1.24e-3 and -1.23e-3)
+        psi0 = np.zeros(4, dtype=complex)
+        psi0[0] = 1.0
+        traj = sequence_trajectory(build_conditional_loop(1.8, 1.0), 4, psi0,
+                                   steps_per_loop=steps)
+        running = running_dynamical_phase(traj, np.ones(traj.times.size, dtype=bool))
+        assert abs(dynamical_phase(traj) - running[-1]) < 1e-9
+
+    @pytest.mark.parametrize("samples", [4, 257])
+    def test_free_evolutions_between_pulses_are_exact(self, samples):
+        # <H> = delta <sigma_z> / 2 stays constant along each free evolution
+        # and jumps at the x pulse between them; at 4 samples per loop each
+        # free evolution records two samples and takes the trapezoid
+        seq = PulseSequence((FreeEvolve(1.0, 0.7), RotX(0.9), FreeEvolve(0.5, -1.3)))
+        traj = sequence_trajectory(seq, 2, np.array([1.0, 0.0]), samples_per_loop=samples)
+        assert [count for *_, count in traj._segments] == [max(2, samples // 4)] * 2
+        exact = -0.35 * 1.0 + 0.65 * np.cos(0.9) * 0.5
+        assert dynamical_phase(traj) == pytest.approx(exact, abs=1e-14)
+
+    def test_one_segment_keeps_the_whole_run_rule(self):
+        p = FieldParams(0.6, 0.8, -1.25, phase0=0.3)
+        psi0 = cone_eigenstate(p.omega0, p.omega1).psi0
+        traj = sequence_trajectory(PulseSequence((FieldLoop(p, compensated=False),)), 2, psi0,
+                                   steps_per_loop=1_000)
+        assert len(traj._segments) == 1
+        assert dynamical_phase(traj) == -_simpson(energy_expectations(traj), traj.times)
+        assert integrate_loop(p, False, steps_per_loop=1_000)._segments == ()
 
 
 class TestSimpson:
