@@ -57,27 +57,24 @@ bounds before it fills, whose intervals, each block's padded at its end
 with the identity to the most that any of them holds, number at most
 PASS_BLOCKS BLOCK_STEPS. A full window's (intervals, blocks) stack takes
 its prefix products in one doubling, and then one carry loop, in block
-order, composes each block's prefixes with the running product, takes
-the phase sums, records the samples that end in the block and projects
-the running product back. Padding at the end of a block's column never
+order, composes each block's prefixes with the running product, records
+the samples that end in the block and projects the running product back. Padding at the end of a block's column never
 enters a kept prefix, and every product keeps its operands and their
 order, so neither a pass nor a window changes a bit; they only spend
 fewer numpy calls per step, and a window's memory stays of the order of
 a pass's whatever the samples.
 
-2x2 steps stay in Cayley-Klein form (a, b) with their trace phase summed
-apart, and the running product is projected back onto SU(2) after every
-block, so rounding does not drift the norm. They are built from the
-components (z, x) of the traceless part of the Hamiltonian: a
-FieldSchedule (a rotating-field run, as the loops of sequences give it)
-yields them directly from the field's time and phase, any other schedule
-is called and its 2x2 samples are read back. Either way one workspace
-per call holds the pass's components, its pairs and every temporary of
-the reductions, and numpy writes into it with out= in the operation
-order of fresh arrays, so the bits do not depend on the path. The
-workspace is one allocation, sized from the records the call stacks, and
-is freed when the call returns. Larger dimensions use an eigh
-exponential and matrix products on fresh arrays.
+The kernel follows the kind of input. A FieldSchedule (a rotating-field
+run, as every loop of sequences gives it) goes to _SU2: its steps are
+built from the field's time and phase as the components (z, x) of its
+traceless Hamiltonian, stay in Cayley-Klein form (a, b), and the running
+product is projected back onto SU(2) after every block, so rounding does
+not drift the norm. One workspace per call holds the pass's components,
+its pairs and every temporary of the reductions, and numpy writes into it
+with out= in the operation order of fresh arrays. The workspace is one
+allocation, sized from the records the call stacks, and is freed when
+the call returns. Any callable, 2x2 or larger, is sampled and goes to
+_Dense: an eigh exponential per step and matrix products on fresh arrays.
 
 Field records that differ only in their vertical field share the field's
 phase at every step. integrate_fields runs such records as one stacked
@@ -336,14 +333,14 @@ TRIG_TABLE = 64  # distinct step norms whose cos and sin a pass evaluates once e
 
 
 class _SU2:
-    """2x2 steps as Cayley-Klein pairs: exp(-i h dt) = exp(-i c dt) U with
-    U = [[a, -conj(b)], [b, conj(a)]] in SU(2), stored as (..., 2) arrays of
-    (a, b); the phase c (the half trace of h) is summed separately.
+    """The steps of field records as Cayley-Klein pairs: exp(-i h dt) =
+    [[a, -conj(b)], [b, conj(a)]] in SU(2), stored as (..., 2) arrays of
+    (a, b). A record's h = [[z, x], [conj(x), -z]] is traceless.
 
     An instance is the workspace of one integrate call, which runs one or
-    more records at once. A pass's steps enter as the traceless part
-    [[z, x], [conj(x), -z]] of h, negated: the rows (-x.real, -x.imag) of
-    a buffer, which stacked field records share, and each record's -z. The
+    more records at once. A pass's steps enter as h negated: the rows
+    (-x.real, -x.imag) of a buffer, which stacked records share, and each
+    record's -z. The
     records' pairs are stacked in one buffer, record s's m steps from row
     s m on. Every temporary of the reductions is a buffer too, written with
     out= in the order of operations of a fresh-array evaluation; the views
@@ -355,11 +352,7 @@ class _SU2:
     (9 records + 2) PASS_BLOCKS BLOCK_STEPS floats (1.08 MB for one
     record, 1.97 MB for two), made per call and freed with it. No complex
     product writes over one of its own operands: numpy runs a strided
-    in-place product through another, unfused loop, which rounds apart.
-    The -x rows that samples() writes stay contiguous: numpy 2.4.6's float64
-    np.negative writes wrong values when its input and its out are both
-    strided (np.negative(h[:, 0, 1].real, out=x[::2]) reads the input as
-    if it were contiguous)."""
+    in-place product through another, unfused loop, which rounds apart."""
 
     identity = np.array([1.0, 0.0], dtype=complex)
 
@@ -391,7 +384,7 @@ class _SU2:
             parts = [p.view(float) for p in pairs.reshape(self.records, m, 2)]
             v = self._blocks[m] = SimpleNamespace(
                 steps=np.arange(m, dtype=float), neg_x=neg_x, neg_x_swapped=neg_x[::-1],
-                neg_z=phase, phase=phase, r=r, rdt=rdt, sinc=sinc, cos=cos,
+                phase=phase, r=r, rdt=rdt, sinc=sinc, cos=cos,
                 squares=self._real[2:4, :m], pairs=pairs,
                 bits=rdt.view(np.int64),  # the table's indices, where rdt is not taken
                 out=[(p[:, 0], p[:, 1], p[:, 2:].T) for p in parts],  # each record's a, b
@@ -422,18 +415,9 @@ class _SU2:
         halves = [0.5 * g.vertical for g in fields]
         return [-z for z in halves] if f.sign > 0 else halves
 
-    def samples(self, h: np.ndarray, c: np.ndarray) -> list:
-        """Write a pass of sampled 2x2 Hamiltonians with half traces c into
-        the pass's -x rows and -z row; returns [-z]."""
-        v = self._block(len(h))
-        np.negative(h[:, 0, 0].real - c, out=v.neg_z)
-        np.negative(h[:, 0, 1].real, out=v.neg_x[0])
-        np.negative(h[:, 0, 1].imag, out=v.neg_x[1])
-        return [v.neg_z]
-
     def exp(self, neg_zs: list, m: int, dt: float) -> np.ndarray:
         """Stacked pairs of the pass's m steps exp(-i h dt) of each record,
-        from the -x rows and the record's -z (a float or an array).
+        from the -x rows and the record's -z.
 
         cos(r dt) and sin(r dt) / r are taken once per distinct r when r
         spans at most TRIG_TABLE floats, as it does along a field loop
@@ -747,8 +731,9 @@ def integrate(
 
     schedule        t -> Hamiltonian stack: called with an array of m
                     midpoints at a time, it returns their (m, d, d)
-                    Hamiltonians. A FieldSchedule is read as its components
-                    instead of being called.
+                    Hamiltonians, whose steps are eigh exponentials. A
+                    FieldSchedule is read as its components instead of
+                    being called, and its steps are SU(2) closed forms.
     t_end           final time (>= 0)
     total_steps     step count, an integer (at least 1; no steps are taken
                     when t_end is 0)
@@ -781,8 +766,9 @@ def integrate_fields(fields, t_end: float, *, total_steps: int,
 
 
 def _integrate(schedules: tuple, t_end: float, total_steps, psi0, samples: int) -> list:
-    """The run of integrate: of one callable, or stacked over FieldSchedules
-    that share their phase schedule, one Trajectory each.
+    """The run of integrate: of one callable through _Dense, or through
+    _SU2 stacked over FieldSchedules that share their phase schedule, one
+    Trajectory each.
 
     The pass loop (_block_products) hands over each block's run products,
     which go into the window's (runs, blocks, ...) stack, each block's
@@ -825,45 +811,37 @@ def _integrate(schedules: tuple, t_end: float, total_steps, psi0, samples: int) 
         return [Trajectory._of_run(np.zeros(1), psi0[None, :], eye, s) for s in schedules]
 
     k = len(schedules)
-    kernel = _SU2(k) if d == 2 else _Dense(d)  # whatever n_steps
-    traced = not field and d == 2  # a 2x2 callable's trace phase is summed apart
+    kernel = _SU2(k) if field else _Dense(d)  # whatever n_steps
     # record s's propagators at the bounds are rows s n_bounds on
     recorded = np.empty((k * bounds.size,) + kernel.identity.shape, dtype=complex)
     recorded[:: bounds.size] = kernel.identity
     by_bound = _by_run(recorded, k)
-    recorded_phase = np.zeros(bounds.size)  # stays 0 where no phase is kept apart
     windows = _windows(runs)
     # one window's products, shaped as _by_run shapes a block's runs
     stack = np.empty((max(w * (stop - first) for first, stop, w in windows),)
                      + (k,) * (k > 1) + kernel.identity.shape, dtype=complex)
     blocks = _block_products(kernel, schedules, h, passes, ends, dt)
-    carry, carry_phase, done = kernel.identity, 0.0, 1
+    carry, done = kernel.identity, 1
     for first, stop, width in windows:
         prefix = stack[: width * (stop - first)].reshape((width, stop - first) + stack.shape[1:])
         prefix[...] = kernel.identity
-        phases = np.zeros(prefix.shape[:2]) if traced else None
         for b in range(stop - first):
-            products, phase = next(blocks)
+            products = next(blocks)
             prefix[: len(products), b] = products
-            if traced:
-                phases[: len(products), b] = phase
         _prefix_products(kernel, prefix)
-        if traced:
-            phases = dt * np.cumsum(phases, axis=0)
         for b, (n, upto) in enumerate(zip(runs[first:stop], dones[first:stop])):
             column = prefix[:n, b]
             total = kernel.compose(column, carry, out=column)
             by_bound[done:upto] = total[: upto - done]
-            if traced:
-                total_phase = carry_phase + phases[:n, b]
-                recorded_phase[done:upto] = total_phase[: upto - done]
-                carry_phase = total_phase[-1]
             carry = kernel.normalize(total[-1])
             done = upto
 
-    phase = np.exp(-1j * recorded_phase)
+    # times exp(-1j * 0) = 1 - 0j, which sets the sign of zeros as the
+    # recorded bytes have it: the -0 real part of entry [0, 1] of the
+    # identity recorded at t = 0 turns +0
+    unit = np.exp(-1j * np.zeros(bounds.size))
     props = (kernel.matrix(recorded.reshape((k, bounds.size) + kernel.identity.shape))
-             * phase[:, None, None])
+             * unit[:, None, None])
     times = bounds * dt
     times[-1] = t_end
     return [Trajectory._of_run(times if s == 0 else times.copy(),
@@ -873,25 +851,20 @@ def _integrate(schedules: tuple, t_end: float, total_steps, psi0, samples: int) 
 
 def _block_products(kernel, schedules: tuple, h, passes: list, ends: np.ndarray, dt: float):
     """The pass loop: each block's run products, indexed as _by_run indexes
-    them, and the sums of a 2x2 callable's half trace c over the same runs
-    (None for the other kernels), block after block. Each pass's steps are
-    sampled, exponentiated and reduced at once, h holding the first pass's
-    samples of a callable (the kernel's identity tells its dimension); a
-    block's products stay valid until the next one is asked for."""
+    them, block after block. Each pass's steps are sampled, exponentiated
+    and reduced at once: field records by _SU2 from their components, a
+    callable by _Dense from its samples, h holding its first pass's (the
+    kernel's identity tells its dimension). A block's products stay valid
+    until the next one is asked for."""
     k = len(schedules)
     for start, stop in passes:
-        c = None
-        if isinstance(schedules[0], FieldSchedule):
+        if isinstance(kernel, _SU2):
             elems = kernel.exp(kernel.field(schedules, start, stop, dt), stop - start, dt)
         else:
             if start:
                 h = np.asarray(schedules[0]((np.arange(start, stop) + 0.5) * dt), dtype=complex)
                 h = _check_samples(h, stop - start, kernel.identity.shape[-1])
-            if isinstance(kernel, _SU2):
-                c = 0.5 * (h[:, 0, 0].real + h[:, 1, 1].real)
-                elems = kernel.exp(kernel.samples(h, c), stop - start, dt)
-            else:
-                elems = kernel.exp_samples(h, dt)
+            elems = kernel.exp_samples(h, dt)
         # the pass's runs: their starts, and block b's runs are segs[cuts[b] : cuts[b + 1]]
         if stop - start > BLOCK_STEPS:  # whole blocks with no end inside: a run each
             starts = np.arange(0, stop - start, BLOCK_STEPS)
@@ -903,10 +876,8 @@ def _block_products(kernel, schedules: tuple, h, passes: list, ends: np.ndarray,
         # record s's runs start at s m + starts in the stacked elements
         stacked = starts if k == 1 else np.add.outer(np.arange(k) * (stop - start), starts)
         segs = _by_run(_segment_products(kernel, elems, stacked.ravel()), k)
-        phase = None if c is None else np.add.reduceat(c, starts)
         for b in range(len(cuts) - 1):
-            cut = slice(cuts[b], cuts[b + 1])
-            yield segs[cut], None if phase is None else phase[cut]
+            yield segs[cuts[b] : cuts[b + 1]]
 
 
 def _by_run(stack: np.ndarray, k: int) -> np.ndarray:

@@ -11,7 +11,8 @@ pass plan and run reduction, which the carry does not touch.
 The draws reach every kernel: field records alone and stacked, records
 whose zeros are exact (signed-zero speed, phase and vertical field), the
 equatorial uncompensated loop (a vertical field of exactly zero), 2x2
-callables with a trace, and diagonal and non-diagonal 4x4 callables, at
+callables with a trace, which take the eigh kernel as every callable
+does, and diagonal and non-diagonal 4x4 callables, at
 step counts on both sides of the block and pass edges and with 2, 3, 257
 and n + 1 samples.
 """
@@ -74,25 +75,20 @@ def ref_integrate(schedules, t_end, total_steps, psi0, samples):
         return [Trajectory._of_run(np.zeros(1), psi0[None, :], eye, s) for s in schedules]
 
     k = len(schedules)
-    kernel = P._SU2(k) if d == 2 else P._Dense(d)
+    kernel = P._SU2(k) if field else P._Dense(d)
     recorded = np.empty((k * bounds.size,) + kernel.identity.shape, dtype=complex)
     recorded[:: bounds.size] = kernel.identity
     by_bound = P._by_run(recorded, k)
     recorded_phase = np.zeros(bounds.size)
-    carry, carry_phase, done = kernel.identity, 0.0, 1
+    carry, done = kernel.identity, 1
     for start, stop in passes:
-        c = None
         if field:
             elems = kernel.exp(kernel.field(schedules, start, stop, dt), stop - start, dt)
         else:
             if start:
                 h = np.asarray(schedules[0]((np.arange(start, stop) + 0.5) * dt), dtype=complex)
                 h = P._check_samples(h, stop - start, d)
-            if d == 2:
-                c = 0.5 * (h[:, 0, 0].real + h[:, 1, 1].real)
-                elems = kernel.exp(kernel.samples(h, c), stop - start, dt)
-            else:
-                elems = kernel.exp_samples(h, dt)
+            elems = kernel.exp_samples(h, dt)
         if stop - start > P.BLOCK_STEPS:
             starts = np.arange(0, stop - start, P.BLOCK_STEPS)
             runs = range(starts.size + 1)
@@ -108,13 +104,6 @@ def ref_integrate(schedules, t_end, total_steps, psi0, samples):
             prefix = ref_prefix_products(kernel, segs[runs[b] : runs[b + 1]])
             total = kernel.compose(prefix, carry, out=prefix)
             by_bound[done:upto] = total[: upto - done]
-            if c is not None:
-                offset = edges[b] - start
-                seg_phase = np.add.reduceat(c[offset : edges[b + 1] - start],
-                                            starts[runs[b] : runs[b + 1]] - offset)
-                total_phase = carry_phase + dt * np.cumsum(seg_phase)
-                recorded_phase[done:upto] = total_phase[: upto - done]
-                carry_phase = total_phase[-1]
             carry = kernel.normalize(total[-1])
             done = upto
 

@@ -523,14 +523,21 @@ class TestChunkedIntegrator:
 
 
 class TestFieldScheduleComponents:
-    """integrate reads a FieldSchedule as its components; the result is the
-    callable path's, bit for bit."""
+    """integrate reads a FieldSchedule as its components, through the SU(2)
+    kernel; a callable of the same Hamiltonian goes through eigh, and the
+    two agree within rounding."""
 
     @pytest.mark.parametrize("compensated", [True, False])
     @pytest.mark.parametrize("sign", [1, -1])
     def test_component_path_is_the_callable_path(self, compensated, sign, rng):
+        # the kernels round apart by a gap that grows as n eps. Over 200
+        # drawn loops of each kind: at most 2.1 n eps from 113 steps on,
+        # where 4 n eps passes 1e-13; 3.1 n eps from 7 to 112 steps;
+        # 1.4e-14 at one step; and 1.2e-11 at 30,001 steps
         h = h_compensated if compensated else lambda p, t: FieldSchedule.of(p, False)(t)
-        for n in (1, 7, BLOCK_STEPS - 1, BLOCK_STEPS, BLOCK_STEPS + 1, 2 * BLOCK_STEPS + 5):
+        for n in (1, 7, BLOCK_STEPS - 1, BLOCK_STEPS, BLOCK_STEPS + 1, 2 * BLOCK_STEPS + 5,
+                  30_001):
+            bound = max(1e-13, 4 * n * np.finfo(float).eps)
             gamma = rng.choice([-1.0, 1.0]) * rng.uniform(0.2, 3.0)
             p = FieldParams(rng.uniform(-2, 2), rng.uniform(0.1, 2), gamma,
                             omega_z=gamma if compensated else 0.0,
@@ -549,8 +556,8 @@ class TestFieldScheduleComponents:
                 fast = integrate(record, t_end, total_steps=n, samples=samples)
                 slow = integrate(schedule, t_end, total_steps=n, samples=samples)
                 assert np.array_equal(fast.times, slow.times)
-                assert np.array_equal(fast.propagators, slow.propagators)
-                assert np.array_equal(fast.states, slow.states)
+                assert np.max(np.abs(fast.propagators - slow.propagators)) <= bound
+                assert np.max(np.abs(fast.states - slow.states)) <= bound
 
     def test_record_is_the_hamiltonian(self, rng):
         p = FieldParams(0.8, 1.1, -1.3, omega_z=-1.3, phase0=0.4)
