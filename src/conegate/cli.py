@@ -431,7 +431,10 @@ _ALL = tuple(SUBCOMMANDS)
 OPTIONS = (
     Option("delta_over_j", ("scurve",), _scurve_deltas, REQUIRED, None,
            "offset/coupling ratio, a single value or start:stop:step"),
-    Option("omega1_range", ("scurve",), _parse_range, REQUIRED, None, "start:stop:step sweep"),
+    Option("omega1_range", ("scurve",), _parse_range, REQUIRED,  # a range ascends
+           lambda w: None if w[0] > 0 else
+           f"--omega1-range: omega1 must be positive, got a start of {float(w[0])!r}",
+           "start:stop:step sweep"),
     Option("schedule", ("evolve",), _path, REQUIRED, None, "sequence JSON document"),
     Option("t_end", ("evolve",), _float_option, None,
            lambda t: None if t >= 0 else f"--t-end must be nonnegative, got {t!r}",

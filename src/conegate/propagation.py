@@ -159,10 +159,11 @@ def _checked_samples(times, states) -> tuple:
     states = np.asarray(states, dtype=complex)
     if times.ndim != 1 or states.ndim != 2 or states.shape[0] != times.shape[0]:
         raise ValueError("times and states must have matching leading length")
-    if times.size and np.any(np.diff(times) < 0):
+    # each comparison is written so that a NaN fails it
+    if times.size and not np.all(np.diff(times) >= 0):
         raise ValueError("times must be ascending")
     norms = np.linalg.norm(states, axis=1)
-    if norms.size and np.max(np.abs(norms - 1.0)) > 1e-10:
+    if norms.size and not np.max(np.abs(norms - 1.0)) <= 1e-10:
         raise ValueError("trajectory states must stay normalized within 1e-10")
     return times, states
 

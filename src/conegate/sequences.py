@@ -112,6 +112,7 @@ class FreeEvolve:
 
     sign = -1 runs the negated generator (the inverse evolution; every
     term is z-type, so a pair of hard x pulses realizes the negation).
+    Each sector's half-angle -sign duration (delta +- j) / 2 must be finite.
     """
 
     duration: float
@@ -126,6 +127,12 @@ class FreeEvolve:
         if self.duration < 0:
             raise ValueError("duration must be nonnegative")
         _check_sign(self.sign)
+        # the sector half-angles as _blocks takes them; at dimension 2,
+        # where j is 0, both are its one angle
+        half_t = -0.5 * (self.sign * self.duration)
+        if not (math.isfinite(half_t * (self.delta + self.j))
+                and math.isfinite(half_t * (self.delta - self.j))):
+            raise ValueError("free evolution angle duration (delta +- j) / 2 is not finite")
 
     def _inverse(self) -> "FreeEvolve":
         return _made(FreeEvolve, duration=self.duration, delta=self.delta, j=self.j,
@@ -681,7 +688,10 @@ def _step_from_dict(d: dict, index: int) -> PulsePrimitive:
         _check_keys(d, ("op", "duration", "delta", "j"), path)
         duration = _number(d, "duration", path)
         delta, j = _number(d, "delta", path), _number(d, "j", path, 0.0)
-        return FreeEvolve(abs(duration), delta, j, -1 if duration < 0 else 1)
+        try:
+            return FreeEvolve(abs(duration), delta, j, -1 if duration < 0 else 1)
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from None
     _check_keys(d, ("op", "revolutions", "compensated", "loop"), path)
     rev = _number(d, "revolutions", path, 1.0)
     compensated = d.get("compensated", True)
@@ -724,10 +734,11 @@ def schedule_from_dict(d: dict) -> tuple[PulseSequence, np.ndarray]:
     from, the document read whole as sequence_from_dict reads it.
 
     initial_state holds one [re, im] pair per amplitude of the frame (2 or
-    4), and is normalized. Without it, the run starts in the cone
-    eigenstate of the first single-spin loop, at that loop's azimuth
-    phase0 (with spin b up in the two-qubit frame), or in spin up when the
-    schedule has no such loop."""
+    4), and is normalized; one whose squares overflow or underflow is
+    first scaled by its largest real or imaginary part. Without it, the
+    run starts in the cone eigenstate of the first single-spin loop, at
+    that loop's azimuth phase0 (with spin b up in the two-qubit frame), or
+    in spin up when the schedule has no such loop."""
     seq = sequence_from_dict(d)
     dim = 2 if seq.frame == SINGLE_QUBIT else 4
     if "initial_state" in d:
@@ -740,9 +751,14 @@ def schedule_from_dict(d: dict) -> tuple[PulseSequence, np.ndarray]:
             if not (isinstance(pair, list) and len(pair) == 2):
                 raise ValueError(f"{where}: expected a [re, im] pair")
             psi[k] = complex(_finite(pair[0], where + "[0]"), _finite(pair[1], where + "[1]"))
-        norm = np.linalg.norm(psi)
-        if norm == 0:
+        scale = np.max(np.abs(psi.view(float)))  # its largest real or imaginary part
+        if scale == 0:
             raise ValueError("initial_state must be a nonzero vector")
+        with np.errstate(over="ignore"):
+            norm = np.linalg.norm(psi)
+        if norm == 0 or not math.isfinite(norm):  # its squares underflow or overflow
+            psi = (psi.view(float) / scale).view(complex)  # a subnormal scale has no inverse
+            norm = np.linalg.norm(psi)
         return seq, psi / norm
     for step in seq.steps:
         if isinstance(step, FieldLoop) and isinstance(step.params, FieldParams):

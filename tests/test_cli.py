@@ -1262,6 +1262,63 @@ class TestParserReuse:
             assert out.startswith("conegate ")
 
 
+class TestOverflowingInputs:
+    """Inputs whose every number is finite, but whose free evolution angle
+    overflows or whose start state has squares beyond the float range."""
+
+    @staticmethod
+    def evolve(doc, tmp_path, capsys):
+        path = tmp_path / "schedule.json"
+        path.write_text(json.dumps(doc))
+        return run_cli(["evolve", "--schedule", str(path), "--steps", "100"], capsys)
+
+    @pytest.mark.parametrize("doc", [
+        {"frame": "two-qubit-rotating",
+         "steps": [{"op": "free", "duration": 1.0, "delta": 1e308, "j": 1e308}]},
+        {"steps": [{"op": "rot_x", "angle": 0.3},
+                   {"op": "free", "duration": 1e308, "delta": 1e308}]},
+    ], ids=["two-qubit", "single-qubit"])
+    def test_an_overflowing_free_evolution_names_its_step(self, doc, tmp_path, capsys):
+        index = len(doc["steps"]) - 1
+        code, out, err = self.evolve(doc, tmp_path, capsys)
+        assert code == 2
+        assert out == ""
+        assert err == (f"error: steps[{index}]: free evolution angle duration "
+                       "(delta +- j) / 2 is not finite\n")
+
+    @pytest.mark.parametrize("scaled, unit", [
+        ([[1e308, 0], [1e308, 0]], [[1, 0], [1, 0]]),
+        ([[1e-200, 0], [0, 0]], [[1, 0], [0, 0]]),
+        ([[0, -3e307], [4e307, 0]], [[0, -3], [4, 0]]),
+        ([[5e-324, 0], [0, 5e-324]], [[1, 0], [0, 1]]),
+    ])
+    def test_a_start_state_at_any_scale_is_its_direction(self, scaled, unit, tmp_path,
+                                                         capsys):
+        doc = {"steps": [{"op": "rot_x", "angle": 0.3},
+                         {"op": "free", "duration": 1.0, "delta": 0.7}]}
+        runs = []
+        for state in (scaled, unit):
+            doc["initial_state"] = state
+            runs.append(self.evolve(doc, tmp_path, capsys))
+        assert runs[0] == runs[1] == (0, runs[1][1], "")
+
+    def test_an_all_zero_start_state_is_refused(self, tmp_path, capsys):
+        doc = loop_schedule_doc()
+        doc["initial_state"] = [[0, -0.0], [0, 0]]
+        assert self.evolve(doc, tmp_path, capsys) == (
+            2, "", "error: initial_state must be a nonzero vector\n")
+
+    # the range's first value is start + 0 step, so -0.0 starts at 0.0
+    @pytest.mark.parametrize("text, start", [("0:1:0.5", 0.0), ("-1:1:0.5", -1.0),
+                                             ("-0.0:0:1", 0.0)])
+    def test_scurve_names_a_nonpositive_omega1_range(self, text, start, capsys):
+        code, out, err = run_cli(["scurve", "--delta-over-j", "1.058",
+                                  f"--omega1-range={text}"], capsys)
+        assert (code, out) == (2, "")
+        assert err == (f"error: --omega1-range: omega1 must be positive, "
+                       f"got a start of {start!r}\n")
+
+
 class TestFieldNamingErrors:
     @pytest.mark.parametrize(
         "initial_state, message",

@@ -236,6 +236,19 @@ class TestTrajectoryValidation:
         with pytest.raises(ValueError):
             Trajectory(np.array([0.0, 1.0]), np.array([[1, 0], [2, 0]], dtype=complex))
 
+    @pytest.mark.parametrize("state", [[np.nan, 0], [1, np.nan]])
+    def test_rejects_non_finite_states(self, state):
+        states = np.array([[1, 0], state], dtype=complex)
+        with pytest.raises(ValueError, match="^trajectory states must stay normalized"):
+            Trajectory(np.array([0.0, 1.0]), states)
+        with pytest.raises(ValueError, match="^trajectory states must stay normalized"):
+            Trajectory._of_run(np.array([0.0, 1.0]), states, None, None)
+
+    @pytest.mark.parametrize("times", [[0.0, np.nan, 2.0], [np.nan, 1.0, 2.0]])
+    def test_rejects_a_nan_time(self, times):
+        with pytest.raises(ValueError, match="^times must be ascending$"):
+            Trajectory(np.array(times), np.tile([1.0 + 0j, 0j], (3, 1)))
+
     def test_rejects_mismatched_propagators(self):
         times = np.array([0.0, 1.0])
         states = np.array([[1, 0], [0, 1]], dtype=complex)

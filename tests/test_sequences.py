@@ -423,6 +423,23 @@ class TestPrimitiveValidation:
         with pytest.raises(ValueError):
             FreeEvolve(-1.0, 1.0)
 
+    @pytest.mark.parametrize("duration, delta, j, sign", [
+        (1.0, 1e308, 1e308, 1),  # delta + j overflows
+        (1.0, 1e308, -1e308, -1),  # delta - j overflows
+        (1e308, 1e308, 0.0, 1),  # the angle itself overflows
+        (0.0, 1e308, 1e308, 1),  # 0 times an infinity
+    ])
+    def test_overflowing_free_evolution_is_refused_where_it_is_built(
+            self, duration, delta, j, sign):
+        with pytest.raises(ValueError, match=r"^free evolution angle duration \(delta \+- j\) "
+                                             r"/ 2 is not finite$"):
+            apply_sequence(PulseSequence((FreeEvolve(duration, delta, j, sign),), TWO_QUBIT), 4)
+
+    def test_the_largest_free_evolution_angles_build(self):
+        for step in (FreeEvolve(1.0, 1e308), FreeEvolve(3.0, 5e307, 5e307, sign=-1)):
+            u = apply_sequence(PulseSequence((step,), TWO_QUBIT), 4)
+            assert np.all(np.isfinite(u))
+
     def test_nonpositive_revolutions(self):
         with pytest.raises(ValueError):
             FieldLoop(FieldParams(1, 1, -2, omega_z=-2), revolutions=0.0)
