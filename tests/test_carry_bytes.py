@@ -5,8 +5,9 @@ the prefix products of a run's blocks were taken in one stacked doubling:
 every block's run products doubled on their own, composed with the running
 product and normalized, block after block. It is copied here so that any
 rewrite of the carry must reproduce its bytes: times, states and
-propagators compared by `tobytes()`. It uses the module's step kernels,
-pass plan and run reduction, which the carry does not touch.
+propagators compared by `tobytes()`. It uses the module's step kernels and
+run reduction, which the carry does not touch, and a copy of the pass plan
+(`propagation._passes`) as it was written then.
 
 The draws reach every kernel: field records alone and stacked, records
 whose zeros are exact (signed-zero speed, phase and vertical field), the
@@ -49,13 +50,29 @@ def ref_prefix_products(kernel, elems):
     return elems
 
 
+def ref_passes(n_steps, ends):
+    blocks = -(-n_steps // P.BLOCK_STEPS)
+    lows = np.arange(blocks) * P.BLOCK_STEPS
+    inside = np.searchsorted(ends, lows + P.BLOCK_STEPS) > np.searchsorted(ends, lows, "right")
+    alone = set(np.flatnonzero(inside).tolist())
+    alone.add(blocks)
+    passes, first = [], 0
+    while first < blocks:
+        last = first + 1
+        while first not in alone and last not in alone and last < first + P.PASS_BLOCKS:
+            last += 1
+        passes.append((first * P.BLOCK_STEPS, min(last * P.BLOCK_STEPS, n_steps)))
+        first = last
+    return passes
+
+
 def ref_integrate(schedules, t_end, total_steps, psi0, samples):
     n_steps = P._step_count(t_end, total_steps)
     dt = t_end / n_steps if n_steps else 0.0
     bounds = np.round(np.linspace(0, n_steps, P._recorded_samples(samples, n_steps))).astype(int)
     bounds = bounds[np.diff(bounds, prepend=-1) > 0]
     ends = bounds[1:]
-    passes = P._passes(n_steps, ends)
+    passes = ref_passes(n_steps, ends)
     field = isinstance(schedules[0], FieldSchedule)
     if field:
         for f in schedules:
