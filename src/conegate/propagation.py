@@ -93,6 +93,7 @@ a record run alone keeps its rank-one shapes (_by_run).
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from types import SimpleNamespace
@@ -338,69 +339,92 @@ class _SU2:
     [[a, -conj(b)], [b, conj(a)]] in SU(2), stored as (..., 2) arrays of
     (a, b). A record's h = [[z, x], [conj(x), -z]] is traceless.
 
-    An instance is the workspace of one integrate call, which runs one or
-    more records at once. A pass's steps enter as h negated: the rows
-    (-x.real, -x.imag) of a buffer, which stacked records share, and each
-    record's -z. The
-    records' pairs are stacked in one buffer, record s's m steps from row
-    s m on. Every temporary of the reductions is a buffer too, written with
-    out= in the order of operations of a fresh-array evaluation; the views
-    that a pass size or a reduction reads and writes are made once per
-    call and then reused. The reductions' temporaries share the memory of
-    the real rows, which hold nothing once exp has returned the pass's
-    pairs; they are as wide as every record's pairs, so that one flat
-    sweep reduces them all. These buffers are views of one allocation of
-    (9 records + 2) PASS_BLOCKS BLOCK_STEPS floats (1.08 MB for one
-    record, 1.97 MB for two), made per call and freed with it. No complex
-    product writes over one of its own operands: numpy runs a strided
-    in-place product through another, unfused loop, which rounds apart."""
+    An instance is built from the records of one integrate call, which it
+    checks, and is the call's workspace. A pass's steps (steps()) enter as
+    h negated: the rows (-x.real, -x.imag) of a buffer, which stacked
+    records share, and each record's -z. The records' pairs are stacked in
+    one buffer, record s's m steps from row s m on. Every temporary of the
+    reductions is a buffer too, written with out= in the order of
+    operations of a fresh-array evaluation; the views that a pass size or
+    a reduction reads and writes are made once per call and then reused.
+    The reductions' temporaries share the memory of the real rows, which
+    hold nothing once the pass's pairs are made; they are as wide as every
+    record's pairs, so that one flat sweep reduces them all. These buffers
+    are views of one allocation of (9 records + 2) PASS_BLOCKS BLOCK_STEPS
+    floats (1.08 MB for one record, 1.97 MB for two), made by the call's
+    first pass, so a run without steps makes none, and freed with the
+    call. No complex product writes over one of its own operands: numpy
+    runs a strided in-place product through another, unfused loop, which
+    rounds apart."""
 
     identity = np.array([1.0, 0.0], dtype=complex)
+    dim = 2
 
-    def __init__(self, records: int) -> None:
-        m = PASS_BLOCKS * BLOCK_STEPS
-        size = (9 * records + 2) * m
-        # from a 64-byte boundary: a vector load of a row then never
-        # straddles two cache lines, whatever address malloc returned
-        raw = np.empty(size + 7)
-        self._buffer = raw[-raw.ctypes.data % 64 // 8 :][:size]
-        w = records * m  # the real rows' width: a flat sweep over every record's pairs
-        self._pairs = self._buffer[: 4 * w].view(complex).reshape(w, 2)
-        self._neg_x = self._buffer[4 * w : 4 * w + 2 * m].reshape(2, m)
-        self._real = self._buffer[4 * w + 2 * m : 9 * w + 2 * m].reshape(5, w)
-        self._temps = self._real.view(complex)
+    def __init__(self, fields: tuple, t_end: float) -> None:
+        for f in fields:
+            _check_field(f, t_end)
+        self.fields, self.records = fields, len(fields)
         self._rows = np.empty((0, 2), dtype=complex)
         self._index = np.empty(0, dtype=np.intp)
         self._pad = np.empty(0, dtype=bool)
         self._blocks: dict = {}  # steps in a pass -> views of the buffers
         self._plans: dict = {}  # (allocation, shape, rows left) -> reduction plan
-        self.records = records
+
+    @functools.cached_property
+    def _buffer(self) -> np.ndarray:
+        size = (9 * self.records + 2) * PASS_BLOCKS * BLOCK_STEPS
+        # from a 64-byte boundary: a vector load of a row then never
+        # straddles two cache lines, whatever address malloc returned
+        raw = np.empty(size + 7)
+        return raw[-raw.ctypes.data % 64 // 8 :][:size]
+
+    def _parts(self) -> tuple:
+        """The buffer's pairs (w, 2), -x rows (2, m) and real rows (5, w),
+        m = PASS_BLOCKS BLOCK_STEPS and w = records m: the real rows' width
+        takes a flat sweep over every record's pairs."""
+        m = PASS_BLOCKS * BLOCK_STEPS
+        w = self.records * m
+        buffer = self._buffer
+        return (buffer[: 4 * w].view(complex).reshape(w, 2),
+                buffer[4 * w : 4 * w + 2 * m].reshape(2, m), buffer[4 * w + 2 * m :].reshape(5, w))
+
+    @functools.cached_property
+    def _temps(self) -> np.ndarray:
+        return self._parts()[2].view(complex)
 
     def _block(self, m: int) -> SimpleNamespace:
         v = self._blocks.get(m)
         if v is None:
-            neg_x = self._neg_x[:, :m]
-            phase, r, rdt, sinc, cos = self._real[:, :m]
-            pairs = self._pairs[: self.records * m]
+            pairs, neg_x, real = self._parts()
+            neg_x = neg_x[:, :m]
+            phase, r, rdt, sinc, cos = real[:, :m]
+            pairs = pairs[: self.records * m]
             parts = [p.view(float) for p in pairs.reshape(self.records, m, 2)]
             v = self._blocks[m] = SimpleNamespace(
                 steps=np.arange(m, dtype=float), neg_x=neg_x, neg_x_swapped=neg_x[::-1],
                 phase=phase, r=r, rdt=rdt, sinc=sinc, cos=cos,
-                squares=self._real[2:4, :m], pairs=pairs,
+                squares=real[2:4, :m], pairs=pairs,
                 bits=rdt.view(np.int64),  # the table's indices, where rdt is not taken
                 out=[(p[:, 0], p[:, 1], p[:, 2:].T) for p in parts],  # each record's a, b
             )
         return v
 
-    def field(self, fields: tuple, start: int, stop: int, dt: float) -> list:
-        """Write the records' field at the midpoints of steps start..stop
-        into the pass's -x rows and return each record's -z.
+    def steps(self, start: int, stop: int, dt: float) -> np.ndarray:
+        """Stacked pairs exp(-i h dt) of each record's steps start..stop, h
+        at the steps' midpoints.
 
-        x = omega1 / 2 exp(-i phase), and numpy's complex exp of -i phase
-        is cos and sin of -phase; -phase is taken as (-gamma) s + (-phase0),
-        which rounds to exactly -(gamma s + phase0). The records share x,
-        which is read from the first."""
-        f = fields[0]
+        The records' field goes into the pass's -x rows first: x = omega1 /
+        2 exp(-i phase), and numpy's complex exp of -i phase is cos and sin
+        of -phase; -phase is taken as (-gamma) s + (-phase0), which rounds
+        to exactly -(gamma s + phase0). The records share x, which is read
+        from the first.
+
+        cos(r dt) and sin(r dt) / r are taken once per distinct r when r
+        spans at most TRIG_TABLE floats, as it does along a field loop
+        (|x| is constant up to rounding): the bit patterns of nonnegative
+        floats count up with their values, so r's offset from the least r
+        in bit patterns indexes a table of the values in between."""
+        f = self.fields[0]
         v = self._block(stop - start)
         phase, neg_x = v.phase, v.neg_x
         np.add(v.steps, start + 0.5, out=phase)
@@ -413,22 +437,10 @@ class _SU2:
         np.sin(phase, out=neg_x[1])
         half = 0.5 * f.omega1
         np.multiply(-half if f.sign > 0 else half, neg_x, out=neg_x)
-        halves = [0.5 * g.vertical for g in fields]
-        return [-z for z in halves] if f.sign > 0 else halves
-
-    def exp(self, neg_zs: list, m: int, dt: float) -> np.ndarray:
-        """Stacked pairs of the pass's m steps exp(-i h dt) of each record,
-        from the -x rows and the record's -z.
-
-        cos(r dt) and sin(r dt) / r are taken once per distinct r when r
-        spans at most TRIG_TABLE floats, as it does along a field loop
-        (|x| is constant up to rounding): the bit patterns of nonnegative
-        floats count up with their values, so r's offset from the least r
-        in bit patterns indexes a table of the values in between."""
-        v = self._block(m)
         r, sinc = v.r, v.sinc
-        for neg_z, (a_re, a_im, b) in zip(neg_zs, v.out):
-            np.multiply(v.neg_x, v.neg_x, out=v.squares)
+        for g, (a_re, a_im, b) in zip(self.fields, v.out):
+            neg_z = -(0.5 * g.vertical) if f.sign > 0 else 0.5 * g.vertical
+            np.multiply(neg_x, neg_x, out=v.squares)
             np.add(neg_z * neg_z, v.squares[0], out=r)
             np.add(r, v.squares[1], out=r)
             np.sqrt(r, out=r)
@@ -521,14 +533,30 @@ class _SU2:
 
 
 class _Dense:
-    """d x d steps as matrices from a Hermitian eigendecomposition, the
-    phase kept inside; its arrays are allocated as they are needed."""
+    """The steps of one callable schedule, d x d, as matrices from a
+    Hermitian eigendecomposition, the phase kept inside; its arrays are
+    allocated as they are needed. An instance is built from the schedule
+    and the first pass's m steps, whose samples are the dimension probe
+    (one sample, at t = 0, for a run without steps)."""
 
-    def __init__(self, d: int) -> None:
-        self.identity = np.eye(d, dtype=complex)
+    records = 1
 
-    @staticmethod
-    def exp_samples(h: np.ndarray, dt: float) -> np.ndarray:
+    def __init__(self, schedule: Callable, m: int, dt: float) -> None:
+        self.schedule, self.dim = schedule, None
+        self._probe = self._samples(0, m, dt)
+        self.identity = np.eye(self.dim, dtype=complex)
+
+    def _samples(self, start: int, stop: int, dt: float) -> np.ndarray:
+        h = np.asarray(self.schedule((np.arange(start, stop) + 0.5) * dt), dtype=complex)
+        if self.dim is None:  # the probe; the shape check refuses the rest
+            self.dim = h.shape[-1] if h.ndim == 3 else 2
+        return _check_samples(h, stop - start, self.dim)
+
+    def steps(self, start: int, stop: int, dt: float) -> np.ndarray:
+        """exp(-i h dt) of the samples h at the midpoints of steps
+        start..stop; the first pass's are the probe's, freed with it."""
+        h = self._samples(start, stop, dt) if start else self._probe
+        self._probe = None
         vals, vecs = np.linalg.eigh(h)
         return np.einsum("...ik,...k,...jk->...ij", vecs, np.exp(-1j * vals * dt), vecs.conj())
 
@@ -669,24 +697,32 @@ def _recorded_samples(samples: int, n_steps: int) -> int:
     return int(min(max(2, samples), n_steps + 1))
 
 
-def _passes(n_steps: int, ends: np.ndarray) -> list:
-    """(start, stop) of each pass over n_steps, ends the recorded step
-    counts: up to PASS_BLOCKS whole blocks in a row that no end falls
-    inside, whose runs reduce in one flat sweep, and every other block on
-    its own (one with an end inside, and the partial last block)."""
-    blocks = -(-n_steps // BLOCK_STEPS)
-    lows = np.arange(blocks) * BLOCK_STEPS
-    inside = np.searchsorted(ends, lows + BLOCK_STEPS) > np.searchsorted(ends, lows, "right")
-    alone = set(np.flatnonzero(inside).tolist())  # the partial block has n_steps inside
-    alone.add(blocks)  # the end
+def _block_plan(n_steps: int, ends: np.ndarray) -> tuple:
+    """How a run of n_steps that records the ascending step counts ends
+    (the last of them n_steps) splits up, as (starts, cuts, dones, passes):
+
+    starts  every run's first step: each block's start, and each end short
+            of n_steps;
+    cuts    where each block's runs begin among starts: block b's are
+            starts[cuts[b] : cuts[b + 1]];
+    dones   the samples recorded once each block is composed;
+    passes  (start, stop) of each pass: up to PASS_BLOCKS whole blocks in
+            a row that no end falls inside, whose runs reduce in one flat
+            sweep, and every other block alone (one with an end inside,
+            and the partial last block)."""
+    lows = np.arange(0, n_steps, BLOCK_STEPS)
+    starts = np.union1d(lows, ends[ends < n_steps])
+    cuts = np.append(np.searchsorted(starts, lows), starts.size)
+    dones = (1 + np.searchsorted(ends, lows + BLOCK_STEPS, "right")).tolist()
+    single = (np.diff(cuts)[: n_steps // BLOCK_STEPS] == 1).tolist()  # the whole blocks' runs
     passes, first = [], 0
-    while first < blocks:
+    while first < lows.size:
         last = first + 1
-        while first not in alone and last not in alone and last < first + PASS_BLOCKS:
+        while last < min(first + PASS_BLOCKS, len(single)) and single[first] and single[last]:
             last += 1
         passes.append((first * BLOCK_STEPS, min(last * BLOCK_STEPS, n_steps)))
         first = last
-    return passes
+    return starts, cuts.tolist(), dones, passes
 
 
 def _windows(runs: list) -> list:
@@ -769,7 +805,8 @@ def integrate_fields(fields, t_end: float, *, total_steps: int,
 def _integrate(schedules: tuple, t_end: float, total_steps, psi0, samples: int) -> list:
     """The run of integrate: of one callable through _Dense, or through
     _SU2 stacked over FieldSchedules that share their phase schedule, one
-    Trajectory each.
+    Trajectory each. The kind of input picks the kernel, once; the run's
+    blocks, runs and passes come from _block_plan, once.
 
     The pass loop (_block_products) hands over each block's run products,
     which go into the window's (runs, blocks, ...) stack, each block's
@@ -783,45 +820,30 @@ def _integrate(schedules: tuple, t_end: float, total_steps, psi0, samples: int) 
     dt = t_end / n_steps if n_steps else 0.0
     bounds = np.round(np.linspace(0, n_steps, _recorded_samples(samples, n_steps))).astype(int)
     bounds = bounds[np.diff(bounds, prepend=-1) > 0]  # ascending, so unique is a diff
-    ends = bounds[1:]
-    lows = np.arange(0, n_steps, BLOCK_STEPS)
-    highs = np.minimum(lows + BLOCK_STEPS, n_steps)
-    # each block's runs: one, and one more at each recorded end inside it
-    runs = (1 + np.searchsorted(ends, highs) - np.searchsorted(ends, lows, "right")).tolist()
-    # the samples recorded once each block is composed
-    dones = (1 + np.searchsorted(ends, highs, "right")).tolist()
-    passes = _passes(n_steps, ends)
-    field = isinstance(schedules[0], FieldSchedule)
-    h = None
-    if field:
-        for f in schedules:
-            _check_field(f, t_end)
-        d = 2
-    else:
-        # the first pass doubles as the dimension probe (t = 0 without steps)
-        m = passes[0][1] if passes else 1
-        h = np.asarray(schedules[0]((np.arange(m) + 0.5) * dt), dtype=complex)
-        d = h.shape[-1] if h.ndim == 3 else 2  # the shape check below refuses the rest
-        h = _check_samples(h, m, d)
+    plan = _block_plan(n_steps, bounds[1:])
+    _, cuts, dones, passes = plan
+    # whatever n_steps: a callable's first pass doubles as the dimension probe
+    kernel = (_SU2(schedules, t_end) if isinstance(schedules[0], FieldSchedule)
+              else _Dense(schedules[0], passes[0][1] if passes else 1, dt))
     if psi0 is None:
-        psi0 = np.zeros(d, dtype=complex)
+        psi0 = np.zeros(kernel.dim, dtype=complex)
         psi0[0] = 1.0
     psi0 = require_finite(np.asarray(psi0, dtype=complex), "psi0")
     if n_steps == 0:
-        eye = np.eye(d, dtype=complex)[None]
+        eye = np.eye(kernel.dim, dtype=complex)[None]
         return [Trajectory._of_run(np.zeros(1), psi0[None, :], eye, s) for s in schedules]
 
-    k = len(schedules)
-    kernel = _SU2(k) if field else _Dense(d)  # whatever n_steps
+    k = kernel.records
     # record s's propagators at the bounds are rows s n_bounds on
     recorded = np.empty((k * bounds.size,) + kernel.identity.shape, dtype=complex)
     recorded[:: bounds.size] = kernel.identity
     by_bound = _by_run(recorded, k)
+    runs = np.diff(cuts).tolist()  # each block's runs
     windows = _windows(runs)
     # one window's products, shaped as _by_run shapes a block's runs
     stack = np.empty((max(w * (stop - first) for first, stop, w in windows),)
                      + (k,) * (k > 1) + kernel.identity.shape, dtype=complex)
-    blocks = _block_products(kernel, schedules, h, passes, ends, dt)
+    blocks = _block_products(kernel, plan, dt)
     carry, done = kernel.identity, 1
     for first, stop, width in windows:
         prefix = stack[: width * (stop - first)].reshape((width, stop - first) + stack.shape[1:])
@@ -850,35 +872,21 @@ def _integrate(schedules: tuple, t_end: float, total_steps, psi0, samples: int) 
             for s, (schedule, u) in enumerate(zip(schedules, props))]
 
 
-def _block_products(kernel, schedules: tuple, h, passes: list, ends: np.ndarray, dt: float):
+def _block_products(kernel, plan: tuple, dt: float):
     """The pass loop: each block's run products, indexed as _by_run indexes
-    them, block after block. Each pass's steps are sampled, exponentiated
-    and reduced at once: field records by _SU2 from their components, a
-    callable by _Dense from its samples, h holding its first pass's (the
-    kernel's identity tells its dimension). A block's products stay valid
-    until the next one is asked for."""
-    k = len(schedules)
+    them, block after block. Each pass's steps come from the kernel at
+    once and reduce in one call over the pass's runs in the plan. A
+    block's products stay valid until the next one is asked for."""
+    starts, cuts, _, passes = plan
+    k = kernel.records
     for start, stop in passes:
-        if isinstance(kernel, _SU2):
-            elems = kernel.exp(kernel.field(schedules, start, stop, dt), stop - start, dt)
-        else:
-            if start:
-                h = np.asarray(schedules[0]((np.arange(start, stop) + 0.5) * dt), dtype=complex)
-                h = _check_samples(h, stop - start, kernel.identity.shape[-1])
-            elems = kernel.exp_samples(h, dt)
-        # the pass's runs: their starts, and block b's runs are segs[cuts[b] : cuts[b + 1]]
-        if stop - start > BLOCK_STEPS:  # whole blocks with no end inside: a run each
-            starts = np.arange(0, stop - start, BLOCK_STEPS)
-            cuts = range(starts.size + 1)
-        else:  # one block, cut at the ends inside it
-            inside = ends[np.searchsorted(ends, start, "right") : np.searchsorted(ends, stop)]
-            starts = np.concatenate(([0], inside - start))
-            cuts = (0, starts.size)
-        # record s's runs start at s m + starts in the stacked elements
-        stacked = starts if k == 1 else np.add.outer(np.arange(k) * (stop - start), starts)
-        segs = _by_run(_segment_products(kernel, elems, stacked.ravel()), k)
-        for b in range(len(cuts) - 1):
-            yield segs[cuts[b] : cuts[b + 1]]
+        first, last = start // BLOCK_STEPS, -(-stop // BLOCK_STEPS)
+        runs = starts[cuts[first] : cuts[last]] - start
+        # record s's runs start at s m + runs in the stacked elements
+        stacked = runs if k == 1 else np.add.outer(np.arange(k) * (stop - start), runs)
+        segs = _by_run(_segment_products(kernel, kernel.steps(start, stop, dt), stacked.ravel()), k)
+        for b in range(first, last):
+            yield segs[cuts[b] - cuts[first] : cuts[b + 1] - cuts[first]]
 
 
 def _by_run(stack: np.ndarray, k: int) -> np.ndarray:

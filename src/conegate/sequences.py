@@ -43,7 +43,6 @@ from .propagation import (
     _static_entries,
     _z_entries,
     _z_stack,
-    integrate,
     integrate_fields,
 )
 
@@ -405,34 +404,24 @@ def _free_samples(samples_per_loop: int) -> int:
     return max(2, samples_per_loop // 4)
 
 
-def _loop_schedules(step: FieldLoop) -> tuple:
-    """(duration, one FieldSchedule per field) of a field-loop segment;
-    sign = -1 runs the negated Hamiltonian backwards."""
+def _integrate_loop(step: FieldLoop, steps_per_loop: int, samples: int, psi0=None) -> tuple:
+    """Integrator run of one field-loop segment, one FieldSchedule per
+    field, all in one integrate_fields call: a conditional loop's two
+    spin-b sectors share the field's phase, so they run stacked; sign = -1
+    runs the negated Hamiltonian backwards. This is the one runner of a
+    field loop: integrate_loop, simulate_sequence and sequence_trajectory
+    all call it.
+
+    Returns (duration, one Trajectory per field); each Trajectory's
+    hamiltonian_at is its field's record.
+    """
     omega1, gamma, phase0, offsets = _loop_fields(step)
     duration = _loop_duration(step, gamma)
-    return duration, [
-        FieldSchedule(omega0 + gamma if step.compensated else omega0, omega1, gamma, phase0,
-                      step.sign, duration)
-        for omega0 in offsets
-    ]
-
-
-def _integrate_loop(step: FieldLoop, dim: int, steps_per_loop: int, samples: int):
-    """Integrator run of one field-loop segment, all its fields in one
-    integrate_fields call: a conditional loop's two spin-b sectors share
-    the field's phase, so they run stacked.
-
-    Returns (duration, one Trajectory per field, Hamiltonian accessor of
-    dimension dim).
-    """
-    duration, schedules = _loop_schedules(step)
-    runs = integrate_fields(schedules, duration, total_steps=_loop_steps(step, steps_per_loop),
-                            samples=samples)
-
-    def hamiltonian_at(t):
-        return _block_diag([s(t) for s in schedules], dim)
-
-    return duration, runs, hamiltonian_at
+    fields = [FieldSchedule(omega0 + gamma if step.compensated else omega0, omega1, gamma, phase0,
+                            step.sign, duration)
+              for omega0 in offsets]
+    return duration, integrate_fields(fields, duration, psi0=psi0, samples=samples,
+                                      total_steps=_loop_steps(step, steps_per_loop))
 
 
 def integrate_loop(
@@ -446,10 +435,8 @@ def integrate_loop(
 ) -> Trajectory:
     """Integrator run over `revolutions` full revolutions of the field: the
     run of FieldLoop(p, revolutions, compensated), whose rules it takes."""
-    step = FieldLoop(p, revolutions, compensated)
-    duration, (schedule,) = _loop_schedules(step)
-    return integrate(schedule, duration, total_steps=_loop_steps(step, steps_per_loop),
-                     psi0=psi0, samples=samples)
+    return _integrate_loop(FieldLoop(p, revolutions, compensated), steps_per_loop, samples,
+                           psi0)[1][0]
 
 
 def _check_frame_dim(seq: PulseSequence, dim: int) -> None:
@@ -508,7 +495,7 @@ def simulate_sequence(
     def loop_blocks(step: FieldLoop) -> list:
         blocks = integrated.get(id(step))
         if blocks is None:
-            _, runs, _ = _integrate_loop(step, dim, steps_per_loop, samples=2)
+            _, runs = _integrate_loop(step, steps_per_loop, 2)
             blocks = integrated[id(step)] = [run.propagators[-1].ravel().tolist()
                                              for run in runs]
         return blocks
@@ -537,18 +524,20 @@ def sequence_trajectory(
     for step in seq.steps:
         u = props[-1][-1]
         if isinstance(step, FieldLoop):
-            m = _loop_samples(step, samples_per_loop)
-            duration, runs, h_at = _integrate_loop(step, dim, steps_per_loop, m)
+            duration, runs = _integrate_loop(step, steps_per_loop,
+                                             _loop_samples(step, samples_per_loop))
+            fields = [run.hamiltonian_at for run in runs]
             seg_u = _block_diag([run.propagators for run in runs], dim)
-            segments.append((now, now + duration, h_at, rows - 1, runs[0].times.size))
+            segments.append((now, now + duration,
+                             lambda t, fields=fields: _block_diag([f(t) for f in fields], dim),
+                             rows - 1, runs[0].times.size))
             times.append(now + runs[0].times[1:])
             props.append(seg_u[1:] @ u)
             now += duration
         elif isinstance(step, FreeEvolve) and step.duration > 0:
-            h_free = _free_evolution_hamiltonian(step, dim)
             seg_t = step.duration * np.linspace(0, 1, _free_samples(samples_per_loop))[1:]
-            segments.append((now, now + step.duration, lambda t, h=h_free: _const(h, t), rows - 1,
-                             seg_t.size + 1))
+            segments.append((now, now + step.duration, _free_evolution_hamiltonian(step, dim),
+                             rows - 1, seg_t.size + 1))
             times.append(now + seg_t)
             props.append(_free_evolution_unitaries(step, dim, seg_t) @ u)
             now += step.duration
@@ -585,15 +574,12 @@ def trajectory_rows(seq: PulseSequence, steps_per_loop: int) -> int:
     return rows
 
 
-def _const(h: np.ndarray, t) -> np.ndarray:
-    t = np.asarray(t, dtype=float)
-    return np.broadcast_to(h, t.shape + h.shape).copy()
-
-
-def _free_evolution_hamiltonian(step: FreeEvolve, dim: int) -> np.ndarray:
-    if dim == 2:
-        return step.sign * 0.5 * step.delta * SIGMA_Z
-    return step.sign * (0.5 * step.delta * SIGMA_ZA + 0.5 * step.j * SIGMA_ZZ)
+def _free_evolution_hamiltonian(step: FreeEvolve, dim: int):
+    """The accessor t -> (..., dim, dim) of the free evolution's constant
+    Hamiltonian, broadcast over t."""
+    h = (step.sign * 0.5 * step.delta * SIGMA_Z if dim == 2
+         else step.sign * (0.5 * step.delta * SIGMA_ZA + 0.5 * step.j * SIGMA_ZZ))
+    return lambda t: np.broadcast_to(h, np.shape(t) + h.shape).copy()
 
 
 def build_conditional_loop(delta: float, j: float) -> PulseSequence:

@@ -28,7 +28,7 @@ import pytest
 from conegate import propagation as P
 from conegate.hamiltonians import FieldParams, FieldSchedule
 from conegate.propagation import Trajectory, integrate, integrate_fields
-from conegate.sequences import FieldLoop, _loop_schedules
+from conegate.sequences import FieldLoop, _integrate_loop
 
 STEPS = (1, 7, 4095, 4096, 4097, 12287, 12289, 24581, 33333)
 KINDS = 8  # six field runs, the traced 2x2 callable and one 4x4 callable
@@ -92,20 +92,14 @@ def ref_integrate(schedules, t_end, total_steps, psi0, samples):
         return [Trajectory._of_run(np.zeros(1), psi0[None, :], eye, s) for s in schedules]
 
     k = len(schedules)
-    kernel = P._SU2(k) if field else P._Dense(d)
+    kernel = P._SU2(schedules, t_end) if field else P._Dense(schedules[0], passes[0][1], dt)
     recorded = np.empty((k * bounds.size,) + kernel.identity.shape, dtype=complex)
     recorded[:: bounds.size] = kernel.identity
     by_bound = P._by_run(recorded, k)
     recorded_phase = np.zeros(bounds.size)
     carry, done = kernel.identity, 1
     for start, stop in passes:
-        if field:
-            elems = kernel.exp(kernel.field(schedules, start, stop, dt), stop - start, dt)
-        else:
-            if start:
-                h = np.asarray(schedules[0]((np.arange(start, stop) + 0.5) * dt), dtype=complex)
-                h = P._check_samples(h, stop - start, d)
-            elems = kernel.exp_samples(h, dt)
+        elems = kernel.steps(start, stop, dt)
         if stop - start > P.BLOCK_STEPS:
             starts = np.arange(0, stop - start, P.BLOCK_STEPS)
             runs = range(starts.size + 1)
@@ -167,7 +161,8 @@ def field_runs(rng, t_end):
                                        phase0=rng.uniform(-4, 4)),
                            revolutions=rng.uniform(0.5, 2.0), compensated=False,
                            sign=(1, -1)[int(rng.integers(2))])
-    duration, (equatorial,) = _loop_schedules(loop)
+    duration, (run,) = _integrate_loop(loop, 1, 2)
+    equatorial = run.hamiltonian_at
     return [("record", (one,), t_end), ("pair", pair, t_end),
             *[(f"zeros{j}", p, t_end) for j, p in enumerate(zero_pairs)],
             ("equatorial", (equatorial,), duration)]

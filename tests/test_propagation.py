@@ -602,8 +602,8 @@ class TestFieldScheduleComponents:
         if schedule == "record":
             record = FieldSchedule.of(p, True)
             args = (record, 1500.0)  # long steps: neighbouring norms differ in cos and sin
-            kernel = propagation._SU2(1)
-            kernel.exp(kernel.field((record,), 0, BLOCK_STEPS, 1500.0 / n), BLOCK_STEPS, 1500.0 / n)
+            kernel = propagation._SU2((record,), 1500.0)
+            kernel.steps(0, BLOCK_STEPS, 1500.0 / n)
             assert np.unique(kernel._block(BLOCK_STEPS).r).size > 1
         else:
             def ramped(t):  # speed 1.7 + 0.8 t, tracked by the compensation field
@@ -678,18 +678,18 @@ class TestEvaluationPasses:
     ])
     def test_pass_edges(self, n, inner, passes):
         ends = np.array(inner + [n])
-        assert propagation._passes(n, ends) == passes
+        assert propagation._block_plan(n, ends)[3] == passes
 
     def test_equal_power_of_two_runs_reduce_in_place(self):
         # the flat sweep over runs of one power-of-two length is each run's tree
         record = FieldSchedule(0.3, 1.2, 0.8, 0.1)
         want = []
         for k in range(8):  # each run in a workspace of its own
-            kernel = propagation._SU2(1)
-            elems = kernel.exp(kernel.field((record,), 8 * k, 8 * k + 8, 0.05), 8, 0.05)
+            kernel = propagation._SU2((record,), 3.2)
+            elems = kernel.steps(8 * k, 8 * k + 8, 0.05)
             want.append(propagation._segment_products(kernel, elems, np.zeros(1, dtype=int)))
-        kernel = propagation._SU2(1)
-        elems = kernel.exp(kernel.field((record,), 0, 64, 0.05), 64, 0.05)
+        kernel = propagation._SU2((record,), 3.2)
+        elems = kernel.steps(0, 64, 0.05)
         got = propagation._segment_products(kernel, elems, np.arange(0, 64, 8))
         assert got.tobytes() == np.concatenate(want).tobytes()
 
@@ -715,7 +715,7 @@ class TestLoopReuse:
         from conegate import sequences
 
         def loop_blocks(step):
-            _, runs, _ = sequences._integrate_loop(step, dim, steps, samples=2)
+            _, runs = sequences._integrate_loop(step, steps, samples=2)
             return [run.propagators[-1].ravel().tolist() for run in runs]
 
         return sequences._compose(seq, dim, loop_blocks)

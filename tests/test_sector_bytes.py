@@ -106,7 +106,7 @@ def test_the_draws_cover_every_case():
 @pytest.mark.parametrize("seed", range(2))
 def test_conditional_loop_is_the_reference(seed):
     for loop, spl, samples, steps in draws(1800 + seed):
-        duration, got, _ = sequences._integrate_loop(loop, 4, spl, samples)
+        duration, got = sequences._integrate_loop(loop, spl, samples)
         want_duration, want = ref_integrate_loop(loop, spl, samples)
         assert duration == want_duration
         assert got[0].times.size == min(samples, steps + 1)
@@ -179,7 +179,7 @@ class TestWorkspace:
 
     @pytest.mark.parametrize("records", [1, 2])
     def test_the_workspace_starts_on_a_cache_line(self, records):
-        buffer = propagation._SU2(records)._buffer
+        buffer = propagation._SU2((FieldSchedule(0.3, 0.9, -1.1),) * records, 1.0)._buffer
         assert buffer.ctypes.data % 64 == 0
         assert buffer.size == (9 * records + 2) * propagation.PASS_BLOCKS * propagation.BLOCK_STEPS
 
@@ -241,7 +241,7 @@ class TestWorkspace:
         assert bad == [] and len(done) == 24
 
     def test_plans_tell_buffers_of_one_shape_apart(self):
-        kernel = propagation._SU2(1)
+        kernel = propagation._SU2((FieldSchedule(0.3, 0.9, -1.1),), 1.0)
         pairs = kernel._block(8).pairs
         rows = kernel.rows(16, 1)[0].reshape(16, 2)[:8]
         assert pairs.shape == rows.shape

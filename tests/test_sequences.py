@@ -358,7 +358,7 @@ class TestSectorComposition:
     def test_simulate_composes_the_integrated_sectors(self):
         seq = build_conditional_loop(1.6, 1.0)
         loop = seq.steps[5]
-        _, runs, _ = sequences._integrate_loop(loop, 4, 3000, samples=2)
+        _, runs = sequences._integrate_loop(loop, 3000, samples=2)
         expected = np.eye(4, dtype=complex)
         for step in seq.steps:
             if step is loop:
