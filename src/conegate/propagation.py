@@ -12,12 +12,14 @@ with H0 the field Hamiltonian frozen at t = 0 and the frame factor in the
 half-angle convention exp(-i gamma t sigma_z / 2); both factorizations
 solve i dU/dt = H(t) U exactly. Each factor is an SU(2) closed form,
 written once per representation: Python complex entries for one point
-(_static_entries, _z_entries) and numpy stacks for sweeps and
-trajectories (_static_stack, _z_stack). A stack runs the entries' IEEE
-operations in the same order, so it reproduces the per-point bits, up to
-the sign of a zero at a null field or a zero angle: |b| is abs(complex)
-like numpy's hypot (math.hypot rounds apart), and math.cos and math.sin
-are numpy's, also inside its complex exp of a zero-real argument.
+(_static_entries, _z_entries), which the composites of sequences take,
+and numpy stacks (_static_stack, _z_stack), which every ndarray
+propagator takes, one point included (_static_propagator and rot_z have
+no scalar fork). A stack runs the entries' IEEE operations in the same
+order, so it reproduces the per-point bits, up to the sign of a zero at a
+null field or a zero angle: |b| is abs(complex) like numpy's hypot
+(math.hypot rounds apart), and math.cos and math.sin are numpy's, also
+inside its complex exp of a zero-real argument.
 
 A sweep over speeds (loop_infidelities) builds its propagators as stacks,
 LOOP_BLOCK speeds at a time, and takes a block's overlaps <psi0|U|psi0> in
@@ -58,23 +60,35 @@ with the identity to the most that any of them holds, number at most
 PASS_BLOCKS BLOCK_STEPS. A full window's (intervals, blocks) stack takes
 its prefix products in one doubling, and then one carry loop, in block
 order, composes each block's prefixes with the running product, records
-the samples that end in the block and projects the running product back. Padding at the end of a block's column never
-enters a kept prefix, and every product keeps its operands and their
-order, so neither a pass nor a window changes a bit; they only spend
-fewer numpy calls per step, and a window's memory stays of the order of
-a pass's whatever the samples.
+the samples that end in the block and projects the running product
+back. Padding at the end of a block's column never enters a kept prefix,
+and every product keeps its operands and their order, so neither a pass
+nor a window changes a bit; they only spend fewer numpy calls per step,
+and a window's memory stays of the order of a pass's whatever the
+samples. One function of the step count and the recorded ends,
+_block_plan, derives all of this structure once per call: every run's
+first step, where each block's runs begin among them, the samples done
+after each block, and the passes. The pass loop slices its runs from
+the plan, and the carry loop and the windows read their counts from it.
 
-The kernel follows the kind of input. A FieldSchedule (a rotating-field
-run, as every loop of sequences gives it) goes to _SU2: its steps are
-built from the field's time and phase as the components (z, x) of its
-traceless Hamiltonian, stay in Cayley-Klein form (a, b), and the running
-product is projected back onto SU(2) after every block, so rounding does
-not drift the norm. One workspace per call holds the pass's components,
-its pairs and every temporary of the reductions, and numpy writes into it
-with out= in the operation order of fresh arrays. The workspace is one
-allocation, sized from the records the call stacks, and is freed when
-the call returns. Any callable, 2x2 or larger, is sampled and goes to
-_Dense: an eigh exponential per step and matrix products on fresh arrays.
+The kernel follows the kind of input; _integrate picks it once, and the
+kernel owns its input from then on: it checks it, and hands out each
+pass's steps through one method, steps(). A FieldSchedule (a
+rotating-field run, as every loop of sequences gives it) goes to _SU2,
+which is built from the records and checks that their samples are
+finite: its steps are built from the field's time and phase as the
+components (z, x) of its traceless Hamiltonian, stay in Cayley-Klein
+form (a, b), and the running product is projected back onto SU(2) after
+every block, so rounding does not drift the norm. One workspace per call
+holds the pass's components, its pairs and every temporary of the
+reductions, and numpy writes into it with out= in the operation order of
+fresh arrays. The workspace is one allocation, sized from the records
+the call stacks, made by the first pass (a run without steps makes
+none) and freed when the call returns. Any callable, 2x2 or larger, goes
+to _Dense, which is built from the callable and samples it: its first
+pass's samples are the dimension probe (one sample at t = 0 for a run
+without steps), and each step is an eigh exponential, multiplied as
+matrices on fresh arrays.
 
 Field records that differ only in their vertical field share the field's
 phase at every step. integrate_fields runs such records as one stacked
@@ -191,9 +205,8 @@ def _z_stack(alpha) -> np.ndarray:
 
 
 def rot_z(angle: float | np.ndarray) -> np.ndarray:
-    """exp(-i angle sigma_z / 2), broadcasting over angle."""
-    if isinstance(angle, (int, float)):
-        return np.array(_z_entries(-0.5 * angle)).reshape(2, 2)
+    """exp(-i angle sigma_z / 2), broadcasting over angle: _z_stack, also
+    for one angle."""
     return _z_stack(-0.5 * np.asarray(angle, dtype=float))
 
 
@@ -237,13 +250,9 @@ def _static_stack(omega0: np.ndarray, omega1: float, phase0: float, t) -> np.nda
 
 def _static_propagator(omega0, omega1: float, phase0: float, t) -> np.ndarray:
     """exp(-i H0 t) of the frozen field Hamiltonian, broadcasting over omega0
-    and t: one point (omega0 and t Python or numpy floats) as
-    _static_entries, anything else as _static_stack, with the same bits."""
-    scalar = isinstance(omega0, (int, float)) and isinstance(t, (int, float))
+    and t: _static_stack, also for one point."""
     # a NaN or an infinity among the times carries through the max
-    check_finite(t if scalar else float(np.max(np.abs(t), initial=0.0)), "duration")
-    if scalar:
-        return np.array(_static_entries(float(omega0), omega1, phase0, float(t))).reshape(2, 2)
+    check_finite(float(np.max(np.abs(t), initial=0.0)), "duration")
     return _static_stack(np.asarray(omega0, dtype=float), omega1, phase0, np.asarray(t))
 
 
@@ -494,7 +503,7 @@ class _SU2:
 
     def plan(self, rows: np.ndarray, stop: int) -> list:
         """_reduction_plan of rows, made once per buffer, shape and stop:
-        rows are always a view from the start of exp()'s stacked pairs or of
+        rows are always a view from the start of steps()' stacked pairs or of
         the gather buffer of rows(), so the key tells the two apart by the
         allocation they view even where their shapes agree."""
         key = (id(rows.base), rows.shape, stop)

@@ -3,6 +3,12 @@ preparation sequence with its constraint solver, the conditional
 geometric loop built from it, and integrate_loop, the integrator run of
 one field loop under FieldLoop's rules.
 
+A field loop has one runner, _integrate_loop: it builds one FieldSchedule
+per field of the loop and runs them in one integrate_fields call.
+integrate_loop is one call of it, simulate_sequence takes a loop's
+blocks from it, and sequence_trajectory its segment, building the
+segment's Hamiltonian accessor from the runs' records.
+
 Rotation convention: R_n(beta) = exp(-i beta (n.sigma) / 2), so free
 evolution under (omega/2) sigma_z turns the Bloch vector by +omega*t
 about z. Hard pulses are ideal (zero duration). In the two-qubit frame
@@ -720,7 +726,8 @@ def schedule_from_dict(d: dict) -> tuple[PulseSequence, np.ndarray]:
     from, the document read whole as sequence_from_dict reads it.
 
     initial_state holds one [re, im] pair per amplitude of the frame (2 or
-    4), and is normalized; one whose squares overflow or underflow is
+    4), and is normalized; one whose squares overflow or underflow, so
+    that its plain normalization misses norm 1 by more than 1e-10, is
     first scaled by its largest real or imaginary part. Without it, the
     run starts in the cone eigenstate of the first single-spin loop, at
     that loop's azimuth phase0 (with spin b up in the two-qubit frame), or
@@ -740,9 +747,12 @@ def schedule_from_dict(d: dict) -> tuple[PulseSequence, np.ndarray]:
         scale = np.max(np.abs(psi.view(float)))  # its largest real or imaginary part
         if scale == 0:
             raise ValueError("initial_state must be a nonzero vector")
-        with np.errstate(over="ignore"):
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
             norm = np.linalg.norm(psi)
-        if norm == 0 or not math.isfinite(norm):  # its squares underflow or overflow
+            # squares that underflow or overflow miss the norm by more than
+            # a trajectory's check allows (or make it 0 or infinite)
+            plain = abs(np.linalg.norm(psi / norm) - 1.0) <= 1e-10
+        if not plain:
             psi = (psi.view(float) / scale).view(complex)  # a subnormal scale has no inverse
             norm = np.linalg.norm(psi)
         return seq, psi / norm

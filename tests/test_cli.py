@@ -1291,6 +1291,9 @@ class TestOverflowingInputs:
         ([[1e-200, 0], [0, 0]], [[1, 0], [0, 0]]),
         ([[0, -3e307], [4e307, 0]], [[0, -3], [4, 0]]),
         ([[5e-324, 0], [0, 5e-324]], [[1, 0], [0, 1]]),
+        # subnormal squares: a finite, nonzero norm 5.6e-6 off (relative)
+        ([[1e-160, 0], [0, 0]], [[1, 0], [0, 0]]),
+        ([[1e-160, 0], [0, 1e-160]], [[1, 0], [0, 1]]),
     ])
     def test_a_start_state_at_any_scale_is_its_direction(self, scaled, unit, tmp_path,
                                                          capsys):
@@ -1301,6 +1304,23 @@ class TestOverflowingInputs:
             doc["initial_state"] = state
             runs.append(self.evolve(doc, tmp_path, capsys))
         assert runs[0] == runs[1] == (0, runs[1][1], "")
+
+    def test_a_start_state_normalized_within_the_check_keeps_its_bytes(
+            self, tmp_path, capsys, monkeypatch):
+        # its plain normalization has norm 1 + 1.8e-11, within a trajectory's
+        # 1e-10, so it is not rescaled; the digest was taken before the
+        # rescale looked at the normalized norm
+        monkeypatch.delenv("CONEGATE_STEPS", raising=False)
+        monkeypatch.chdir(tmp_path)  # the header echoes the schedule path
+        doc = {"steps": [{"op": "rot_x", "angle": 0.3},
+                         {"op": "free", "duration": 1.0, "delta": 0.7}],
+               "initial_state": [[1e-157, 0], [0, 0]]}
+        (tmp_path / "schedule.json").write_text(json.dumps(doc))
+        code, out, err = run_cli(["evolve", "--schedule", "schedule.json", "--steps", "100"],
+                                 capsys)
+        assert (code, err) == (0, "")
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "a238f40743fd15f7e019f873c2dcd4f895af32bc81e38c8faf9a4258989591bd")
 
     def test_an_all_zero_start_state_is_refused(self, tmp_path, capsys):
         doc = loop_schedule_doc()

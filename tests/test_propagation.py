@@ -593,10 +593,10 @@ class TestFieldScheduleComponents:
         with pytest.raises(ValueError, match="non-finite Hamiltonian sample"):
             integrate(record, 1e10, total_steps=10)
 
-    @pytest.mark.parametrize("schedule", ["record", "profile"])
+    @pytest.mark.parametrize("schedule", ["record", "subnormal"])
     def test_trig_table_is_bitwise(self, schedule, monkeypatch):
-        # a field loop's step norms span a few floats and take the table;
-        # a speed profile's span many and take the direct path
+        # a field loop's step norms span a few floats and take the table; a
+        # record whose |x|^2 is subnormal spans many and takes the direct path
         n = BLOCK_STEPS + 9
         p = FieldParams(0.3, 2.7, 1.7, omega_z=1.7, phase0=0.1)
         if schedule == "record":
@@ -606,16 +606,16 @@ class TestFieldScheduleComponents:
             kernel.steps(0, BLOCK_STEPS, 1500.0 / n)
             assert np.unique(kernel._block(BLOCK_STEPS).r).size > 1
         else:
-            def ramped(t):  # speed 1.7 + 0.8 t, tracked by the compensation field
-                t = np.asarray(t, dtype=float)
-                h = np.zeros(t.shape + (2, 2), dtype=complex)
-                h[..., 0, 0] = 0.5 * (p.omega0 + 1.7 + 0.8 * t)
-                h[..., 1, 1] = -h[..., 0, 0]
-                h[..., 0, 1] = 0.5 * p.omega1 * np.exp(-1j * (1.7 * t + 0.4 * t * t + 0.1))
-                h[..., 1, 0] = np.conj(h[..., 0, 1])
-                return h
-
-            args = (ramped, 3.0)
+            record = FieldSchedule(0.0, 2e-160, 1.3, 0.2)
+            args = (record, 3.0)
+            kernel = propagation._SU2((record,), 3.0)
+            kernel.steps(0, BLOCK_STEPS, 3.0 / n)
+            bits = kernel._block(BLOCK_STEPS).r.view(np.int64)
+            assert int(bits.max()) - int(bits.min()) > propagation.TRIG_TABLE
+            got = integrate(*args, total_steps=n, samples=33).propagators
+            eigh = integrate(record.__call__, 3.0, total_steps=n, samples=33).propagators
+            assert np.all(np.isfinite(got))
+            assert np.max(np.abs(got - eigh)) <= max(1e-13, 4 * n * np.finfo(float).eps)
         table = integrate(*args, total_steps=n, samples=33)
         monkeypatch.setattr(propagation, "TRIG_TABLE", 0)
         direct = integrate(*args, total_steps=n, samples=33)
