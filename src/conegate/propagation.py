@@ -65,30 +65,23 @@ back. Padding at the end of a block's column never enters a kept prefix,
 and every product keeps its operands and their order, so neither a pass
 nor a window changes a bit; they only spend fewer numpy calls per step,
 and a window's memory stays of the order of a pass's whatever the
-samples. One function of the step count and the recorded ends,
-_block_plan, derives all of this structure once per call: every run's
-first step, where each block's runs begin among them, the samples done
-after each block, and the passes. The pass loop slices its runs from
-the plan, and the carry loop and the windows read their counts from it.
+samples. One block plan (_block_plan) derives all of this structure once
+per call, and the pass loop, the windows and the carry loop read it.
 
-The kernel follows the kind of input; _integrate picks it once, and the
-kernel owns its input from then on: it checks it, and hands out each
-pass's steps through one method, steps(). A FieldSchedule (a
-rotating-field run, as every loop of sequences gives it) goes to _SU2,
-which is built from the records and checks that their samples are
-finite: its steps are built from the field's time and phase as the
-components (z, x) of its traceless Hamiltonian, stay in Cayley-Klein
+_integrate picks the kernel once, by the kind of input, and the kernel
+owns that input: it checks it and hands out each pass's steps (steps()).
+A FieldSchedule (a rotating-field run, as every loop of sequences gives
+it) goes to _SU2: its steps are built from the field's time and phase as
+the components (z, x) of its traceless Hamiltonian, stay in Cayley-Klein
 form (a, b), and the running product is projected back onto SU(2) after
 every block, so rounding does not drift the norm. One workspace per call
 holds the pass's components, its pairs and every temporary of the
 reductions, and numpy writes into it with out= in the operation order of
 fresh arrays. The workspace is one allocation, sized from the records
-the call stacks, made by the first pass (a run without steps makes
-none) and freed when the call returns. Any callable, 2x2 or larger, goes
-to _Dense, which is built from the callable and samples it: its first
-pass's samples are the dimension probe (one sample at t = 0 for a run
-without steps), and each step is an eigh exponential, multiplied as
-matrices on fresh arrays.
+the call stacks, made by the first pass and freed when the call returns.
+Any callable, 2x2 or larger, goes to _Dense, whose first pass's samples
+are the dimension probe: an eigh exponential per step and matrix
+products on fresh arrays.
 
 Field records that differ only in their vertical field share the field's
 phase at every step. integrate_fields runs such records as one stacked
@@ -349,8 +342,8 @@ class _SU2:
     (a, b). A record's h = [[z, x], [conj(x), -z]] is traceless.
 
     An instance is built from the records of one integrate call, which it
-    checks, and is the call's workspace. A pass's steps (steps()) enter as
-    h negated: the rows (-x.real, -x.imag) of a buffer, which stacked
+    checks, and is the call's workspace. A pass's steps enter as h
+    negated: the rows (-x.real, -x.imag) of a buffer, which stacked
     records share, and each record's -z. The records' pairs are stacked in
     one buffer, record s's m steps from row s m on. Every temporary of the
     reductions is a buffer too, written with out= in the order of
@@ -360,11 +353,11 @@ class _SU2:
     hold nothing once the pass's pairs are made; they are as wide as every
     record's pairs, so that one flat sweep reduces them all. These buffers
     are views of one allocation of (9 records + 2) PASS_BLOCKS BLOCK_STEPS
-    floats (1.08 MB for one record, 1.97 MB for two), made by the call's
-    first pass, so a run without steps makes none, and freed with the
-    call. No complex product writes over one of its own operands: numpy
-    runs a strided in-place product through another, unfused loop, which
-    rounds apart."""
+    floats (1.08 MB for one record, 1.97 MB for two), made by the first
+    pass (a run without steps makes none) and freed with the call. No
+    complex product writes over one of its own operands: numpy runs a
+    strided in-place product through another, unfused loop, which rounds
+    apart."""
 
     identity = np.array([1.0, 0.0], dtype=complex)
     dim = 2
@@ -544,9 +537,8 @@ class _SU2:
 class _Dense:
     """The steps of one callable schedule, d x d, as matrices from a
     Hermitian eigendecomposition, the phase kept inside; its arrays are
-    allocated as they are needed. An instance is built from the schedule
-    and the first pass's m steps, whose samples are the dimension probe
-    (one sample, at t = 0, for a run without steps)."""
+    allocated as they are needed. The first pass's m samples (one, at t =
+    0, for a run without steps) are taken when it is built: the probe of d."""
 
     records = 1
 
@@ -720,7 +712,8 @@ def _block_plan(n_steps: int, ends: np.ndarray) -> tuple:
             sweep, and every other block alone (one with an end inside,
             and the partial last block)."""
     lows = np.arange(0, n_steps, BLOCK_STEPS)
-    starts = np.union1d(lows, ends[ends < n_steps])
+    # ends on a block start are that block's; np.union1d would import numpy.ma
+    starts = np.sort(np.concatenate((lows, ends[(ends < n_steps) & (ends % BLOCK_STEPS > 0)])))
     cuts = np.append(np.searchsorted(starts, lows), starts.size)
     dones = (1 + np.searchsorted(ends, lows + BLOCK_STEPS, "right")).tolist()
     single = (np.diff(cuts)[: n_steps // BLOCK_STEPS] == 1).tolist()  # the whole blocks' runs
@@ -893,7 +886,8 @@ def _block_products(kernel, plan: tuple, dt: float):
         runs = starts[cuts[first] : cuts[last]] - start
         # record s's runs start at s m + runs in the stacked elements
         stacked = runs if k == 1 else np.add.outer(np.arange(k) * (stop - start), runs)
-        segs = _by_run(_segment_products(kernel, kernel.steps(start, stop, dt), stacked.ravel()), k)
+        products = _segment_products(kernel, kernel.steps(start, stop, dt), stacked.ravel())
+        segs = _by_run(products, k)
         for b in range(first, last):
             yield segs[cuts[b] - cuts[first] : cuts[b + 1] - cuts[first]]
 

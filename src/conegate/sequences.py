@@ -1,13 +1,9 @@
 """Pulse-sequence intermediate representation, the conditional eigenstate
 preparation sequence with its constraint solver, the conditional
 geometric loop built from it, and integrate_loop, the integrator run of
-one field loop under FieldLoop's rules.
-
-A field loop has one runner, _integrate_loop: it builds one FieldSchedule
-per field of the loop and runs them in one integrate_fields call.
-integrate_loop is one call of it, simulate_sequence takes a loop's
-blocks from it, and sequence_trajectory its segment, building the
-segment's Hamiltonian accessor from the runs' records.
+one field loop under FieldLoop's rules. A field loop has one integrator
+runner, _integrate_loop, which integrate_loop, simulate_sequence and
+sequence_trajectory all call.
 
 Rotation convention: R_n(beta) = exp(-i beta (n.sigma) / 2), so free
 evolution under (omega/2) sigma_z turns the Bloch vector by +omega*t
@@ -411,16 +407,11 @@ def _free_samples(samples_per_loop: int) -> int:
 
 
 def _integrate_loop(step: FieldLoop, steps_per_loop: int, samples: int, psi0=None) -> tuple:
-    """Integrator run of one field-loop segment, one FieldSchedule per
-    field, all in one integrate_fields call: a conditional loop's two
-    spin-b sectors share the field's phase, so they run stacked; sign = -1
-    runs the negated Hamiltonian backwards. This is the one runner of a
-    field loop: integrate_loop, simulate_sequence and sequence_trajectory
-    all call it.
-
-    Returns (duration, one Trajectory per field); each Trajectory's
-    hamiltonian_at is its field's record.
-    """
+    """(duration, one Trajectory per field) of a field-loop segment, whose
+    FieldSchedules (each a Trajectory's hamiltonian_at) run in one
+    integrate_fields call: a conditional loop's two spin-b sectors share
+    the field's phase, so they run stacked. sign = -1 runs the negated
+    Hamiltonian backwards."""
     omega1, gamma, phase0, offsets = _loop_fields(step)
     duration = _loop_duration(step, gamma)
     fields = [FieldSchedule(omega0 + gamma if step.compensated else omega0, omega1, gamma, phase0,
