@@ -712,9 +712,12 @@ def _block_plan(n_steps: int, ends: np.ndarray) -> tuple:
             sweep, and every other block alone (one with an end inside,
             and the partial last block)."""
     lows = np.arange(0, n_steps, BLOCK_STEPS)
-    # ends on a block start are that block's; np.union1d would import numpy.ma
-    starts = np.sort(np.concatenate((lows, ends[(ends < n_steps) & (ends % BLOCK_STEPS > 0)])))
-    cuts = np.append(np.searchsorted(starts, lows), starts.size)
+    inner = ends[(ends < n_steps) & (ends % BLOCK_STEPS > 0)]  # the ends inside a block
+    # merged by rank: a first np.sort or np.union1d call adds 0.4-0.6 MB of RSS (numpy 2.4)
+    cuts = np.append(np.searchsorted(inner, lows) + np.arange(lows.size), lows.size + inner.size)
+    starts = np.empty(cuts[-1], dtype=lows.dtype)
+    starts[cuts[:-1]] = lows
+    starts[np.searchsorted(lows, inner) + np.arange(inner.size)] = inner
     dones = (1 + np.searchsorted(ends, lows + BLOCK_STEPS, "right")).tolist()
     single = (np.diff(cuts)[: n_steps // BLOCK_STEPS] == 1).tolist()  # the whole blocks' runs
     passes, first = [], 0
