@@ -45,6 +45,7 @@ from .propagation import (
     _static_entries,
     _z_entries,
     _z_stack,
+    integrate,  # unused here, but bound: perfbench's tracer wraps it through this module
     integrate_fields,
 )
 
