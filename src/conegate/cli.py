@@ -65,10 +65,6 @@ class RunConfig:
         return lines
 
 
-def _fmt(x: float) -> str:
-    return f"{x:.12g}"
-
-
 def _parse_range(text: str, flag: str) -> np.ndarray:
     if not isinstance(text, str):
         raise ValueError(f"{flag} must look like start:stop:step, got {text!r}")
@@ -319,7 +315,7 @@ def _print_gate_report(config: RunConfig, target, parameters: dict, fid: float,
     lines.append("parameters:")
     for key in sorted(parameters):
         val = parameters[key]
-        lines.append(f"  {key} = {_fmt(val) if isinstance(val, float) else val}")
+        lines.append(f"  {key} = {format(val, '.12g') if isinstance(val, float) else val}")
     lines.append(f"simulated fidelity = {fid:.12g}")
     _emit(["\n".join(lines) + "\n"], out)
 

@@ -2,10 +2,11 @@
 loops, the Hadamard and NOT built on them, the conditional phase gate, and
 the controlled-NOT composition.
 
-Every recipe records a pulse program whose loops can be re-simulated with
-the stepped integrator; verify_gate fills the recipe fidelity from that
-simulation. Diagonal phase convention: one simulated compensated loop
-advances the relative diagonal phase by -2 pi cos(theta0) per revolution.
+Every recipe is frozen data: a target and the pulse program that realizes
+it, whose loops can be re-simulated with the stepped integrator;
+verify_gate returns the fidelity of that simulation against the target.
+Diagonal phase convention: one simulated compensated loop advances the
+relative diagonal phase by -2 pi cos(theta0) per revolution.
 """
 
 from __future__ import annotations
@@ -32,42 +33,36 @@ from .sequences import (
 
 HADAMARD = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
 NOT_TARGET = np.array([[0, 1], [1, 0]], dtype=complex)
-# how close hadamard_recipe's closed-form phase sandwich must come to the
-# Hadamard before any simulation; the gate command's own threshold on the
-# simulated fidelity is cli.GATE_FIDELITY_GATE
-FIDELITY_ACCEPT = 1.0 - 1e-6
 
 
-@dataclass
+@dataclass(frozen=True)
 class GateRecipe:
     """A target unitary together with the pulse program that realizes it.
 
-    fidelity is filled by verify_gate (global-phase-invariant, against
-    target); the gate command fails a recipe whose fidelity is below
-    1 - 1e-5 (cli.GATE_FIDELITY_GATE).
+    verify_gate returns the program's simulated fidelity (global-phase-
+    invariant, against target); the gate command fails a recipe whose
+    fidelity is below 1 - 1e-5 (cli.GATE_FIDELITY_GATE).
     """
 
-    name: str
     target: np.ndarray
     sequence: PulseSequence
     parameters: dict = field(default_factory=dict)
-    fidelity: float | None = None
 
     @property
     def dim(self) -> int:
         return self.target.shape[0]
 
 
-def _bisect(f, lo: float, hi: float, tol: float = 1e-14, max_iter: int = 200) -> float:
+def _bisect(f, lo: float, hi: float) -> float:
     f_lo = f(lo)
     if f_lo == 0.0:
         return lo
     if f_lo * f(hi) > 0:
         raise ValueError("root is not bracketed")
-    for _ in range(max_iter):
+    for _ in range(200):
         mid = 0.5 * (lo + hi)
         f_mid = f(mid)
-        if f_mid == 0.0 or hi - lo < tol:
+        if f_mid == 0.0 or hi - lo < 1e-14:
             return mid
         if f_lo * f_mid < 0:
             hi = mid
@@ -124,7 +119,6 @@ def phase_gate_recipe(theta0: float, loops: int = 1) -> GateRecipe:
         frame=SINGLE_QUBIT,
     )
     return GateRecipe(
-        name="phase",
         target=target,
         sequence=seq,
         parameters={"theta0": float(theta0), "loops": int(loops), "tilt": float(tilt)},
@@ -175,15 +169,11 @@ def hadamard_recipe() -> GateRecipe:
     chi = float(np.angle(-np.sqrt(2) * w[1, 1]))
     alpha = chi - float(np.angle(np.sqrt(2) * w[0, 1]))
     beta = chi - float(np.angle(np.sqrt(2) * w[1, 0]))
-    composite = np.diag([np.exp(1j * alpha), 1.0]) @ w @ np.diag([np.exp(1j * beta), 1.0])
-    if fidelity(composite, HADAMARD) < FIDELITY_ACCEPT:
-        raise ValueError("phase sandwich failed to reach the target")
     seq = PulseSequence(
         (RotZ(-beta), _tilted_loop(theta0), RotZ(-alpha)),
         frame=SINGLE_QUBIT,
     )
     return GateRecipe(
-        name="hadamard",
         target=HADAMARD.copy(),
         sequence=seq,
         parameters={
@@ -207,7 +197,6 @@ def not_recipe() -> GateRecipe:
         frame=SINGLE_QUBIT,
     )
     return GateRecipe(
-        name="not",
         target=NOT_TARGET.copy(),
         sequence=seq,
         parameters={
@@ -240,7 +229,6 @@ def conditional_recipe(delta: float, j: float = 1.0) -> GateRecipe:
     sol_seq = build_conditional_loop(delta, j)
     setting = _loop_setting(sol_seq)
     return GateRecipe(
-        name="cphase",
         target=_sector_phase_diag(setting),
         sequence=sol_seq,
         parameters={
@@ -290,7 +278,6 @@ def cnot_recipe() -> GateRecipe:
         + hadamard.sequence.steps
     )
     return GateRecipe(
-        name="cnot",
         target=CNOT_TARGET.copy(),
         sequence=PulseSequence(steps, frame=TWO_QUBIT),
         parameters={
@@ -306,10 +293,9 @@ def cnot_recipe() -> GateRecipe:
 
 def verify_gate(recipe: GateRecipe, steps_per_loop: int = 10_000) -> float:
     """Simulate the recipe's pulse program with the stepped integrator and
-    fill in the global-phase-invariant fidelity against the target."""
+    return its global-phase-invariant fidelity against the target."""
     simulated = simulate_sequence(recipe.sequence, recipe.dim, steps_per_loop=steps_per_loop)
-    recipe.fidelity = fidelity(simulated, recipe.target)
-    return recipe.fidelity
+    return fidelity(simulated, recipe.target)
 
 
 def apply_recipe(recipe: GateRecipe) -> np.ndarray:

@@ -84,11 +84,12 @@ are the dimension probe: an eigh exponential per step and matrix
 products on fresh arrays.
 
 Field records that differ only in their vertical field share the field's
-phase at every step. integrate_fields runs such records as one stacked
+phase at every step, and _integrate runs a tuple of them as one stacked
 run: the two spin-b sectors of a conditional loop, the 2x2 blocks of its
-block-diagonal 4x4 propagator. The phase, its cos and sin, the passes and
-the reduction plans are made once. Each record's pairs go to one stacked
-buffer, all records' runs reduce in one call, the window's prefix
+block-diagonal 4x4 propagator, which sequences._integrate_loop builds
+that way. The phase, its cos and sin, the passes and the reduction plans
+are made once. Each record's pairs go to one stacked buffer, all
+records' runs reduce in one call, the window's prefix
 products double once over its (runs, blocks, records, 2) stack, and the
 composition with the running products and the projection each run once
 on (runs, records, 2) stacks. Each record keeps the bytes of a run of its
@@ -342,7 +343,9 @@ class _SU2:
     (a, b). A record's h = [[z, x], [conj(x), -z]] is traceless.
 
     An instance is built from the records of one integrate call, which it
-    checks, and is the call's workspace. A pass's steps enter as h
+    checks, and is the call's workspace. Stacked records must share omega1,
+    gamma, phase0, sign and t_end, and so the field's phase at every step:
+    sequences._integrate_loop builds them that way. A pass's steps enter as h
     negated: the rows (-x.real, -x.imag) of a buffer, which stacked
     records share, and each record's -z. The records' pairs are stacked in
     one buffer, record s's m steps from row s m on. Every temporary of the
@@ -490,10 +493,6 @@ class _SU2:
         np.subtract(aa, bb, out=a)
         np.add(ba, ab, out=b)
 
-    def compose(self, later: np.ndarray, earlier: np.ndarray, out: np.ndarray) -> np.ndarray:
-        self.run(*self.operands(later, earlier, out))
-        return out
-
     def plan(self, rows: np.ndarray, stop: int) -> list:
         """_reduction_plan of rows, made once per buffer, shape and stop:
         rows are always a view from the start of steps()' stacked pairs or of
@@ -565,7 +564,7 @@ class _Dense:
     def operands(later: np.ndarray, earlier: np.ndarray, out: np.ndarray) -> tuple:
         return later, earlier, out
 
-    compose = run = staticmethod(np.matmul)
+    run = staticmethod(np.matmul)
 
     def plan(self, rows: np.ndarray, stop: int) -> list:
         return _reduction_plan(self, rows, stop)
@@ -642,7 +641,7 @@ def _prefix_products(kernel, elems: np.ndarray) -> None:
     enters a kept product."""
     shift = 1
     while shift < len(elems):
-        kernel.compose(elems[shift:], elems[:-shift], out=elems[shift:])
+        kernel.run(*kernel.operands(elems[shift:], elems[:-shift], elems[shift:]))
         shift *= 2
 
 
@@ -788,29 +787,10 @@ def integrate(
     return _integrate((schedule,), t_end, total_steps, psi0, samples)[0]
 
 
-def integrate_fields(fields, t_end: float, *, total_steps: int,
-                     psi0: np.ndarray | None = None, samples: int = 257) -> list:
-    """integrate of each FieldSchedule in fields, with the same bytes, as a
-    list of Trajectories.
-
-    Records that share omega1, gamma, phase0, sign and t_end (the two spin-b
-    sectors of a conditional loop, which differ only in their vertical
-    field) share the field's phase at every step, and run as one stacked
-    run: one phase per step, one pass loop and one reduction per pass for
-    all of them. Records that do not share it run one after another."""
-    fields = tuple(fields)
-    # what fixes each record's phase, bit for bit
-    phases = {tuple(map(float.hex, map(float, (f.omega1, f.gamma, f.phase0, f.sign, f.t_end))))
-              for f in fields}
-    if len(phases) == 1:
-        return _integrate(fields, t_end, total_steps, psi0, samples)
-    return [_integrate((f,), t_end, total_steps, psi0, samples)[0] for f in fields]
-
-
 def _integrate(schedules: tuple, t_end: float, total_steps, psi0, samples: int) -> list:
-    """The run of integrate: of one callable through _Dense, or through
-    _SU2 stacked over FieldSchedules that share their phase schedule, one
-    Trajectory each. The kind of input picks the kernel, once; the run's
+    """The run of integrate and of sequences._integrate_loop: of one
+    callable through _Dense, or through _SU2 stacked over FieldSchedules
+    that share their phase schedule, one Trajectory each. The kind of input picks the kernel, once; the run's
     blocks, runs and passes come from _block_plan, once.
 
     The pass loop (_block_products) hands over each block's run products,
@@ -859,9 +839,9 @@ def _integrate(schedules: tuple, t_end: float, total_steps, psi0, samples: int) 
         _prefix_products(kernel, prefix)
         for b, (n, upto) in enumerate(zip(runs[first:stop], dones[first:stop])):
             column = prefix[:n, b]
-            total = kernel.compose(column, carry, out=column)
-            by_bound[done:upto] = total[: upto - done]
-            carry = kernel.normalize(total[-1])
+            kernel.run(*kernel.operands(column, carry, column))
+            by_bound[done:upto] = column[: upto - done]
+            carry = kernel.normalize(column[-1])
             done = upto
 
     # times exp(-1j * 0) = 1 - 0j, which sets the sign of zeros as the

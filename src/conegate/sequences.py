@@ -40,13 +40,13 @@ from .linalg import SIGMA_Z, check_finite
 from .phases import _check_coupling, cone_eigenstate, two_qubit_loop_params
 from .propagation import (
     Trajectory,
+    _integrate,
     _recorded_samples,
     _revolution_time,
     _static_entries,
     _z_entries,
     _z_stack,
     integrate,  # unused here, but bound: perfbench's tracer wraps it through this module
-    integrate_fields,
 )
 
 SINGLE_QUBIT = "single-qubit"
@@ -410,16 +410,17 @@ def _free_samples(samples_per_loop: int) -> int:
 def _integrate_loop(step: FieldLoop, steps_per_loop: int, samples: int, psi0=None) -> tuple:
     """(duration, one Trajectory per field) of a field-loop segment, whose
     FieldSchedules (each a Trajectory's hamiltonian_at) run in one
-    integrate_fields call: a conditional loop's two spin-b sectors share
-    the field's phase, so they run stacked. sign = -1 runs the negated
+    propagation._integrate call: they differ only in their vertical field,
+    so they share omega1, gamma, phase0, sign and t_end, and a conditional
+    loop's two spin-b sectors run stacked. sign = -1 runs the negated
     Hamiltonian backwards."""
     omega1, gamma, phase0, offsets = _loop_fields(step)
     duration = _loop_duration(step, gamma)
-    fields = [FieldSchedule(omega0 + gamma if step.compensated else omega0, omega1, gamma, phase0,
-                            step.sign, duration)
-              for omega0 in offsets]
-    return duration, integrate_fields(fields, duration, psi0=psi0, samples=samples,
-                                      total_steps=_loop_steps(step, steps_per_loop))
+    fields = tuple(FieldSchedule(omega0 + gamma if step.compensated else omega0, omega1, gamma,
+                                 phase0, step.sign, duration)
+                   for omega0 in offsets)
+    return duration, _integrate(fields, duration, _loop_steps(step, steps_per_loop), psi0,
+                                samples)
 
 
 def integrate_loop(

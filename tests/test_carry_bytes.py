@@ -27,7 +27,7 @@ import pytest
 
 from conegate import propagation as P
 from conegate.hamiltonians import FieldParams, FieldSchedule
-from conegate.propagation import Trajectory, integrate, integrate_fields
+from conegate.propagation import Trajectory, integrate
 from conegate.sequences import FieldLoop, _integrate_loop
 
 STEPS = (1, 7, 4095, 4096, 4097, 12287, 12289, 24581, 33333)
@@ -44,7 +44,7 @@ def ref_prefix_products(kernel, elems):
     shift = 1
     while shift < len(elems):
         spare[:shift] = elems[:shift]
-        kernel.compose(elems[shift:], elems[:-shift], out=spare[shift:])
+        kernel.run(*kernel.operands(elems[shift:], elems[:-shift], spare[shift:]))
         elems, spare = spare, elems
         shift *= 2
     return elems
@@ -113,9 +113,9 @@ def ref_integrate(schedules, t_end, total_steps, psi0, samples):
         dones = (1 + np.searchsorted(ends, edges[1:], "right")).tolist()
         for b, upto in enumerate(dones):
             prefix = ref_prefix_products(kernel, segs[runs[b] : runs[b + 1]])
-            total = kernel.compose(prefix, carry, out=prefix)
-            by_bound[done:upto] = total[: upto - done]
-            carry = kernel.normalize(total[-1])
+            kernel.run(*kernel.operands(prefix, carry, prefix))
+            by_bound[done:upto] = prefix[: upto - done]
+            carry = kernel.normalize(prefix[-1])
             done = upto
 
     phase = np.exp(-1j * recorded_phase)
@@ -224,7 +224,7 @@ def random_state(rng, d):
 
 def run(schedules, t_end, steps, psi0, samples):
     if isinstance(schedules[0], FieldSchedule):
-        return integrate_fields(schedules, t_end, total_steps=steps, psi0=psi0, samples=samples)
+        return P._integrate(tuple(schedules), t_end, steps, psi0, samples)
     return [integrate(schedules[0], t_end, total_steps=steps, psi0=psi0, samples=samples)]
 
 

@@ -320,7 +320,7 @@ class TestVerifyOnce:
         original = gates.verify_gate
 
         def counting(recipe, steps_per_loop=10_000):
-            calls.append((recipe.name, steps_per_loop))
+            calls.append((recipe.target, steps_per_loop))
             return original(recipe, steps_per_loop=steps_per_loop)
 
         monkeypatch.setattr(gates, "verify_gate", counting)
@@ -329,10 +329,14 @@ class TestVerifyOnce:
 
     @pytest.mark.parametrize("name", ["not", "hadamard", "cnot"])
     def test_gate_is_verified_once(self, name, monkeypatch, capsys):
+        from conegate import gates
+
         calls = self.count_verifies(monkeypatch)
         code, out, _ = run_cli(["gate", name, "--steps", "3000"], capsys)
         assert code == 0
-        assert calls == [(name, 3000)]
+        target = {"not": gates.NOT_TARGET, "hadamard": gates.HADAMARD, "cnot": gates.CNOT_TARGET}
+        assert [steps for _, steps in calls] == [3000]
+        assert np.array_equal(calls[0][0], target[name])
 
 
 class TestZeroValuedFlags:

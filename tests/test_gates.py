@@ -1,3 +1,4 @@
+import dataclasses
 import sys
 
 import numpy as np
@@ -40,9 +41,9 @@ from conftest import is_unitary
 
 
 def verified(recipe, steps_per_loop=10_000):
-    """The recipe after verify_gate, as the CLI's gate command runs it."""
-    verify_gate(recipe, steps_per_loop=steps_per_loop)
-    return recipe
+    """The recipe and its fidelity from verify_gate, as the CLI's gate
+    command runs it."""
+    return recipe, verify_gate(recipe, steps_per_loop=steps_per_loop)
 
 
 def correction(gamma_minus):
@@ -152,8 +153,8 @@ class TestSolveHadamard:
         assert fidelity(apply_recipe(recipe), HADAMARD) >= 1 - 1e-8
 
     def test_simulated_fidelity(self):
-        recipe = verified(hadamard_recipe())
-        assert recipe.fidelity >= 1 - 1e-6
+        recipe, fid = verified(hadamard_recipe())
+        assert fid >= 1 - 1e-6
 
     def test_involution(self):
         recipe = hadamard_recipe()
@@ -177,9 +178,9 @@ class TestSolveHadamard:
 
 class TestSolveNot:
     def test_single_winding_tilt(self):
-        recipe = verified(not_recipe())
+        recipe, fid = verified(not_recipe())
         assert np.cos(recipe.parameters["theta0"]) == pytest.approx(0.5, abs=1e-9)
-        assert recipe.fidelity >= 1 - 1e-6
+        assert fid >= 1 - 1e-6
 
     def test_closed_form_is_sigma_x(self):
         recipe = not_recipe()
@@ -261,20 +262,25 @@ class TestCnot:
 class TestVerifyGate:
     def test_identity_recipe(self):
         recipe = GateRecipe(
-            name="idle",
             target=np.eye(2, dtype=complex),
             sequence=PulseSequence((), frame=SINGLE_QUBIT),
         )
         assert verify_gate(recipe) == pytest.approx(1.0, abs=1e-14)
-        assert recipe.fidelity == pytest.approx(1.0, abs=1e-14)
+
+    def test_a_recipe_is_frozen(self):
+        recipe = hadamard_recipe()
+        verify_gate(recipe, steps_per_loop=1000)
+        assert [f.name for f in dataclasses.fields(recipe)] == ["target", "sequence", "parameters"]
+        for name in ("target", "fidelity"):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(recipe, name, None)
 
     def test_perturbed_tilt_lowers_fidelity(self):
-        good = verified(hadamard_recipe())
+        good, good_fid = verified(hadamard_recipe())
         theta0 = good.parameters["theta0"]
         from conegate.gates import _tilted_loop
 
         perturbed = GateRecipe(
-            name="hadamard-perturbed",
             target=HADAMARD.copy(),
             sequence=PulseSequence(
                 (
@@ -286,7 +292,7 @@ class TestVerifyGate:
             ),
         )
         fid = verify_gate(perturbed, steps_per_loop=5000)
-        assert fid < good.fidelity - 1e-4
+        assert fid < good_fid - 1e-4
 
 
 class TestUnverifiedBuilders:
@@ -294,8 +300,8 @@ class TestUnverifiedBuilders:
         import conegate.gates as gates
 
         monkeypatch.setattr(gates, "verify_gate", lambda *a, **k: pytest.fail("verified"))
-        for recipe in (hadamard_recipe(), not_recipe(), cnot_recipe()):
-            assert recipe.fidelity is None
+        for build in (hadamard_recipe, not_recipe, cnot_recipe):
+            build()
 
 
 class TestSettingSolvedOnce:

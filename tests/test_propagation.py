@@ -23,7 +23,6 @@ from conegate.propagation import (
     Trajectory,
     adiabatic_error,
     integrate,
-    integrate_fields,
     _static_propagator,
     loop_duration,
     loop_infidelities,
@@ -705,9 +704,9 @@ class TestLoopReuse:
 
         def counted(*args, **kwargs):
             calls.append(args[0])
-            return integrate_fields(*args, **kwargs)
+            return propagation._integrate(*args, **kwargs)
 
-        monkeypatch.setattr(sequences, "integrate_fields", counted)
+        monkeypatch.setattr(sequences, "_integrate", counted)
         return calls
 
     @staticmethod

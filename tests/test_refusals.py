@@ -21,10 +21,10 @@ import numpy as np
 import pytest
 
 import conegate
-from conegate import cli, sequences
+from conegate import cli, propagation, sequences
 from conegate.hamiltonians import FieldParams, FieldSchedule
 from conegate.phases import two_qubit_loop_params
-from conegate.propagation import MAX_STEPS, integrate, integrate_fields
+from conegate.propagation import MAX_STEPS, integrate
 from conegate.sequences import (
     SINGLE_QUBIT,
     ConditionalLoop,
@@ -165,9 +165,9 @@ def _counting_integrate(monkeypatch) -> list:
 
     def counting(*args, **kwargs):
         calls.append(args)
-        return integrate_fields(*args, **kwargs)
+        return propagation._integrate(*args, **kwargs)
 
-    monkeypatch.setattr(sequences, "integrate_fields", counting)
+    monkeypatch.setattr(sequences, "_integrate", counting)
     return calls
 
 
@@ -282,8 +282,8 @@ class TestStepCount:
         with pytest.raises(ValueError, match=message):
             integrate(lambda t: np.zeros((len(t), 2, 2)), 1.0, total_steps=steps)
         with pytest.raises(ValueError, match=message):
-            integrate_fields((self.RECORD, FieldSchedule(-1.0, 0.5, -1.0)), 1.0,
-                             total_steps=steps)
+            propagation._integrate((self.RECORD, FieldSchedule(-1.0, 0.5, -1.0)), 1.0, steps,
+                                   None, 257)
 
     def test_the_count_has_one_owner(self):
         owners = [owners for pattern, owners in _owned_messages().items()

@@ -6,8 +6,8 @@ integrator run: one `integrate` call per sector, each on its own
 `FieldSchedule`. It is copied here so that any rewrite must reproduce its
 bytes: times, states and propagators compared by `tobytes()`. A
 conditional loop cannot give exact zeros (its compensated verticals are
-both nonzero), so `integrate_fields` is also run directly on records whose
-zeros are exact, against `integrate` of each record alone.
+both nonzero), so `propagation._integrate` is also run directly on records
+whose zeros are exact, against `integrate` of each record alone.
 """
 
 import math
@@ -21,7 +21,7 @@ import pytest
 
 from conegate import propagation, sequences
 from conegate.hamiltonians import FieldSchedule
-from conegate.propagation import integrate, integrate_fields
+from conegate.propagation import _integrate, integrate
 from conegate.sequences import ConditionalLoop, FieldLoop
 
 STEPS = (1, 7, 4095, 4096, 4097, 12287, 12289, 24581)
@@ -144,32 +144,29 @@ def test_records_with_exact_zeros_stack_as_they_run_alone(steps):
     for k, samples in enumerate((2, 3, 257, steps + 1)):
         sign, t_end = (1, -1)[k % 2], rng.uniform(0.5, 20.0)
         for fields in zero_pairs(rng, sign, t_end):
-            got = integrate_fields(fields, t_end, total_steps=steps, samples=samples)
+            got = _integrate(tuple(fields), t_end, steps, None, samples)
             assert_same_runs(got, alone(fields, t_end, steps, samples), (steps, samples, fields))
             if fields[0].omega1 == 0.0 and fields[0].vertical == 0.0:  # no field at all
                 assert np.array_equal(got[0].propagators,
                                       np.broadcast_to(np.eye(2), got[0].propagators.shape))
 
 
-def test_records_that_do_not_share_their_phase_run_alone():
+def test_shared_records_from_a_start_state_stack_as_they_run_alone():
     rng = np.random.default_rng(1950)
     psi = rng.normal(size=2) + 1j * rng.normal(size=2)
     psi0 = psi / np.linalg.norm(psi)
     t_end = 7.3
     shared = [FieldSchedule(rng.uniform(-2, 2), 0.9, -1.1, 0.4, -1, t_end) for _ in range(3)]
-    apart = [FieldSchedule(0.3, 0.9, -1.1, 0.4), FieldSchedule(0.3, 0.9, -1.2, 0.4),
-             FieldSchedule(0.3, 0.9, -1.1, -0.0), FieldSchedule(0.3, 0.9, -1.1, 0.0)]
-    for fields in (shared, apart, shared[:1]):
+    for fields in (shared, shared[:1]):
         for steps, samples in ((4097, 3), (12289, 257)):
-            got = integrate_fields(fields, t_end, total_steps=steps, psi0=psi0, samples=samples)
+            got = _integrate(tuple(fields), t_end, steps, psi0, samples)
             want = alone(fields, t_end, steps, samples, psi0)
             assert_same_runs(got, want, (len(fields), steps))
-    assert integrate_fields((), t_end, total_steps=10) == []
 
 
 def test_three_records_stack_in_a_workspace_of_their_own():
     fields = [FieldSchedule(v, 1.1, 0.7, 0.2) for v in (0.3, -0.4, 1.5)]
-    got = integrate_fields(fields, 5.0, total_steps=9000, samples=5)
+    got = _integrate(tuple(fields), 5.0, 9000, None, 5)
     assert_same_runs(got, alone(fields, 5.0, 9000, 5), "three")
 
 
@@ -188,11 +185,11 @@ class TestWorkspace:
         code = """if True:
             import tracemalloc
             from conegate.hamiltonians import FieldSchedule
-            from conegate.propagation import integrate, integrate_fields
+            from conegate.propagation import _integrate, integrate
             tracemalloc.start()
             got = [integrate(FieldSchedule(0.3, 0.8, -1.25), 5.0, total_steps=30000, samples=257),
-                   *integrate_fields((FieldSchedule(0.4, 1.2, 0.9), FieldSchedule(-0.4, 1.2, 0.9)),
-                                     3.0, total_steps=20000, samples=257)]
+                   *_integrate((FieldSchedule(0.4, 1.2, 0.9), FieldSchedule(-0.4, 1.2, 0.9)),
+                               3.0, 20000, None, 257)]
             held = [t.size for t in tracemalloc.take_snapshot().traces if t.size >= 1_000_000]
             print(len(got), held)
         """
@@ -217,12 +214,12 @@ class TestWorkspace:
     def test_threads_never_share_a_workspace(self):
         records = [(FieldSchedule(0.3 * k, 1.1, 0.7), FieldSchedule(-0.2 * k, 1.1, 0.7))
                    for k in range(4)]
-        want = [integrate_fields(pair, 4.0, total_steps=5000, samples=9) for pair in records]
+        want = [_integrate(pair, 4.0, 5000, None, 9) for pair in records]
         bad, done = [], []
 
         def work(k):
             for _ in range(6):
-                got = integrate_fields(records[k], 4.0, total_steps=5000, samples=9)
+                got = _integrate(records[k], 4.0, 5000, None, 9)
                 bad.extend(k for a, b in zip(got, want[k])
                            if a.propagators.tobytes() != b.propagators.tobytes())
                 done.append(k)
