@@ -232,6 +232,8 @@ def dynamical_phase(traj) -> float:
 def _cyclic_overlap(traj) -> tuple[complex, float]:
     """The overlap <psi(0)|psi(T)> of traj's first and last states, and the
     defect |1 - |overlap|| by which the evolution misses being cyclic."""
+    if not len(traj.states):
+        raise ValueError("cyclic overlap needs at least 1 trajectory sample")
     overlap = complex(traj.states[0].conj() @ traj.states[-1])
     return overlap, abs(1.0 - abs(overlap))
 

@@ -138,8 +138,8 @@ class Trajectory:
         times, states = _checked_samples(self.times, self.states)
         if self.propagators is not None:
             props = np.asarray(self.propagators, dtype=complex)
-            replay = np.einsum("kij,j->ki", props, states[0])
-            if np.max(np.abs(replay - states)) > 1e-9:
+            replay = np.einsum("kij,j->ki", props, states[0]) if len(states) else states
+            if np.max(np.abs(replay - states), initial=0.0) > 1e-9:
                 raise ValueError("recorded propagators do not reproduce the states")
             object.__setattr__(self, "propagators", props)
         object.__setattr__(self, "times", times)

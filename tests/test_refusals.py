@@ -23,8 +23,8 @@ import pytest
 import conegate
 from conegate import cli, propagation, sequences
 from conegate.hamiltonians import FieldParams, FieldSchedule
-from conegate.phases import two_qubit_loop_params
-from conegate.propagation import MAX_STEPS, integrate
+from conegate.phases import phase_decomposition, two_qubit_loop_params
+from conegate.propagation import MAX_STEPS, Trajectory, integrate
 from conegate.sequences import (
     SINGLE_QUBIT,
     ConditionalLoop,
@@ -294,3 +294,22 @@ class TestStepCount:
         want = integrate(self.RECORD, 1.0, total_steps=7)
         got = integrate(self.RECORD, 1.0, total_steps=np.int64(7))
         assert got.propagators.tobytes() == want.propagators.tobytes()
+
+
+class TestEmptyTrajectory:
+    """A trajectory without samples builds, and its phase split is refused
+    by the cyclic overlap, before the dynamical phase counts its samples."""
+
+    EMPTY = (np.zeros(0), np.zeros((0, 2)), np.zeros((0, 2, 2)))
+
+    def test_it_builds_without_a_replay(self):
+        traj = Trajectory(*self.EMPTY)
+        assert traj.states.shape == (0, 2)
+        assert traj.propagators.shape == (0, 2, 2) and traj.propagators.dtype == complex
+
+    def test_its_phase_split_is_refused_by_the_overlap(self):
+        owned = [pattern for pattern, owners in _owned_messages().items()
+                 if owners == {"phases._cyclic_overlap"}]
+        assert len(owned) == 1
+        with pytest.raises(ValueError, match=f"^{re.escape(_text(owned[0]))}$"):
+            phase_decomposition(Trajectory(*self.EMPTY))
