@@ -322,10 +322,14 @@ class TestExactFieldLoopEnergy:
                        + (1 - np.cos(rate * end)) / rate * turned[2])
         return energy + 0.5 * p.gamma * sz, -(energy * end + 0.5 * p.gamma * sz_integral)
 
-    def test_the_integrator_meets_the_closed_form(self):
+    @staticmethod
+    def loops() -> list:
+        """(params, compensated, start state) of eight seeded loops: both
+        compensations and both senses, twice each, from starts off the
+        eigenstate."""
         rng = np.random.default_rng(2607)
-        cases = set()
-        for k in range(8):  # both compensations and both senses, twice each
+        loops = []
+        for k in range(8):
             compensated, gamma = bool(k % 2), (1, -1)[k // 2 % 2] * rng.uniform(0.3, 2.0)
             p = FieldParams(rng.uniform(-1.5, 1.5), rng.uniform(0.2, 1.5), gamma,
                             omega_z=gamma if compensated else 0.0, phase0=rng.uniform(-3, 3))
@@ -333,12 +337,34 @@ class TestExactFieldLoopEnergy:
             psi0 /= np.linalg.norm(psi0)
             eigen = cone_eigenstate(p.omega0, p.omega1).psi0 * np.array([1, np.exp(1j * p.phase0)])
             assert abs(abs(np.vdot(eigen, psi0)) - 1) > 1e-3  # off the eigenstate
+            loops.append((p, compensated, psi0))
+        return loops
+
+    def test_the_integrator_meets_the_closed_form(self):
+        cases = set()
+        for p, compensated, psi0 in self.loops():
             traj = integrate_loop(p, compensated, 200_000, psi0=psi0, samples=1025)
             energy, phase = self.exact(p, compensated, psi0, traj.times)
             assert np.max(np.abs(energy_expectations(traj) - energy)) <= 5e-10
             assert abs(dynamical_phase(traj) - phase) <= 1.3e-9
-            cases.add((compensated, gamma > 0))
+            cases.add((compensated, p.gamma > 0))
         assert len(cases) == 4
+
+    @pytest.mark.parametrize("samples", [65, 129, 257])
+    def test_each_rule_meets_its_order(self, samples):
+        """Simpson (dynamical_phase) misses the exact integral by at most
+        0.015 h^4 plus the integrator's 1.3e-9, and the trapezoid's last row
+        (running_dynamical_phase, the column evolve prints) by at most
+        0.06 h^2, h = T / (samples - 1). Over these loops at 65, 129 and
+        257 samples the largest |error| / h^4 is 0.0120 and |error| / h^2
+        0.0469."""
+        for p, compensated, psi0 in self.loops():
+            traj = integrate_loop(p, compensated, 200_000, psi0=psi0, samples=samples)
+            _, phase = self.exact(p, compensated, psi0, traj.times)
+            h = traj.times[-1] / (samples - 1)
+            assert abs(dynamical_phase(traj) - phase) <= 0.015 * h**4 + 1.3e-9
+            running = running_dynamical_phase(traj, np.ones(samples, dtype=bool))
+            assert abs(running[-1] - phase) <= 0.06 * h**2
 
 
 class TestSimpson:
