@@ -88,15 +88,15 @@ phase at every step, and _integrate runs a tuple of them as one stacked
 run: the two spin-b sectors of a conditional loop, the 2x2 blocks of its
 block-diagonal 4x4 propagator, which sequences._integrate_loop builds
 that way. The phase, its cos and sin, the passes and the reduction plans
-are made once. Each record's pairs go to one stacked buffer, all
-records' runs reduce in one call, the window's prefix
-products double once over its (runs, blocks, records, 2) stack, and the
-composition with the running products and the projection each run once
-on (runs, records, 2) stacks. Each record keeps the bytes of a run of its
-own: the stack changes which numpy calls carry an operation, never the
-operation. numpy's complex product is a fused multiply-add, except that it
-rounds unfused where one-element operands of different ranks broadcast, so
-a record run alone keeps its rank-one shapes (_by_run).
+are made once. Each record's pairs go to one stacked buffer, all records'
+runs reduce in one call, the window's prefix products double once over
+its (runs, blocks, records, 2) stack, and the composition with the
+running products and the projection each run once on (runs, records, 2)
+stacks. Each record keeps the bytes of a run of its own: the stack
+changes which numpy calls carry an operation, never the operation.
+numpy's complex product is a fused multiply-add, except that it rounds
+unfused where one-element operands of different ranks broadcast, so a
+record run alone keeps its rank-one shapes (_by_run).
 """
 
 from __future__ import annotations
@@ -345,8 +345,8 @@ class _SU2:
     An instance is built from the records of one integrate call, which it
     checks, and is the call's workspace. Stacked records must share omega1,
     gamma, phase0, sign and t_end, and so the field's phase at every step:
-    sequences._integrate_loop builds them that way. A pass's steps enter as h
-    negated: the rows (-x.real, -x.imag) of a buffer, which stacked
+    sequences._integrate_loop builds them that way. A pass's steps enter
+    as h negated: the rows (-x.real, -x.imag) of a buffer, which stacked
     records share, and each record's -z. The records' pairs are stacked in
     one buffer, record s's m steps from row s m on. Every temporary of the
     reductions is a buffer too, written with out= in the order of
@@ -790,8 +790,9 @@ def integrate(
 def _integrate(schedules: tuple, t_end: float, total_steps, psi0, samples: int) -> list:
     """The run of integrate and of sequences._integrate_loop: of one
     callable through _Dense, or through _SU2 stacked over FieldSchedules
-    that share their phase schedule, one Trajectory each. The kind of input picks the kernel, once; the run's
-    blocks, runs and passes come from _block_plan, once.
+    that share their phase schedule, one Trajectory each. The kind of
+    input picks the kernel, once; the run's blocks, runs and passes come
+    from _block_plan, once.
 
     The pass loop (_block_products) hands over each block's run products,
     which go into the window's (runs, blocks, ...) stack, each block's
