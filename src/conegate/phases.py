@@ -1,7 +1,8 @@
 """Cone eigenstate geometry, compensation-field solving, the split of a
 cyclic evolution's total phase into dynamical and geometric parts, and the
 running dynamical phase along a trajectory: every energy expectation
-<psi|H|psi> of the package is taken here.
+<psi|H|psi> of the package is taken here, by _energies, which checks the
+accessor's stack.
 
 Sign conventions: the eigenvalue of the frozen field Hamiltonian
 H0 = (omega0 sigma_z + omega1 sigma_x) / 2 is +-sqrt(omega0^2 + omega1^2)/2
@@ -147,12 +148,9 @@ def energy_expectations(traj) -> np.ndarray:
 
 
 def _energies(states: np.ndarray, hamiltonian_at, t: np.ndarray) -> np.ndarray:
-    """<psi|H|psi> of each state, with H the accessor's stack at times t."""
-    h = np.asarray(hamiltonian_at(t), dtype=complex)
-    return _expectations(states, _check_samples(h, *states.shape))
-
-
-def _expectations(states: np.ndarray, h: np.ndarray) -> np.ndarray:
+    """<psi|H|psi> of each state, with H the accessor's stack at times t,
+    refused unless it is an (n, d, d) stack of finite samples."""
+    h = _check_samples(np.asarray(hamiltonian_at(t), dtype=complex), *states.shape)
     return np.einsum("ki,kij,kj->k", states.conj(), h, states).real
 
 
@@ -167,12 +165,8 @@ def running_dynamical_phase(traj, mask) -> np.ndarray:
         # interval, so samples shared between a hard pulse and two timed
         # segments pair with the segment that actually covers the interval
         dt = np.diff(times)
-        t_left = times[:-1] + 1e-9 * dt
-        t_right = times[1:] - 1e-9 * dt
-        h_left = np.asarray(traj.hamiltonian_at(t_left), dtype=complex)
-        h_right = np.asarray(traj.hamiltonian_at(t_right), dtype=complex)
-        e_left = _expectations(states[:-1], h_left)
-        e_right = _expectations(states[1:], h_right)
+        e_left = _energies(states[:-1], traj.hamiltonian_at, times[:-1] + 1e-9 * dt)
+        e_right = _energies(states[1:], traj.hamiltonian_at, times[1:] - 1e-9 * dt)
         running[1:] = -np.cumsum(0.5 * (e_left + e_right) * dt)
     return running
 

@@ -149,16 +149,23 @@ class Trajectory:
     def _of_run(cls, times, states, propagators, hamiltonian_at, segments=()) -> "Trajectory":
         """The trajectory of a run whose states are its propagators applied
         to the initial state, as an integrator run or a simulated sequence
-        builds them: the replay of __post_init__ cannot fail there, so it is
-        skipped, and the time and norm checks are kept."""
-        self = object.__new__(cls)
+        builds them, built by _made: the shape and replay checks of
+        __post_init__ cannot fail there, so they are skipped, and the time
+        and norm checks are kept."""
         times, states = _checked_samples(times, states)
-        object.__setattr__(self, "times", times)
-        object.__setattr__(self, "states", states)
-        object.__setattr__(self, "propagators", propagators)
-        object.__setattr__(self, "hamiltonian_at", hamiltonian_at)
-        object.__setattr__(self, "_segments", tuple(segments))
-        return self
+        return _made(cls, times=times, states=states, propagators=propagators,
+                     hamiltonian_at=hamiltonian_at, _segments=tuple(segments))
+
+
+def _made(cls, **fields):
+    """A frozen instance of cls holding fields, built without its __init__
+    and __post_init__: only for values the package derives from ones it has
+    just checked, where no check of __post_init__ can fail. Its callers are
+    Trajectory._of_run, the primitives' _inverse methods and
+    sequences.build_conditional_loop."""
+    self = object.__new__(cls)
+    self.__dict__.update(fields)
+    return self
 
 
 def _checked_samples(times, states) -> tuple:

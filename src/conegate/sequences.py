@@ -41,6 +41,7 @@ from .phases import _check_coupling, cone_eigenstate, two_qubit_loop_params
 from .propagation import (
     Trajectory,
     _integrate,
+    _made,
     _recorded_samples,
     _revolution_time,
     _static_entries,
@@ -57,17 +58,6 @@ SAMPLES_PER_LOOP = 257  # samples sequence_trajectory records per revolution
 def _check_sign(sign: int) -> None:
     if sign not in (-1, 1):
         raise ValueError("sign must be +1 or -1")
-
-
-def _made(cls, **fields):
-    """A frozen primitive or sequence holding fields, built without its
-    __init__ and __post_init__, as Trajectory._of_run builds a trajectory:
-    only for values the package derives from ones it has just checked,
-    where no check of __post_init__ can fail. Its only callers are the
-    primitives' _inverse methods and build_conditional_loop."""
-    self = object.__new__(cls)
-    self.__dict__.update(fields)
-    return self
 
 
 @dataclass(frozen=True)
@@ -397,14 +387,19 @@ def _loop_steps(step: FieldLoop, steps_per_loop: int) -> int:
     return max(1, _per_revolution(steps_per_loop, step))
 
 
-def _loop_samples(step: FieldLoop, samples_per_loop: int) -> int:
-    """Samples a loop asks to record, its start included."""
-    return max(2, _per_revolution(samples_per_loop, step))
-
-
-def _free_samples(samples_per_loop: int) -> int:
-    """Samples a free evolution records, its start included."""
-    return max(2, samples_per_loop // 4)
+def _step_rows(step, steps_per_loop: int, samples_per_loop: int) -> int:
+    """The rows sequence_trajectory adds for step, whose start the row
+    before holds: a loop's samples_per_loop per revolution, capped as the
+    integrator caps them, or a timed free evolution's samples_per_loop // 4,
+    either at least 2 and less that start; 1 for a hard pulse or an
+    instant. A loop that takes no time (a subnormal revolution count)
+    adds none, fewer than counted here."""
+    if isinstance(step, FieldLoop):
+        return _recorded_samples(_per_revolution(samples_per_loop, step),
+                                 _loop_steps(step, steps_per_loop)) - 1
+    if isinstance(step, FreeEvolve) and step.duration > 0:
+        return max(2, samples_per_loop // 4) - 1
+    return 1
 
 
 def _integrate_loop(step: FieldLoop, steps_per_loop: int, samples: int, psi0=None) -> tuple:
@@ -509,7 +504,8 @@ def sequence_trajectory(
     steps_per_loop: int = 10_000,
     samples_per_loop: int = SAMPLES_PER_LOOP,
 ) -> Trajectory:
-    """Time-resolved integrator run over the whole sequence.
+    """Time-resolved integrator run over the whole sequence, each step
+    recording the rows _step_rows counts for it.
 
     Hard pulses act instantaneously (duplicate time stamps); the returned
     trajectory carries a piecewise Hamiltonian accessor covering the timed
@@ -522,28 +518,27 @@ def sequence_trajectory(
     now, rows = 0.0, 1
     for step in seq.steps:
         u = props[-1][-1]
+        n = _step_rows(step, steps_per_loop, samples_per_loop)
         if isinstance(step, FieldLoop):
-            duration, runs = _integrate_loop(step, steps_per_loop,
-                                             _loop_samples(step, samples_per_loop))
-            fields = [run.hamiltonian_at for run in runs]
-            seg_u = _block_diag([run.propagators for run in runs], dim)
-            segments.append((now, now + duration,
-                             lambda t, fields=fields: _block_diag([f(t) for f in fields], dim),
-                             rows - 1, runs[0].times.size))
-            times.append(now + runs[0].times[1:])
-            props.append(seg_u[1:] @ u)
-            now += duration
+            duration, runs = _integrate_loop(step, steps_per_loop, n + 1)
+            seg_t, fields = runs[0].times[1:], [run.hamiltonian_at for run in runs]
+            seg_u = _block_diag([run.propagators[1:] for run in runs], dim)
+            h_at = lambda t, fields=fields: _block_diag([f(t) for f in fields], dim)
         elif isinstance(step, FreeEvolve) and step.duration > 0:
-            seg_t = step.duration * np.linspace(0, 1, _free_samples(samples_per_loop))[1:]
-            segments.append((now, now + step.duration, _free_evolution_hamiltonian(step, dim),
-                             rows - 1, seg_t.size + 1))
-            times.append(now + seg_t)
-            props.append(_free_evolution_unitaries(step, dim, seg_t) @ u)
-            now += step.duration
+            duration = step.duration
+            seg_t = duration * np.linspace(0, 1, n + 1)[1:]
+            seg_u = _free_evolution_unitaries(step, dim, seg_t)
+            h_at = _free_evolution_hamiltonian(step, dim)
         else:
             times.append(np.array([now]))
             props.append((_matrix(step._blocks(dim), dim) @ u)[None])
-        rows += times[-1].size
+            rows += n
+            continue
+        segments.append((now, now + duration, h_at, rows - 1, seg_t.size + 1))
+        times.append(now + seg_t)
+        props.append(seg_u @ u)
+        now += duration
+        rows += seg_t.size
 
     def hamiltonian_at(t):
         t_arr = np.asarray(t, dtype=float)
@@ -561,16 +556,7 @@ def sequence_trajectory(
 def trajectory_rows(seq: PulseSequence, steps_per_loop: int) -> int:
     """The most rows sequence_trajectory records for seq at its default
     sampling, counted without integrating."""
-    rows = 1
-    for step in seq.steps:
-        if isinstance(step, FieldLoop):
-            rows += _recorded_samples(_loop_samples(step, SAMPLES_PER_LOOP),
-                                      _loop_steps(step, steps_per_loop)) - 1
-        elif isinstance(step, FreeEvolve) and step.duration > 0:
-            rows += _free_samples(SAMPLES_PER_LOOP) - 1
-        else:
-            rows += 1
-    return rows
+    return 1 + sum(_step_rows(step, steps_per_loop, SAMPLES_PER_LOOP) for step in seq.steps)
 
 
 def _free_evolution_hamiltonian(step: FreeEvolve, dim: int):

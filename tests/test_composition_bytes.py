@@ -473,7 +473,7 @@ def block_bytes(step, dim):
 
 class TestTrustedSteps:
     """build_conditional_loop builds its loop, its sequence and, through
-    _inverted, its inverse preparation with sequences._made, which runs no
+    _inverted, its inverse preparation with propagation._made, which runs no
     __post_init__; the two quarter turns of the preparation are shared and
     keep their blocks. Rebuilt through its public constructor
     (dataclasses.replace runs __post_init__ again), each such step must
@@ -526,15 +526,20 @@ class TestTrustedSteps:
         assert [block_bytes(s, 4) for s in back.steps] == [block_bytes(s, 4) for s in seq.steps]
 
     def test_only_the_builders_skip_the_checks(self):
-        # _made is reached only from build_conditional_loop and from the
-        # _inverse methods, which negate an already checked angle or sign;
-        # _inverse is reached only from _inverted and _kept, and _inverted
-        # only from build_conditional_loop. So neither the schedule reader
-        # nor a public constructor hands an outside value to _made.
+        # _made is reached only from build_conditional_loop, from the
+        # _inverse methods, which negate an already checked angle or sign,
+        # and from Trajectory._of_run, which the integrator and
+        # sequence_trajectory reach with arrays they built; _inverse is
+        # reached only from _inverted and _kept, and _inverted only from
+        # build_conditional_loop. So neither the schedule reader nor a
+        # public constructor hands an outside value to _made.
         assert references("_made") == {"sequences._Rotation._inverse",
                                        "sequences.FreeEvolve._inverse",
                                        "sequences.FieldLoop._inverse",
-                                       "sequences.build_conditional_loop"}
+                                       "sequences.build_conditional_loop",
+                                       "propagation.Trajectory._of_run"}
+        assert references("_of_run") == {"propagation._integrate",
+                                         "sequences.sequence_trajectory"}
         assert references("_inverse") == {"sequences._inverted", "sequences._kept"}
         assert references("_inverted") == {"sequences.build_conditional_loop"}
         assert references("_kept") == {"sequences"}
