@@ -138,7 +138,10 @@ class Trajectory:
         times, states = _checked_samples(self.times, self.states)
         if self.propagators is not None:
             props = np.asarray(self.propagators, dtype=complex)
-            replay = np.einsum("kij,j->ki", props, states[0]) if len(states) else states
+            n, d = states.shape
+            if props.shape != (n, d, d):
+                raise ValueError(f"propagators have shape {props.shape}, expected {(n, d, d)}")
+            replay = np.einsum("kij,j->ki", props, states[0]) if n else states
             if np.max(np.abs(replay - states), initial=0.0) > 1e-9:
                 raise ValueError("recorded propagators do not reproduce the states")
             object.__setattr__(self, "propagators", props)

@@ -313,3 +313,29 @@ class TestEmptyTrajectory:
         assert len(owned) == 1
         with pytest.raises(ValueError, match=f"^{re.escape(_text(owned[0]))}$"):
             phase_decomposition(Trajectory(*self.EMPTY))
+
+
+class TestPropagatorShape:
+    """A trajectory refuses propagators whose stack is not (n, d, d) for its
+    n states of dimension d, with a message of its own, before the replay
+    compares them with the states."""
+
+    TIMES, STATES = np.array([0.0, 1.0, 2.0]), np.tile([1.0, 0.0], (3, 1))
+
+    @pytest.mark.parametrize("props", [
+        np.eye(2)[None],  # one propagator for three states, which would broadcast
+        np.zeros((2, 3, 3)),
+        np.eye(2),
+    ])
+    def test_a_stack_of_another_shape(self, props):
+        owned = [pattern for pattern, owners in _owned_messages().items()
+                 if owners == {"propagation.Trajectory.__post_init__"}
+                 and "shape" in _text(pattern)]
+        assert len(owned) == 1
+        with pytest.raises(ValueError) as info:
+            Trajectory(self.TIMES, self.STATES, props)
+        assert str(info.value) == _text(owned[0]).format(props.shape, (3, 2, 2))
+
+    def test_the_stack_of_the_states_builds(self):
+        traj = Trajectory(self.TIMES, self.STATES, np.tile(np.eye(2), (3, 1, 1)))
+        assert traj.propagators.shape == (3, 2, 2)
