@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import conegate
-from conegate import cli
+from conegate import cli, propagation
 from conegate.cli import CSV_CHUNK_ROWS, MAX_SWEEP_POINTS, RunConfig, _write_output, main
 from conegate.phases import cone_eigenstate
 from conegate.propagation import (
@@ -309,6 +309,44 @@ class TestGateCommand:
         )
         assert code == 0
         assert "delta = 1.058" in out
+
+
+class TestGateOutcomes:
+    """The two branches of cmd_gate that leave the usual report: a program
+    whose simulated fidelity misses the gate, and the degenerate tilt of
+    the phase gate, whose identity needs no loop."""
+
+    def test_a_failed_verification_exits_3(self, capsys):
+        code, out, err = run_cli(["gate", "phase", "--steps", "2"], capsys)
+        assert code == 3
+        assert out.startswith("# conegate ") and "target matrix:" in out
+        label, fidelity = out.splitlines()[-1].split(" = ")
+        assert label == "simulated fidelity"
+        assert float(fidelity) < 0.99999
+        assert err == f"verification FAILED: fidelity {fidelity} below 0.99999\n"
+
+    def test_the_degenerate_tilt_integrates_nothing(self, monkeypatch, capsys):
+        from conegate import sequences
+
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return propagation._integrate(*args, **kwargs)
+
+        monkeypatch.setattr(sequences, "_integrate", counting)
+        theta = ["gate", "phase", "--theta", "1.5707963267948966"]
+        code, out, err = run_cli(theta, capsys)
+        assert (code, err) == (0, "")
+        assert "  note = degenerate tilt: identity gate, no loop is required" in out.splitlines()
+        assert out.endswith("\nsimulated fidelity = 1\n")
+        code, many, err = run_cli(theta + ["--loops", "50000000"], capsys)
+        assert (code, err) == (0, "")
+        assert many == (out.replace("# format = csv\n", "# format = csv\n# loops = 50000000\n")
+                        .replace("  loops = 1\n", "  loops = 50000000\n"))
+        assert calls == []
+        run_cli(["gate", "phase", "--theta", "1.0", "--steps", "100"], capsys)
+        assert len(calls) == 1  # the counter sees a tilt that needs its loop
 
 
 class TestVerifyOnce:

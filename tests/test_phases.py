@@ -233,6 +233,18 @@ class TestDynamicalPhase:
         with pytest.raises(ValueError, match=r"schedule returned shape \(.*\), expected \(5, 2, 2\)"):
             energy_expectations(Trajectory(times, states, None, accessor))
 
+    @pytest.mark.parametrize("accessor, message", [
+        (lambda t: 0.5 * SIGMA_Z, r"schedule returned shape \(2, 2\), expected \(4, 2, 2\)"),
+        (lambda t: np.full(np.shape(t) + (2, 2), np.nan),
+         "schedule produced a non-finite Hamiltonian sample"),
+    ])
+    def test_the_running_phase_refuses_it_too(self, accessor, message):
+        times = np.linspace(0.0, 1.0, 5)
+        states = np.tile(np.array([1.0, 0.0], dtype=complex), (5, 1))
+        traj = Trajectory(times, states, None, accessor)
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            running_dynamical_phase(traj, slice(None))
+
     def test_accessor_errors_propagate(self):
         times = np.linspace(0.0, 1.0, 5)
         states = np.tile(np.array([1.0, 0.0], dtype=complex), (5, 1))
