@@ -388,12 +388,12 @@ def _loop_steps(step: FieldLoop, steps_per_loop: int) -> int:
 
 
 def _step_rows(step, steps_per_loop: int, samples_per_loop: int) -> int:
-    """The rows sequence_trajectory adds for step, whose start the row
-    before holds: a loop's samples_per_loop per revolution, capped as the
-    integrator caps them, or a timed free evolution's samples_per_loop // 4,
-    either at least 2 and less that start; 1 for a hard pulse or an
-    instant. A loop that takes no time (a subnormal revolution count)
-    adds none, fewer than counted here."""
+    """The rows sequence_trajectory records for step after the row that
+    holds its start: for a loop, samples_per_loop per revolution as the
+    integrator caps them, less 1; for a timed free evolution,
+    max(2, samples_per_loop // 4) less 1; for a hard pulse or an instant,
+    1. A loop that takes no time (a subnormal revolution count) records
+    none, fewer than this counts."""
     if isinstance(step, FieldLoop):
         return _recorded_samples(_per_revolution(samples_per_loop, step),
                                  _loop_steps(step, steps_per_loop)) - 1
