@@ -345,8 +345,10 @@ class TestRefusals:
         loop = FieldLoop(FieldParams(1.0, 0.5, -1e-10), 1e305, compensated=False)
         seq = PulseSequence((loop,))
         psi0 = np.array([1.0, 0.0j])
-        duration = "a loop of 1e+305 revolutions at gamma = -1e-10 lasts longer than the float range"
-        count = "a loop of 1e+305 revolutions at 10000 per revolution overflows the step or sample count"
+        duration = ("a loop of 1e+305 revolutions at gamma = -1e-10 "
+                    "lasts longer than the float range")
+        count = ("a loop of 1e+305 revolutions at 10000 per revolution "
+                 "overflows the step or sample count")
         assert refusal(lambda: ref_sequence_trajectory(seq, 2, psi0)) == duration
         assert refusal(lambda: sequence_trajectory(seq, 2, psi0)) in (duration, count)
         assert refusal(lambda: ref_trajectory_rows(seq, 10_000)) == count
