@@ -392,11 +392,12 @@ def _step_rows(step, steps_per_loop: int, samples_per_loop: int) -> int:
     holds its start: for a loop, samples_per_loop per revolution as the
     integrator caps them, less 1; for a timed free evolution,
     max(2, samples_per_loop // 4) less 1; for a hard pulse or an instant,
-    1. A loop that takes no time (a subnormal revolution count) records
-    none, fewer than this counts."""
+    1. A loop whose duration rounds to 0 (5e-324 revolutions at gamma =
+    -1e10, say) runs no step, as _step_count has it, and records none."""
     if isinstance(step, FieldLoop):
-        return _recorded_samples(_per_revolution(samples_per_loop, step),
-                                 _loop_steps(step, steps_per_loop)) - 1
+        samples, steps = _per_revolution(samples_per_loop, step), _loop_steps(step, steps_per_loop)
+        timed = step.revolutions * _revolution_time(_loop_fields(step)[1]) > 0
+        return _recorded_samples(samples, steps if timed else 0) - 1
     if isinstance(step, FreeEvolve) and step.duration > 0:
         return max(2, samples_per_loop // 4) - 1
     return 1
@@ -505,19 +506,22 @@ def sequence_trajectory(
     samples_per_loop: int = SAMPLES_PER_LOOP,
 ) -> Trajectory:
     """Time-resolved integrator run over the whole sequence, each step
-    recording the rows _step_rows counts for it.
+    recording the rows _step_rows counts for it through one append path: a
+    hard pulse or an instant records one row at the time of the row before.
+    The running product u moves only with a step that records rows; a loop
+    that takes no time records none.
 
     Hard pulses act instantaneously (duplicate time stamps); the returned
     trajectory carries a piecewise Hamiltonian accessor covering the timed
     segments (zero between them)."""
     _check_frame_dim(seq, dim)
     psi = np.asarray(psi0, dtype=complex)
+    u = np.eye(dim, dtype=complex)
     times = [np.zeros(1)]
-    props = [np.eye(dim, dtype=complex)[None]]
+    props = [u[None]]
     segments = []  # as Trajectory._segments holds them
     now, rows = 0.0, 1
     for step in seq.steps:
-        u = props[-1][-1]
         n = _step_rows(step, steps_per_loop, samples_per_loop)
         if isinstance(step, FieldLoop):
             duration, runs = _integrate_loop(step, steps_per_loop, n + 1)
@@ -525,20 +529,18 @@ def sequence_trajectory(
             seg_u = _block_diag([run.propagators[1:] for run in runs], dim)
             h_at = lambda t, fields=fields: _block_diag([f(t) for f in fields], dim)
         elif isinstance(step, FreeEvolve) and step.duration > 0:
-            duration = step.duration
+            duration, h_at = step.duration, _free_evolution_hamiltonian(step, dim)
             seg_t = duration * np.linspace(0, 1, n + 1)[1:]
             seg_u = _free_evolution_unitaries(step, dim, seg_t)
-            h_at = _free_evolution_hamiltonian(step, dim)
         else:
-            times.append(np.array([now]))
-            props.append((_matrix(step._blocks(dim), dim) @ u)[None])
-            rows += n
-            continue
-        segments.append((now, now + duration, h_at, rows - 1, seg_t.size + 1))
+            h_at, seg_t, seg_u = None, np.zeros(1), _matrix(step._blocks(dim), dim)[None]
         times.append(now + seg_t)
         props.append(seg_u @ u)
-        now += duration
-        rows += seg_t.size
+        u = props[-1][-1] if n else u
+        if h_at is not None:  # a timed step
+            segments.append((now, now + duration, h_at, rows - 1, n + 1))
+            now += duration
+        rows += n
 
     def hamiltonian_at(t):
         t_arr = np.asarray(t, dtype=float)
@@ -554,7 +556,7 @@ def sequence_trajectory(
 
 
 def trajectory_rows(seq: PulseSequence, steps_per_loop: int) -> int:
-    """The most rows sequence_trajectory records for seq at its default
+    """The rows sequence_trajectory records for seq at its default
     sampling, counted without integrating."""
     return 1 + sum(_step_rows(step, steps_per_loop, SAMPLES_PER_LOOP) for step in seq.steps)
 

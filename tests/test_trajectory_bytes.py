@@ -20,6 +20,11 @@ compensations and signs, at 0.5, 1, 1.37 and 2 revolutions, with phase0
 +-0.0 or drawn. Step counts sit at the integrator's block edges, and
 sample counts below 8 (where a free evolution records 2 samples) and at
 few steps (where a loop records at most n + 1).
+
+A loop whose duration rounds to 0 is compared with the references only
+as a schedule's last step: before any other step, the reference indexes
+the empty propagator stack such a loop leaves. There the oracle is the
+same schedule without the loop.
 """
 
 import math
@@ -51,6 +56,11 @@ STEPS = (1, 7, 4095, 4096, 4097)
 SAMPLES = (2, 3, 7, 8, 9, 33, 257)
 REVOLUTIONS = (0.5, 1.0, 1.37, 2.0)
 SCHEDULES = 216
+# loops whose duration rounds to 0, per frame, and the steps that follow them
+ZERO_TIME = {SINGLE_QUBIT: FieldLoop(FieldParams(1.0, 0.5, -1e10), 5e-324, compensated=False),
+             TWO_QUBIT: FieldLoop(ConditionalLoop(1e150, 1.0), 5e-324)}
+AFTER = [RotX(0.3), RotY(-1.1), RotZ(2.0), FreeEvolve(0.0, 0.4), FreeEvolve(0.7, 0.4, sign=-1),
+         FieldLoop(FieldParams(1.0, 0.5, -1.25), 1.37, compensated=False)]
 
 
 # ---------------------------------------------------------------------------
@@ -305,7 +315,31 @@ class TestEvolvePath:
             assert trajectory_bytes(got) == trajectory_bytes(want)
             assert (column_bytes(cli._trajectory_columns(got, slice(None)))
                     == column_bytes(ref_trajectory_columns(want, slice(None))))
-            assert trajectory_rows(seq, steps) == ref_trajectory_rows(seq, steps)
+            # the reference counted a row the loop does not record
+            rows = trajectory_rows(seq, steps)
+            assert rows == sequence_trajectory(seq, 2, psi0, steps).times.size
+            assert rows == ref_trajectory_rows(seq, steps) - 1
+
+    @pytest.mark.parametrize("frame, after", [(SINGLE_QUBIT, a) for a in AFTER] + [
+        (TWO_QUBIT, a) for a in AFTER + [FreeEvolve(0.7, 0.4, j=0.3),
+                                         FieldLoop(ConditionalLoop(1.3, 0.4, 0.2), 0.5, sign=-1)]])
+    def test_a_loop_that_takes_no_time_before_each_kind(self, frame, after):
+        # the reference indexes the loop's empty stack at the next step, so
+        # the oracle is the same schedule without the loop
+        zero = ZERO_TIME[frame]
+        assert S._loop_duration(zero, S._loop_fields(zero)[1]) == 0.0
+        dim = 2 if frame == SINGLE_QUBIT else 4
+        psi0 = np.array([0.6, 0.8j]) if dim == 2 else np.array([0.6, 0.48j, 0.0, 0.64])
+        for steps in (1, 100, 5000):
+            for head in ((), (RotY(0.4), FreeEvolve(0.3, -0.6))):
+                seq = PulseSequence(head + (zero, after), frame)
+                got = sequence_trajectory(seq, dim, psi0, steps)
+                want = sequence_trajectory(PulseSequence(head + (after,), frame), dim, psi0,
+                                           steps)
+                for name in ("times", "states", "propagators"):
+                    assert (getattr(got, name).tobytes()
+                            == getattr(want, name).tobytes()), (name, steps, head)
+                assert trajectory_rows(seq, steps) == got.times.size
 
 
 def refusal(run):
