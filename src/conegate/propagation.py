@@ -858,9 +858,8 @@ def _integrate(schedules: tuple, t_end: float, total_steps, psi0, samples: int) 
     # times exp(-1j * 0) = 1 - 0j, which sets the sign of zeros as the
     # recorded bytes have it: the -0 real part of entry [0, 1] of the
     # identity recorded at t = 0 turns +0
-    unit = np.exp(-1j * np.zeros(bounds.size))
-    props = (kernel.matrix(recorded.reshape((k, bounds.size) + kernel.identity.shape))
-             * unit[:, None, None])
+    props = kernel.matrix(recorded.reshape((k, bounds.size) + kernel.identity.shape))
+    props *= complex(1.0, -0.0)
     times = bounds * dt
     times[-1] = t_end
     return [Trajectory._of_run(times if s == 0 else times.copy(),
