@@ -670,10 +670,13 @@ def _check_samples(h: np.ndarray, m: int, d: int) -> np.ndarray:
 def _check_field(f: FieldSchedule, t_end: float) -> None:
     """A record's samples over [0, t_end] are finite when its fields are and
     its phase is at both ends: the phase at a midpoint rounds between them,
-    and the other components are bounded by the fields."""
+    and the other components are bounded by the fields. _SU2.steps squares
+    the half fields, z^2 + |x|^2, so that sum must be finite too (a
+    compensated loop's vertical field omega0 + gamma passes 2.7e154 first)."""
     ends = (0.0, t_end) if f.sign > 0 else (f.t_end - t_end, f.t_end)
     phases = tuple(f.gamma * s + f.phase0 for s in ends)
-    _check_sampled(all(map(math.isfinite, (f.vertical, f.omega1, f.gamma, f.phase0) + phases)))
+    z, x = 0.5 * f.vertical, 0.5 * f.omega1
+    _check_sampled(all(map(math.isfinite, (z * z + x * x, f.gamma, f.phase0) + phases)))
 
 
 def _count_text(count) -> str:

@@ -31,8 +31,15 @@ def mostly(good, odd=ODD):
     return st.integers(0, 7).flatmap(lambda k: odd if k == 0 else good)
 
 
-def numbers(lo, hi):
-    return mostly(st.one_of(st.floats(lo, hi, allow_nan=False), st.integers(int(lo), int(hi))))
+# durations and revolution counts that are zero, subnormal or round to
+# zero once scaled by a loop's time, and loop speeds up to the float range
+TINY = st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e-310, -1e-310, 1e-300, -1e-300])
+FAST = st.one_of(st.floats(1e10, 1e308), st.floats(-1e308, -1e10))
+
+
+def numbers(lo, hi, *extra):
+    return mostly(st.one_of(st.floats(lo, hi, allow_nan=False), st.integers(int(lo), int(hi)),
+                            *extra))
 
 
 def counts(hi):
@@ -59,7 +66,7 @@ def loop_docs(draw, compensated):
         loop = {"delta": draw(numbers(-2, 4)), "j": draw(numbers(-1, 2)),
                 "phase0": draw(numbers(-7, 7))}
     else:
-        gamma = draw(numbers(-4, 4))
+        gamma = draw(numbers(-4, 4, FAST))
         loop = {"omega0": draw(numbers(-3, 3)), "omega1": draw(numbers(-1, 3)),
                 "gamma": gamma, "phase0": draw(numbers(-7, 7))}
         loop["omega_z"] = draw(mostly(st.just(gamma if compensated else 0.0), numbers(-4, 4)))
@@ -73,11 +80,11 @@ def step_docs(draw):
     op = draw(mostly(st.sampled_from(["rot_x", "rot_y", "rot_z", "free", "loop"]),
                      st.sampled_from(["bogus", 3])))
     if op == "free":
-        doc = {"op": op, "duration": draw(numbers(-3, 3)), "delta": draw(numbers(-3, 3)),
+        doc = {"op": op, "duration": draw(numbers(-3, 3, TINY)), "delta": draw(numbers(-3, 3)),
                "j": draw(numbers(-2, 2))}
     elif op == "loop":
         compensated = draw(st.booleans())
-        doc = {"op": op, "revolutions": draw(mostly(st.floats(-3, 3))),
+        doc = {"op": op, "revolutions": draw(mostly(st.one_of(st.floats(-3, 3), TINY))),
                "compensated": draw(mostly(st.just(compensated))),
                "loop": draw(mostly(loop_docs(compensated)))}
     else:
