@@ -66,7 +66,9 @@ def ref_passes(n_steps, ends):
     return passes
 
 
-def ref_integrate(schedules, t_end, total_steps, psi0, samples):
+def ref_integrate(schedules, t_end, total_steps, psi0, samples, taken=None):
+    """The frozen run; taken, when given, holds the step matrices of a
+    callable's live run, which stand in for the kernel's own."""
     n_steps = P._step_count(t_end, total_steps)
     dt = t_end / n_steps if n_steps else 0.0
     bounds = np.round(np.linspace(0, n_steps, P._recorded_samples(samples, n_steps))).astype(int)
@@ -99,7 +101,7 @@ def ref_integrate(schedules, t_end, total_steps, psi0, samples):
     recorded_phase = np.zeros(bounds.size)
     carry, done = kernel.identity, 1
     for start, stop in passes:
-        elems = kernel.steps(start, stop, dt)
+        elems = kernel.steps(start, stop, dt) if taken is None else taken[start:stop].copy()
         if stop - start > P.BLOCK_STEPS:
             starts = np.arange(0, stop - start, P.BLOCK_STEPS)
             runs = range(starts.size + 1)
@@ -223,9 +225,25 @@ def random_state(rng, d):
 
 
 def run(schedules, t_end, steps, psi0, samples):
+    """The live run, and for a callable the step matrices its kernel made,
+    copied before the run reduces them in place (None for field records):
+    the reference takes them instead of taking every eigendecomposition
+    again."""
     if isinstance(schedules[0], FieldSchedule):
-        return P._integrate(tuple(schedules), t_end, steps, psi0, samples)
-    return [integrate(schedules[0], t_end, total_steps=steps, psi0=psi0, samples=samples)]
+        return P._integrate(tuple(schedules), t_end, steps, psi0, samples), None
+    taken, live = [], P._Dense.steps
+
+    def steps_taken(kernel, start, stop, dt):
+        elems = live(kernel, start, stop, dt)
+        taken.append(elems.copy())
+        return elems
+
+    P._Dense.steps = steps_taken
+    try:
+        got = integrate(schedules[0], t_end, total_steps=steps, psi0=psi0, samples=samples)
+    finally:
+        P._Dense.steps = live
+    return [got], np.concatenate(taken) if taken else None
 
 
 def assert_same_runs(got, want, label):
@@ -245,8 +263,8 @@ def check_draws(rng, steps, samples_list, dense):
         for label, schedules, duration in field_runs(rng, t_end) + callable_runs(rng, t_end, d4):
             d = 4 if "4x4" in label else 2
             psi0 = random_state(rng, d) if rng.integers(2) else None
-            got = run(schedules, duration, steps, psi0, samples)
-            want = ref_integrate(tuple(schedules), duration, steps, psi0, samples)
+            got, taken = run(schedules, duration, steps, psi0, samples)
+            want = ref_integrate(tuple(schedules), duration, steps, psi0, samples, taken)
             assert_same_runs(got, want, (label, steps, samples))
             count += 1
     return count
