@@ -68,6 +68,17 @@ and a window's memory stays of the order of a pass's whatever the
 samples. One block plan (_block_plan) derives all of this structure once
 per call, and the pass loop, the windows and the carry loop read it.
 
+A run that records its last step alone, as every loop of a gate does,
+has one interval per block. Once it has more than one pass of whole
+blocks, each such pass stops its sweep at TAIL_ROWS rows per block, the
+tail of every block's tree, whose small levels would cost each pass the
+numpy calls of its large ones. The window finishes the tails: sized by
+the tail rows of its blocks, it holds each whole block's rows one block
+after another, and one flat sweep down them that stops at one product
+per block pairs the same rows, in the same order, as the passes would
+have. The partial last block keeps its own full reduction, outside that
+sweep.
+
 _integrate picks the kernel once, by the kind of input, and the kernel
 owns that input: it checks it and hands out each pass's steps (steps()).
 A FieldSchedule (a rotating-field run, as every loop of sequences gives
@@ -345,6 +356,7 @@ BLOCK_STEPS = 4096  # steps whose product one pairwise tree associates
 PASS_BLOCKS = 3  # whole blocks whose steps one pass samples, exponentiates and reduces
 MAX_STEPS = 50_000_000  # steps one integrate call may take, checked before allocation
 TRIG_TABLE = 64  # distinct step norms whose cos and sin a pass evaluates once each
+TAIL_ROWS = 64  # rows per whole block that a two-sample window reduces (CHANGES.md: 16-128 timed)
 
 
 class _SU2:
@@ -505,9 +517,10 @@ class _SU2:
 
     def plan(self, rows: np.ndarray, stop: int) -> list:
         """_reduction_plan of rows, made once per buffer, shape and stop:
-        rows are always a view from the start of steps()' stacked pairs or of
-        the gather buffer of rows(), so the key tells the two apart by the
-        allocation they view even where their shapes agree."""
+        rows are always a view from the start of steps()' stacked pairs, of
+        the gather buffer of rows() or of _integrate's window stack, so the
+        key tells them apart by the allocation they view even where their
+        shapes agree."""
         key = (id(rows.base), rows.shape, stop)
         plan = self._plans.get(key)
         if plan is None:
@@ -529,8 +542,14 @@ class _SU2:
 
     @staticmethod
     def normalize(ck: np.ndarray) -> np.ndarray:
-        """Project back onto SU(2), dropping the norm drift of rounding."""
-        return ck / np.sqrt(np.sum(ck.real**2 + ck.imag**2, axis=-1, keepdims=True))
+        """Project back onto SU(2), dropping the norm drift of rounding: each
+        record's (a, b) over the root of its squares summed, in Python floats
+        (five numpy calls on one pair took 6.2 us, against 1.8 here). The
+        operations are numpy's for ck / np.sqrt(np.sum(ck.real**2 +
+        ck.imag**2, axis=-1, keepdims=True)), so are the bits: numpy divides
+        by a real n as by n + 0j, a product with 1 / n that keeps the cross
+        terms with the zero imaginary part, and so the signs of zeros."""
+        return np.array(_unit(*ck.tolist()) if ck.ndim == 1 else [_unit(*p) for p in ck.tolist()])
 
     @staticmethod
     def matrix(ck: np.ndarray) -> np.ndarray:
@@ -541,6 +560,12 @@ class _SU2:
         out[..., 1, 0] = b
         out[..., 1, 1] = a.conj()
         return out
+
+
+def _unit(a: complex, b: complex) -> list:
+    s = 1.0 / math.sqrt((a.real * a.real + a.imag * a.imag) + (b.real * b.real + b.imag * b.imag))
+    return [complex((a.real + a.imag * 0.0) * s, (a.imag - a.real * 0.0) * s),
+            complex((b.real + b.imag * 0.0) * s, (b.imag - b.real * 0.0) * s)]
 
 
 class _Dense:
@@ -609,7 +634,7 @@ def _reduction_plan(kernel, rows: np.ndarray, stop: int) -> list:
     return plan
 
 
-def _segment_products(kernel, elems: np.ndarray, starts: np.ndarray) -> np.ndarray:
+def _segment_products(kernel, elems: np.ndarray, starts: np.ndarray, tail: int = 1) -> np.ndarray:
     """Ordered products of the runs of elems that begin at starts (offsets
     into elems, the first 0), as an (n_runs, ...) array, by pairwise
     reduction vectorised across the runs.
@@ -617,17 +642,20 @@ def _segment_products(kernel, elems: np.ndarray, starts: np.ndarray) -> np.ndarr
     The reduction runs in place in elems itself for one run, and for runs
     of one power-of-two length: there a flat pairwise sweep that stops at
     one product per run pairs the same steps, level by level, as each
-    run's own reduction. Other runs go to the kernel's gather buffer, which
-    holds step k of every run in row k, the runs shorter than the longest
-    padded with the identity."""
-    nseg = starts.size
-    lengths = np.diff(starts, append=len(elems))
-    width = int(lengths.max())
-    if nseg == 1 or (width & (width - 1) == 0 and width == lengths.min()):
-        rows, stop, products = elems, nseg, elems[:nseg]
+    run's own reduction. Such a sweep may stop earlier, at tail rows per
+    run (a power of two no longer than the runs): it then gives the (n_runs
+    tail, ...) partial products, run after run, whose own pairwise
+    reduction finishes each run's. Other runs go to the kernel's gather
+    buffer, which holds step k of every run in row k, the runs shorter
+    than the longest padded with the identity."""
+    nseg, width = starts.size, len(elems) // starts.size  # the runs' length, if they share one
+    if nseg == 1 or (width & (width - 1) == 0 and width * nseg == len(elems)
+                     and (starts == np.arange(0, len(elems), width)).all()):
+        rows, stop, products = elems, nseg * tail, elems[: nseg * tail]
     else:
-        rows, index, pad = kernel.rows(width, nseg)
-        offsets = np.arange(width)[:, None]
+        lengths = np.diff(starts, append=len(elems))
+        rows, index, pad = kernel.rows(int(lengths.max()), nseg)
+        offsets = np.arange(len(rows))[:, None]
         np.add(offsets, starts, out=index)
         np.take(elems, index, axis=0, out=rows, mode="clip")
         np.greater_equal(offsets, lengths, out=pad)
@@ -722,8 +750,18 @@ def _block_plan(n_steps: int, ends: np.ndarray) -> tuple:
     passes  (start, stop) of each pass: up to PASS_BLOCKS whole blocks in
             a row that no end falls inside, whose runs reduce in one flat
             sweep, and every other block alone (one with an end inside,
-            and the partial last block)."""
+            and the partial last block).
+
+    A run that records n_steps alone, as every loop of a gate does, has one
+    run per block, and its plan is taken in plain integers: numpy's calls
+    on arrays of a few elements took 19-27 us per call at 1e4-1e5 steps,
+    against 2-4 here."""
     lows = np.arange(0, n_steps, BLOCK_STEPS)
+    if ends.size == 1:
+        whole, span = n_steps - n_steps % BLOCK_STEPS, PASS_BLOCKS * BLOCK_STEPS
+        passes = [(s, min(s + span, whole)) for s in range(0, whole, span)]
+        passes += [(whole, n_steps)] * (whole < n_steps)
+        return lows, list(range(lows.size + 1)), [1] * (lows.size - 1) + [2], passes
     inner = ends[(ends < n_steps) & (ends % BLOCK_STEPS > 0)]  # the ends inside a block
     # merged by rank: a first np.sort or np.union1d call adds 0.4-0.6 MB of RSS (numpy 2.4)
     cuts = np.append(np.searchsorted(inner, lows) + np.arange(lows.size), lows.size + inner.size)
@@ -743,11 +781,11 @@ def _block_plan(n_steps: int, ends: np.ndarray) -> tuple:
 
 
 def _windows(runs: list) -> list:
-    """(first, stop, width) of each window over the blocks, runs the runs of
-    each block: blocks in a row whose runs, each block's padded to the
-    width of the most any of them holds, number at most PASS_BLOCKS
-    BLOCK_STEPS, so that a window's prefix products take memory of the
-    order of a pass's whatever the samples."""
+    """(first, stop, width) of each window over the blocks, runs the rows
+    of each block (its runs, or its tail rows): blocks in a row whose rows,
+    each block's padded to the width of the most any of them holds, number
+    at most PASS_BLOCKS BLOCK_STEPS, so that a window's prefix products
+    take memory of the order of a pass's whatever the samples."""
     windows, first, width = [], 0, 0
     for b, n in enumerate(runs):
         if (b + 1 - first) * max(width, n) > PASS_BLOCKS * BLOCK_STEPS:
@@ -814,7 +852,13 @@ def _integrate(schedules: tuple, t_end: float, total_steps, psi0, samples: int) 
     composes each block's prefixes with the running product in block
     order, records the samples that end inside the block, and projects the
     running product back. Every product keeps its operands and their order
-    of the block-by-block carry, so the bytes do not depend on the window."""
+    of the block-by-block carry, so the bytes do not depend on the window.
+
+    A run that records only its last step past its first pass of whole
+    blocks hands over their tail rows instead: the window stacks them
+    block after block, one flat sweep finishes every whole block's
+    product, and the partial last block's joins them in the row after;
+    each block then has one run, whose product is its prefix."""
     n_steps = _step_count(t_end, total_steps)
     dt = t_end / n_steps if n_steps else 0.0
     bounds = np.round(np.linspace(0, n_steps, _recorded_samples(samples, n_steps))).astype(int)
@@ -838,18 +882,30 @@ def _integrate(schedules: tuple, t_end: float, total_steps, psi0, samples: int) 
     recorded[:: bounds.size] = kernel.identity
     by_bound = _by_run(recorded, k)
     runs = np.diff(cuts).tolist()  # each block's runs
-    windows = _windows(runs)
+    # with one recorded end, the whole blocks' tails are deferred once the
+    # run has more than one pass of them, where they pay
+    tails = bounds.size == 2 and n_steps // BLOCK_STEPS > PASS_BLOCKS
+    whole, tail = (n_steps // BLOCK_STEPS, TAIL_ROWS) if tails else (0, 1)
+    windows = _windows([tail] * whole + runs[whole:])
     # one window's products, shaped as _by_run shapes a block's runs
     stack = np.empty((max(w * (stop - first) for first, stop, w in windows),)
                      + (k,) * (k > 1) + kernel.identity.shape, dtype=complex)
-    blocks = _block_products(kernel, plan, dt)
+    blocks = _block_products(kernel, plan, dt, tail)
     carry, done = kernel.identity, 1
     for first, stop, width in windows:
-        prefix = stack[: width * (stop - first)].reshape((width, stop - first) + stack.shape[1:])
-        prefix[...] = kernel.identity
-        for b in range(stop - first):
-            products = next(blocks)
+        nb, deferred = stop - first, min(stop, whole) - first  # blocks, and whole ones
+        if deferred > 0:  # each block's column is its own rows, block after block
+            prefix = stack[: width * nb].reshape((nb, width) + stack.shape[1:]).swapaxes(0, 1)
+        else:
+            prefix = stack[: width * nb].reshape((width, nb) + stack.shape[1:])
+            prefix[...] = kernel.identity
+        for b, products in zip(range(nb), blocks):
             prefix[: len(products), b] = products
+        if deferred > 0:  # one flat sweep finishes them; the partial block's product joins after
+            _segment_products(kernel, stack[: deferred * width], np.arange(deferred) * width)
+            if deferred < nb:
+                stack[deferred] = stack[deferred * width]
+            prefix = stack[:nb][None]
         _prefix_products(kernel, prefix)
         for b, (n, upto) in enumerate(zip(runs[first:stop], dones[first:stop])):
             column = prefix[:n, b]
@@ -870,11 +926,13 @@ def _integrate(schedules: tuple, t_end: float, total_steps, psi0, samples: int) 
             for s, (schedule, u) in enumerate(zip(schedules, props))]
 
 
-def _block_products(kernel, plan: tuple, dt: float):
+def _block_products(kernel, plan: tuple, dt: float, tail: int):
     """The pass loop: each block's run products, indexed as _by_run indexes
     them, block after block. Each pass's steps come from the kernel at
-    once and reduce in one call over the pass's runs in the plan. A
-    block's products stay valid until the next one is asked for."""
+    once and reduce in one call over the pass's runs in the plan; a pass
+    of whole blocks stops at tail rows per run, which are the block's
+    products then. A block's products stay valid until the next one is
+    asked for."""
     starts, cuts, _, passes = plan
     k = kernel.records
     for start, stop in passes:
@@ -882,10 +940,11 @@ def _block_products(kernel, plan: tuple, dt: float):
         runs = starts[cuts[first] : cuts[last]] - start
         # record s's runs start at s m + runs in the stacked elements
         stacked = runs if k == 1 else np.add.outer(np.arange(k) * (stop - start), runs)
-        products = _segment_products(kernel, kernel.steps(start, stop, dt), stacked.ravel())
+        rows = 1 if (stop - start) % BLOCK_STEPS else tail
+        products = _segment_products(kernel, kernel.steps(start, stop, dt), stacked.ravel(), rows)
         segs = _by_run(products, k)
         for b in range(first, last):
-            yield segs[cuts[b] - cuts[first] : cuts[b + 1] - cuts[first]]
+            yield segs[(cuts[b] - cuts[first]) * rows : (cuts[b + 1] - cuts[first]) * rows]
 
 
 def _by_run(stack: np.ndarray, k: int) -> np.ndarray:

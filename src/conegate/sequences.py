@@ -182,6 +182,13 @@ class FieldLoop:
             if self.params.gamma == 0.0:
                 raise ValueError("a field loop needs a nonzero rotation speed")
             _check_omega_z(self.params, self.compensated)
+            # the integrator squares the half fields, and the record's
+            # vertical field omega0 + omega_z passes 2.7e154 first when
+            # compensated; a conditional loop's setting keeps them small
+            z, x = 0.5 * (self.params.omega0 + self.params.omega_z), 0.5 * self.params.omega1
+            if not math.isfinite(z * z + x * x):
+                raise ValueError(f"the loop's fields square past the float range: omega0 + "
+                                 f"omega_z = {2 * z:g}, omega1 = {2 * x:g}")
 
     def _inverse(self) -> "FieldLoop":
         return _made(FieldLoop, params=self.params, revolutions=self.revolutions,

@@ -5,9 +5,11 @@ the prefix products of a run's blocks were taken in one stacked doubling:
 every block's run products doubled on their own, composed with the running
 product and normalized, block after block. It is copied here so that any
 rewrite of the carry must reproduce its bytes: times, states and
-propagators compared by `tobytes()`. It uses the module's step kernels and
-run reduction, which the carry does not touch, and a copy of the pass plan
-(`propagation._passes`) as it was written then.
+propagators compared by `tobytes()`. It uses the module's step kernels,
+which the carry does not touch, and copies of what the carry's rewrites
+changed, as each was written before: the pass plan (`propagation._passes`),
+the run reduction, which reduced every block's runs to their products
+within its pass, and the projection onto SU(2) in numpy.
 
 The draws reach every kernel: field records alone and stacked, records
 whose zeros are exact (signed-zero speed, phase and vertical field), the
@@ -15,7 +17,10 @@ equatorial uncompensated loop (a vertical field of exactly zero), 2x2
 callables with a trace, which take the eigh kernel as every callable
 does, and diagonal and non-diagonal 4x4 callables, at
 step counts on both sides of the block and pass edges and with 2, 3, 257
-and n + 1 samples.
+and n + 1 samples. Two-sample runs, whose whole blocks finish their
+reductions a window of blocks at a time once a run has more than one
+pass of them, are drawn on both sides of that step count and across two
+windows.
 """
 
 import os
@@ -48,6 +53,33 @@ def ref_prefix_products(kernel, elems):
         elems, spare = spare, elems
         shift *= 2
     return elems
+
+
+def ref_segment_products(kernel, elems, starts):
+    nseg = starts.size
+    lengths = np.diff(starts, append=len(elems))
+    width = int(lengths.max())
+    if nseg == 1 or (width & (width - 1) == 0 and width == lengths.min()):
+        rows, stop, products = elems, nseg, elems[:nseg]
+    else:
+        rows, index, pad = kernel.rows(width, nseg)
+        offsets = np.arange(width)[:, None]
+        np.add(offsets, starts, out=index)
+        np.take(elems, index, axis=0, out=rows, mode="clip")
+        np.greater_equal(offsets, lengths, out=pad)
+        rows[pad] = kernel.identity
+        stop, products = 1, rows[0]
+    for pairs, move in kernel.plan(rows, stop):
+        kernel.run(*pairs)
+        if move is not None:
+            move[0][...] = move[1]
+    return products
+
+
+def ref_normalize(kernel, u):
+    if isinstance(kernel, P._SU2):
+        return u / np.sqrt(np.sum(u.real**2 + u.imag**2, axis=-1, keepdims=True))
+    return u.copy()
 
 
 def ref_passes(n_steps, ends):
@@ -110,14 +142,14 @@ def ref_integrate(schedules, t_end, total_steps, psi0, samples, taken=None):
             starts = np.concatenate(([0], inside - start))
             runs = (0, starts.size)
         stacked = starts if k == 1 else np.add.outer(np.arange(k) * (stop - start), starts)
-        segs = P._by_run(P._segment_products(kernel, elems, stacked.ravel()), k)
+        segs = P._by_run(ref_segment_products(kernel, elems, stacked.ravel()), k)
         edges = [*range(start, stop, P.BLOCK_STEPS), stop]
         dones = (1 + np.searchsorted(ends, edges[1:], "right")).tolist()
         for b, upto in enumerate(dones):
             prefix = ref_prefix_products(kernel, segs[runs[b] : runs[b + 1]])
             kernel.run(*kernel.operands(prefix, carry, prefix))
             by_bound[done:upto] = prefix[: upto - done]
-            carry = kernel.normalize(prefix[-1])
+            carry = ref_normalize(kernel, prefix[-1])
             done = upto
 
     phase = np.exp(-1j * recorded_phase)
@@ -336,3 +368,56 @@ def test_the_window_does_not_grow_with_the_samples():
     workspace = 9 * P.PASS_BLOCKS * P.BLOCK_STEPS * 8 + 2 * P.PASS_BLOCKS * P.BLOCK_STEPS * 8
     assert workspace == 1_081_344
     assert growth["run"] <= growth["reference"] + workspace, growth
+
+
+# a run defers its whole blocks' tails from its second pass of them on, and
+# a window holds PASS_BLOCKS BLOCK_STEPS / TAIL_ROWS whole blocks
+DEFERRED_FROM = (P.PASS_BLOCKS + 1) * P.BLOCK_STEPS
+WINDOW_BLOCKS = P.PASS_BLOCKS * P.BLOCK_STEPS // P.TAIL_ROWS
+
+
+@pytest.mark.parametrize("steps", (DEFERRED_FROM - 1, DEFERRED_FROM, DEFERRED_FROM + 1, 800_001))
+def test_two_sample_runs_keep_the_bytes_across_tail_windows(steps):
+    """Two-sample runs on both sides of the step count where the tails are
+    deferred, every field run and the 2x2 callable, and across two
+    windows, one record and two stacked (the other runs take the same
+    path there, and their time)."""
+    assert DEFERRED_FROM == 16_384 and WINDOW_BLOCKS == 192
+    assert 800_001 // P.BLOCK_STEPS > WINDOW_BLOCKS
+    rng = np.random.default_rng(3000 + steps)
+    t_end = rng.uniform(0.5, 20.0)
+    runs = field_runs(rng, t_end)
+    runs = runs[:2] if steps == 800_001 else runs + callable_runs(rng, t_end, None)
+    assert [label for label, _, _ in runs[:2]] == ["record", "pair"]
+    for label, schedules, duration in runs:
+        psi0 = random_state(rng, 2) if rng.integers(2) else None
+        got, taken = run(schedules, duration, steps, psi0, 2)
+        want = ref_integrate(tuple(schedules), duration, steps, psi0, 2, taken)
+        assert_same_runs(got, want, (label, steps))
+
+
+# parts of a pair: signed zeros, subnormals and the smallest normal, beside
+# the part that carries the pair's norm
+TINY_PARTS = (0.0, -0.0, 5e-324, -5e-324, 1e-310, -2.5e-315, 2.2250738585072014e-308)
+
+
+@pytest.mark.parametrize("records", (1, 2))
+def test_the_projection_keeps_the_numpy_bytes(records):
+    """_SU2.normalize, in Python floats, against the frozen numpy projection
+    on pairs near SU(2) whose other parts are signed zeros or subnormal
+    (a pair whose squares sum to zero is no SU(2) element and never
+    reaches the carry)."""
+    rng = np.random.default_rng(4100 + records)
+    kernel = P._SU2((FieldSchedule(0.3, 0.8, -1.25),) * records, 1.0)
+    for _ in range(500):
+        parts = rng.choice(TINY_PARTS, size=(records, 4))
+        big = rng.integers(4, size=records)
+        norm = rng.uniform(1 - 1e-12, 1 + 1e-12, size=records) * rng.choice((1, -1), size=records)
+        parts[np.arange(records), big] = norm
+        if rng.integers(2):  # a second part of ordinary size
+            parts[np.arange(records), (big + 1 + rng.integers(3, size=records)) % 4] = (
+                rng.uniform(-0.8, 0.8, size=records))
+        ck = (parts[:, 0::2] + 1j * parts[:, 1::2]).reshape((2,) if records == 1 else (2, 2))
+        got = kernel.normalize(ck)
+        want = ref_normalize(kernel, ck)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes(), ck.tolist()

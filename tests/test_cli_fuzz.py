@@ -2,6 +2,12 @@
 in-process through cli.main: every run exits 0, 2 or 3, prints nothing to
 stdout when it exits 2, and lets no exception escape.
 
+Half the examples are evolve runs whose every field is well-formed, at
+values from the ordinary to the degenerate ones the other strategies hold
+(revolution counts and durations that round to zero, speeds up to 1e308),
+and which hold a loop: the other half rarely reach the integrator, since a
+schedule there needs every field of every step to be good.
+
 Work stays small so the whole test takes a few seconds: at most 2,000
 integrator steps per loop (or the default), a few revolutions per loop and
 at most 1,000 points per sweep. Larger values appear only where they are
@@ -106,6 +112,68 @@ def schedules(draw):
     return doc
 
 
+# the same fields, each well-formed; a conditional loop only in the two-qubit
+# frame, a coupling j only there, and at least one loop in every schedule
+TINY_NONZERO = st.sampled_from([5e-324, -5e-324, 1e-310, -1e-310, 1e-300, -1e-300])
+SPEEDS = st.one_of(st.floats(0.1, 4), st.floats(-4, -0.1), FAST)
+
+
+@st.composite
+def good_loop_docs(draw, two_qubit):
+    compensated = draw(st.booleans())
+    if two_qubit and draw(st.booleans()):
+        j = draw(st.floats(0.1, 2))
+        loop = {"delta": j + draw(st.floats(0.05, 3)), "j": j, "phase0": draw(st.floats(-7, 7))}
+    else:
+        gamma = draw(SPEEDS)
+        loop = {"omega0": draw(st.floats(-3, 3)), "omega1": draw(st.floats(0, 3)),
+                "gamma": gamma, "omega_z": gamma if compensated else 0.0,
+                "phase0": draw(st.floats(-7, 7))}
+    return {"op": "loop", "compensated": compensated, "loop": loop,
+            "revolutions": draw(st.one_of(st.floats(0.1, 3), st.floats(-3, -0.1), TINY_NONZERO))}
+
+
+@st.composite
+def good_step_docs(draw, two_qubit):
+    op = draw(st.sampled_from(["rot_x", "rot_y", "rot_z", "free", "loop"]))
+    if op == "loop":
+        return draw(good_loop_docs(two_qubit))
+    if op == "free":
+        return {"op": op, "duration": draw(st.one_of(st.floats(-3, 3), TINY)),
+                "delta": draw(st.floats(-3, 3)), "j": draw(st.floats(-2, 2)) if two_qubit else 0.0}
+    return {"op": op, "angle": draw(st.floats(-10, 10))}
+
+
+@st.composite
+def good_schedules(draw):
+    two_qubit = draw(st.booleans())
+    steps = draw(st.lists(good_step_docs(two_qubit), max_size=3))
+    steps.insert(draw(st.integers(0, len(steps))), draw(good_loop_docs(two_qubit)))
+    doc = {"frame": ("single-qubit", "two-qubit-rotating")[two_qubit], "steps": steps}
+    if draw(st.booleans()):
+        state = draw(st.lists(st.lists(st.floats(-1, 1), min_size=2, max_size=2),
+                              min_size=4 if two_qubit else 2, max_size=4 if two_qubit else 2))
+        if any(map(any, state)):
+            doc["initial_state"] = state
+    return doc
+
+
+@st.composite
+def good_evolve_invocations(draw):
+    """(argv, config object or None, schedule document) of an evolve run
+    whose every field is well-formed and whose schedule holds a loop."""
+    argv, config = ["evolve"], {}
+    for key, value in (("steps", st.integers(1, 500)),
+                       ("format", st.sampled_from(["csv", "json"])),
+                       ("t_end", st.floats(0, 8)), ("out", st.just("out.txt"))):
+        where = draw(st.sampled_from(["argv", "config", "neither"]))
+        if where == "config":
+            config[key] = draw(value)
+        elif where == "argv":
+            argv.append(f"{FLAGS.get(key, '--' + key)}={as_text(draw(value))}")
+    return argv, config or None, draw(good_schedules())
+
+
 # every option a command reads, with the values it may be given
 OPTIONS = {
     "steps": counts(2000),
@@ -160,7 +228,7 @@ def invocations(draw):
 
 @settings(max_examples=150, derandomize=True, deadline=None, database=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture, HealthCheck.too_slow])
-@given(invocations())
+@given(st.one_of(invocations(), good_evolve_invocations()))
 def test_generated_invocations_exit_cleanly(tmp_path, monkeypatch, invocation):
     argv, config, schedule = invocation
     monkeypatch.delenv("CONEGATE_STEPS", raising=False)

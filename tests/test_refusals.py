@@ -339,3 +339,55 @@ class TestPropagatorShape:
     def test_the_stack_of_the_states_builds(self):
         traj = Trajectory(self.TIMES, self.STATES, np.tile(np.eye(2), (3, 1, 1)))
         assert traj.propagators.shape == (3, 2, 2)
+
+
+class TestOverflowingLoopField:
+    """A field loop whose half fields square past the float range, as a
+    compensated loop's vertical field does past about 2.7e154, is refused
+    where the loop is built, naming its fields, so that a schedule document
+    names the step too; a record handed to the integrator directly is
+    still refused there."""
+
+    DOC = {"steps": [{"op": "loop", "revolutions": 1.0, "compensated": True,
+                      "loop": {"omega0": 0.9, "omega1": 1.4, "gamma": 1e300,
+                               "omega_z": 1e300}}]}
+
+    def owned(self) -> str:
+        owned = [(pattern, owners) for pattern, owners in _owned_messages().items()
+                 if "square past the float range" in _text(pattern)]
+        assert len(owned) == 1
+        assert owned[0][1] == {"sequences.FieldLoop.__post_init__"}
+        return _text(owned[0][0])
+
+    @pytest.mark.parametrize("params, compensated, shown", [
+        (FieldParams(0.9, 1.4, 1e300, omega_z=1e300), True, ("1e+300", "1.4")),
+        (FieldParams(0.9, 1.4, -2.02e162, omega_z=-2.02e162), True, ("-2.02e+162", "1.4")),
+        (FieldParams(1e200, 1.0, 1.0), False, ("1e+200", "1")),
+        (FieldParams(1.0, 1e200, 1.0), False, ("1", "1e+200")),
+        (FieldParams(1e308, 1.0, 1e308, omega_z=1e308), True, ("inf", "1")),
+    ])
+    def test_the_loop_refuses_it(self, params, compensated, shown):
+        with pytest.raises(ValueError) as info:
+            FieldLoop(params, compensated=compensated)
+        assert str(info.value) == self.owned().format(*shown)
+
+    @pytest.mark.parametrize("params, compensated", [
+        (FieldParams(0.9, 1.4, 1e154, omega_z=1e154), True),
+        (FieldParams(2e154, 1.0, 1.0), False),
+    ])
+    def test_a_loop_below_it_builds(self, params, compensated):
+        FieldLoop(params, compensated=compensated)
+
+    def test_evolve_refuses_it_naming_the_step(self, tmp_path, capsys):
+        path = tmp_path / "schedule.json"
+        path.write_text(json.dumps(self.DOC))
+        assert cli.main(["evolve", "--schedule", str(path)]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"error: steps[0]: {self.owned().format('1e+300', '1.4')}\n"
+
+    def test_the_integrator_refuses_such_a_record(self):
+        record = FieldSchedule(0.9 + 1e300, 1.4, 1e300)
+        message = "^schedule produced a non-finite Hamiltonian sample$"
+        with pytest.raises(ValueError, match=message):
+            integrate(record, 1e-300, total_steps=10)
