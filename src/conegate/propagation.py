@@ -79,6 +79,13 @@ per block pairs the same rows, in the same order, as the passes would
 have. The partial last block keeps its own full reduction, outside that
 sweep.
 
+_integrate returns arrays only: the sample times, and each record's
+propagators at them stacked (records, samples, d, d). It builds no
+Trajectory. integrate and sequences.integrate_loop build theirs from
+those arrays through _trajectory, which applies them to the start state;
+simulate_sequence reads each record's last propagator, and
+sequence_trajectory the times and propagators, straight from them.
+
 _integrate picks the kernel once, by the kind of input, and the kernel
 owns that input: it checks it and hands out each pass's steps (steps()).
 A FieldSchedule (a rotating-field run, as every loop of sequences gives
@@ -162,10 +169,11 @@ class Trajectory:
     @classmethod
     def _of_run(cls, times, states, propagators, hamiltonian_at, segments=()) -> "Trajectory":
         """The trajectory of a run whose states are its propagators applied
-        to the initial state, as an integrator run or a simulated sequence
-        builds them, built by _made: the shape and replay checks of
-        __post_init__ cannot fail there, so they are skipped, and the time
-        and norm checks are kept."""
+        to the initial state, as _trajectory (the one builder of an
+        integrator run's) and sequence_trajectory build them, built by
+        _made: the shape and replay checks of __post_init__ cannot fail
+        there, so they are skipped, and the time and norm checks are
+        kept."""
         times, states = _checked_samples(times, states)
         return _made(cls, times=times, states=states, propagators=propagators,
                      hamiltonian_at=hamiltonian_at, _segments=tuple(segments))
@@ -175,7 +183,8 @@ def _made(cls, **fields):
     """A frozen instance of cls holding fields, built without its __init__
     and __post_init__: only for values the package derives from ones it has
     just checked, where no check of __post_init__ can fail. Its callers are
-    Trajectory._of_run, the primitives' _inverse methods and
+    Trajectory._of_run, which _trajectory and sequences.sequence_trajectory
+    reach with arrays they built, the primitives' _inverse methods and
     sequences.build_conditional_loop."""
     self = object.__new__(cls)
     self.__dict__.update(fields)
@@ -835,15 +844,34 @@ def integrate(
     Returns a Trajectory carrying states and propagators at the sample
     points, with hamiltonian_at = schedule.
     """
-    return _integrate((schedule,), t_end, total_steps, psi0, samples)[0]
+    times, props = _integrate((schedule,), t_end, total_steps, samples)
+    return _trajectory(times, props[0], psi0, schedule)
 
 
-def _integrate(schedules: tuple, t_end: float, total_steps, psi0, samples: int) -> list:
+def _trajectory(times: np.ndarray, u: np.ndarray, psi0, schedule) -> Trajectory:
+    """The Trajectory of one record's integrator run, u its propagators at
+    times: its states are u applied to psi0, by default the first basis
+    vector (a run without steps records psi0 itself). integrate and
+    sequences.integrate_loop build theirs here, and no other run of the
+    integrator builds one."""
+    if psi0 is None:
+        psi0 = np.zeros(u.shape[-1], dtype=complex)
+        psi0[0] = 1.0
+    psi0 = require_finite(np.asarray(psi0, dtype=complex), "psi0")
+    states = psi0[None, :] if times.size == 1 else np.einsum("kij,j->ki", u, psi0)
+    return Trajectory._of_run(times, states, u, schedule)
+
+
+def _integrate(schedules: tuple, t_end: float, total_steps, samples: int) -> tuple:
     """The run of integrate and of sequences._integrate_loop: of one
     callable through _Dense, or through _SU2 stacked over FieldSchedules
-    that share their phase schedule, one Trajectory each. The kind of
-    input picks the kernel, once; the run's blocks, runs and passes come
-    from _block_plan, once.
+    that share their phase schedule. It returns (times, propagators): the
+    sample times, the last of them t_end, and each record's propagators at
+    them, stacked (records, samples, d, d); a run without steps records
+    the identity at t = 0. It builds no Trajectory: the callers that want
+    one take it from these arrays (_trajectory). The kind of input picks
+    the kernel, once; the run's blocks, runs and passes come from
+    _block_plan, once.
 
     The pass loop (_block_products) hands over each block's run products,
     which go into the window's (runs, blocks, ...) stack, each block's
@@ -868,15 +896,10 @@ def _integrate(schedules: tuple, t_end: float, total_steps, psi0, samples: int) 
     # whatever n_steps: a callable's first pass doubles as the dimension probe
     kernel = (_SU2(schedules, t_end) if isinstance(schedules[0], FieldSchedule)
               else _Dense(schedules[0], passes[0][1] if passes else 1, dt))
-    if psi0 is None:
-        psi0 = np.zeros(kernel.dim, dtype=complex)
-        psi0[0] = 1.0
-    psi0 = require_finite(np.asarray(psi0, dtype=complex), "psi0")
-    if n_steps == 0:
-        eye = np.eye(kernel.dim, dtype=complex)[None]
-        return [Trajectory._of_run(np.zeros(1), psi0[None, :], eye, s) for s in schedules]
-
     k = kernel.records
+    if n_steps == 0:
+        return np.zeros(1), np.tile(np.eye(kernel.dim, dtype=complex), (k, 1, 1, 1))
+
     # record s's propagators at the bounds are rows s n_bounds on
     recorded = np.empty((k * bounds.size,) + kernel.identity.shape, dtype=complex)
     recorded[:: bounds.size] = kernel.identity
@@ -921,9 +944,7 @@ def _integrate(schedules: tuple, t_end: float, total_steps, psi0, samples: int) 
     props *= complex(1.0, -0.0)
     times = bounds * dt
     times[-1] = t_end
-    return [Trajectory._of_run(times if s == 0 else times.copy(),
-                               np.einsum("kij,j->ki", u, psi0), u, schedule)
-            for s, (schedule, u) in enumerate(zip(schedules, props))]
+    return times, props
 
 
 def _block_products(kernel, plan: tuple, dt: float, tail: int):

@@ -3,7 +3,8 @@ preparation sequence with its constraint solver, the conditional
 geometric loop built from it, and integrate_loop, the integrator run of
 one field loop under FieldLoop's rules. A field loop has one integrator
 runner, _integrate_loop, which integrate_loop, simulate_sequence and
-sequence_trajectory all call.
+sequence_trajectory all call. It hands back the loop's records and the
+run's arrays; integrate_loop alone builds a Trajectory of that one loop.
 
 Rotation convention: R_n(beta) = exp(-i beta (n.sigma) / 2), so free
 evolution under (omega/2) sigma_z turns the Bloch vector by +omega*t
@@ -45,6 +46,7 @@ from .propagation import (
     _recorded_samples,
     _revolution_time,
     _static_entries,
+    _trajectory,
     _z_entries,
     _z_stack,
     integrate,  # unused here, but bound: perfbench's tracer wraps it through this module
@@ -410,20 +412,20 @@ def _step_rows(step, steps_per_loop: int, samples_per_loop: int) -> int:
     return 1
 
 
-def _integrate_loop(step: FieldLoop, steps_per_loop: int, samples: int, psi0=None) -> tuple:
-    """(duration, one Trajectory per field) of a field-loop segment, whose
-    FieldSchedules (each a Trajectory's hamiltonian_at) run in one
-    propagation._integrate call: they differ only in their vertical field,
-    so they share omega1, gamma, phase0, sign and t_end, and a conditional
-    loop's two spin-b sectors run stacked. sign = -1 runs the negated
-    Hamiltonian backwards."""
+def _integrate_loop(step: FieldLoop, steps_per_loop: int, samples: int) -> tuple:
+    """(fields, times, propagators) of a field-loop segment: its
+    FieldSchedules, one per field, and the arrays of the one
+    propagation._integrate call that runs them, the propagators stacked
+    (fields, samples, 2, 2) and the loop's duration times[-1]. The fields
+    differ only in their vertical field, so they share omega1, gamma,
+    phase0, sign and t_end, and a conditional loop's two spin-b sectors
+    run stacked. sign = -1 runs the negated Hamiltonian backwards."""
     omega1, gamma, phase0, offsets = _loop_fields(step)
     duration = _loop_duration(step, gamma)
     fields = tuple(FieldSchedule(omega0 + gamma if step.compensated else omega0, omega1, gamma,
                                  phase0, step.sign, duration)
                    for omega0 in offsets)
-    return duration, _integrate(fields, duration, _loop_steps(step, steps_per_loop), psi0,
-                                samples)
+    return (fields, *_integrate(fields, duration, _loop_steps(step, steps_per_loop), samples))
 
 
 def integrate_loop(
@@ -437,8 +439,9 @@ def integrate_loop(
 ) -> Trajectory:
     """Integrator run over `revolutions` full revolutions of the field: the
     run of FieldLoop(p, revolutions, compensated), whose rules it takes."""
-    return _integrate_loop(FieldLoop(p, revolutions, compensated), steps_per_loop, samples,
-                           psi0)[1][0]
+    fields, times, props = _integrate_loop(FieldLoop(p, revolutions, compensated),
+                                           steps_per_loop, samples)
+    return _trajectory(times, props[0], psi0, fields[0])
 
 
 def _check_frame_dim(seq: PulseSequence, dim: int) -> None:
@@ -497,9 +500,8 @@ def simulate_sequence(
     def loop_blocks(step: FieldLoop) -> list:
         blocks = integrated.get(id(step))
         if blocks is None:
-            _, runs = _integrate_loop(step, steps_per_loop, 2)
-            blocks = integrated[id(step)] = [run.propagators[-1].ravel().tolist()
-                                             for run in runs]
+            props = _integrate_loop(step, steps_per_loop, 2)[2]
+            blocks = integrated[id(step)] = props[:, -1].reshape(-1, 4).tolist()
         return blocks
 
     return _compose(seq, dim, loop_blocks)
@@ -531,9 +533,8 @@ def sequence_trajectory(
     for step in seq.steps:
         n = _step_rows(step, steps_per_loop, samples_per_loop)
         if isinstance(step, FieldLoop):
-            duration, runs = _integrate_loop(step, steps_per_loop, n + 1)
-            seg_t, fields = runs[0].times[1:], [run.hamiltonian_at for run in runs]
-            seg_u = _block_diag([run.propagators[1:] for run in runs], dim)
+            fields, loop_t, loop_u = _integrate_loop(step, steps_per_loop, n + 1)
+            duration, seg_t, seg_u = loop_t[-1], loop_t[1:], _block_diag(loop_u[:, 1:], dim)
             h_at = lambda t, fields=fields: _block_diag([f(t) for f in fields], dim)
         elif isinstance(step, FreeEvolve) and step.duration > 0:
             duration, h_at = step.duration, _free_evolution_hamiltonian(step, dim)

@@ -195,8 +195,8 @@ def field_runs(rng, t_end):
                                        phase0=rng.uniform(-4, 4)),
                            revolutions=rng.uniform(0.5, 2.0), compensated=False,
                            sign=(1, -1)[int(rng.integers(2))])
-    duration, (run,) = _integrate_loop(loop, 1, 2)
-    equatorial = run.hamiltonian_at
+    (equatorial,), times, _ = _integrate_loop(loop, 1, 2)
+    duration = times[-1]
     return [("record", (one,), t_end), ("pair", pair, t_end),
             *[(f"zeros{j}", p, t_end) for j, p in enumerate(zero_pairs)],
             ("equatorial", (equatorial,), duration)]
@@ -262,7 +262,8 @@ def run(schedules, t_end, steps, psi0, samples):
     the reference takes them instead of taking every eigendecomposition
     again."""
     if isinstance(schedules[0], FieldSchedule):
-        return P._integrate(tuple(schedules), t_end, steps, psi0, samples), None
+        times, props = P._integrate(tuple(schedules), t_end, steps, samples)
+        return [P._trajectory(times, u, psi0, f) for f, u in zip(schedules, props)], None
     taken, live = [], P._Dense.steps
 
     def steps_taken(kernel, start, stop, dt):

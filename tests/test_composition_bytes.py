@@ -136,7 +136,7 @@ def simulate_both(seq, dim, monkeypatch):
     monkeypatch.setattr(sequences, "_integrate_loop", integrate_loop)
 
     def loop_blocks(step):
-        return [run.propagators[-1].ravel().tolist() for run in runs[id(step)][1]]
+        return [u[-1].ravel().tolist() for u in runs[id(step)][2]]
 
     return got, ref_compose(seq, dim, loop_blocks)
 
@@ -538,7 +538,7 @@ class TestTrustedSteps:
                                        "sequences.FieldLoop._inverse",
                                        "sequences.build_conditional_loop",
                                        "propagation.Trajectory._of_run"}
-        assert references("_of_run") == {"propagation._integrate",
+        assert references("_of_run") == {"propagation._trajectory",
                                          "sequences.sequence_trajectory"}
         assert references("_inverse") == {"sequences._inverted", "sequences._kept"}
         assert references("_inverted") == {"sequences.build_conditional_loop"}

@@ -721,8 +721,8 @@ class TestLoopReuse:
         from conegate import sequences
 
         def loop_blocks(step):
-            _, runs = sequences._integrate_loop(step, steps, samples=2)
-            return [run.propagators[-1].ravel().tolist() for run in runs]
+            runs = sequences._integrate_loop(step, steps, samples=2)[2]
+            return [u[-1].ravel().tolist() for u in runs]
 
         return sequences._compose(seq, dim, loop_blocks)
 

@@ -283,7 +283,7 @@ class TestStepCount:
             integrate(lambda t: np.zeros((len(t), 2, 2)), 1.0, total_steps=steps)
         with pytest.raises(ValueError, match=message):
             propagation._integrate((self.RECORD, FieldSchedule(-1.0, 0.5, -1.0)), 1.0, steps,
-                                   None, 257)
+                                   257)
 
     def test_the_count_has_one_owner(self):
         owners = [owners for pattern, owners in _owned_messages().items()

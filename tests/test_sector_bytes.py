@@ -21,7 +21,7 @@ import pytest
 
 from conegate import propagation, sequences
 from conegate.hamiltonians import FieldSchedule
-from conegate.propagation import _integrate, integrate
+from conegate.propagation import _integrate, _trajectory, integrate
 from conegate.sequences import ConditionalLoop, FieldLoop
 
 STEPS = (1, 7, 4095, 4096, 4097, 12287, 12289, 24581)
@@ -106,7 +106,8 @@ def test_the_draws_cover_every_case():
 @pytest.mark.parametrize("seed", range(2))
 def test_conditional_loop_is_the_reference(seed):
     for loop, spl, samples, steps in draws(1800 + seed):
-        duration, got = sequences._integrate_loop(loop, spl, samples)
+        fields, times, props = sequences._integrate_loop(loop, spl, samples)
+        duration, got = times[-1], [_trajectory(times, u, None, f) for f, u in zip(fields, props)]
         want_duration, want = ref_integrate_loop(loop, spl, samples)
         assert duration == want_duration
         assert got[0].times.size == min(samples, steps + 1)
@@ -119,6 +120,12 @@ def test_conditional_loop_is_the_reference(seed):
 
 def alone(fields, t_end, steps, samples, psi0=None):
     return [integrate(f, t_end, total_steps=steps, psi0=psi0, samples=samples) for f in fields]
+
+
+def stacked(fields, t_end, steps, samples, psi0=None):
+    """The stacked run of fields, each record's as a Trajectory from psi0."""
+    times, props = _integrate(tuple(fields), t_end, steps, samples)
+    return [_trajectory(times, u, psi0, f) for f, u in zip(fields, props)]
 
 
 def zero_pairs(rng, sign, t_end):
@@ -144,7 +151,7 @@ def test_records_with_exact_zeros_stack_as_they_run_alone(steps):
     for k, samples in enumerate((2, 3, 257, steps + 1)):
         sign, t_end = (1, -1)[k % 2], rng.uniform(0.5, 20.0)
         for fields in zero_pairs(rng, sign, t_end):
-            got = _integrate(tuple(fields), t_end, steps, None, samples)
+            got = stacked(fields, t_end, steps, samples)
             assert_same_runs(got, alone(fields, t_end, steps, samples), (steps, samples, fields))
             if fields[0].omega1 == 0.0 and fields[0].vertical == 0.0:  # no field at all
                 assert np.array_equal(got[0].propagators,
@@ -159,14 +166,14 @@ def test_shared_records_from_a_start_state_stack_as_they_run_alone():
     shared = [FieldSchedule(rng.uniform(-2, 2), 0.9, -1.1, 0.4, -1, t_end) for _ in range(3)]
     for fields in (shared, shared[:1]):
         for steps, samples in ((4097, 3), (12289, 257)):
-            got = _integrate(tuple(fields), t_end, steps, psi0, samples)
+            got = stacked(fields, t_end, steps, samples, psi0)
             want = alone(fields, t_end, steps, samples, psi0)
             assert_same_runs(got, want, (len(fields), steps))
 
 
 def test_three_records_stack_in_a_workspace_of_their_own():
     fields = [FieldSchedule(v, 1.1, 0.7, 0.2) for v in (0.3, -0.4, 1.5)]
-    got = _integrate(tuple(fields), 5.0, 9000, None, 5)
+    got = stacked(fields, 5.0, 9000, 5)
     assert_same_runs(got, alone(fields, 5.0, 9000, 5), "three")
 
 
@@ -189,7 +196,7 @@ class TestWorkspace:
             tracemalloc.start()
             got = [integrate(FieldSchedule(0.3, 0.8, -1.25), 5.0, total_steps=30000, samples=257),
                    *_integrate((FieldSchedule(0.4, 1.2, 0.9), FieldSchedule(-0.4, 1.2, 0.9)),
-                               3.0, 20000, None, 257)]
+                               3.0, 20000, 257)[1]]
             held = [t.size for t in tracemalloc.take_snapshot().traces if t.size >= 1_000_000]
             print(len(got), held)
         """
@@ -214,14 +221,13 @@ class TestWorkspace:
     def test_threads_never_share_a_workspace(self):
         records = [(FieldSchedule(0.3 * k, 1.1, 0.7), FieldSchedule(-0.2 * k, 1.1, 0.7))
                    for k in range(4)]
-        want = [_integrate(pair, 4.0, 5000, None, 9) for pair in records]
+        want = [_integrate(pair, 4.0, 5000, 9)[1] for pair in records]
         bad, done = [], []
 
         def work(k):
             for _ in range(6):
-                got = _integrate(records[k], 4.0, 5000, None, 9)
-                bad.extend(k for a, b in zip(got, want[k])
-                           if a.propagators.tobytes() != b.propagators.tobytes())
+                got = _integrate(records[k], 4.0, 5000, 9)[1]
+                bad.extend(k for a, b in zip(got, want[k]) if a.tobytes() != b.tobytes())
                 done.append(k)
 
         interval = sys.getswitchinterval()

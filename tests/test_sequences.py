@@ -358,12 +358,12 @@ class TestSectorComposition:
     def test_simulate_composes_the_integrated_sectors(self):
         seq = build_conditional_loop(1.6, 1.0)
         loop = seq.steps[5]
-        _, runs = sequences._integrate_loop(loop, 3000, samples=2)
+        runs = sequences._integrate_loop(loop, 3000, samples=2)[2]
         expected = np.eye(4, dtype=complex)
         for step in seq.steps:
             if step is loop:
                 m = np.zeros((4, 4), dtype=complex)
-                m[:2, :2], m[2:, 2:] = (run.propagators[-1] for run in runs)
+                m[:2, :2], m[2:, 2:] = (u[-1] for u in runs)
             else:
                 m = apply_sequence(PulseSequence((step,), TWO_QUBIT), 4)
             expected = m @ expected

@@ -28,6 +28,7 @@ same schedule without the loop.
 """
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -86,8 +87,11 @@ def ref_sequence_trajectory(seq, dim, psi0, steps_per_loop=10_000,
     for step in seq.steps:
         u = props[-1][-1]
         if isinstance(step, FieldLoop):
-            duration, runs = S._integrate_loop(step, steps_per_loop,
-                                               ref_loop_samples(step, samples_per_loop))
+            loop_fields, loop_times, loop_props = S._integrate_loop(
+                step, steps_per_loop, ref_loop_samples(step, samples_per_loop))
+            duration = loop_times[-1]
+            runs = [SimpleNamespace(times=loop_times, propagators=u, hamiltonian_at=f)
+                    for f, u in zip(loop_fields, loop_props)]
             fields = [run.hamiltonian_at for run in runs]
             seg_u = S._block_diag([run.propagators for run in runs], dim)
             segments.append((now, now + duration,
