@@ -742,8 +742,10 @@ def _check_step_budget(n_steps: int) -> None:
 
 
 def _recorded_samples(samples: int, n_steps: int) -> int:
-    """Sample points a run of n_steps records when asked for samples: the
-    start and the end at least, one per step boundary at most."""
+    """Sample points a run of n_steps records when asked for samples, an
+    integer: the start and the end at least, one per step boundary at most."""
+    if isinstance(samples, bool) or not isinstance(samples, (int, np.integer)):
+        raise ValueError(f"samples must be an integer sample count, got {samples!r}")
     return int(min(max(2, samples), n_steps + 1))
 
 
@@ -838,26 +840,45 @@ def integrate(
     t_end           final time (>= 0)
     total_steps     step count, an integer (at least 1; no steps are taken
                     when t_end is 0)
-    psi0            initial state; defaults to the first basis vector
-    samples         number of recorded sample points (capped by the step count)
+    psi0            initial state, a normalized vector; defaults to the
+                    first basis vector
+    samples         number of recorded sample points, an integer (capped
+                    by the step count)
 
     Returns a Trajectory carrying states and propagators at the sample
     points, with hamiltonian_at = schedule.
     """
+    if psi0 is not None:
+        psi0 = _start_state(psi0, 2 if isinstance(schedule, FieldSchedule) else None)
     times, props = _integrate((schedule,), t_end, total_steps, samples)
     return _trajectory(times, props[0], psi0, schedule)
 
 
+def _start_state(psi0, dim: int | None) -> np.ndarray:
+    """psi0 as a complex vector, refused where it enters a run, before any
+    step, unless it is finite, one-dimensional, of dim amplitudes and
+    normalized within 1e-10; it is never rescaled. A callable's dimension
+    shows only in its run, so its dim is None here and _trajectory checks
+    the length after the run."""
+    psi0 = require_finite(psi0, "psi0")
+    if psi0.ndim != 1 or psi0.size != (dim or psi0.size):
+        raise ValueError(f"psi0 must be a vector of the run's dimension {dim or 'd'}, "
+                         f"got shape {psi0.shape}")
+    if not abs(np.linalg.norm(psi0) - 1.0) <= 1e-10:
+        raise ValueError("psi0 must be normalized within 1e-10")
+    return psi0
+
+
 def _trajectory(times: np.ndarray, u: np.ndarray, psi0, schedule) -> Trajectory:
     """The Trajectory of one record's integrator run, u its propagators at
-    times: its states are u applied to psi0, by default the first basis
-    vector (a run without steps records psi0 itself). integrate and
-    sequences.integrate_loop build theirs here, and no other run of the
-    integrator builds one."""
+    times: its states are u applied to psi0, as _start_state passed it, or
+    to the first basis vector when psi0 is None (a run without steps
+    records psi0 itself). integrate and sequences.integrate_loop build
+    theirs here, and no other run of the integrator builds one."""
     if psi0 is None:
-        psi0 = np.zeros(u.shape[-1], dtype=complex)
-        psi0[0] = 1.0
-    psi0 = require_finite(np.asarray(psi0, dtype=complex), "psi0")
+        psi0 = np.eye(u.shape[-1], dtype=complex)[0]
+    elif psi0.size != u.shape[-1]:  # a callable's, whose dimension its run has shown
+        _start_state(psi0, u.shape[-1])
     states = psi0[None, :] if times.size == 1 else np.einsum("kij,j->ki", u, psi0)
     return Trajectory._of_run(times, states, u, schedule)
 

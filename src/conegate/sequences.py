@@ -45,6 +45,7 @@ from .propagation import (
     _made,
     _recorded_samples,
     _revolution_time,
+    _start_state,
     _static_entries,
     _trajectory,
     _z_entries,
@@ -438,9 +439,11 @@ def integrate_loop(
     samples: int = 257,
 ) -> Trajectory:
     """Integrator run over `revolutions` full revolutions of the field: the
-    run of FieldLoop(p, revolutions, compensated), whose rules it takes."""
-    fields, times, props = _integrate_loop(FieldLoop(p, revolutions, compensated),
-                                           steps_per_loop, samples)
+    run of FieldLoop(p, revolutions, compensated), whose rules it takes,
+    from psi0 as integrate takes it."""
+    loop = FieldLoop(p, revolutions, compensated)
+    psi0 = psi0 if psi0 is None else _start_state(psi0, 2)
+    fields, times, props = _integrate_loop(loop, steps_per_loop, samples)
     return _trajectory(times, props[0], psi0, fields[0])
 
 
@@ -522,9 +525,12 @@ def sequence_trajectory(
 
     Hard pulses act instantaneously (duplicate time stamps); the returned
     trajectory carries a piecewise Hamiltonian accessor covering the timed
-    segments (zero between them)."""
+    segments (zero between them). psi0 is refused before any step runs
+    unless it is a finite, normalized vector of dimension dim; each loop's
+    times and propagators are read from the integrator's arrays, and the
+    one Trajectory is built at the end."""
     _check_frame_dim(seq, dim)
-    psi = np.asarray(psi0, dtype=complex)
+    psi = _start_state(psi0, dim)
     u = np.eye(dim, dtype=complex)
     times = [np.zeros(1)]
     props = [u[None]]

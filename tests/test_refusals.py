@@ -161,13 +161,16 @@ class TestOneOwner:
 
 
 def _counting_integrate(monkeypatch) -> list:
-    calls = []
+    """The integrator runs started from now on, through sequences (every
+    loop) or through propagation.integrate."""
+    calls, integrate_run = [], propagation._integrate
 
     def counting(*args, **kwargs):
         calls.append(args)
-        return propagation._integrate(*args, **kwargs)
+        return integrate_run(*args, **kwargs)
 
-    monkeypatch.setattr(sequences, "_integrate", counting)
+    for module in (propagation, sequences):
+        monkeypatch.setattr(module, "_integrate", counting)
     return calls
 
 
@@ -391,3 +394,128 @@ class TestOverflowingLoopField:
         message = "^schedule produced a non-finite Hamiltonian sample$"
         with pytest.raises(ValueError, match=message):
             integrate(record, 1e-300, total_steps=10)
+
+
+def _owner(start: str) -> tuple:
+    """The one refusal pattern whose text starts with start, as text, and
+    its owners."""
+    owned = [(_text(pattern), owners) for pattern, owners in _owned_messages().items()
+             if _text(pattern).startswith(start)]
+    assert len(owned) == 1, owned
+    return owned[0]
+
+
+class TestStartState:
+    """integrate, integrate_loop and sequence_trajectory refuse a start
+    state that is not finite, not a vector of the run's dimension or not
+    normalized within 1e-10, naming psi0, before any step runs; a
+    callable's dimension shows only in its run, so its length is refused
+    after it. An accepted state is not rescaled."""
+
+    P = FieldParams(1.0, 0.5, -1.25, omega_z=-1.25)
+    LOOP = PulseSequence((RotX(0.3), FieldLoop(P)), SINGLE_QUBIT)
+    SHAPE, NORM = "psi0 must be a vector of the run's dimension {}, got shape {}", (
+        "psi0 must be normalized within 1e-10")
+
+    def test_the_texts_have_one_owner(self):
+        assert _owner("psi0 must be a vector") == (self.SHAPE, {"propagation._start_state"})
+        assert _owner("psi0 must be normalized") == (self.NORM, {"propagation._start_state"})
+
+    @pytest.mark.parametrize("psi0, message", [
+        (np.ones(3), SHAPE.format(2, (3,))),
+        ([[1.0, 0.0]], SHAPE.format(2, (1, 2))),
+        (1.0, SHAPE.format(2, ())),
+        ([0, 0], NORM),
+        ([1.0, 1.0], NORM),
+        ([1.0 + 2e-10, 0.0], NORM),
+        ([np.nan, 1.0], "psi0 contains NaN or Inf entries"),
+        ([1.0, np.inf], "psi0 contains NaN or Inf entries"),
+    ])
+    @pytest.mark.parametrize("run", [
+        lambda psi0: integrate_loop(TestStartState.P, True, 100, psi0=psi0),
+        lambda psi0: integrate(FieldSchedule.of(TestStartState.P, True), 1.0, total_steps=100,
+                               psi0=psi0),
+        lambda psi0: sequence_trajectory(TestStartState.LOOP, 2, psi0, steps_per_loop=100),
+    ])
+    def test_no_step_runs_first(self, psi0, message, run, monkeypatch):
+        calls = _counting_integrate(monkeypatch)
+        with pytest.raises(ValueError) as info:
+            run(psi0)
+        assert str(info.value) == message
+        assert calls == []
+
+    @pytest.mark.parametrize("psi0, message", [
+        ([0, 0], NORM),
+        ([[1.0, 0.0]], SHAPE.format("d", (1, 2))),
+        ([np.nan, 1.0], "psi0 contains NaN or Inf entries"),
+    ])
+    def test_a_callable_is_not_sampled_first(self, psi0, message):
+        sampled = []
+
+        def schedule(t):
+            sampled.append(len(t))
+            return np.zeros((len(t), 2, 2))
+
+        with pytest.raises(ValueError) as info:
+            integrate(schedule, 1.0, total_steps=100, psi0=psi0)
+        assert str(info.value) == message
+        assert sampled == []
+
+    def test_a_callable_refuses_the_length_its_run_shows(self):
+        with pytest.raises(ValueError) as info:
+            integrate(lambda t: np.zeros((len(t), 4, 4)), 1.0, total_steps=100, psi0=[1.0, 0.0])
+        assert str(info.value) == self.SHAPE.format(4, (2,))
+
+    def test_a_sequence_of_the_other_dimension(self, monkeypatch):
+        calls = _counting_integrate(monkeypatch)
+        with pytest.raises(ValueError) as info:
+            sequence_trajectory(PulseSequence(self.LOOP.steps, sequences.TWO_QUBIT), 4,
+                                np.array([0.6, 0.8j]), steps_per_loop=100)
+        assert str(info.value) == self.SHAPE.format(4, (2,))
+        assert calls == []
+
+    def test_a_state_within_the_bound_is_kept_as_given(self):
+        # 1 + 5e-11 passes and is not rescaled; 1 + 2e-10 is refused above
+        psi0 = np.array([1.0 + 5e-11, 0.0], dtype=complex)
+        runs = [integrate_loop(self.P, True, 100, psi0=psi0),
+                integrate(FieldSchedule.of(self.P, True), 1.0, total_steps=100, psi0=psi0),
+                sequence_trajectory(self.LOOP, 2, psi0, steps_per_loop=100)]
+        for traj in runs:
+            assert traj.states[0].tobytes() == psi0.tobytes()
+        with pytest.raises(ValueError, match="^psi0 must be normalized within 1e-10$"):
+            integrate_loop(self.P, True, 100, psi0=np.array([1.0 + 2e-10, 0.0]))
+
+
+class TestSampleCount:
+    """integrate and integrate_loop take an integer sample count and refuse
+    anything else, as the step count is refused, before any step runs."""
+
+    RECORD = FieldSchedule(1.0, 0.5, -1.0)
+
+    def test_the_count_has_one_owner(self):
+        assert _owner("samples must be") == ("samples must be an integer sample count, got {}",
+                                             {"propagation._recorded_samples"})
+
+    @pytest.mark.parametrize("samples", [5.9, math.nan, math.inf, True, "7", 7.0, None])
+    @pytest.mark.parametrize("run", [
+        lambda samples: integrate(TestSampleCount.RECORD, 1.0, total_steps=10, samples=samples),
+        lambda samples: integrate(lambda t: np.zeros((len(t), 2, 2)), 1.0, total_steps=10,
+                                  samples=samples),
+        lambda samples: integrate_loop(FieldParams(1.0, 0.5, -1.0), False, 10, samples=samples),
+    ])
+    def test_a_count_that_is_no_integer(self, samples, run, monkeypatch):
+        stepped = []
+        for kernel in (propagation._SU2, propagation._Dense):
+            monkeypatch.setattr(kernel, "__init__", lambda *args: stepped.append(args))
+        message = f"^samples must be an integer sample count, got {re.escape(repr(samples))}$"
+        with pytest.raises(ValueError, match=message):
+            run(samples)
+        assert stepped == []  # refused before a kernel, and so a step, was made
+
+    @pytest.mark.parametrize("kind", [np.int64, np.int32, np.uint8])
+    def test_numpy_integers_keep_the_bytes(self, kind):
+        for run in (lambda s: integrate(self.RECORD, 1.0, total_steps=10, samples=s),
+                    lambda s: integrate_loop(FieldParams(1.0, 0.5, -1.0), False, 10, samples=s)):
+            want, got = run(7), run(kind(7))
+            for name in ("times", "states", "propagators"):
+                assert getattr(got, name).tobytes() == getattr(want, name).tobytes()

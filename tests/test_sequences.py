@@ -576,6 +576,42 @@ class TestSequenceTrajectory:
             assert sequences.trajectory_rows(seq, steps) == len(traj.times)
 
 
+class TestTrajectoryBuilders:
+    """Only the public runners that return a Trajectory build one: integrate
+    and integrate_loop one each, through propagation._trajectory, and
+    sequence_trajectory one for the whole program. simulate_sequence, and so
+    verify_gate, reads the integrator's arrays and builds none, for every
+    loop of the program."""
+
+    def test_each_runner_builds_what_it_returns(self, monkeypatch):
+        from conegate.gates import cnot_recipe, verify_gate
+        from conegate.propagation import Trajectory, integrate
+
+        built, of_run = [], Trajectory._of_run.__func__
+
+        def counting(cls, *args, **kwargs):
+            built.append(cls)
+            return of_run(cls, *args, **kwargs)
+
+        monkeypatch.setattr(Trajectory, "_of_run", classmethod(counting))
+        recipe = cnot_recipe()  # two distinct loops, one of them listed twice
+        p = FieldParams(1.0, 1.0, -2.0, omega_z=-2.0)
+        runs = [
+            (lambda: simulate_sequence(recipe.sequence, 4, steps_per_loop=500), 0),
+            (lambda: verify_gate(recipe, steps_per_loop=500), 0),
+            (lambda: sequence_trajectory(recipe.sequence, 4, up_state(4), steps_per_loop=500), 1),
+            (lambda: sequence_trajectory(build_conditional_loop(1.8, 1.0), 4, up_state(4),
+                                         steps_per_loop=500), 1),
+            (lambda: integrate(sequences.FieldSchedule.of(p, True), 3.0, total_steps=500), 1),
+            (lambda: integrate(lambda t: np.zeros((len(t), 4, 4)), 3.0, total_steps=500), 1),
+            (lambda: integrate_loop(p, True, 500, revolutions=2.0, samples=9), 1),
+        ]
+        for run, count in runs:
+            built.clear()
+            run()
+            assert built == [Trajectory] * count
+
+
 class TestSerialization:
     def build_reference(self) -> PulseSequence:
         sol = s_operation_params(1.058, 1.0, 1.0)
