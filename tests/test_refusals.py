@@ -414,8 +414,8 @@ class TestStartState:
 
     P = FieldParams(1.0, 0.5, -1.25, omega_z=-1.25)
     LOOP = PulseSequence((RotX(0.3), FieldLoop(P)), SINGLE_QUBIT)
-    SHAPE, NORM = "psi0 must be a vector of the run's dimension {}, got shape {}", (
-        "psi0 must be normalized within 1e-10")
+    SHAPE = "psi0 must be a vector of the run's dimension {}, got shape {}"
+    NORM = "psi0 must be normalized within 1e-10"
 
     def test_the_texts_have_one_owner(self):
         assert _owner("psi0 must be a vector") == (self.SHAPE, {"propagation._start_state"})
