@@ -38,6 +38,7 @@ from .linalg import bloch_vector
 from .phases import CYCLIC_TOL, _cyclic_overlap, running_dynamical_phase
 from .propagation import MAX_STEPS, Trajectory, _check_step_budget, _count_text, loop_infidelities
 from .sequences import (
+    STEPS_PER_LOOP,
     FieldLoop,
     s_operation_angles,
     schedule_from_dict,
@@ -497,7 +498,7 @@ def _settings(args: argparse.Namespace) -> tuple[RunConfig, dict]:
     row's default. The header shows the given values: a flag's number as
     read, anything else as given."""
     rows = [o for o in OPTIONS if args.command in o.commands]
-    given = {"format": "csv", "steps": 10_000}  # the defaults the header shows
+    given = {"format": "csv", "steps": STEPS_PER_LOOP}  # the defaults the header shows
     env_steps = os.environ.get("CONEGATE_STEPS")
     if env_steps is not None:
         given["steps"] = _int_option(env_steps, "CONEGATE_STEPS")

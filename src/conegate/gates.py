@@ -21,6 +21,7 @@ from .linalg import fidelity
 from .phases import compensation_gamma, geometric_phase_cone
 from .sequences import (
     SINGLE_QUBIT,
+    STEPS_PER_LOOP,
     TWO_QUBIT,
     FieldLoop,
     PulseSequence,
@@ -291,7 +292,7 @@ def cnot_recipe() -> GateRecipe:
     )
 
 
-def verify_gate(recipe: GateRecipe, steps_per_loop: int = 10_000) -> float:
+def verify_gate(recipe: GateRecipe, steps_per_loop: int = STEPS_PER_LOOP) -> float:
     """Simulate the recipe's pulse program with the stepped integrator and
     return its global-phase-invariant fidelity against the target."""
     simulated = simulate_sequence(recipe.sequence, recipe.dim, steps_per_loop=steps_per_loop)

@@ -364,6 +364,8 @@ def adiabatic_error(p: FieldParams) -> float:
 BLOCK_STEPS = 4096  # steps whose product one pairwise tree associates
 PASS_BLOCKS = 3  # whole blocks whose steps one pass samples, exponentiates and reduces
 MAX_STEPS = 50_000_000  # steps one integrate call may take, checked before allocation
+STEPS_PER_LOOP = 10_000  # the default steps of one revolution of a field loop
+SAMPLES_PER_LOOP = 257  # the default samples a run records, of one revolution for a loop run
 TRIG_TABLE = 64  # distinct step norms whose cos and sin a pass evaluates once each
 TAIL_ROWS = 64  # rows per whole block that a two-sample window reduces (CHANGES.md: 16-128 timed)
 
@@ -827,7 +829,7 @@ def integrate(
     *,
     total_steps: int,
     psi0: np.ndarray | None = None,
-    samples: int = 257,
+    samples: int = SAMPLES_PER_LOOP,
 ) -> Trajectory:
     """Propagate under a time-dependent Hamiltonian by a product of exact
     midpoint exponentials.

@@ -40,6 +40,8 @@ from .hamiltonians import SIGMA_ZA, SIGMA_ZZ, FieldParams, FieldSchedule, _check
 from .linalg import SIGMA_Z, check_finite
 from .phases import _check_coupling, cone_eigenstate, two_qubit_loop_params
 from .propagation import (
+    SAMPLES_PER_LOOP,
+    STEPS_PER_LOOP,
     Trajectory,
     _integrate,
     _made,
@@ -55,7 +57,6 @@ from .propagation import (
 
 SINGLE_QUBIT = "single-qubit"
 TWO_QUBIT = "two-qubit-rotating"
-SAMPLES_PER_LOOP = 257  # samples sequence_trajectory records per revolution
 
 
 def _check_sign(sign: int) -> None:
@@ -432,16 +433,18 @@ def _integrate_loop(step: FieldLoop, steps_per_loop: int, samples: int) -> tuple
 def integrate_loop(
     p: FieldParams,
     compensated: bool,
-    steps_per_loop: int = 10_000,
-    revolutions: float = 1.0,
+    steps_per_loop: int = STEPS_PER_LOOP,
     *,
     psi0: np.ndarray | None = None,
-    samples: int = 257,
+    samples: int = SAMPLES_PER_LOOP,
 ) -> Trajectory:
-    """Integrator run over `revolutions` full revolutions of the field: the
-    run of FieldLoop(p, revolutions, compensated), whose rules it takes,
-    from psi0 as integrate takes it."""
-    loop = FieldLoop(p, revolutions, compensated)
+    """Integrator run over one revolution of the field: the run of
+    FieldLoop(p, 1.0, compensated), whose rules it takes, from psi0 as
+    integrate takes it. steps_per_loop and samples count that revolution,
+    as simulate_sequence and sequence_trajectory count each revolution of
+    their loops; a run of several revolutions is a FieldLoop of them in
+    one of those."""
+    loop = FieldLoop(p, 1.0, compensated)
     psi0 = psi0 if psi0 is None else _start_state(psi0, 2)
     fields, times, props = _integrate_loop(loop, steps_per_loop, samples)
     return _trajectory(times, props[0], psi0, fields[0])
@@ -486,7 +489,7 @@ def apply_sequence(seq: PulseSequence, dim: int) -> np.ndarray:
 
 
 def simulate_sequence(
-    seq: PulseSequence, dim: int, steps_per_loop: int = 10_000
+    seq: PulseSequence, dim: int, steps_per_loop: int = STEPS_PER_LOOP
 ) -> np.ndarray:
     """Compose the sequence with every field loop run through the stepped
     integrator instead of the closed form. Hard pulses stay exact; free
@@ -514,7 +517,7 @@ def sequence_trajectory(
     seq: PulseSequence,
     dim: int,
     psi0: np.ndarray,
-    steps_per_loop: int = 10_000,
+    steps_per_loop: int = STEPS_PER_LOOP,
     samples_per_loop: int = SAMPLES_PER_LOOP,
 ) -> Trajectory:
     """Time-resolved integrator run over the whole sequence, each step

@@ -456,8 +456,9 @@ class TestPrimitiveValidation:
 
 
 class TestIntegrateLoop:
-    """integrate_loop is the run of FieldLoop(p, revolutions, compensated)
-    and refuses what the loop refuses, naming the field."""
+    """integrate_loop is the run of FieldLoop(p, 1.0, compensated) and
+    refuses what the loop refuses, naming the field; a loop of other
+    revolutions runs in simulate_sequence, which refuses those."""
 
     def test_uncompensated_run_refuses_a_vertical_field(self):
         p = FieldParams(1.0, 0.5, -1.25, omega_z=0.3)
@@ -481,12 +482,13 @@ class TestIntegrateLoop:
     def test_bad_revolutions_are_refused(self, revolutions, message, compensated):
         p = FieldParams(1.0, 0.5, -1.25, omega_z=-1.25 if compensated else 0.0)
         with pytest.raises(ValueError, match=message):
-            integrate_loop(p, compensated, steps_per_loop=100, revolutions=revolutions)
+            simulate_sequence(PulseSequence([FieldLoop(p, revolutions, compensated)]), 2,
+                              steps_per_loop=100)
 
     def test_overflowing_step_count_names_the_revolutions(self):
         p = FieldParams(1.0, 0.5, -1e10)  # a loop this fast lasts about 6e-10 per turn
         with pytest.raises(ValueError, match="^a loop of 1e[+]305 revolutions at 10000 per "):
-            integrate_loop(p, False, revolutions=1e305)
+            simulate_sequence(PulseSequence([FieldLoop(p, 1e305, False)]), 2)
 
     def test_zero_speed_is_refused(self):
         with pytest.raises(ValueError, match="nonzero rotation speed"):
@@ -604,7 +606,7 @@ class TestTrajectoryBuilders:
                                          steps_per_loop=500), 1),
             (lambda: integrate(sequences.FieldSchedule.of(p, True), 3.0, total_steps=500), 1),
             (lambda: integrate(lambda t: np.zeros((len(t), 4, 4)), 3.0, total_steps=500), 1),
-            (lambda: integrate_loop(p, True, 500, revolutions=2.0, samples=9), 1),
+            (lambda: integrate_loop(p, True, 500, samples=9), 1),
         ]
         for run, count in runs:
             built.clear()
