@@ -367,7 +367,7 @@ def _format(value, flag: str) -> str:
 
 def _steps_problem(steps: int) -> str | None:
     if steps < 1:
-        return "steps must be positive"
+        return "--steps: steps must be positive"
     try:  # a loop of one revolution would exceed the budget
         _check_step_budget(steps)
     except ValueError as exc:
@@ -449,11 +449,11 @@ OPTIONS = (
            "offset/coupling ratio for cphase"),
     Option("theta", ("compare-adiabatic",), _float_option, np.pi / 4,
            lambda x: None if 0 < x < np.pi / 2 else
-           "theta must lie in (0, pi/2) so the field has a vertical part",
+           "--theta: theta must lie in (0, pi/2) so the field has a vertical part",
            "cone angle of the tracked eigenstate"),
     Option("gamma_range", ("compare-adiabatic",), _parse_range, REQUIRED,
            lambda g: None if np.all(g != 0.0) else
-           "gamma range must exclude zero (no loop at zero speed)",
+           "--gamma-range: gamma range must exclude zero (no loop at zero speed)",
            "start:stop:step sweep of gamma in units of omega0"),
     Option("out", _ALL, _path, None, None, "output path (default: stdout)"),
     Option("format", ("scurve", "evolve", "compare-adiabatic"), _format, None, None,

@@ -293,8 +293,10 @@ def cnot_recipe() -> GateRecipe:
 
 
 def verify_gate(recipe: GateRecipe, steps_per_loop: int = STEPS_PER_LOOP) -> float:
-    """Simulate the recipe's pulse program with the stepped integrator and
-    return its global-phase-invariant fidelity against the target."""
+    """Simulate the recipe's pulse program with the stepped integrator, at
+    steps_per_loop steps per revolution of each loop (simulate_sequence
+    refuses one that is not an integer of at least 1), and return its
+    global-phase-invariant fidelity against the target."""
     simulated = simulate_sequence(recipe.sequence, recipe.dim, steps_per_loop=steps_per_loop)
     return fidelity(simulated, recipe.target)
 

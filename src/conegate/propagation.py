@@ -743,12 +743,19 @@ def _check_step_budget(n_steps: int) -> None:
                          f"at most {MAX_STEPS:,} allowed")
 
 
+def _integer_count(count, name: str, unit: str) -> int:
+    """count as an int, refused where it enters unless it is an integer (a
+    bool is not one): the one check of every step and sample count, name
+    the parameter it came in as and unit what it counts."""
+    if isinstance(count, bool) or not isinstance(count, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer {unit} count, got {count!r}")
+    return int(count)
+
+
 def _recorded_samples(samples: int, n_steps: int) -> int:
     """Sample points a run of n_steps records when asked for samples, an
     integer: the start and the end at least, one per step boundary at most."""
-    if isinstance(samples, bool) or not isinstance(samples, (int, np.integer)):
-        raise ValueError(f"samples must be an integer sample count, got {samples!r}")
-    return int(min(max(2, samples), n_steps + 1))
+    return min(max(2, _integer_count(samples, "samples", "sample")), n_steps + 1)
 
 
 def _block_plan(n_steps: int, ends: np.ndarray) -> tuple:
@@ -813,14 +820,13 @@ def _step_count(t_end: float, total_steps) -> int:
     least 1, or none when t_end is 0."""
     if not np.isfinite(t_end) or t_end < 0:
         raise ValueError("t_end must be finite and nonnegative")
-    if isinstance(total_steps, bool) or not isinstance(total_steps, (int, np.integer)):
-        raise ValueError(f"total_steps must be an integer step count, got {total_steps!r}")
+    total_steps = _integer_count(total_steps, "total_steps", "step")
     if t_end == 0.0:
         return 0
     if total_steps < 1:
         raise ValueError("total_steps must be at least 1")
-    _check_step_budget(int(total_steps))
-    return int(total_steps)
+    _check_step_budget(total_steps)
+    return total_steps
 
 
 def integrate(

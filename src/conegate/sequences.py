@@ -1,10 +1,16 @@
 """Pulse-sequence intermediate representation, the conditional eigenstate
 preparation sequence with its constraint solver, the conditional
 geometric loop built from it, and integrate_loop, the integrator run of
-one field loop under FieldLoop's rules. A field loop has one integrator
-runner, _integrate_loop, which integrate_loop, simulate_sequence and
-sequence_trajectory all call. It hands back the loop's records and the
-run's arrays; integrate_loop alone builds a Trajectory of that one loop.
+one revolution of a field loop under FieldLoop's rules. A field loop has
+one integrator runner, _integrate_loop, which integrate_loop,
+simulate_sequence and sequence_trajectory all call. It hands back the
+loop's records and the run's arrays; integrate_loop alone builds a
+Trajectory of that one loop.
+
+Loop counts. Every step and sample count of a loop run counts one
+revolution, and a loop of several revolutions scales it by them; their
+defaults are propagation's STEPS_PER_LOOP and SAMPLES_PER_LOOP. Each
+runner refuses a malformed count where it enters (_check_loop_counts).
 
 Rotation convention: R_n(beta) = exp(-i beta (n.sigma) / 2), so free
 evolution under (omega/2) sigma_z turns the Bloch vector by +omega*t
@@ -43,6 +49,8 @@ from .propagation import (
     SAMPLES_PER_LOOP,
     STEPS_PER_LOOP,
     Trajectory,
+    _count_text,
+    _integer_count,
     _integrate,
     _made,
     _recorded_samples,
@@ -394,6 +402,15 @@ def _per_revolution(count: int, step: FieldLoop) -> int:
     return round(n)
 
 
+def _check_loop_counts(steps_per_loop, samples_per_loop=SAMPLES_PER_LOOP) -> None:
+    """Refuse a loop run's per-revolution counts where they enter, before
+    any loop runs: either one not an integer, or steps_per_loop below 1."""
+    steps = _integer_count(steps_per_loop, "steps_per_loop", "step")
+    if steps < 1:
+        raise ValueError(f"steps_per_loop must be at least 1, got {_count_text(steps)}")
+    _integer_count(samples_per_loop, "samples_per_loop", "sample")
+
+
 def _loop_steps(step: FieldLoop, steps_per_loop: int) -> int:
     return max(1, _per_revolution(steps_per_loop, step))
 
@@ -444,6 +461,7 @@ def integrate_loop(
     as simulate_sequence and sequence_trajectory count each revolution of
     their loops; a run of several revolutions is a FieldLoop of them in
     one of those."""
+    _check_loop_counts(steps_per_loop)
     loop = FieldLoop(p, 1.0, compensated)
     psi0 = psi0 if psi0 is None else _start_state(psi0, 2)
     fields, times, props = _integrate_loop(loop, steps_per_loop, samples)
@@ -492,15 +510,17 @@ def simulate_sequence(
     seq: PulseSequence, dim: int, steps_per_loop: int = STEPS_PER_LOOP
 ) -> np.ndarray:
     """Compose the sequence with every field loop run through the stepped
-    integrator instead of the closed form. Hard pulses stay exact; free
-    evolutions have constant generators, for which the integrator is exact
-    anyway. A conditional loop runs as its two 2x2 sectors, stacked in one
-    integrator run.
+    integrator instead of the closed form, at steps_per_loop steps per
+    revolution: an integer of at least 1, refused before any loop runs
+    otherwise. Hard pulses stay exact; free evolutions have constant
+    generators, for which the integrator is exact anyway. A conditional
+    loop runs as its two 2x2 sectors, stacked in one integrator run.
 
     Each distinct loop is integrated once per call: a loop object that the
     sequence lists several times (the Hadamard loop of NOT and CNOT) reuses
     its blocks. Loops are told apart by identity, never by equality, which
     would merge loops whose fields differ only in the sign of a zero."""
+    _check_loop_counts(steps_per_loop)
     integrated: dict = {}  # id of a loop in seq -> its blocks
 
     def loop_blocks(step: FieldLoop) -> list:
@@ -528,10 +548,14 @@ def sequence_trajectory(
 
     Hard pulses act instantaneously (duplicate time stamps); the returned
     trajectory carries a piecewise Hamiltonian accessor covering the timed
-    segments (zero between them). psi0 is refused before any step runs
-    unless it is a finite, normalized vector of dimension dim; each loop's
-    times and propagators are read from the integrator's arrays, and the
-    one Trajectory is built at the end."""
+    segments (zero between them). A loop runs steps_per_loop steps and
+    records samples_per_loop samples per revolution, as _step_rows counts
+    them; both are refused before any step runs unless they are integers,
+    and steps_per_loop unless it is at least 1. psi0 is refused before any
+    step runs unless it is a finite, normalized vector of dimension dim;
+    each loop's times and propagators are read from the integrator's
+    arrays, and the one Trajectory is built at the end."""
+    _check_loop_counts(steps_per_loop, samples_per_loop)
     _check_frame_dim(seq, dim)
     psi = _start_state(psi0, dim)
     u = np.eye(dim, dtype=complex)
@@ -573,8 +597,10 @@ def sequence_trajectory(
 
 
 def trajectory_rows(seq: PulseSequence, steps_per_loop: int) -> int:
-    """The rows sequence_trajectory records for seq at its default
-    sampling, counted without integrating."""
+    """The rows sequence_trajectory records for seq at steps_per_loop and
+    its default sampling, counted without integrating; steps_per_loop is
+    refused as sequence_trajectory refuses it."""
+    _check_loop_counts(steps_per_loop)
     return 1 + sum(_step_rows(step, steps_per_loop, SAMPLES_PER_LOOP) for step in seq.steps)
 
 

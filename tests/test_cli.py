@@ -939,6 +939,32 @@ class TestSweepBounds:
         assert message in err
 
 
+
+class TestOptionRefusalsNameTheirFlag:
+    """A value refused by its option's check is named by its flag first,
+    whether it was given by flag or by --config."""
+
+    CASES = [
+        (["gate", "phase"], "--steps", 0, "--steps: steps must be positive"),
+        (["compare-adiabatic", "--gamma-range", "0.1:0.2:0.1"], "--theta", 2,
+         "--theta: theta must lie in (0, pi/2) so the field has a vertical part"),
+        (["compare-adiabatic"], "--gamma-range", "-0.5:0.5:0.25",
+         "--gamma-range: gamma range must exclude zero (no loop at zero speed)"),
+    ]
+
+    @pytest.mark.parametrize("argv, flag, value, message", CASES)
+    def test_by_flag(self, argv, flag, value, message, capsys):
+        code, out, err = run_cli(argv + [f"{flag}={value}"], capsys)
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+
+    @pytest.mark.parametrize("argv, flag, value, message", CASES)
+    def test_by_config(self, argv, flag, value, message, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({flag[2:].replace("-", "_"): value}))
+        code, out, err = run_cli(argv + ["--config", str(cfg)], capsys)
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
 class TestOutputErrors:
     @pytest.mark.parametrize(
         "argv",

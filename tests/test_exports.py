@@ -54,3 +54,31 @@ def test_every_exported_function_is_called_on_a_product_path():
                                           if (stem, owner) != own_def):
             unused.append(name)
     assert unused == []
+
+
+# each count parameter's default and the one constant that defines it
+LOOP_COUNTS = {"steps_per_loop": "STEPS_PER_LOOP", "samples_per_loop": "SAMPLES_PER_LOOP",
+               "samples": "SAMPLES_PER_LOOP"}
+
+
+def test_every_default_count_is_its_one_constant():
+    # every signature default of a step or sample count in the package reads
+    # STEPS_PER_LOOP or SAMPLES_PER_LOOP, and their values are written once
+    defaults, literals = [], []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                args = node.args
+                positional = args.posonlyargs + args.args
+                pairs = list(zip(positional[len(positional) - len(args.defaults):],
+                                 args.defaults))
+                pairs += [(a, d) for a, d in zip(args.kwonlyargs, args.kw_defaults) if d]
+                defaults += [(path.stem, getattr(node, "name", "lambda"), arg.arg,
+                              ast.unparse(default))
+                             for arg, default in pairs if arg.arg in LOOP_COUNTS]
+            elif (isinstance(node, ast.Constant) and type(node.value) is int
+                  and node.value in (10_000, 257)):
+                literals.append((path.stem, node.value))
+    assert len(defaults) >= 7
+    assert [d for d in defaults if d[3] != LOOP_COUNTS[d[2]]] == []
+    assert sorted(literals) == [("propagation", 257), ("propagation", 10_000)]

@@ -22,6 +22,7 @@ import pytest
 
 import conegate
 from conegate import cli, propagation, sequences
+from conegate.gates import phase_gate_recipe, verify_gate
 from conegate.hamiltonians import FieldParams, FieldSchedule
 from conegate.phases import phase_decomposition, two_qubit_loop_params
 from conegate.propagation import MAX_STEPS, Trajectory, integrate
@@ -35,6 +36,7 @@ from conegate.sequences import (
     integrate_loop,
     sequence_trajectory,
     simulate_sequence,
+    trajectory_rows,
 )
 
 PACKAGE = Path(conegate.__file__).resolve().parent
@@ -290,9 +292,10 @@ class TestStepCount:
                                    257)
 
     def test_the_count_has_one_owner(self):
-        owners = [owners for pattern, owners in _owned_messages().items()
-                  if _text(pattern).startswith("total_steps must be")]
-        assert owners == [{"propagation._step_count"}] * 2
+        assert _owner("total_steps must be") == ("total_steps must be at least 1",
+                                                 {"propagation._step_count"})
+        assert _owner("{} must be an integer {}") == ("{} must be an integer {} count, got {}",
+                                                   {"propagation._integer_count"})
 
     def test_numpy_integers_count(self):
         want = integrate(self.RECORD, 1.0, total_steps=7)
@@ -494,8 +497,8 @@ class TestSampleCount:
     RECORD = FieldSchedule(1.0, 0.5, -1.0)
 
     def test_the_count_has_one_owner(self):
-        assert _owner("samples must be") == ("samples must be an integer sample count, got {}",
-                                             {"propagation._recorded_samples"})
+        assert _owner("{} must be an integer {}") == ("{} must be an integer {} count, got {}",
+                                                   {"propagation._integer_count"})
 
     @pytest.mark.parametrize("samples", [5.9, math.nan, math.inf, True, "7", 7.0, None])
     @pytest.mark.parametrize("run", [
@@ -520,3 +523,70 @@ class TestSampleCount:
             want, got = run(7), run(kind(7))
             for name in ("times", "states", "propagators"):
                 assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
+
+
+class TestLoopCounts:
+    """integrate_loop, simulate_sequence (and so verify_gate),
+    sequence_trajectory and trajectory_rows refuse a per-revolution count
+    where it enters, naming the parameter, before any loop runs: one that
+    is not an integer, with the text total_steps and samples share, and a
+    steps_per_loop below 1. numpy integers keep the bytes of Python's."""
+
+    P = FieldParams(1.0, 0.5, -1.25, omega_z=-1.25)
+    SEQ = PulseSequence((RotX(0.3), FieldLoop(P, 2.0)), SINGLE_QUBIT)
+    PSI0 = np.array([0.6, 0.8j])
+    RUNS = {
+        "integrate_loop": lambda n: integrate_loop(TestLoopCounts.P, True, n, samples=5),
+        "simulate_sequence": lambda n: simulate_sequence(TestLoopCounts.SEQ, 2, n),
+        "verify_gate": lambda n: verify_gate(phase_gate_recipe(1.0), n),
+        "sequence_trajectory": lambda n: sequence_trajectory(TestLoopCounts.SEQ, 2,
+                                                             TestLoopCounts.PSI0, n),
+        "trajectory_rows": lambda n: trajectory_rows(TestLoopCounts.SEQ, n),
+    }
+
+    def test_the_floor_has_one_owner(self):
+        assert _owner("steps_per_loop must be") == ("steps_per_loop must be at least 1, got {}",
+                                                    {"sequences._check_loop_counts"})
+
+    @pytest.mark.parametrize("steps", [100.4, 2.5, 100.0, math.nan, math.inf, True, False, "7",
+                                       None])
+    @pytest.mark.parametrize("run", RUNS)
+    def test_a_step_count_that_is_no_integer(self, steps, run, monkeypatch):
+        calls = _counting_integrate(monkeypatch)
+        with pytest.raises(ValueError) as info:
+            self.RUNS[run](steps)
+        assert str(info.value) == f"steps_per_loop must be an integer step count, got {steps!r}"
+        assert calls == []
+
+    @pytest.mark.parametrize("steps, shown", [(0, "0"), (-5, "-5"), (np.int64(0), "0"),
+                                              (-(10**400), "-1e+400")])
+    @pytest.mark.parametrize("run", RUNS)
+    def test_a_step_count_below_one(self, steps, shown, run, monkeypatch):
+        calls = _counting_integrate(monkeypatch)
+        with pytest.raises(ValueError) as info:
+            self.RUNS[run](steps)
+        assert str(info.value) == f"steps_per_loop must be at least 1, got {shown}"
+        assert calls == []
+
+    @pytest.mark.parametrize("samples", [5.9, 257.0, math.nan, True, "7", None])
+    def test_a_sample_count_that_is_no_integer(self, samples, monkeypatch):
+        calls = _counting_integrate(monkeypatch)
+        with pytest.raises(ValueError) as info:
+            sequence_trajectory(self.SEQ, 2, self.PSI0, 100, samples)
+        assert str(info.value) == ("samples_per_loop must be an integer sample count, "
+                                   f"got {samples!r}")
+        assert calls == []
+
+    @pytest.mark.parametrize("kind", [np.int64, np.int32, np.uint16])
+    def test_numpy_integers_keep_the_bytes(self, kind):
+        for name, run in self.RUNS.items():
+            want, got = run(100), run(kind(100))
+            if name == "verify_gate" or name == "trajectory_rows":
+                assert got == want
+            elif name == "simulate_sequence":
+                assert got.tobytes() == want.tobytes()
+            else:
+                assert got.propagators.tobytes() == want.propagators.tobytes()
+        want = sequence_trajectory(self.SEQ, 2, self.PSI0, 100, 9)
+        got = sequence_trajectory(self.SEQ, 2, self.PSI0, kind(100), kind(9))
+        assert got.propagators.tobytes() == want.propagators.tobytes()

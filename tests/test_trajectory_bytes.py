@@ -19,7 +19,9 @@ coupling j at dimension 4), and single and conditional loops of both
 compensations and signs, at 0.5, 1, 1.37 and 2 revolutions, with phase0
 +-0.0 or drawn. Step counts sit at the integrator's block edges, and
 sample counts below 8 (where a free evolution records 2 samples) and at
-few steps (where a loop records at most n + 1).
+few steps (where a loop records at most n + 1). Two more schedules hold a
+loop whose samples span two of the integrator's windows, at step counts
+off the block edges.
 
 A loop whose duration rounds to 0 is compared with the references only
 as a schedule's last step: before any other step, the reference indexes
@@ -28,12 +30,13 @@ same schedule without the loop.
 """
 
 import math
+from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from conegate import cli
+from conegate import cli, propagation
 from conegate import sequences as S
 from conegate.hamiltonians import FieldParams
 from conegate.linalg import bloch_vector
@@ -234,6 +237,32 @@ def schedules():
 
 SCHEDULE_LIST = schedules()
 
+# (frame, revolutions, steps_per_loop, samples_per_loop) of each loop that
+# spans two windows: 50 revolutions at 20,000 steps record 12,850 samples
+# over 245 blocks, about 53 runs a block, and a window holds at most 3 x
+# 4,096 runs; the conditional loop's 15,647 samples over 150 blocks fill
+# two windows too. Neither step count, nor either loop's, is a whole
+# number of blocks.
+WINDOW_EDGES = ((SINGLE_QUBIT, 50.0, 20_000, 257), (TWO_QUBIT, 30.5, 20_011, 513))
+
+
+def window_edge_schedules():
+    """(seq, dim, psi0, steps_per_loop, samples_per_loop) of a seeded
+    schedule around each loop of WINDOW_EDGES: a hard pulse, the loop,
+    and a timed free evolution."""
+    rng = np.random.default_rng(3003)
+    out = []
+    for frame, revolutions, steps, samples in WINDOW_EDGES:
+        two_qubit = frame == TWO_QUBIT
+        dim = 4 if two_qubit else 2
+        loop = replace(draw_loop(rng, two_qubit), revolutions=revolutions)
+        pulse = (RotX, RotY, RotZ)[rng.integers(3)](drawn_or_zero(rng, 2 * math.pi))
+        free = FreeEvolve(float(rng.uniform(0.05, 3.0)), float(rng.uniform(-2.0, 2.0)))
+        psi0 = rng.normal(size=dim) + 1j * rng.normal(size=dim)
+        out.append((PulseSequence((pulse, loop, free), frame), dim, psi0 / np.linalg.norm(psi0),
+                    steps, samples))
+    return out
+
 
 def step_kind(step):
     if isinstance(step, FieldLoop):
@@ -299,6 +328,26 @@ class TestEvolvePath:
             for mask in (slice(None), t_end_mask(rng, want.times)):
                 assert (column_bytes(cli._trajectory_columns(got, mask))
                         == column_bytes(ref_trajectory_columns(want, mask)))
+
+    @pytest.mark.parametrize("case", range(len(WINDOW_EDGES)))
+    def test_a_loop_across_a_window_edge(self, case, monkeypatch):
+        seq, dim, psi0, steps, samples = window_edge_schedules()[case]
+        windows, plan = [], propagation._windows
+        monkeypatch.setattr(propagation, "_windows",
+                            lambda runs: windows.append(plan(runs)) or windows[-1])
+        got = sequence_trajectory(seq, dim, psi0, steps, samples)
+        assert len(windows) == 1 and len(windows[0]) == 2  # the loop's run spans two
+        assert steps % 4096 and S._loop_steps(seq.steps[1], steps) % 4096
+        want = ref_sequence_trajectory(seq, dim, psi0, steps, samples)
+        assert trajectory_bytes(got) == trajectory_bytes(want)
+        assert trajectory_rows(seq, steps) == ref_trajectory_rows(seq, steps)
+        rng = np.random.default_rng(3201 + case)
+        for mask in (slice(None), t_end_mask(rng, want.times)):
+            assert (column_bytes(cli._trajectory_columns(got, mask))
+                    == column_bytes(ref_trajectory_columns(want, mask)))
+        # a window's carry that went astray would move the product far from
+        # the closed form, which both sides share no code with
+        assert np.abs(got.propagators[-1] - S.apply_sequence(seq, dim)).max() < 1e-5
 
     def test_evolve_rows_are_counted_at_the_default_sampling(self):
         for seq, dim, psi0, steps, _ in SCHEDULE_LIST[:40]:
