@@ -365,7 +365,7 @@ BLOCK_STEPS = 4096  # steps whose product one pairwise tree associates
 PASS_BLOCKS = 3  # whole blocks whose steps one pass samples, exponentiates and reduces
 MAX_STEPS = 50_000_000  # steps one integrate call may take, checked before allocation
 STEPS_PER_LOOP = 10_000  # the default steps of one revolution of a field loop
-SAMPLES_PER_LOOP = 257  # the default samples a run records, of one revolution for a loop run
+SAMPLES_PER_LOOP = 257  # the default samples a run records; a loop run's per revolution
 TRIG_TABLE = 64  # distinct step norms whose cos and sin a pass evaluates once each
 TAIL_ROWS = 64  # rows per whole block that a two-sample window reduces (CHANGES.md: 16-128 timed)
 
@@ -745,8 +745,8 @@ def _check_step_budget(n_steps: int) -> None:
 
 def _integer_count(count, name: str, unit: str) -> int:
     """count as an int, refused where it enters unless it is an integer (a
-    bool is not one): the one check of every step and sample count, name
-    the parameter it came in as and unit what it counts."""
+    bool is not one): the one check of every step and sample count. name
+    is the parameter the count came in as, and unit what it counts."""
     if isinstance(count, bool) or not isinstance(count, (int, np.integer)):
         raise ValueError(f"{name} must be an integer {unit} count, got {count!r}")
     return int(count)
